@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

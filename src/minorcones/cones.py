@@ -2,21 +2,22 @@
 
 Constraint systems live in the full subset-indexed space; enumeration works
 in exact integer coordinates on the homogeneity subspace (dimension
-2^n - n - 1) via the double description method with the algebraic
-(rank-based) adjacency test.
+2^n - n - 1) via the double description method with combinatorial
+adjacency on tight-row bitmasks, with a tight-row rank certificate per ray.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import bareiss_rank, dot, kernel_basis, primitive, rank
+from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
+                    primitive, rank)
 from .nullity import (catalog_n4, d5_constraint_set, h_normal_form,
                       nullity_type, subset_matrix, superset_matrix)
-from .ratios import (FormalLog, from_entries, homogeneity_vectors,
-                     is_homogeneous, koteljanskii_log)
+from .ratios import (FormalLog, homogeneity_vectors, is_homogeneous,
+                     koteljanskii_log)
 from .simplex import nonnegative_combination
 from .subsets import (complement_mask, format_subset, ordered_entries,
                       permute_mask, subset_order)
@@ -152,19 +153,26 @@ def _ambient(coords: Sequence[int], n: int) -> Tuple[int, ...]:
 
 
 def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
-    """Double description over the integers.  Starts from the full space
-    (a basis of lines), inserts inequalities one at a time, and maintains
-    extremality via the algebraic adjacency test: two rays are adjacent iff
-    their common tight rows have rank dim - #lines - 2."""
+    """Double description over the integers with combinatorial adjacency on
+    tight-row bitmasks.  Starts from the full space (a basis of lines) and
+    inserts inequalities one at a time.  Each ray carries the bitmask of the
+    processed rows it is tight on, kept up to date as rows are inserted.
+    Two rays are adjacent iff their common tight rows number at least
+    dim - #lines - 2 and no third ray is tight on all of them (Fukuda and
+    Prodon, "Double description method revisited", 1996); the third-ray
+    test ANDs a per-step index from each row to the rays tight on it."""
     lines: List[Tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: List[Tuple[int, ...]] = []
-    processed: List[Tuple[int, ...]] = []
+    tight: List[int] = []
 
-    for a in ineqs:
+    for k, a in enumerate(ineqs):
+        bit = 1 << k
         pivot_idx = next((i for i, l in enumerate(lines) if dot(a, l) != 0),
                          None)
         if pivot_idx is not None:
+            # Lines are tight on every processed row, so projecting along
+            # the pivot keeps each old ray's tight set and adds row k.
             pivot = lines.pop(pivot_idx)
             if dot(a, pivot) < 0:
                 pivot = tuple(-x for x in pivot)
@@ -175,49 +183,72 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
             rays = [primitive(tuple(ap * x - dot(a, r) * y
                                     for x, y in zip(r, pivot)))
                     for r in rays]
-            rays.append(primitive(pivot))
-        else:
-            values = [dot(a, r) for r in rays]
-            if any(val < 0 for val in values):
-                tight_sets = [frozenset(i for i, row in enumerate(processed)
-                                        if dot(row, r) == 0) for r in rays]
-                target = dim - len(lines) - 2
-                keep = [r for r, val in zip(rays, values) if val >= 0]
-                new: List[Tuple[int, ...]] = []
-                seen = set(keep)
-                for ip, im in (
-                        (i, j) for i in range(len(rays)) for j in range(len(rays))
-                        if values[i] > 0 and values[j] < 0):
-                    common = tight_sets[ip] & tight_sets[im]
-                    if len(common) < target:
-                        continue
-                    rows_common = [processed[i] for i in common]
-                    if bareiss_rank(rows_common) != target:
-                        continue
-                    w = primitive(tuple(
-                        values[ip] * x - values[im] * y
-                        for x, y in zip(rays[im], rays[ip])))
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-                rays = keep + new
-        processed.append(a)
+            rays.append(pivot)
+            tight = [t | bit for t in tight] + [bit - 1]
+            continue
+
+        values = [dot(a, r) for r in rays]
+        kept = [(r, t | bit if val == 0 else t)
+                for r, t, val in zip(rays, tight, values) if val >= 0]
+        if len(kept) == len(rays):
+            tight = [t for _, t in kept]
+            continue
+        index = [0] * k
+        for i, t in enumerate(tight):
+            while t:
+                low = t & -t
+                index[low.bit_length() - 1] |= 1 << i
+                t ^= low
+        everyone = (1 << len(rays)) - 1
+        target = dim - len(lines) - 2
+        positive = [i for i, val in enumerate(values) if val > 0]
+        negative = [i for i, val in enumerate(values) if val < 0]
+        for im in negative:
+            for ip in positive:
+                common = tight[ip] & tight[im]
+                if common.bit_count() < target:
+                    continue
+                pair = (1 << ip) | (1 << im)
+                others = everyone
+                rest = common
+                while rest and others != pair:
+                    low = rest & -rest
+                    others &= index[low.bit_length() - 1]
+                    rest ^= low
+                if others != pair:
+                    continue
+                w = primitive(tuple(
+                    values[ip] * x - values[im] * y
+                    for x, y in zip(rays[im], rays[ip])))
+                kept.append((w, common | bit))
+        rays = [r for r, _ in kept]
+        tight = [t for _, t in kept]
     return lines, rays
 
 
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     """Complete list of primitive extreme rays of the feasible cone, in
-    canonical (subset-size, subset-value) lexicographic order."""
+    canonical (subset-size, subset-value) lexicographic order.  Each ray is
+    certified from scratch: it satisfies every row and equality, and its
+    tight rows have rank dim - 1.  A failure raises CertificateError."""
     n = system.ground_size
     dim = len(homogeneity_basis(n))
     reduced = _reduce_rows(system.inequalities, n)
     lines, rays = _double_description(reduced, dim)
     if lines:
         raise NonPointedConeError(_ambient(lines[0], n))
-    out = [Ray(n, _ambient(r, n)) for r in rays]
-    for ray in out:
-        assert all(dot(row, ray.vector) >= 0 for row in system.inequalities)
-        assert all(dot(eq, ray.vector) == 0 for eq in system.equalities)
+    out = []
+    for coords in rays:
+        vec = _ambient(coords, n)
+        if any(dot(row, vec) < 0 for row in system.inequalities):
+            raise CertificateError("extreme ray violates an inequality row")
+        if any(dot(eq, vec) != 0 for eq in system.equalities):
+            raise CertificateError("extreme ray violates an equality")
+        tight = [row for row in reduced if dot(row, coords) == 0]
+        if bareiss_rank(tight) != dim - 1:
+            raise CertificateError(
+                "extreme ray's tight rows do not have rank dim - 1")
+        out.append(Ray(n, vec))
     out.sort(key=Ray.sort_key)
     return out
 
@@ -275,8 +306,8 @@ def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
                       if coeff != 0)
         return KoteljanskiiCertificate(True, combo, None)
     h = tuple(-Fraction(val) for val in y)
-    assert dot(h, v.exponents) < 0
-    assert all(dot(h, col) >= 0 for col in columns)
+    if dot(h, v.exponents) >= 0 or any(dot(h, col) < 0 for col in columns):
+        raise CertificateError("separating hyperplane failed its check")
     return KoteljanskiiCertificate(False, None, h)
 
 
@@ -331,6 +362,8 @@ def serialize_vectors(vectors: Sequence[Sequence], n: int) -> str:
 
 def parse_vectors(text: str) -> Tuple[int, List[Tuple[Fraction, ...]]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty vector file")
     header = lines[0].split()
     n = int(header[0].split("=")[1])
     order = subset_order(n)

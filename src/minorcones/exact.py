@@ -7,6 +7,7 @@ exact, so no floating point enters any function in this module.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import List, Sequence, Tuple
 
 Vector = Tuple
@@ -14,11 +15,18 @@ Matrix = Sequence[Sequence]
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+class CertificateError(ArithmeticError):
+    """An exact answer failed its independent certificate check."""
 
 
 def primitive(vec: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
+    if all(isinstance(x, int) for x in vec):
+        g = gcd(*vec)
+        return tuple(vec) if g == 0 else tuple(x // g for x in vec)
     denoms = [Fraction(x).denominator for x in vec]
     lcm = 1
     for d in denoms:

@@ -5,7 +5,7 @@ partition-generated rank-<=2 types, and matroid duality.
 All computations here are exact; floating point never enters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations

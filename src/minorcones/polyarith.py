@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .ratios import FormalLog
-from .subsets import members_of, subset_order
+from .subsets import members_of
 
 # Dense univariate polynomials over the rationals: coefficient tuples with
 # index = degree and no trailing zeros; the zero polynomial is ().

@@ -5,7 +5,7 @@ exact factorization identities for R1, R2, R3.
 Everything is deterministic given a SamplerConfig seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -9,7 +9,6 @@ fixed so that all entries sum to zero.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np

@@ -13,12 +13,10 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import cones, nullity, probe
-from .constants import (M6, M7, P_for_Q, Q, R1, R2, R3, counterexample_E4,
-                        d3_matrices, named_log)
+from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
 from .exact import bareiss_rank, dot, primitive, rank_by_minors
 from .polyarith import asn, asn_inner_product
-from .ratios import (FormalLog, apply_complement, apply_permutation,
-                     delete_index, log_of)
+from .ratios import FormalLog, delete_index, log_of
 from .subsets import complement_mask
 
 

@@ -8,6 +8,8 @@ gives a separating hyperplane, which is verified before being returned.
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .exact import CertificateError
+
 
 def nonnegative_combination(
     columns: Sequence[Sequence[Fraction]],
@@ -80,13 +82,14 @@ def nonnegative_combination(
                 x[var] = rows[i][-1]
         residual = [sum(x[j] * columns[j][i] for j in range(k)) - target[i]
                     for i in range(m)]
-        assert all(r == 0 for r in residual) and all(v >= 0 for v in x)
+        if any(r != 0 for r in residual) or any(v < 0 for v in x):
+            raise CertificateError("nonnegative combination failed its check")
         return x, None
 
     # Dual values: reduced cost of artificial i is 1 - y_i in the row-signed
     # coordinates; undo the row sign flips to certify in the original system.
     y = [signs[i] * (Fraction(1) - z[k + i]) for i in range(m)]
-    assert sum(y[i] * target[i] for i in range(m)) > 0
-    for col in columns:
-        assert sum(y[i] * col[i] for i in range(m)) <= 0
+    if sum(y[i] * target[i] for i in range(m)) <= 0 or any(
+            sum(y[i] * col[i] for i in range(m)) > 0 for col in columns):
+        raise CertificateError("Farkas certificate failed its check")
     return None, y

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from minorcones import cones
 from minorcones.cli import main
 
 HADAMARD = "{1,2}{} / {1}{2}"
@@ -99,6 +100,17 @@ class TestExtremeRays:
     def test_unsupported_pair_exits_2(self, capsys):
         assert main(["extreme-rays", "--system", "D", "--n", "5"]) == 2
         assert "unsupported" in capsys.readouterr().err
+
+    def test_certificate_failure_exits_2(self, monkeypatch, capsys):
+        found = cones._double_description
+
+        def negated(rows, dim):
+            lines, rays = found(rows, dim)
+            return lines, [tuple(-x for x in r) for r in rays]
+
+        monkeypatch.setattr(cones, "_double_description", negated)
+        assert main(["extreme-rays", "--system", "E", "--n", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: extreme ray")
 
     def test_byte_stability(self, capsys):
         main(["extreme-rays", "--system", "D", "--n", "4"])

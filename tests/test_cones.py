@@ -1,7 +1,13 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from minorcones import cones
 from minorcones.cones import (ConstraintSystem, build_D_system,
                               build_E_system, brute_force_rays, extreme_rays,
                               homogeneity_basis, koteljanskii_cone_membership,
@@ -9,9 +15,19 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               orbit_decompose, parse_vectors, serialize_rays,
                               serialize_vectors)
 from minorcones.constants import R1, counterexample_E4
-from minorcones.exact import dot
+from minorcones.exact import CertificateError, dot, rank
 from minorcones.ratios import (is_homogeneous, is_koteljanskii_ray, log_of,
                                FormalLog)
+from minorcones.subsets import complement_mask, permute_mask
+
+
+def relabel(vec, perm, comp, n):
+    """Image of a subset-indexed vector under sigma, then complement."""
+    img = [0] * (1 << n)
+    for mask, x in enumerate(vec):
+        target = permute_mask(mask, perm)
+        img[complement_mask(target, n) if comp else target] = x
+    return tuple(img)
 
 
 class TestSystems:
@@ -101,10 +117,73 @@ class TestExtremeRays:
                                     system.labels[::-1])
         assert extreme_rays(system) == extreme_rays(shuffled)
 
+    @pytest.mark.parametrize("build, count",
+                             [(build_E_system, 31), (build_D_system, 46)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled_shuffled_system_gives_image_rays(self, build, count,
+                                                         seed):
+        rng = random.Random(seed)
+        system = build(4)
+        perm = tuple(rng.sample(range(1, 5), 4))
+        comp = seed % 2 == 1
+        order = list(range(len(system.inequalities)))
+        rng.shuffle(order)
+        rows = [relabel(system.inequalities[i], perm, comp, 4)
+                for i in order]
+        image = ConstraintSystem(
+            4, tuple(relabel(e, perm, comp, 4) for e in system.equalities),
+            tuple(rows), tuple(system.labels[i] for i in order))
+        got = [r.vector for r in extreme_rays(image)]
+        expected = {relabel(r.vector, perm, comp, 4)
+                    for r in extreme_rays(system)}
+        assert len(got) == len(set(got)) == count
+        assert set(got) == expected
+
+    @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4)])
+    def test_tight_rows_have_rank_dim_minus_one(self, system):
+        full = 1 << system.ground_size
+        for r in extreme_rays(system):
+            tight = [row for row in system.inequalities
+                     if dot(row, r.vector) == 0]
+            assert rank(tight + list(system.equalities)) == full - 1
+
     def test_matches_brute_force_oracle(self):
         for system in (build_E_system(2), build_E_system(3),
                        build_D_system(3)):
             assert extreme_rays(system) == brute_force_rays(system)
+
+    def test_non_extreme_output_fails_certificate(self, monkeypatch):
+        found = cones._double_description
+
+        def with_sum(rows, dim):
+            lines, rays = found(rows, dim)
+            return lines, rays + [tuple(map(sum, zip(rays[0], rays[1])))]
+
+        monkeypatch.setattr(cones, "_double_description", with_sum)
+        with pytest.raises(CertificateError, match="rank"):
+            extreme_rays(build_E_system(3))
+
+    def test_infeasible_output_fails_certificate_under_O(self):
+        script = (
+            "from minorcones import cones\n"
+            "from minorcones.exact import CertificateError\n"
+            "found = cones._double_description\n"
+            "def negated(rows, dim):\n"
+            "    lines, rays = found(rows, dim)\n"
+            "    return lines, [tuple(-x for x in rays[0])]\n"
+            "cones._double_description = negated\n"
+            "try:\n"
+            "    cones.extreme_rays(cones.build_E_system(3))\n"
+            "except CertificateError as err:\n"
+            "    print('debug', __debug__, 'raised', err)\n")
+        src = str(Path(cones.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("debug False raised")
+        assert "inequality" in done.stdout
 
     def test_rays_are_primitive(self):
         from math import gcd
@@ -189,6 +268,11 @@ class TestSerialization:
     def test_header_present(self):
         text = serialize_vectors([(0,) * 8], 3)
         assert text.splitlines()[0] == "n=3 order=size-then-mask"
+
+    def test_empty_file_rejected(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(ValueError, match="empty vector file"):
+                parse_vectors(text)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

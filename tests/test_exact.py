@@ -1,8 +1,20 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from minorcones.exact import (bareiss_rank, det, dot, in_row_span,
                               kernel_basis, primitive, rank, rank_by_minors)
+
+
+def primitive_reference(vec):
+    """The Fraction round trip that `primitive` shortcuts for int input."""
+    lcm = 1
+    for x in vec:
+        d = Fraction(x).denominator
+        lcm = lcm * d // gcd(lcm, d)
+    ints = [int(Fraction(x) * lcm) for x in vec]
+    g = gcd(*ints)
+    return tuple(ints) if g == 0 else tuple(x // g for x in ints)
 
 
 class TestPrimitive:
@@ -15,6 +27,22 @@ class TestPrimitive:
 
     def test_zero_vector(self):
         assert primitive([Fraction(0), Fraction(0)]) == (0, 0)
+        assert primitive([0, 0, 0]) == (0, 0, 0)
+        assert primitive([]) == ()
+
+    def test_matches_reference_on_mixed_and_int_vectors(self):
+        rng = random.Random(11)
+        for trial in range(400):
+            vec = [rng.randint(-40, 40) if trial % 2 else
+                   rng.choice([0, rng.randint(-40, 40),
+                               Fraction(rng.randint(-40, 40),
+                                        rng.randint(1, 12))])
+                   for _ in range(rng.randint(1, 7))]
+            got = primitive(vec)
+            assert got == primitive_reference(vec)
+            assert all(type(x) is int for x in got)
+        assert primitive([-6, 0, 9]) == (-2, 0, 3)
+        assert primitive([4, Fraction(-6), 0]) == (2, -3, 0)
 
 
 class TestRanks:
