@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
-                    primitive, rank)
+                    primitive)
 from .nullity import (catalog_n4, d5_constraint_set, h_normal_form,
                       nullity_type, subset_matrix, superset_matrix)
 from .ratios import (FormalLog, homogeneity_vectors, is_homogeneous,
@@ -262,7 +263,7 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
     found = set()
     for size in range(len(reduced) + 1):
         for rows in combinations(reduced, size):
-            if rank(rows) != dim - 1:
+            if bareiss_rank(rows) != dim - 1:
                 continue
             kernel = kernel_basis(rows, dim)
             if len(kernel) != 1:
@@ -270,7 +271,7 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
             for cand in (kernel[0], tuple(-x for x in kernel[0])):
                 if all(dot(row, cand) >= 0 for row in reduced):
                     tight = [row for row in reduced if dot(row, cand) == 0]
-                    if rank(tight) == dim - 1:
+                    if bareiss_rank(tight) == dim - 1:
                         found.add(primitive(cand))
     out = [Ray(n, _ambient(r, n)) for r in found]
     out.sort(key=Ray.sort_key)
@@ -318,17 +319,31 @@ class Orbit:
     members: Tuple[Tuple[int, ...], ...]
 
 
-def _vector_images(vec: Tuple[int, ...], n: int):
+@lru_cache(maxsize=None)
+def _image_gathers(n: int) -> Tuple[Tuple[bool, itemgetter], ...]:
+    """One (uses complement, gather) pair per group element, permutations
+    in lexicographic order, each without then with complementation.  The
+    gather picks, for every target mask, the source mask mapped onto it."""
     size = 1 << n
+    out = []
     for perm in permutations(range(1, n + 1)):
         for use_comp in (False, True):
-            img = [0] * size
-            for mask, x in enumerate(vec):
+            source = [0] * size
+            for mask in range(size):
                 target = permute_mask(mask, perm)
                 if use_comp:
                     target = complement_mask(target, n)
-                img[target] = x
-            yield tuple(img)
+                source[target] = mask
+            out.append((use_comp, itemgetter(*source)))
+    return tuple(out)
+
+
+def _vector_images(vec: Tuple[int, ...], n: int, complement: bool = True):
+    """Images of a mask-indexed vector under every permutation, and also
+    under every permutation followed by complementation if `complement`."""
+    for use_comp, gather in _image_gathers(n):
+        if complement or not use_comp:
+            yield gather(vec)
 
 
 def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:

@@ -6,6 +6,7 @@ under swapping indices 2 and 3).
 
 from functools import lru_cache
 
+from . import nullity
 from .nullity import RationalMatrix, matrix
 from .polyarith import PolyMatrix, poly_matrix
 from .ratios import FormalLog, RatioSpec, formal_log, parse_ratio
@@ -80,11 +81,11 @@ def Q() -> FormalLog:
 
 
 def M6() -> RationalMatrix:
-    return matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
+    return nullity.M6
 
 
 def M7() -> RationalMatrix:
-    return matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    return nullity.M7
 
 
 def d3_matrices():

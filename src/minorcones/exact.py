@@ -22,22 +22,23 @@ class CertificateError(ArithmeticError):
     """An exact answer failed its independent certificate check."""
 
 
+def _integer_row(row: Sequence) -> List[int]:
+    """The row itself if all entries are ints, else the row scaled by the
+    lcm of its denominators (same span, integer entries)."""
+    if all(isinstance(x, int) for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    lcm = 1
+    for x in fracs:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    return [x.numerator * (lcm // x.denominator) for x in fracs]
+
+
 def primitive(vec: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    if all(isinstance(x, int) for x in vec):
-        g = gcd(*vec)
-        return tuple(vec) if g == 0 else tuple(x // g for x in vec)
-    denoms = [Fraction(x).denominator for x in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
+    ints = _integer_row(vec)
+    g = gcd(*ints)
+    return tuple(ints) if g == 0 else tuple(x // g for x in ints)
 
 
 def rref(rows: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
@@ -64,15 +65,10 @@ def rref(rows: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
 def bareiss_rank(rows: Matrix) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    mat = [list(map(int, row)) for row in rows]
+    """Exact rank by fraction-free (Bareiss) elimination.  Rows of ints are
+    used as they are; other rows are first cleared of denominators."""
+    mat = [_integer_row(row) for row in rows]
     if not mat:
         return 0
     nrows, ncols = len(mat), len(mat[0])
@@ -95,6 +91,9 @@ def bareiss_rank(rows: Matrix) -> int:
         if r == nrows:
             break
     return r
+
+
+rank = bareiss_rank
 
 
 def rank_by_minors(rows: Matrix) -> int:
@@ -141,16 +140,6 @@ def kernel_basis(rows: Matrix, ncols: int) -> List[Tuple[int, ...]]:
             vec[p] = -red[r][f]
         basis.append(primitive(vec))
     return basis
-
-
-def in_row_span(rows: Matrix, v: Sequence) -> bool:
-    red, pivots = rref(rows)
-    vec = [Fraction(x) for x in v]
-    for r, p in enumerate(pivots):
-        if vec[p] != 0:
-            f = vec[p]
-            vec = [x - f * y for x, y in zip(vec, red[r])]
-    return all(x == 0 for x in vec)
 
 
 def reduce_against(red: List[List[Fraction]], pivots: List[int],

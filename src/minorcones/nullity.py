@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import bareiss_rank, reduce_against, rref
+from .exact import rank, reduce_against, rref
 from .ratios import homogeneity_vectors
 from .subsets import format_subset, mask_of, members_of
 
@@ -50,18 +49,6 @@ def parse_matrix(text: str) -> RationalMatrix:
 
 def format_matrix(m: RationalMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in m)
-
-
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by fraction-free elimination, after clearing row denominators."""
-    cleared = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // gcd(lcm, d)
-        cleared.append([int(Fraction(x) * lcm) for x in row])
-    return bareiss_rank(cleared)
 
 
 def _validate_rank_function(n: int, r: Sequence[int]) -> None:
@@ -122,7 +109,7 @@ def rank_type(m: RationalMatrix) -> RankType:
     for mask in range(1 << n):
         cols = [i - 1 for i in members_of(mask)]
         sub = [[row[c] for c in cols] for row in m]
-        entries.append(exact_rank(sub) if cols else 0)
+        entries.append(rank(sub) if cols else 0)
     return RankType(n, tuple(entries))
 
 
@@ -173,8 +160,9 @@ def permute_columns(m: RationalMatrix, perm: Sequence[int]) -> RationalMatrix:
     return tuple(tuple(row) for row in out)
 
 
-_M6 = matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
-_M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+# The two rank-2 matrices of the n = 4 catalogue with no M_S/M^S form.
+M6 = matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
+M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
 
 
 @lru_cache(maxsize=None)
@@ -187,8 +175,8 @@ def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
         ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
         ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
         ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
-        ("M6", _M6),
-        ("M7", _M7),
+        ("M6", M6),
+        ("M7", M7),
     ]
     seen: Dict[Tuple[int, ...], str] = {}
     out: List[Tuple[str, NullityType]] = []

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from .exact import CertificateError
 from .ratios import FormalLog
 from .subsets import members_of
 
@@ -200,6 +201,8 @@ def gram(p: PolyMatrix) -> PolyMatrix:
 
 
 def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
+    """Determinant by cofactor expansion: the test oracle for
+    `poly_det_bareiss`, never run on the `asn` path."""
     k = len(rows)
     if k == 0:
         return P_ONE
@@ -242,17 +245,15 @@ def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
     return det if sign > 0 else p_neg(det)
 
 
-def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
-    """det of the principal submatrix on the subset mask s; the empty minor
-    is the constant 1.  Cofactor and fraction-free paths must agree."""
+def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
     idx = [i - 1 for i in members_of(s)]
-    sub = [[a.entries[i][j] for j in idx] for i in idx]
-    det = poly_det_cofactor(sub) if len(idx) <= 5 else poly_det_bareiss(sub)
-    if len(idx) <= 5:
-        alt = poly_det_bareiss(sub)
-        if alt != det:
-            raise AssertionError("determinant cross-check failed")
-    return det
+    return [[a.entries[i][j] for j in idx] for i in idx]
+
+
+def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
+    """det of the principal submatrix on the subset mask s, by fraction-free
+    elimination; the empty minor is the constant 1."""
+    return poly_det_bareiss(principal_submatrix(a, s))
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def asn(p: PolyMatrix) -> AsnVector:
                 "P is not invertible as a polynomial matrix")
         deg, coeff = lowest_term(minor)
         if deg % 2 or coeff <= 0:
-            raise AssertionError(
+            raise CertificateError(
                 "dominating minor term is not a positive even power")
         entries[s] = deg // 2
     return AsnVector(n, tuple(entries))

@@ -185,30 +185,34 @@ def batch_log_ratio(v: FormalLog, batch: np.ndarray,
 
 def fiedler_check(a: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
     """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
-    with B = A^{-1}; all must be >= -tolerance."""
+    with B = A^{-1}, for one matrix or a stack of shape (..., n, n); all
+    must be >= -tolerance."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
-    n = a.shape[0]
-    roots = np.sqrt(np.diag(a) * np.diag(b))
-    residuals = roots.sum() - (2.0 * roots + (n - 2))
+    n = a.shape[-1]
+    roots = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
+                    * np.diagonal(b, axis1=-2, axis2=-1))
+    residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
     if np.any(residuals < -tolerance):
         raise AssertionError("Fiedler inequality violated beyond tolerance")
     return residuals
 
 
-def complement_ratio_check(a: np.ndarray, i: int) -> float:
-    """min over j != i of ({i}{i}^c / {j}{j}^c)(A); at most (n-1)^2."""
+def complement_ratio_check(a: np.ndarray) -> np.ndarray:
+    """For each i, min over j != i of ({i}{i}^c / {j}{j}^c)(A); each is at
+    most (n-1)^2.  Takes one matrix or a stack of shape (..., n, n) and
+    returns shape (..., n)."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     if n < 3:
         raise ValueError("complement ratio check requires n >= 3")
     full = (1 << n) - 1
-    minors = batch_log_minors(a[None, :, :], n)
-    def log_val(k: int) -> float:
-        mask = 1 << (k - 1)
-        return float(minors[mask][0] + minors[full ^ mask][0])
-    vals = [np.exp(log_val(i) - log_val(j)) for j in range(1, n + 1) if j != i]
-    return float(min(vals))
+    minors = batch_log_minors(a.reshape(-1, n, n), n)
+    logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
+                        for k in range(n)], axis=1)
+    ratios = np.exp(logvals[:, :, None] - logvals[:, None, :])
+    ratios[:, np.arange(n), np.arange(n)] = np.inf
+    return ratios.min(axis=2).reshape(a.shape[:-1])
 
 
 @dataclass(frozen=True)

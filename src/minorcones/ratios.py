@@ -17,6 +17,10 @@ from .exact import primitive
 from .subsets import (check_permutation, complement_mask, format_subset,
                       mask_of, members_of, permute_mask, subset_order)
 
+# Largest ground size a parsed ratio may have: a formal log holds 2^n
+# entries, and the largest supported constraint system has n = 10.
+MAX_GROUND_SIZE = 16
+
 
 class RatioSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
@@ -176,6 +180,9 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
         n = max(max_index, 1)
     elif max_index > n:
         raise ValueError(f"index {max_index} exceeds ground size {n}")
+    if n > MAX_GROUND_SIZE:
+        raise ValueError(f"ground size {n} exceeds the supported maximum "
+                         f"{MAX_GROUND_SIZE}")
     return RatioSpec(n, numerator, denominator)
 
 

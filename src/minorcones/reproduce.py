@@ -14,8 +14,9 @@ import numpy as np
 
 from . import cones, nullity, probe
 from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
-from .exact import bareiss_rank, dot, primitive, rank_by_minors
-from .polyarith import asn, asn_inner_product
+from .exact import dot, primitive, rank, rank_by_minors
+from .polyarith import (asn, asn_inner_product, gram, poly_det_cofactor,
+                        principal_minor_poly, principal_submatrix)
 from .ratios import FormalLog, delete_index, log_of
 from .subsets import complement_mask
 
@@ -58,15 +59,8 @@ def check_d4_extreme_rays() -> CheckResult:
     r1_rays = [r for r in rays if r.vector in r1_orbit]
     # R1's own orbit under permutation+complementation coincides with its
     # permutation orbit; count the pure permutation images separately.
-    perm_images = set()
-    from itertools import permutations as _perms
-    from .subsets import permute_mask
-    base = _named_primitive("R1")
-    for perm in _perms(range(1, 5)):
-        img = [0] * 16
-        for mask, x in enumerate(base):
-            img[permute_mask(mask, perm)] = x
-        perm_images.add(tuple(img))
+    perm_images = set(cones._vector_images(_named_primitive("R1"), 4,
+                                           complement=False))
     r1_perm_rays = [r for r in rays if r.vector in perm_images]
     rest = [r for r in rays
             if r not in kot and r.vector not in perm_images]
@@ -164,21 +158,11 @@ def check_fiedler_suite(samples: int = 10_000) -> CheckResult:
     for n in (3, 4, 5, 6):
         batch = probe.sample_pd(probe.SamplerConfig(
             seed=500 + n, count=samples, dimension=n))
-        inv = np.linalg.inv(batch)
-        roots = np.sqrt(np.einsum("bii->bi", batch)
-                        * np.einsum("bii->bi", inv))
-        residuals = roots.sum(axis=1, keepdims=True) - (2 * roots + (n - 2))
-        worst_residual = min(worst_residual, float(residuals.min()))
-        # Complementary-minor ratios {i}{i}^c / {j}{j}^c, minimized over j != i.
-        full = (1 << n) - 1
-        minors = probe.batch_log_minors(batch, n)
-        logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
-                            for k in range(n)], axis=1)
-        for i in range(n):
-            others = np.delete(logvals, i, axis=1)
-            best = np.exp(logvals[:, i, None] - others).min(axis=1)
-            worst_complement_ratio_margin = min(
-                worst_complement_ratio_margin, float(((n - 1) ** 2 - best).min()))
+        worst_residual = min(worst_residual,
+                             float(probe.fiedler_check(batch).min()))
+        best = probe.complement_ratio_check(batch)
+        worst_complement_ratio_margin = min(
+            worst_complement_ratio_margin, float(((n - 1) ** 2 - best).min()))
     passed = worst_residual >= -1e-9 and worst_complement_ratio_margin >= -1e-9
     return CheckResult("fiedler_suite", passed, {
         "samples_per_n": samples, "worst_residual": worst_residual,
@@ -233,7 +217,7 @@ def check_structural_identities() -> CheckResult:
             break
     reduced = cones._reduce_rows(cones.build_D_system(4).inequalities, 4)
     dim = len(cones.homogeneity_basis(4))
-    if bareiss_rank(reduced) != dim:
+    if rank(reduced) != dim:
         failures.append("D4 system has nonzero lineality")
     return CheckResult("structural_identities", not failures,
                        {"failures": failures})
@@ -275,12 +259,16 @@ def check_oracle_equivalence() -> CheckResult:
         n = int(rng.integers(1, 6))
         rows = int(rng.integers(1, 6))
         m = rng.integers(-3, 4, size=(rows, n)).tolist()
-        if bareiss_rank(m) != rank_by_minors(m):
+        if rank(m) != rank_by_minors(m):
             rank_ok = False
             break
-    return CheckResult("oracle_equivalence", rays_ok and rank_ok,
+    g = gram(P_for_Q())
+    det_ok = all(poly_det_cofactor(principal_submatrix(g, s))
+                 == principal_minor_poly(g, s) for s in range(1 << g.size))
+    return CheckResult("oracle_equivalence", rays_ok and rank_ok and det_ok,
                        {"dd_equals_brute_force": rays_ok,
-                        "rank_oracle_agreement": rank_ok})
+                        "rank_oracle_agreement": rank_ok,
+                        "determinant_oracle_agreement": det_ok})
 
 
 CHECKS: Tuple[Tuple[str, Callable[[], CheckResult]], ...] = (

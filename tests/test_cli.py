@@ -82,6 +82,16 @@ class TestMembership:
         assert len(payload["hyperplane"]) == 16
 
 
+    @pytest.mark.parametrize("ratio,extra", [
+        ("{1,40}{} / {1}{40}", []),
+        (HADAMARD, ["--n", "40"]),
+    ])
+    def test_ground_size_cap_exits_2(self, ratio, extra, capsys):
+        assert main(["membership", ratio, "--semigroup", "H", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "ground size 40" in err and "16" in err
+
+
 class TestExtremeRays:
     def test_e3(self, capsys):
         assert main(["extreme-rays", "--system", "E", "--n", "3"]) == 0

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               orbit_decompose, parse_vectors, serialize_rays,
                               serialize_vectors)
 from minorcones.constants import R1, counterexample_E4
-from minorcones.exact import CertificateError, dot, rank
+from minorcones.exact import CertificateError, dot, rref
 from minorcones.ratios import (is_homogeneous, is_koteljanskii_ray, log_of,
                                FormalLog)
 from minorcones.subsets import complement_mask, permute_mask
@@ -145,7 +146,7 @@ class TestExtremeRays:
         for r in extreme_rays(system):
             tight = [row for row in system.inequalities
                      if dot(row, r.vector) == 0]
-            assert rank(tight + list(system.equalities)) == full - 1
+            assert len(rref(tight + list(system.equalities))[0]) == full - 1
 
     def test_matches_brute_force_oracle(self):
         for system in (build_E_system(2), build_E_system(3),
@@ -249,6 +250,15 @@ class TestOrbits:
         rays = extreme_rays(build_D_system(4))
         seen = [v for o in orbit_decompose(rays) for v in o.members]
         assert sorted(seen) == sorted(r.vector for r in rays)
+
+    def test_vector_images_match_relabel(self):
+        vec = tuple(range(16))
+        expect = [relabel(vec, perm, comp, 4)
+                  for perm in permutations(range(1, 5))
+                  for comp in (False, True)]
+        assert list(cones._vector_images(vec, 4)) == expect
+        assert (list(cones._vector_images(vec, 4, complement=False))
+                == expect[::2])
 
 
 class TestSerialization:

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from minorcones.exact import (bareiss_rank, det, dot, in_row_span,
-                              kernel_basis, primitive, rank, rank_by_minors)
+from minorcones.exact import (bareiss_rank, det, dot, kernel_basis,
+                              primitive, rank, rank_by_minors, reduce_against,
+                              rref)
 
 
 def primitive_reference(vec):
@@ -45,6 +46,43 @@ class TestPrimitive:
         assert primitive([4, Fraction(-6), 0]) == (2, -3, 0)
 
 
+class TestExactRank:
+    def test_identity(self):
+        assert rank([[Fraction(1), Fraction(0)],
+                     [Fraction(0), Fraction(1)]]) == 2
+
+    def test_rank_one(self):
+        assert rank([[Fraction(x) for x in (1, 2, 3)],
+                     [Fraction(x) for x in (2, 4, 6)]]) == 1
+
+    def test_rational_entries(self):
+        m = [[Fraction(1, 3), Fraction(2, 3)],
+             [Fraction(1, 2), Fraction(1)]]
+        assert rank(m) == 1
+
+    def test_huge_entries_stay_exact(self):
+        # A float computation would call this singular.
+        big = Fraction(10 ** 30)
+        assert rank([[big, big], [big, big + 1]]) == 2
+
+    def test_one_rank_function(self):
+        assert rank is bareiss_rank
+
+    def test_rationals_are_not_truncated(self):
+        # int() on each entry would give [[0]] and [[0, 0], [1, 1]].
+        assert rank([[Fraction(1, 2)]]) == 1
+        assert rank([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == 2
+
+    def test_matches_minor_oracle_on_rationals(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = [[rng.choice([0, rng.randint(-3, 3),
+                              Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+                  for _ in range(cols)] for _ in range(rows)]
+            assert rank(m) == rank_by_minors(m)
+
+
 class TestRanks:
     def test_rank_agreement_randomized(self):
         rng = random.Random(21)
@@ -53,10 +91,9 @@ class TestRanks:
             cols = rng.randint(1, 4)
             m = [[rng.randint(-3, 3) for _ in range(cols)]
                  for _ in range(rows)]
-            frac = [[Fraction(x) for x in row] for row in m]
-            r = rank([row[:] for row in frac])
-            assert bareiss_rank([row[:] for row in m]) == r
-            assert rank_by_minors([row[:] for row in m]) == r
+            r = len(rref(m)[0])
+            assert rank(m) == r
+            assert rank_by_minors(m) == r
 
     def test_det_matches_rank(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
@@ -79,6 +116,7 @@ class TestKernel:
 class TestRowSpan:
     def test_member_and_nonmember(self):
         rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert in_row_span(rows, [Fraction(3), Fraction(-2)])
-        assert not in_row_span([[Fraction(1), Fraction(1)]],
-                               [Fraction(1), Fraction(0)])
+        assert not any(reduce_against(*rref(rows),
+                                      [Fraction(3), Fraction(-2)]))
+        assert any(reduce_against(*rref([[Fraction(1), Fraction(1)]]),
+                                  [Fraction(1), Fraction(0)]))

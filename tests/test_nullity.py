@@ -5,7 +5,7 @@ import pytest
 
 from minorcones.nullity import (D5Row, NullityType, Partition, catalog_n4,
                                 d5_constraint_set, dual_nullity_type,
-                                enumerate_partitions, exact_rank,
+                                enumerate_partitions,
                                 format_matrix, h_equivalent, h_normal_form,
                                 matrix, nullity_type, parse_matrix,
                                 partition_nullity, permute_columns, rank_type,
@@ -30,25 +30,6 @@ class TestMatrixIO:
     def test_round_trip(self):
         m = matrix([[1, Fraction(-3, 7)], [0, 2]])
         assert parse_matrix(format_matrix(m)) == m
-
-
-class TestExactRank:
-    def test_identity(self):
-        assert exact_rank(matrix([[1, 0], [0, 1]])) == 2
-
-    def test_rank_one(self):
-        assert exact_rank(matrix([[1, 2, 3], [2, 4, 6]])) == 1
-
-    def test_rational_entries(self):
-        m = matrix([[Fraction(1, 3), Fraction(2, 3)],
-                    [Fraction(1, 2), Fraction(1)]])
-        assert exact_rank(m) == 1
-
-    def test_huge_entries_stay_exact(self):
-        # A float computation would call this singular.
-        big = 10 ** 30
-        m = matrix([[big, big], [big, big + 1]])
-        assert exact_rank(m) == 2
 
 
 class TestNullityType:

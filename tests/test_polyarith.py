@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from minorcones.exact import kernel_basis, rank
+from minorcones import polyarith
+from minorcones.cli import main
+from minorcones.constants import P_for_Q
+from minorcones.exact import CertificateError, kernel_basis, rank
 from minorcones.nullity import matrix, nullity_type
 from minorcones.polyarith import (asn, asn_inner_product, format_poly,
                                   format_poly_matrix, gram, lowest_term,
                                   p_add, p_divexact, p_eval, p_mul, p_sub,
                                   parse_poly, parse_poly_matrix, poly,
                                   poly_det_bareiss, poly_det_cofactor,
-                                  poly_matrix, principal_minor_poly)
+                                  poly_matrix, principal_minor_poly,
+                                  principal_submatrix)
 from minorcones.ratios import from_entries
 
 
@@ -100,6 +104,12 @@ class TestDeterminants:
         pm = poly_matrix([[poly([2]), poly([1])], [poly([1]), poly([3])]])
         assert principal_minor_poly(pm, 0b11) == poly([5])
 
+    def test_principal_minors_match_cofactor_oracle(self):
+        g = gram(P_for_Q())
+        for s in range(1 << g.size):
+            assert principal_minor_poly(g, s) == poly_det_cofactor(
+                principal_submatrix(g, s))
+
 
 class TestAsn:
     def test_identity_is_zero(self):
@@ -162,3 +172,27 @@ def _is_generic(b, c, n):
     stacked = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
     base = [[bt_cols[j][i] for j in range(n)] for i in range(n)]
     return rank(stacked) == rank(base) + len(kern)
+
+
+class TestAsnCertificate:
+    def test_negative_dominating_term_raises(self, monkeypatch):
+        monkeypatch.setattr(polyarith, "principal_minor_poly",
+                            lambda a, s: poly([-1]))
+        with pytest.raises(CertificateError, match="positive even power"):
+            asn(parse_poly_matrix("1, 0\n0, e\n"))
+
+    def test_cli_exits_2(self, monkeypatch, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("1, 0\n0, e\n")
+        monkeypatch.setattr(polyarith, "principal_minor_poly",
+                            lambda a, s: poly([-1]))
+        assert main(["asn", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dominating minor term")
+
+    def test_cofactor_oracle_off_the_asn_path(self, monkeypatch):
+        def refuse(rows):
+            raise RuntimeError("oracle called on the asn path")
+        expect = asn(P_for_Q())
+        monkeypatch.setattr(polyarith, "poly_det_cofactor", refuse)
+        assert asn(P_for_Q()) == expect

@@ -93,7 +93,7 @@ class TestInequalities:
             assert np.all(res >= -1e-9)
 
     def test_complement_ratio_at_identity(self):
-        assert complement_ratio_check(np.eye(4), 1) == pytest.approx(1.0)
+        assert complement_ratio_check(np.eye(4)) == pytest.approx([1.0] * 4)
 
     def test_complement_ratio_bounded(self):
         rng = np.random.default_rng(3)
@@ -101,8 +101,32 @@ class TestInequalities:
         for _ in range(50):
             g = rng.standard_normal((n, n))
             a = g @ g.T + 1e-6 * np.eye(n)
-            for i in range(1, n + 1):
-                assert complement_ratio_check(a, i) <= (n - 1) ** 2 + 1e-9
+            assert np.all(complement_ratio_check(a) <= (n - 1) ** 2 + 1e-9)
+
+    def test_complement_ratio_matches_direct_minors(self):
+        a = sample_pd(SamplerConfig(seed=6, count=1, dimension=4))[0]
+        det = np.linalg.det
+
+        def val(k):
+            rest = [c for c in range(4) if c != k]
+            return a[k, k] * det(a[np.ix_(rest, rest)])
+        expect = [min(val(i) / val(j) for j in range(4) if j != i)
+                  for i in range(4)]
+        assert complement_ratio_check(a) == pytest.approx(expect, rel=1e-9)
+
+    def test_batch_matches_single_matrices(self):
+        batch = sample_pd(SamplerConfig(seed=5, count=20, dimension=5))
+        residuals = fiedler_check(batch)
+        ratios = complement_ratio_check(batch)
+        assert residuals.shape == ratios.shape == (20, 5)
+        for k, a in enumerate(batch):
+            assert np.allclose(fiedler_check(a), residuals[k],
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(complement_ratio_check(a), ratios[k],
+                               rtol=1e-12, atol=0)
+        stacked = batch.reshape(4, 5, 5, 5)
+        assert complement_ratio_check(stacked).shape == (4, 5, 5)
+        assert fiedler_check(stacked).shape == (4, 5, 5)
 
     def test_jacobi(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,7 @@ from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
                                evaluate_log_ratio, formal_log, format_ratio,
                                from_entries, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
-                               parse_ratio)
+                               MAX_GROUND_SIZE, parse_ratio)
 from minorcones.subsets import mask_of
 
 
@@ -49,6 +49,17 @@ class TestParseRatio:
     def test_index_beyond_ground_size(self):
         with pytest.raises(ValueError):
             parse_ratio("{1,5} / {1}{5}", n=3)
+
+    def test_ground_size_capped_before_allocation(self):
+        with pytest.raises(ValueError, match=f"ground size 40 exceeds the "
+                                             f"supported maximum "
+                                             f"{MAX_GROUND_SIZE}"):
+            parse_ratio("{1,40}{} / {1}{40}")
+        with pytest.raises(ValueError, match="ground size 40"):
+            log_of("{1,2}{} / {1}{2}", 40)
+        top = MAX_GROUND_SIZE
+        assert parse_ratio(f"{{1,{top}}}{{}} / {{1}}{{{top}}}").ground_size \
+            == top
 
     def test_round_trip(self):
         for text in ("{1,2}{} / {1}{2}", "{1,2}^3/2 / {1}^3/2{2}^3/2",
