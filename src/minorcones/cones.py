@@ -364,41 +364,3 @@ def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:
         orbits.append(Orbit(rep, tuple(members)))
         remaining -= images
     return orbits
-
-
-def serialize_vectors(vectors: Sequence[Sequence], n: int) -> str:
-    """Line-oriented interchange format: a header with the ground size and
-    ordering convention, then one vector per line in (size, mask) order."""
-    lines = [f"n={n} order=size-then-mask"]
-    for vec in vectors:
-        lines.append(" ".join(str(Fraction(x)) for x in ordered_entries(vec, n)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_vectors(text: str) -> Tuple[int, List[Tuple[Fraction, ...]]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty vector file")
-    header = lines[0].split()
-    n = int(header[0].split("=")[1])
-    order = subset_order(n)
-    out = []
-    for ln in lines[1:]:
-        vals = [Fraction(tok) for tok in ln.split()]
-        if len(vals) != 1 << n:
-            raise ValueError("vector length does not match header")
-        vec = [Fraction(0)] * (1 << n)
-        for pos, mask in enumerate(order):
-            vec[mask] = vals[pos]
-        out.append(tuple(vec))
-    return n, out
-
-
-def serialize_system(system: ConstraintSystem) -> str:
-    return serialize_vectors(system.inequalities, system.ground_size)
-
-
-def serialize_rays(rays: Sequence[Ray]) -> str:
-    if not rays:
-        raise ValueError("no rays to serialize")
-    return serialize_vectors([r.vector for r in rays], rays[0].ground_size)

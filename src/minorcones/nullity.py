@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import rank, reduce_against, rref
+from .exact import CertificateError, rank, reduce_against, rref
 from .ratios import homogeneity_vectors
 from .subsets import format_subset, mask_of, members_of
 
@@ -188,7 +188,8 @@ def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
                 seen[nt.entries] = label
                 out.append((label, nt))
     if len(out) != 23:
-        raise AssertionError(f"n=4 catalogue has {len(out)} types, expected 23")
+        raise CertificateError(
+            f"n=4 catalogue has {len(out)} types, expected 23")
     return tuple(out)
 
 

@@ -7,17 +7,18 @@ Everything is deterministic given a SamplerConfig seed.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import dot
 from .nullity import RationalMatrix, nullity_type
-from .polyarith import PolyMatrix, asn, asn_inner_product
-from .ratios import (FormalLog, NotPositiveDefiniteError, evaluate_log_ratio,
-                     is_homogeneous, is_koteljanskii_ray, log_of)
-from .subsets import members_of, subset_order
+from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
+from .ratios import (FormalLog, NotPositiveDefiniteError, batch_log_minors,
+                     evaluate_log_ratio, is_homogeneous, is_koteljanskii_ray,
+                     log_of)
+from .subsets import members_of
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
 # Minors of a Gram family can scale like eps^2 per singular value; below
@@ -99,22 +100,17 @@ def eval_family_slope(v: FormalLog, m: RationalMatrix,
     mat = np.array([[float(x) for x in row] for row in m])
     if mat.shape[1] != n:
         raise ValueError("matrix column count must equal the ground size")
-    base = mat.T @ mat
-    values = []
-    for eps in grid:
-        try:
-            values.append(evaluate_log_ratio(v, base + eps * np.eye(n)))
-        except NotPositiveDefiniteError as err:
-            raise NotPositiveDefiniteError(err.subset) from None
+    family = mat.T @ mat + np.multiply.outer(grid, np.eye(n))
+    values = evaluate_log_ratio(v, family).tolist()
     predicted = Fraction(dot(v.exponents, nullity_type(m).entries))
     return _fit_report(v, grid, values, predicted)
 
 
-def _gram_logminor(p: PolyMatrix, eps: float, mask: int) -> float:
-    """log det (P^T P)[S] at a numeric eps, via singular values of the
-    column submatrix (robust for minors scaling like eps^(2 d_S))."""
-    from .polyarith import eval_poly_matrix
-    mat = eval_poly_matrix(p, eps)
+def _gram_logminor(mat: np.ndarray, mask: int) -> float:
+    """log det (P^T P)[S] for P = mat evaluated at one eps, via singular
+    values of the column submatrix P[:, S].  Forming P^T P and factoring
+    it squares the condition number, which loses minors scaling like
+    eps^(2 d_S); the singular values of P keep them."""
     cols = [i - 1 for i in members_of(mask)]
     sing = np.linalg.svd(mat[:, cols], compute_uv=False)
     if np.any(sing <= 0):
@@ -133,11 +129,10 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     grid = _validate_grid(grid)
     values = []
     for eps in grid:
+        mat = eval_poly_matrix(p, eps)
         total = 0.0
-        for mask in subset_order(v.ground_size):
-            x = v.exponents[mask]
-            if mask and x != 0:
-                total += float(x) * _gram_logminor(p, eps, mask)
+        for mask in v.support():
+            total += float(v.exponents[mask]) * _gram_logminor(mat, mask)
         values.append(total)
     predicted = 2 * asn_inner_product(v, asn(p))
     return _fit_report(v, grid, values, predicted)
@@ -152,41 +147,15 @@ def sample_pd(cfg: SamplerConfig) -> np.ndarray:
     if cfg.distribution == "gram-plus-ridge":
         a = a / n  # Wishart-like scaling
     a += cfg.ridge * np.eye(n)
-    sign, _ = np.linalg.slogdet(a)
-    if not np.all(sign > 0):
-        raise AssertionError("sampler produced a non-PD matrix")
+    batch_log_minors(a, [(1 << n) - 1])  # raises unless every sample is PD
     return a
-
-
-def batch_log_minors(batch: np.ndarray, n: int) -> Dict[int, np.ndarray]:
-    """log det A[S] for every nonempty subset, over a batch of PD matrices."""
-    out: Dict[int, np.ndarray] = {}
-    for mask in range(1, 1 << n):
-        idx = [i - 1 for i in members_of(mask)]
-        sign, logdet = np.linalg.slogdet(batch[:, idx][:, :, idx])
-        if not np.all(sign > 0):
-            raise NotPositiveDefiniteError(members_of(mask))
-        out[mask] = logdet
-    return out
-
-
-def batch_log_ratio(v: FormalLog, batch: np.ndarray,
-                    minors: Optional[Dict[int, np.ndarray]] = None
-                    ) -> np.ndarray:
-    if minors is None:
-        minors = batch_log_minors(batch, v.ground_size)
-    total = np.zeros(batch.shape[0])
-    for mask, logdet in minors.items():
-        x = v.exponents[mask]
-        if x != 0:
-            total += float(x) * logdet
-    return total
 
 
 def fiedler_check(a: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
     """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
-    with B = A^{-1}, for one matrix or a stack of shape (..., n, n); all
-    must be >= -tolerance."""
+    with B = A^{-1}, for one matrix or a stack of shape (..., n, n).  The
+    inequality is a theorem, so a residual below -tolerance means the
+    floating-point inverse broke down: FloatingPointError."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
     n = a.shape[-1]
@@ -194,7 +163,8 @@ def fiedler_check(a: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
                     * np.diagonal(b, axis1=-2, axis2=-1))
     residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
     if np.any(residuals < -tolerance):
-        raise AssertionError("Fiedler inequality violated beyond tolerance")
+        raise FloatingPointError(
+            "Fiedler inequality violated beyond tolerance")
     return residuals
 
 
@@ -207,7 +177,8 @@ def complement_ratio_check(a: np.ndarray) -> np.ndarray:
     if n < 3:
         raise ValueError("complement ratio check requires n >= 3")
     full = (1 << n) - 1
-    minors = batch_log_minors(a.reshape(-1, n, n), n)
+    masks = [1 << k for k in range(n)] + [full ^ (1 << k) for k in range(n)]
+    minors = batch_log_minors(a.reshape(-1, n, n), masks)
     logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
                         for k in range(n)], axis=1)
     ratios = np.exp(logvals[:, :, None] - logvals[:, None, :])
@@ -233,7 +204,7 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
     """
     n = v.ground_size
     batch = sample_pd(cfg)
-    values = batch_log_ratio(v, batch)
+    values = evaluate_log_ratio(v, batch)
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
     best_mat = batch[best_idx]

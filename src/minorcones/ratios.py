@@ -9,7 +9,7 @@ fixed so that all entries sum to zero.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,12 @@ class FormalLog:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.exponents)
+
+    def support(self) -> List[int]:
+        """Nonempty subsets with a nonzero exponent, in subset_order: the
+        minors a numeric evaluation needs, in the order it adds them."""
+        return [mask for mask in subset_order(self.ground_size)
+                if mask and self.exponents[mask]]
 
 
 def _normalize_empty(n: int, acc: Dict[int, Fraction]) -> FormalLog:
@@ -293,31 +299,47 @@ def delete_index(v: FormalLog, i: int) -> FormalLog:
     return FormalLog(n - 1, tuple(out))
 
 
-def logdet_pd(a: np.ndarray) -> float:
-    """log det of a numerically PD matrix via Cholesky."""
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(tuple(range(1, a.shape[0] + 1)))
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+# Matrices factored per call in batch_log_minors: large enough to amortise
+# numpy's per-call overhead, small enough that the gathered submatrices of a
+# 1e5-matrix stack never all sit in memory at once.
+CHOLESKY_CHUNK = 4096
 
 
-def evaluate_log_ratio(v: FormalLog, a: np.ndarray) -> float:
-    """Sum over subsets of v_S * logdet A[S]; equals log(alpha(A)/beta(A))."""
+def batch_log_minors(batch: np.ndarray,
+                     masks: Sequence[int]) -> Dict[int, np.ndarray]:
+    """log det A[S] for each requested nonempty subset mask S, over a stack
+    of matrices of shape (count, n, n): one Cholesky factorization per mask
+    and matrix, so a principal submatrix that is not numerically positive
+    definite raises NotPositiveDefiniteError naming its subset."""
+    count = batch.shape[0]
+    out = {mask: np.empty(count) for mask in masks}
+    for start in range(0, count, CHOLESKY_CHUNK):
+        chunk = batch[start:start + CHOLESKY_CHUNK]
+        for mask, logdet in out.items():
+            idx = [i - 1 for i in members_of(mask)]
+            try:
+                chol = np.linalg.cholesky(chunk[:, idx][:, :, idx])
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(members_of(mask)) from None
+            diag = np.diagonal(chol, axis1=-2, axis2=-1)
+            logdet[start:start + len(chunk)] = 2.0 * np.log(diag).sum(axis=-1)
+    return out
+
+
+def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
+    """Sum over subsets of v_S * logdet A[S], i.e. log(alpha(A)/beta(A)),
+    for one matrix (a float) or a stack of shape (count, n, n) (an array).
+    Only the subsets in v.support() are factored, and their terms are added
+    in that order, so each matrix of a stack gets the value it gets on its
+    own."""
     a = np.asarray(a, dtype=float)
     n = v.ground_size
-    if a.shape != (n, n):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
-    total = 0.0
-    for mask in subset_order(n):
-        x = v.exponents[mask]
-        if mask == 0 or x == 0:
-            continue
-        idx = [i - 1 for i in members_of(mask)]
-        sub = a[np.ix_(idx, idx)]
-        try:
-            ld = logdet_pd(sub)
-        except NotPositiveDefiniteError:
-            raise NotPositiveDefiniteError(members_of(mask))
-        total += float(x) * ld
-    return total
+    stack = a.reshape(-1, n, n)
+    masks = v.support()
+    minors = batch_log_minors(stack, masks)
+    total = np.zeros(stack.shape[0])
+    for mask in masks:
+        total += float(v.exponents[mask]) * minors[mask]
+    return float(total[0]) if a.ndim == 2 else total

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from minorcones import cones
+from minorcones import cones, nullity
 from minorcones.cli import main
 
 HADAMARD = "{1,2}{} / {1}{2}"
@@ -81,6 +82,17 @@ class TestMembership:
         assert payload["member"] is False
         assert len(payload["hyperplane"]) == 16
 
+    def test_catalogue_count_failure_exits_2(self, monkeypatch, capsys):
+        fixed = nullity.nullity_type(nullity.M6)
+        monkeypatch.setattr(nullity, "nullity_type", lambda m: fixed)
+        nullity.catalog_n4.cache_clear()
+        try:
+            assert main(["membership", COUNTEREXAMPLE,
+                         "--semigroup", "D"]) == 2
+        finally:
+            nullity.catalog_n4.cache_clear()
+        assert capsys.readouterr().err.startswith(
+            "error: n=4 catalogue has 1 types")
 
     @pytest.mark.parametrize("ratio,extra", [
         ("{1,40}{} / {1}{40}", []),
@@ -172,3 +184,9 @@ class TestSearchCommands:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["worst_residual"] >= -1e-9
+
+    def test_fiedler_breakdown_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
+        assert main(["fiedler", "--n", "4", "--samples", "10"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: Fiedler inequality violated")

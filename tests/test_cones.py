@@ -13,8 +13,7 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               build_E_system, brute_force_rays, extreme_rays,
                               homogeneity_basis, koteljanskii_cone_membership,
                               koteljanskii_generators, membership,
-                              orbit_decompose, parse_vectors, serialize_rays,
-                              serialize_vectors)
+                              orbit_decompose)
 from minorcones.constants import R1, counterexample_E4
 from minorcones.exact import CertificateError, dot, rref
 from minorcones.ratios import (is_homogeneous, is_koteljanskii_ray, log_of,
@@ -259,31 +258,3 @@ class TestOrbits:
         assert list(cones._vector_images(vec, 4)) == expect
         assert (list(cones._vector_images(vec, 4, complement=False))
                 == expect[::2])
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        system = build_E_system(3)
-        n, rows = parse_vectors(serialize_vectors(system.inequalities, 3))
-        assert n == 3
-        assert [tuple(map(Fraction, r)) for r in system.inequalities] == rows
-
-    def test_rays_round_trip(self):
-        rays = extreme_rays(build_E_system(3))
-        n, rows = parse_vectors(serialize_rays(rays))
-        assert n == 3
-        assert sorted(rows) == sorted(
-            tuple(map(Fraction, r.vector)) for r in rays)
-
-    def test_header_present(self):
-        text = serialize_vectors([(0,) * 8], 3)
-        assert text.splitlines()[0] == "n=3 order=size-then-mask"
-
-    def test_empty_file_rejected(self):
-        for text in ("", "\n  \n"):
-            with pytest.raises(ValueError, match="empty vector file"):
-                parse_vectors(text)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            parse_vectors("n=3 order=size-then-mask\n1 2 3\n")

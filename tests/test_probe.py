@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from minorcones import probe, ratios
 from minorcones.constants import M6, P_for_Q, Q, counterexample_E4
 from minorcones.nullity import matrix
-from minorcones.probe import (SamplerConfig, bound_search, complement_ratio_check,
-                              decomposition_check, eval_family_slope,
-                              eval_poly_family_slope, fiedler_check,
-                              jacobi_check, random_homogeneous_log,
-                              sample_pd, slope_law_suite)
-from minorcones.ratios import is_homogeneous, log_of
+from minorcones.polyarith import eval_poly_matrix
+from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
+                              complement_ratio_check, decomposition_check,
+                              eval_family_slope, eval_poly_family_slope,
+                              fiedler_check, jacobi_check,
+                              random_homogeneous_log, sample_pd,
+                              slope_law_suite)
+from minorcones.ratios import NotPositiveDefiniteError, is_homogeneous, log_of
 
 
 class TestLinearFamilySlope:
@@ -61,6 +64,17 @@ class TestPolyFamilySlope:
         rep = eval_poly_family_slope(log_of("{1,2}{} / {1}{2}", 2), pm)
         assert rep.predicted_slope == 0 and rep.verdict
 
+    def test_p_evaluated_once_per_eps(self, monkeypatch):
+        calls = []
+
+        def spy(p, eps):
+            calls.append(eps)
+            return eval_poly_matrix(p, eps)
+
+        monkeypatch.setattr(probe, "eval_poly_matrix", spy)
+        eval_poly_family_slope(Q(), P_for_Q())
+        assert calls == list(DEFAULT_POLY_GRID)
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -71,6 +85,12 @@ class TestSampling:
         batch = sample_pd(SamplerConfig(seed=1, count=32, dimension=5))
         for a in batch:
             assert np.all(np.linalg.eigvalsh(a) > 0)
+
+    def test_non_pd_sample_raises(self):
+        cfg = SamplerConfig(seed=0, count=4, dimension=3, ridge=-1e3)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            sample_pd(cfg)
+        assert err.value.subset == (1, 2, 3)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +111,24 @@ class TestInequalities:
             g = rng.standard_normal((4, 4))
             res = fiedler_check(g @ g.T + 1e-6 * np.eye(4))
             assert np.all(res >= -1e-9)
+
+    def test_fiedler_violation_is_a_floating_point_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
+        with pytest.raises(FloatingPointError, match="Fiedler"):
+            fiedler_check(np.eye(4))
+
+    def test_complement_ratio_requests_2n_minors(self, monkeypatch):
+        requested = []
+
+        def spy(batch, masks):
+            requested.append(list(masks))
+            return ratios.batch_log_minors(batch, masks)
+
+        monkeypatch.setattr(probe, "batch_log_minors", spy)
+        complement_ratio_check(np.eye(5))
+        assert len(requested) == 1 and len(requested[0]) == 10
+        assert sorted(requested[0]) == sorted(
+            [1 << k for k in range(5)] + [31 ^ (1 << k) for k in range(5)])
 
     def test_complement_ratio_at_identity(self):
         assert complement_ratio_check(np.eye(4)) == pytest.approx([1.0] * 4)
@@ -134,6 +172,10 @@ class TestInequalities:
         a = g @ g.T + 1e-3 * np.eye(4)
         for s in (0b0001, 0b0110, 0b1011):
             assert jacobi_check(a, s)
+
+
+def test_probe_uses_the_ratios_kernel():
+    assert probe.batch_log_minors is ratios.batch_log_minors
 
 
 class TestBoundSearch:

@@ -4,14 +4,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
-                               RatioSyntaxError, apply_complement,
-                               apply_permutation, delete_index,
+from minorcones import ratios
+from minorcones.ratios import (CHOLESKY_CHUNK, FormalLog,
+                               NotPositiveDefiniteError, RatioSyntaxError,
+                               apply_complement, apply_permutation,
+                               batch_log_minors, delete_index,
                                evaluate_log_ratio, formal_log, format_ratio,
                                from_entries, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                MAX_GROUND_SIZE, parse_ratio)
-from minorcones.subsets import mask_of
+from minorcones.subsets import mask_of, members_of, subset_order
 
 
 class TestParseRatio:
@@ -238,3 +240,70 @@ class TestEvaluate:
                 lhs = evaluate_log_ratio(v, a)
                 rhs = evaluate_log_ratio(w, np.linalg.inv(a))
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def _pd_stack(count, n, seed):
+    """Well-conditioned PD matrices, so log-determinants agree across
+    factorizations to a few ulps."""
+    g = np.random.default_rng(seed).standard_normal((count, n, n))
+    return g @ g.transpose(0, 2, 1) + n * np.eye(n)
+
+
+class TestLogMinorKernel:
+    def test_stack_equals_single_matrices_bitwise(self):
+        from minorcones.constants import R1, R2, counterexample_E4
+        stack = _pd_stack(40, 4, seed=1)
+        for v in (R1(), R2(), counterexample_E4()):
+            values = evaluate_log_ratio(v, stack)
+            assert values.shape == (40,)
+            assert values.tolist() == [evaluate_log_ratio(v, a)
+                                       for a in stack]
+        assert isinstance(evaluate_log_ratio(R1(), stack[0]), float)
+
+    def test_matches_slogdet_across_a_chunk_boundary(self):
+        count = CHOLESKY_CHUNK + 3
+        stack = _pd_stack(count, 4, seed=2)
+        minors = batch_log_minors(stack, range(1, 16))
+        assert sorted(minors) == list(range(1, 16))
+        for mask, logdet in minors.items():
+            idx = [i - 1 for i in members_of(mask)]
+            sign, ref = np.linalg.slogdet(stack[:, idx][:, :, idx])
+            assert logdet.shape == (count,) and np.all(sign > 0)
+            np.testing.assert_allclose(logdet, ref, rtol=1e-12, atol=0)
+
+    def test_names_the_failing_subset(self):
+        a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+        masks = [m for m in subset_order(3) if 0 < m.bit_count() <= 2]
+        for stack in (a[None], np.concatenate(
+                [np.broadcast_to(np.eye(3), (CHOLESKY_CHUNK, 3, 3)), a[None]])):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                batch_log_minors(stack, masks)
+            assert err.value.subset == (1, 3)
+
+    def test_positive_determinant_is_not_enough(self):
+        a = np.diag([-1.0, -1.0, 1.0])
+        assert np.linalg.det(a) > 0
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            batch_log_minors(a[None], [0b111])
+        assert err.value.subset == (1, 2, 3)
+
+    def test_only_nonzero_exponents_are_factored(self, monkeypatch):
+        from minorcones.constants import R1
+        requested = []
+
+        def spy(batch, masks):
+            requested.append(list(masks))
+            return batch_log_minors(batch, masks)
+
+        monkeypatch.setattr(ratios, "batch_log_minors", spy)
+        v = R1()
+        evaluate_log_ratio(v, np.eye(4))
+        assert requested == [v.support()]
+        assert len(v.support()) == 10
+        assert v.support() == [m for m in subset_order(4) if m and v[m]]
+
+    def test_rejects_wrong_shapes(self):
+        v = log_of("{1,2}{} / {1}{2}", 2)
+        for shape in ((3, 3), (2, 2, 2, 2), (2,)):
+            with pytest.raises(ValueError, match="2x2"):
+                evaluate_log_ratio(v, np.ones(shape))
