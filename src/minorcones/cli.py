@@ -132,11 +132,7 @@ def cmd_extreme_rays(args) -> int:
 
 def cmd_asn(args) -> int:
     p = polyarith.parse_poly_matrix(Path(args.matrix).read_text())
-    try:
-        vec = polyarith.asn(p)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    vec = polyarith.asn(p)
     payload = {"n": vec.ground_size,
                "entries": {format_subset(mask): vec[mask]
                            for mask in subset_order(vec.ground_size)},

@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
                     primitive)
-from .nullity import (catalog_n4, d5_constraint_set, h_normal_form,
-                      nullity_type, subset_matrix, superset_matrix)
+from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
+                      subset_matrix, superset_matrix)
 from .ratios import (FormalLog, homogeneity_vectors, is_homogeneous,
-                     koteljanskii_log)
+                     koteljanskii_generators)
 from .simplex import nonnegative_combination
 from .subsets import (complement_mask, format_subset, ordered_entries,
                       permute_mask, subset_order)
@@ -60,7 +60,7 @@ class MembershipCertificate:
 @dataclass(frozen=True)
 class KoteljanskiiCertificate:
     verdict: bool
-    # Nonnegative coefficients on (S,T) generators when a member.
+    # Nonnegative coefficients on local (A∪i, A∪j) generators when a member.
     combination: Optional[Tuple[Tuple[Tuple[int, int], Fraction], ...]]
     # Separating hyperplane h with h.v < 0 and h.g >= 0 otherwise.
     hyperplane: Optional[Tuple[Fraction, ...]]
@@ -102,17 +102,9 @@ def build_D_system(n: int) -> ConstraintSystem:
                    for row in d5_constraint_set()]
     else:
         raise ValueError("D system supported only for n in {3, 4, 5}")
-    seen = set()
-    ineqs, labels = [], []
-    for label, entries in labeled:
-        key = h_normal_form(entries, n)
-        if key in seen:
-            continue
-        seen.add(key)
-        ineqs.append(tuple(entries))
-        labels.append(label)
-    return ConstraintSystem(n, homogeneity_vectors(n), tuple(ineqs),
-                            tuple(labels))
+    return ConstraintSystem(n, homogeneity_vectors(n),
+                            tuple(entries for _, entries in labeled),
+                            tuple(label for label, _ in labeled))
 
 
 def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
@@ -278,25 +270,10 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
     return out
 
 
-@lru_cache(maxsize=None)
-def koteljanskii_generators(n: int) -> Tuple[Tuple[Tuple[int, int], Tuple[Fraction, ...]], ...]:
-    """All distinct nonzero Koteljanskii logs, labeled by one (S, T) pair."""
-    out = []
-    seen = set()
-    for s in range(1 << n):
-        for t in range(s + 1, 1 << n):
-            if s | t == t or s | t == s:
-                continue
-            vec = koteljanskii_log(s, t, n).exponents
-            if vec not in seen:
-                seen.add(vec)
-                out.append(((s, t), vec))
-    return tuple(out)
-
-
 def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
-    """Decide v in cone(K_n) by exact rational feasibility: either explicit
-    nonnegative generator coefficients, or a separating hyperplane."""
+    """Decide v in cone(K_n) by exact rational feasibility over the local
+    generators: either explicit nonnegative generator coefficients, or a
+    separating hyperplane."""
     if not is_homogeneous(v):
         raise ValueError("Koteljanskii cone membership requires homogeneity")
     gens = koteljanskii_generators(v.ground_size)

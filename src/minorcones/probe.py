@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
-from .exact import dot
+from .exact import CertificateError, dot
 from .nullity import RationalMatrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
 from .ratios import (FormalLog, NotPositiveDefiniteError, batch_log_minors,
@@ -202,14 +202,22 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
     Diagonal congruence leaves homogeneous ratios invariant, so the ascent
     perturbs with general near-identity congruence factors.
     """
+    return _bound_search_on(v, sample_pd(cfg), cfg.seed, ascent_steps,
+                            ascent_scale)
+
+
+def _bound_search_on(v: FormalLog, batch: np.ndarray, seed: int,
+                     ascent_steps: int = 200,
+                     ascent_scale: float = 0.05) -> BoundSearchResult:
+    """bound_search on an already sampled batch, so several ratios can share
+    one batch; the ascent draws from a generator seeded by (seed, 1)."""
     n = v.ground_size
-    batch = sample_pd(cfg)
     values = evaluate_log_ratio(v, batch)
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
     best_mat = batch[best_idx]
 
-    rng = np.random.default_rng((cfg.seed, 1))
+    rng = np.random.default_rng((seed, 1))
     current = best_mat
     current_val = best_val
     for _ in range(ascent_steps):
@@ -227,7 +235,8 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
 
 def decomposition_check() -> bool:
     """Verify, exactly in formal-log arithmetic, the factorizations of R1,
-    R2, R3 into Koteljanskii factors times {1}{23}/{2}{13}."""
+    R2, R3 into Koteljanskii factors times {1}{23}/{2}{13}; a failure
+    raises CertificateError."""
     for name, factors in (("R1", R1_FACTORS), ("R2", R2_FACTORS),
                           ("R3", R3_FACTORS)):
         target = named_log(name)
@@ -236,10 +245,10 @@ def decomposition_check() -> bool:
             fl = log_of(text, 4)
             total = [t + x for t, x in zip(total, fl.exponents)]
         if tuple(total) != target.exponents:
-            raise AssertionError(f"factorization identity for {name} failed")
+            raise CertificateError(f"factorization identity for {name} failed")
         for text in factors[:-1]:
             if not is_koteljanskii_ray(log_of(text, 4)):
-                raise AssertionError(
+                raise CertificateError(
                     f"factor {text} of {name} is not a Koteljanskii ratio")
     return True
 

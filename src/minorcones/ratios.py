@@ -9,6 +9,7 @@ fixed so that all entries sum to zero.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -265,21 +266,32 @@ def koteljanskii_log(s: int, t: int, n: int) -> FormalLog:
 
 
 @lru_cache(maxsize=None)
-def _koteljanskii_ray_vectors(n: int) -> frozenset:
-    """Primitive vectors of koteljanskii_log(S,T) with |S|=|T|=|S∩T|+1."""
-    out = set()
-    masks = range(1 << n)
-    for s in masks:
-        for t in masks:
-            if s < t and s.bit_count() == t.bit_count() == (s & t).bit_count() + 1:
-                out.add(primitive(koteljanskii_log(s, t, n).exponents))
-    return frozenset(out)
+def koteljanskii_generators(n: int) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
+    """The local Koteljanskii logs (A∪{i,j})(A) / (A∪{i})(A∪{j}) for i < j
+    outside A, labeled (A∪{i}, A∪{j}): n(n-1)/2 * 2^(n-2) vectors with
+    entries in {-1, 0, 1}.  They generate cone(K_n): for S = C∪{x_1..x_p},
+    T = C∪{y_1..y_q}, C = S∩T, the log of (S∪T)(C)/(S)(T) is the sum of
+    the local logs with A = C∪{x_1..x_(a-1)}∪{y_1..y_(b-1)}, i = x_a,
+    j = y_b."""
+    out = []
+    for a in range(1 << n):
+        free = [1 << k for k in range(n) if not a >> k & 1]
+        for bi, bj in combinations(free, 2):
+            vec = [0] * (1 << n)
+            vec[a] = vec[a | bi | bj] = 1
+            vec[a | bi] = vec[a | bj] = -1
+            out.append(((a | bi, a | bj), tuple(vec)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _koteljanskii_rays(n: int) -> frozenset:
+    return frozenset(vec for _, vec in koteljanskii_generators(n))
 
 
 def is_koteljanskii_ray(v: FormalLog) -> bool:
-    if v.is_zero():
-        return False
-    return primitive(v.exponents) in _koteljanskii_ray_vectors(v.ground_size)
+    """True iff v is a positive multiple of a local Koteljanskii log."""
+    return primitive(v.exponents) in _koteljanskii_rays(v.ground_size)
 
 
 def delete_index(v: FormalLog, i: int) -> FormalLog:

@@ -172,9 +172,11 @@ def check_fiedler_suite(samples: int = 10_000) -> CheckResult:
 def check_bounds(samples: int = 100_000) -> CheckResult:
     results = {}
     ok = True
+    seed = 4200
+    batch = probe.sample_pd(probe.SamplerConfig(seed=seed, count=samples,
+                                                dimension=4))
     for name in ("R1", "R2", "R3"):
-        res = probe.bound_search(named_log(name), probe.SamplerConfig(
-            seed=4200, count=samples, dimension=4))
+        res = probe._bound_search_on(named_log(name), batch, seed)
         results[name] = res.max_ratio
         ok = ok and res.max_ratio <= 4 + 1e-9
     decomposition = probe.decomposition_check()

@@ -151,7 +151,11 @@ class TestAsnAndProbes:
         f = tmp_path / "sing.txt"
         f.write_text("1, 1\n1, 1\n")
         assert main(["asn", str(f)]) == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a principal Gram minor is "
+                                "identically zero; P is not invertible as a "
+                                "polynomial matrix\n")
 
     def test_probe_family(self, m6_file, capsys):
         assert main(["probe-family", COUNTEREXAMPLE, m6_file]) == 0

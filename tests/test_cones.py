@@ -6,18 +6,23 @@ from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from minorcones import cones
+from minorcones import cones, ratios
 from minorcones.cones import (ConstraintSystem, build_D_system,
                               build_E_system, brute_force_rays, extreme_rays,
                               homogeneity_basis, koteljanskii_cone_membership,
                               koteljanskii_generators, membership,
                               orbit_decompose)
-from minorcones.constants import R1, counterexample_E4
-from minorcones.exact import CertificateError, dot, rref
-from minorcones.ratios import (is_homogeneous, is_koteljanskii_ray, log_of,
+from minorcones.constants import Q, R1, counterexample_E4
+from minorcones.exact import CertificateError, dot, primitive, rref
+from minorcones.nullity import h_normal_form
+from minorcones.probe import random_homogeneous_log
+from minorcones.ratios import (delete_index, is_homogeneous,
+                               is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
+from minorcones.simplex import nonnegative_combination
 from minorcones.subsets import complement_mask, permute_mask
 
 
@@ -52,6 +57,12 @@ class TestSystems:
     def test_d5_rows_deduplicated(self):
         d5 = build_D_system(5)
         assert len(d5.inequalities) == len(set(d5.inequalities))
+
+    @pytest.mark.parametrize("n,count", [(3, 5), (4, 23), (5, 185)])
+    def test_d_rows_pairwise_h_inequivalent(self, n, count):
+        rows = build_D_system(n).inequalities
+        assert len(rows) == count
+        assert len({h_normal_form(row, n) for row in rows}) == count
 
     def test_unsupported_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -232,6 +243,93 @@ class TestKoteljanskiiCone:
     def test_zero_vector_is_member(self):
         assert koteljanskii_cone_membership(
             FormalLog(2, (Fraction(0),) * 4)).verdict
+
+
+def all_pairs_koteljanskii(n):
+    """Oracle: every distinct nonzero (S∪T)(S∩T)/(S)(T) over all
+    incomparable pairs, by the O(4^n) scan the package no longer runs."""
+    return list(dict.fromkeys(
+        koteljanskii_log(s, t, n).exponents
+        for s in range(1 << n) for t in range(s + 1, 1 << n)
+        if s | t not in (s, t)))
+
+
+def rebuild(cert, n):
+    gens = dict(koteljanskii_generators(n))
+    total = [Fraction(0)] * (1 << n)
+    for label, coeff in cert.combination:
+        assert coeff > 0
+        total = [acc + coeff * x for acc, x in zip(total, gens[label])]
+    return tuple(total)
+
+
+def seeded_vectors(n, count, seed):
+    """Thirds: nonnegative and signed integer sums of 1-4 Koteljanskii logs
+    over all pairs, and random homogeneous vectors."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    pairs = all_pairs_koteljanskii(n)
+    out = []
+    for k in range(count):
+        if k % 3 == 2:
+            out.append(random_homogeneous_log(n, nprng))
+            continue
+        vec = [Fraction(0)] * (1 << n)
+        for _ in range(rng.randint(1, 4)):
+            c = rng.randint(1, 3) if k % 3 == 0 else rng.choice((-1, 1))
+            vec = [a + c * b for a, b in zip(vec, rng.choice(pairs))]
+        out.append(FormalLog(n, tuple(vec)))
+    return out
+
+
+class TestLocalKoteljanskiiGenerators:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_count(self, n):
+        assert (len(koteljanskii_generators(n))
+                == n * (n - 1) // 2 * 2 ** (n - 2))
+
+    def test_cones_reads_the_ratios_set(self):
+        assert cones.koteljanskii_generators is ratios.koteljanskii_generators
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_exactly_the_local_pairs(self, n):
+        local = {primitive(koteljanskii_log(s, t, n).exponents)
+                 for s in range(1 << n) for t in range(s + 1, 1 << n)
+                 if s.bit_count() == t.bit_count() == (s & t).bit_count() + 1}
+        gens = koteljanskii_generators(n)
+        assert {vec for _, vec in gens} == local
+        assert len(gens) == len(local)
+        for (s, t), vec in gens:
+            assert vec == koteljanskii_log(s, t, n).exponents
+
+    @pytest.mark.parametrize("n,count", [(3, 9), (4, 55), (5, 285)])
+    def test_every_global_log_rebuilt(self, n, count):
+        logs = all_pairs_koteljanskii(n)
+        assert len(logs) == count
+        for vec in logs:
+            cert = koteljanskii_cone_membership(FormalLog(n, vec))
+            assert cert.verdict
+            assert rebuild(cert, n) == vec
+
+    @pytest.mark.parametrize("n,count,seed", [(4, 100, 40), (5, 20, 50)])
+    def test_verdicts_match_all_pairs_oracle(self, n, count, seed):
+        vectors = seeded_vectors(n, count, seed)
+        if n == 4:
+            vectors += [R1()] + [delete_index(Q(), i) for i in range(1, 6)]
+        logs = all_pairs_koteljanskii(n)
+        verdicts = []
+        for v in vectors:
+            cert = koteljanskii_cone_membership(v)
+            oracle, _ = nonnegative_combination(logs, v.exponents)
+            assert cert.verdict == (oracle is not None)
+            verdicts.append(cert.verdict)
+            if cert.verdict:
+                assert rebuild(cert, n) == v.exponents
+            else:
+                assert dot(cert.hyperplane, v.exponents) < 0
+                assert all(dot(cert.hyperplane, g) >= 0 for g in logs)
+        # The sample holds both members and non-members.
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestOrbits:

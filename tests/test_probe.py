@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from minorcones import probe, ratios
-from minorcones.constants import M6, P_for_Q, Q, counterexample_E4
+from minorcones import probe, ratios, reproduce
+from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
+                                  counterexample_E4, named_log)
+from minorcones.exact import CertificateError
 from minorcones.nullity import matrix
 from minorcones.polyarith import eval_poly_matrix
 from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
@@ -193,9 +195,46 @@ class TestBoundSearch:
         assert res.max_ratio > 1.0
 
 
+    def test_shared_batch_matches_own_sample(self):
+        cfg = SamplerConfig(seed=11, count=300, dimension=4)
+        batch = sample_pd(cfg)
+        for name in ("R1", "R2", "R3"):
+            own = bound_search(named_log(name), cfg)
+            shared = probe._bound_search_on(named_log(name), batch, cfg.seed)
+            assert shared.max_ratio == own.max_ratio
+            assert np.array_equal(shared.argmax, own.argmax)
+            assert shared.diverging == own.diverging
+
+    def test_check_bounds_samples_once(self, monkeypatch):
+        calls = []
+        sample = probe.sample_pd
+        monkeypatch.setattr(probe, "sample_pd",
+                            lambda cfg: calls.append(cfg) or sample(cfg))
+        check = reproduce.check_bounds(samples=500)
+        assert calls == [SamplerConfig(seed=4200, count=500, dimension=4)]
+        for name in ("R1", "R2", "R3"):
+            own = bound_search(named_log(name), calls[0])
+            assert check.details["max_ratios"][name] == own.max_ratio
+
+
 class TestSuites:
     def test_decomposition_identities(self):
         assert decomposition_check()
+
+    @pytest.mark.parametrize("factors,message", [
+        # One Koteljanskii factor swapped for another: the product is off.
+        (("{1,2,4}{4} / {1,4}{2,4}",) + R1_FACTORS[1:],
+         "factorization identity for R1"),
+        # The first two factors merged: the product holds, the factor is
+        # not a Koteljanskii ratio.
+        (("{1,2,4}{2}{1,3,4}{4} / {1,2}{2,4}{1,4}{3,4}",) + R1_FACTORS[2:],
+         "is not a Koteljanskii ratio"),
+    ])
+    def test_decomposition_failure_raises_certificate_error(
+            self, monkeypatch, factors, message):
+        monkeypatch.setattr(probe, "R1_FACTORS", factors)
+        with pytest.raises(CertificateError, match=message):
+            decomposition_check()
 
     def test_random_homogeneous_logs(self):
         rng = np.random.default_rng(7)
