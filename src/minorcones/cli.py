@@ -94,7 +94,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_extreme_rays(args) -> int:
-    supported = {("E", 3), ("E", 4), ("D", 3), ("D", 4)}
+    supported = {("E", 3), ("E", 4), ("E", 5), ("D", 3), ("D", 4)}
     if (args.system, args.n) not in supported:
         print(f"error: unsupported system ({args.system}, {args.n})",
               file=sys.stderr)
@@ -103,10 +103,11 @@ def cmd_extreme_rays(args) -> int:
               else cones.build_E_system(args.n))
     rays = cones.extreme_rays(system)
     orbits = cones.orbit_decompose(rays)
+    koteljanskii = [probe.is_koteljanskii_ray(FormalLog(
+        args.n, tuple(Fraction(x) for x in ray.vector))) for ray in rays]
     lines = [f"{len(rays)} extreme rays of log({args.system}_{args.n})"]
-    for i, ray in enumerate(rays, start=1):
-        v = FormalLog(args.n, tuple(Fraction(x) for x in ray.vector))
-        kind = "koteljanskii" if probe.is_koteljanskii_ray(v) else "other"
+    for i, (ray, kot) in enumerate(zip(rays, koteljanskii), start=1):
+        kind = "koteljanskii" if kot else "other"
         lines.append(f"ray {i} [{kind}]: " + " ".join(
             str(x) for x in (ray.vector[m] for m in subset_order(args.n))))
     lines.append(f"{len(orbits)} orbits under permutation+complementation "
@@ -118,9 +119,7 @@ def cmd_extreme_rays(args) -> int:
         "system": args.system, "n": args.n, "ray_count": len(rays),
         "rays": [[ray.vector[m] for m in subset_order(args.n)]
                  for ray in rays],
-        "koteljanskii": [bool(probe.is_koteljanskii_ray(FormalLog(
-            args.n, tuple(Fraction(x) for x in ray.vector))))
-            for ray in rays],
+        "koteljanskii": koteljanskii,
         "orbit_sizes": [len(o.members) for o in orbits],
         "orbit_representatives": [
             [o.representative[m] for m in subset_order(args.n)]

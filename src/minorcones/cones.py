@@ -2,8 +2,11 @@
 
 Constraint systems live in the full subset-indexed space; enumeration works
 in exact integer coordinates on the homogeneity subspace (dimension
-2^n - n - 1) via the double description method with combinatorial
-adjacency on tight-row bitmasks, with a tight-row rank certificate per ray.
+2^n - n - 1) via the double description method, inserting the rows in
+lexicographic order ("lexmin", as in cdd) with combinatorial adjacency on
+tight-row bitmasks.  Every output ray is certified extreme by the rank of
+its tight rows: modulo a prime for all rays in one numpy elimination, and
+by exact Bareiss elimination for any ray whose modular rank falls short.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
                     primitive)
@@ -135,14 +140,19 @@ def _reduce_rows(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...]]
     return [tuple(dot(row, b) for b in basis) for row in rows]
 
 
+@lru_cache(maxsize=None)
+def _basis_columns(n: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(zip(*homogeneity_basis(n)))
+
+
 def _ambient(coords: Sequence[int], n: int) -> Tuple[int, ...]:
-    basis = homogeneity_basis(n)
-    size = 1 << n
-    vec = [0] * size
-    for x, b in zip(coords, basis):
-        for i in range(size):
-            vec[i] += x * b[i]
-    return primitive(vec)
+    return primitive([dot(coords, col) for col in _basis_columns(n)])
+
+
+def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
+             ) -> Tuple[int, ...]:
+    """The primitive integer vector along s * u - t * v."""
+    return primitive(tuple(s * x - t * y for x, y in zip(u, v)))
 
 
 def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
@@ -170,12 +180,8 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
             if dot(a, pivot) < 0:
                 pivot = tuple(-x for x in pivot)
             ap = dot(a, pivot)
-            lines = [primitive(tuple(ap * x - dot(a, l) * y
-                                     for x, y in zip(l, pivot)))
-                     for l in lines]
-            rays = [primitive(tuple(ap * x - dot(a, r) * y
-                                    for x, y in zip(r, pivot)))
-                    for r in rays]
+            lines = [_combine(ap, l, dot(a, l), pivot) for l in lines]
+            rays = [_combine(ap, r, dot(a, r), pivot) for r in rays]
             rays.append(pivot)
             tight = [t | bit for t in tight] + [bit - 1]
             continue
@@ -210,38 +216,84 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
                     rest ^= low
                 if others != pair:
                     continue
-                w = primitive(tuple(
-                    values[ip] * x - values[im] * y
-                    for x, y in zip(rays[im], rays[ip])))
+                w = _combine(values[ip], rays[im], values[im], rays[ip])
                 kept.append((w, common | bit))
         rays = [r for r, _ in kept]
         tight = [t for _, t in kept]
     return lines, rays
 
 
+# A prime below 2^31, so the product of two residues stays below 2^62.
+_CERTIFICATE_PRIME = 2_147_483_647
+
+
+def _modular_ranks(rows: Sequence[Sequence[int]],
+                   tight: Sequence[Sequence[bool]]) -> np.ndarray:
+    """For each boolean row selection in `tight` (one per ray, one flag per
+    row), the rank modulo _CERTIFICATE_PRIME of the selected integer rows.
+    One int64 elimination over the (rays, rows, dim) stack with the other
+    rows zeroed.  Each step takes the first column: every matrix pivots on
+    its first row that is nonzero there, clears the column from every row
+    by cross-multiplication (the pivot row itself becomes zero), reduces
+    mod p and drops the column."""
+    p = _CERTIFICATE_PRIME
+    residues = np.array([[x % p for x in row] for row in rows],
+                        dtype=np.int64)
+    mask = np.array(tight, dtype=bool).reshape(-1, len(rows))
+    m = mask[:, :, None] * residues
+    ranks = np.zeros(len(m), dtype=np.int64)
+    every = np.arange(len(m))
+    for _ in range(residues.shape[1]):
+        col = m[:, :, 0]
+        pivot = m[every, (col != 0).argmax(axis=1)]
+        found = pivot[:, 0] != 0
+        ranks += found
+        # A matrix with a zero column is left as it is (scale 1, col 0).
+        scale = np.where(found, pivot[:, 0], 1)
+        m = (scale[:, None, None] * m[:, :, 1:]
+             - col[:, :, None] * pivot[:, None, 1:]) % p
+    return ranks
+
+
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     """Complete list of primitive extreme rays of the feasible cone, in
-    canonical (subset-size, subset-value) lexicographic order.  Each ray is
-    certified from scratch: it satisfies every row and equality, and its
-    tight rows have rank dim - 1.  A failure raises CertificateError."""
+    canonical (subset-size, subset-value) lexicographic order.
+
+    The double description inserts the rows in lexicographic order; the
+    output does not depend on the order, but the intermediate ray lists
+    (and the time) do.  Each ray is certified from scratch in Python ints:
+    it is nonzero, satisfies every row and equality, and its tight rows are
+    found exactly.  Its tight rows then have rank dim - 1 modulo a prime p,
+    or else exactly by Bareiss elimination.  The modular rank is sound: it
+    is at most the rational rank, which is at most dim - 1 because the
+    nonzero ray lies in the kernel of its tight rows, so rank mod p =
+    dim - 1 proves the rational rank is dim - 1.  A failure raises
+    CertificateError."""
     n = system.ground_size
     dim = len(homogeneity_basis(n))
     reduced = _reduce_rows(system.inequalities, n)
-    lines, rays = _double_description(reduced, dim)
+    lines, rays = _double_description(sorted(reduced), dim)
     if lines:
         raise NonPointedConeError(_ambient(lines[0], n))
     out = []
+    tight = []
     for coords in rays:
         vec = _ambient(coords, n)
+        if not any(vec):
+            raise CertificateError("extreme ray is the zero vector")
         if any(dot(row, vec) < 0 for row in system.inequalities):
             raise CertificateError("extreme ray violates an inequality row")
         if any(dot(eq, vec) != 0 for eq in system.equalities):
             raise CertificateError("extreme ray violates an equality")
-        tight = [row for row in reduced if dot(row, coords) == 0]
-        if bareiss_rank(tight) != dim - 1:
+        tight.append([dot(row, coords) == 0 for row in reduced])
+        out.append(Ray(n, vec))
+    for flags, rank_mod_p in zip(tight, _modular_ranks(reduced, tight)):
+        if rank_mod_p == dim - 1:
+            continue
+        rows = [row for row, flag in zip(reduced, flags) if flag]
+        if bareiss_rank(rows) != dim - 1:
             raise CertificateError(
                 "extreme ray's tight rows do not have rank dim - 1")
-        out.append(Ray(n, vec))
     out.sort(key=Ray.sort_key)
     return out
 
@@ -283,10 +335,9 @@ def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
         combo = tuple((gens[j][0], coeff) for j, coeff in enumerate(x)
                       if coeff != 0)
         return KoteljanskiiCertificate(True, combo, None)
-    h = tuple(-Fraction(val) for val in y)
-    if dot(h, v.exponents) >= 0 or any(dot(h, col) < 0 for col in columns):
-        raise CertificateError("separating hyperplane failed its check")
-    return KoteljanskiiCertificate(False, None, h)
+    # nonnegative_combination has checked y's Farkas inequalities, which
+    # for h = -y are h.v < 0 and h.col >= 0 for every column.
+    return KoteljanskiiCertificate(False, None, tuple(-val for val in y))
 
 
 @dataclass(frozen=True)

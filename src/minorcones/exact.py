@@ -25,7 +25,7 @@ class CertificateError(ArithmeticError):
 def _integer_row(row: Sequence) -> List[int]:
     """The row itself if all entries are ints, else the row scaled by the
     lcm of its denominators (same span, integer entries)."""
-    if all(isinstance(x, int) for x in row):
+    if set(map(type, row)) <= {int}:
         return list(row)
     fracs = [Fraction(x) for x in row]
     lcm = 1

@@ -11,7 +11,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import CertificateError, rank, reduce_against, rref
+from .exact import (CertificateError, _integer_row, rank, reduce_against,
+                    rref)
 from .ratios import homogeneity_vectors
 from .subsets import format_subset, mask_of, members_of
 
@@ -103,12 +104,14 @@ class NullityType:
 
 
 def rank_type(m: RationalMatrix) -> RankType:
-    nrows = len(m)
-    n = len(m[0]) if nrows else 0
+    # Scaling a row changes the rank of no column submatrix, so each row is
+    # cleared of denominators once rather than once per column subset.
+    rows = [_integer_row(row) for row in m]
+    n = len(m[0]) if m else 0
     entries = []
     for mask in range(1 << n):
         cols = [i - 1 for i in members_of(mask)]
-        sub = [[row[c] for c in cols] for row in m]
+        sub = [[row[c] for c in cols] for row in rows]
         entries.append(rank(sub) if cols else 0)
     return RankType(n, tuple(entries))
 

@@ -5,6 +5,7 @@ import pytest
 
 from minorcones import cones, nullity
 from minorcones.cli import main
+from minorcones.subsets import subset_order
 
 HADAMARD = "{1,2}{} / {1}{2}"
 COUNTEREXAMPLE = ("{1,2,3,4}{1,3,4}{1,2}{1,4}{2,3}{2,4}{3}{} / "
@@ -118,6 +119,25 @@ class TestExtremeRays:
         assert payload["ray_count"] == 46
         assert sum(payload["koteljanskii"]) == 24
         assert sorted(payload["orbit_sizes"]) == [6, 8, 8, 12, 12]
+
+    def test_e5_closed_under_the_group(self, capsys):
+        assert main(["extreme-rays", "--system", "E", "--n", "5",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ray_count"] == 1310
+        assert len(payload["orbit_sizes"]) == 22
+        assert sum(payload["orbit_sizes"]) == 1310
+        order = subset_order(5)
+        rays = set()
+        for entries in payload["rays"]:
+            vec = [0] * 32
+            for mask, x in zip(order, entries):
+                vec[mask] = x
+            rays.add(tuple(vec))
+        assert len(rays) == 1310
+        assert len(list(cones._vector_images(next(iter(rays)), 5))) == 240
+        for vec in rays:
+            assert set(cones._vector_images(vec, 5)) <= rays
 
     def test_unsupported_pair_exits_2(self, capsys):
         assert main(["extreme-rays", "--system", "D", "--n", "5"]) == 2

@@ -16,7 +16,8 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               koteljanskii_generators, membership,
                               orbit_decompose)
 from minorcones.constants import Q, R1, counterexample_E4
-from minorcones.exact import CertificateError, dot, primitive, rref
+from minorcones.exact import (CertificateError, bareiss_rank, dot,
+                              primitive, rref)
 from minorcones.nullity import h_normal_form
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (delete_index, is_homogeneous,
@@ -174,6 +175,17 @@ class TestExtremeRays:
         with pytest.raises(CertificateError, match="rank"):
             extreme_rays(build_E_system(3))
 
+    def test_zero_output_fails_certificate(self, monkeypatch):
+        found = cones._double_description
+
+        def with_zero(rows, dim):
+            lines, rays = found(rows, dim)
+            return lines, rays + [(0,) * dim]
+
+        monkeypatch.setattr(cones, "_double_description", with_zero)
+        with pytest.raises(CertificateError, match="zero"):
+            extreme_rays(build_E_system(3))
+
     def test_infeasible_output_fails_certificate_under_O(self):
         script = (
             "from minorcones import cones\n"
@@ -200,6 +212,122 @@ class TestExtremeRays:
         from math import gcd
         for r in extreme_rays(build_E_system(3)):
             assert gcd(*[abs(x) for x in r.vector if x] or [1]) == 1
+
+
+def reduced_system(system):
+    n = system.ground_size
+    return (cones._reduce_rows(system.inequalities, n),
+            len(homogeneity_basis(n)))
+
+
+def ray_set(rays):
+    return {primitive(r) for r in rays}
+
+
+def seeded_stacks(seed):
+    """Integer matrices with boolean row selections: entries that are
+    negative or at least p, rank-deficient products, and empty selections."""
+    rng = random.Random(seed)
+    p = cones._CERTIFICATE_PRIME
+    for k in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 7)
+        if k % 3 == 0:
+            rows = [[rng.randint(-5, 5) for _ in range(ncols)]
+                    for _ in range(nrows)]
+        elif k % 3 == 1:
+            rows = [[rng.choice((-1, 1)) * rng.randint(0, 3 * p)
+                     for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            inner = rng.randint(0, min(nrows, ncols) - 1)
+            left = [[rng.randint(-9, 9) for _ in range(inner)]
+                    for _ in range(nrows)]
+            right = [[rng.randint(-9, 9) * (p + 2) for _ in range(ncols)]
+                     for _ in range(inner)]
+            rows = [[dot(row, col) for col in zip(*right)] if inner
+                    else [0] * ncols for row in left]
+        tight = [[rng.random() < 0.7 for _ in range(nrows)]
+                 for _ in range(rng.randint(1, 5))]
+        tight.append([False] * nrows)
+        yield rows, tight
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Row counts of the certificate's exact Bareiss calls."""
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(cones, "bareiss_rank", spy)
+    return calls
+
+
+class TestModularCertificate:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_modular_ranks_equal_bareiss(self, seed):
+        for rows, tight in seeded_stacks(seed):
+            expected = [bareiss_rank([row for row, t in zip(rows, flags)
+                                      if t]) for flags in tight]
+            assert list(cones._modular_ranks(rows, tight)) == expected
+
+    def test_modular_rank_can_only_fall_short(self):
+        p = cones._CERTIFICATE_PRIME
+        rows = [[p, 0], [0, 1]]
+        assert list(cones._modular_ranks(rows, [[True, True]])) == [1]
+        assert bareiss_rank(rows) == 2
+
+    def test_no_rays_no_ranks(self):
+        assert len(cones._modular_ranks([[1, 2]], [])) == 0
+
+    @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4)])
+    def test_bareiss_fallback_certifies_short_modular_ranks(
+            self, system, monkeypatch, fallback_calls):
+        expected = extreme_rays(system)
+        fallback_calls.clear()
+        _, dim = reduced_system(system)
+        monkeypatch.setattr(cones, "_modular_ranks",
+                            lambda rows, tight: np.full(len(tight), dim - 2))
+        assert extreme_rays(system) == expected
+        assert len(fallback_calls) == len(expected)
+
+    def test_rows_scaled_by_the_prime_certify_through_fallback(
+            self, fallback_calls):
+        system = build_E_system(4)
+        p = cones._CERTIFICATE_PRIME
+        scaled = ConstraintSystem(
+            4, system.equalities,
+            tuple(tuple(p * x for x in row) for row in system.inequalities),
+            system.labels)
+        assert extreme_rays(scaled) == extreme_rays(system)
+        assert len(fallback_calls) == 31
+
+
+class TestInsertionOrder:
+    @pytest.mark.parametrize("build, n", [(build_E_system, 3),
+                                          (build_E_system, 4),
+                                          (build_D_system, 3),
+                                          (build_D_system, 4)])
+    def test_given_and_lexmin_orders_agree(self, build, n):
+        reduced, dim = reduced_system(build(n))
+        assert reduced != sorted(reduced)
+        given = cones._double_description(reduced, dim)
+        lexmin = cones._double_description(sorted(reduced), dim)
+        assert given[0] == lexmin[0] == []
+        assert ray_set(given[1]) == ray_set(lexmin[1])
+        assert len(given[1]) == len(lexmin[1])
+
+    def test_e5_reverse_and_shuffled_orders_agree_with_lexmin(self):
+        reduced, dim = reduced_system(build_E_system(5))
+        shuffled = list(reduced)
+        random.Random(0).shuffle(shuffled)
+        lexmin = cones._double_description(sorted(reduced), dim)
+        assert lexmin[0] == [] and len(lexmin[1]) == 1310
+        for rows in (sorted(reduced, reverse=True), shuffled):
+            lines, rays = cones._double_description(rows, dim)
+            assert lines == [] and len(rays) == 1310
+            assert ray_set(rays) == ray_set(lexmin[1])
 
 
 class TestHomogeneityBasis:
