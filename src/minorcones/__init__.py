@@ -13,7 +13,7 @@ from .nullity import (NullityType, Partition, RankType, dual_nullity_type,
 from .polyarith import AsnVector, PolyMatrix, asn, asn_inner_product, gram
 from .probe import (ProbeReport, SamplerConfig, bound_search,
                     decomposition_check, eval_family_slope,
-                    eval_poly_family_slope, fiedler_check, jacobi_check)
+                    eval_poly_family_slope, fiedler_check)
 from .ratios import (FormalLog, RatioSpec, apply_complement,
                      apply_permutation, delete_index, evaluate_log_ratio,
                      formal_log, is_homogeneous, is_koteljanskii_ray,

@@ -103,8 +103,8 @@ def cmd_extreme_rays(args) -> int:
               else cones.build_E_system(args.n))
     rays = cones.extreme_rays(system)
     orbits = cones.orbit_decompose(rays)
-    koteljanskii = [probe.is_koteljanskii_ray(FormalLog(
-        args.n, tuple(Fraction(x) for x in ray.vector))) for ray in rays]
+    koteljanskii = [probe.is_koteljanskii_ray(FormalLog(args.n, ray.vector))
+                    for ray in rays]
     lines = [f"{len(rays)} extreme rays of log({args.system}_{args.n})"]
     for i, (ray, kot) in enumerate(zip(rays, koteljanskii), start=1):
         kind = "koteljanskii" if kot else "other"

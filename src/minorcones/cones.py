@@ -12,8 +12,7 @@ by exact Bareiss elimination for any ray whose modular rank falls short.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from operator import itemgetter
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,11 +21,12 @@ from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
                     primitive)
 from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
                       subset_matrix, superset_matrix)
-from .ratios import (FormalLog, homogeneity_vectors, is_homogeneous,
+from .ratios import (FormalLog, h_coordinates, homogeneity_basis,
+                     homogeneity_vectors, is_homogeneous,
                      koteljanskii_generators)
 from .simplex import nonnegative_combination
-from .subsets import (complement_mask, format_subset, ordered_entries,
-                      permute_mask, subset_order)
+from .subsets import (format_subset, group_gathers, ordered_entries,
+                      subset_order)
 
 
 class NonPointedConeError(ValueError):
@@ -129,15 +129,8 @@ def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     return MembershipCertificate(witness is None, tuple(products), witness)
 
 
-@lru_cache(maxsize=None)
-def homogeneity_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Primitive integer basis of the homogeneity subspace log(H_n)."""
-    return tuple(kernel_basis(homogeneity_vectors(n), 1 << n))
-
-
 def _reduce_rows(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...]]:
-    basis = homogeneity_basis(n)
-    return [tuple(dot(row, b) for b in basis) for row in rows]
+    return [h_coordinates(row, n) for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -347,29 +340,10 @@ class Orbit:
     members: Tuple[Tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _image_gathers(n: int) -> Tuple[Tuple[bool, itemgetter], ...]:
-    """One (uses complement, gather) pair per group element, permutations
-    in lexicographic order, each without then with complementation.  The
-    gather picks, for every target mask, the source mask mapped onto it."""
-    size = 1 << n
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for use_comp in (False, True):
-            source = [0] * size
-            for mask in range(size):
-                target = permute_mask(mask, perm)
-                if use_comp:
-                    target = complement_mask(target, n)
-                source[target] = mask
-            out.append((use_comp, itemgetter(*source)))
-    return tuple(out)
-
-
 def _vector_images(vec: Tuple[int, ...], n: int, complement: bool = True):
     """Images of a mask-indexed vector under every permutation, and also
     under every permutation followed by complementation if `complement`."""
-    for use_comp, gather in _image_gathers(n):
+    for _, use_comp, gather in group_gathers(n):
         if complement or not use_comp:
             yield gather(vec)
 

@@ -140,14 +140,3 @@ def kernel_basis(rows: Matrix, ncols: int) -> List[Tuple[int, ...]]:
             vec[p] = -red[r][f]
         basis.append(primitive(vec))
     return basis
-
-
-def reduce_against(red: List[List[Fraction]], pivots: List[int],
-                   v: Sequence) -> Tuple[Fraction, ...]:
-    """Normal form of v modulo the row space given by an rref basis."""
-    vec = [Fraction(x) for x in v]
-    for r, p in enumerate(pivots):
-        if vec[p] != 0:
-            f = vec[p]
-            vec = [x - f * y for x, y in zip(vec, red[r])]
-    return tuple(vec)

@@ -1,20 +1,22 @@
 """Nullity and rank types of rational matrices, the standard matrix
 families behind the ST1/ST2 conditions, the 23-type catalogue for n = 4,
-partition-generated rank-<=2 types, and matroid duality.
+partition-generated rank-<=2 types, matroid duality, and the h-equivalence
+of constraint rows (equal `ratios.h_coordinates`).
 
-All computations here are exact; floating point never enters.
+A column permutation of a matrix permutes its nullity type, so the
+catalogue eliminates each of its seven standard matrices once and takes
+the permuted types from `subsets.group_gathers`.  All computations here
+are exact; floating point never enters.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import (CertificateError, _integer_row, rank, reduce_against,
-                    rref)
-from .ratios import homogeneity_vectors
-from .subsets import format_subset, mask_of, members_of
+from .exact import CertificateError, _integer_row, rank
+from .ratios import h_coordinates
+from .subsets import format_subset, group_gathers, mask_of, members_of
 
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -153,16 +155,6 @@ def subset_matrix(s: int, n: int) -> RationalMatrix:
                   for c in range(n)),)
 
 
-def permute_columns(m: RationalMatrix, perm: Sequence[int]) -> RationalMatrix:
-    """Column permutation sending column i to column perm[i-1] (1-based)."""
-    n = len(m[0])
-    out = [[Fraction(0)] * n for _ in m]
-    for r, row in enumerate(m):
-        for c in range(n):
-            out[r][perm[c] - 1] = row[c]
-    return tuple(tuple(row) for row in out)
-
-
 # The two rank-2 matrices of the n = 4 catalogue with no M_S/M^S form.
 M6 = matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
 M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
@@ -171,7 +163,9 @@ M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
 @lru_cache(maxsize=None)
 def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
     """The 23 labeled nullity types defining D_4: all distinct types of
-    column permutations of the seven standard matrices."""
+    column permutations of the seven standard matrices.  The type of the
+    matrix with column i moved to column perm[i-1] is the base type's image
+    under perm, so each base matrix is eliminated once."""
     families = [
         ("M^{}", subset_matrix(0, 4)),
         ("M^{1}", subset_matrix(mask_of([1]), 4)),
@@ -181,15 +175,17 @@ def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
         ("M6", M6),
         ("M7", M7),
     ]
-    seen: Dict[Tuple[int, ...], str] = {}
+    seen = set()
     out: List[Tuple[str, NullityType]] = []
     for name, base in families:
-        for perm in permutations(range(1, 5)):
-            nt = nullity_type(permute_columns(base, perm))
-            if nt.entries not in seen:
-                label = f"{name}@{''.join(map(str, perm))}"
-                seen[nt.entries] = label
-                out.append((label, nt))
+        base_entries = nullity_type(base).entries
+        for perm, complement, gather in group_gathers(4):
+            entries = gather(base_entries)
+            if complement or entries in seen:
+                continue
+            seen.add(entries)
+            out.append((f"{name}@{''.join(map(str, perm))}",
+                        NullityType(4, entries)))
     if len(out) != 23:
         raise CertificateError(
             f"n=4 catalogue has {len(out)} types, expected 23")
@@ -232,18 +228,6 @@ def partition_nullity(p: Partition) -> NullityType:
     return NullityType(n, tuple(entries))
 
 
-def realize_partition(p: Partition) -> RationalMatrix:
-    """A 2 x n rational matrix realizing a partition type: block k gets the
-    point (1, k) and loops get the zero column."""
-    n = p.ground_size
-    rows = [[Fraction(0)] * n, [Fraction(0)] * n]
-    for k, b in enumerate(sorted(p.blocks)):
-        for i in members_of(b):
-            rows[0][i - 1] = Fraction(1)
-            rows[1][i - 1] = Fraction(k)
-    return tuple(tuple(row) for row in rows)
-
-
 def dual_nullity_type(nt: NullityType) -> NullityType:
     """Nullity type of the dual matroid: r*(T) = |T| + r(N\\T) - r(N)."""
     n = nt.ground_size
@@ -253,22 +237,10 @@ def dual_nullity_type(nt: NullityType) -> NullityType:
     return NullityType(n, entries)
 
 
-@lru_cache(maxsize=None)
-def _h_span_rref(n: int):
-    return rref(homogeneity_vectors(n))
-
-
-def h_normal_form(v: Sequence, n: int) -> Tuple[Fraction, ...]:
-    """Canonical representative of v modulo span(e, indicator vectors)."""
-    red, pivots = _h_span_rref(n)
-    return reduce_against(red, pivots, v)
-
-
 def h_equivalent(v: Sequence, w: Sequence, n: int) -> bool:
     """True iff v - w lies in the span of the homogeneity vectors, i.e. the
     two vectors impose the same constraint on log(H_n)."""
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(v, w)]
-    return all(x == 0 for x in h_normal_form(diff, n))
+    return h_coordinates(v, n) == h_coordinates(w, n)
 
 
 def set_partitions(items: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -300,7 +272,6 @@ class D5Row:
     nullity: NullityType
     partition: Partition
     is_dual: bool
-    direct_sum_redundant: bool
 
 
 @lru_cache(maxsize=None)
@@ -311,19 +282,17 @@ def d5_constraint_set() -> Tuple[D5Row, ...]:
 
     Every matroid on 5 elements has rank <= 2 or corank <= 2, and both the
     rank-<=2 matroids and their duals are rational-realizable, so these rows
-    impose exactly the D_5 conditions.  Partitions into exactly two loop-free
-    blocks give the nullity type of a direct sum and are flagged redundant.
+    impose exactly the D_5 conditions.
     """
     out: List[D5Row] = []
-    seen: Dict[Tuple[Fraction, ...], str] = {}
+    seen: Dict[Tuple[int, ...], str] = {}
     for p in enumerate_partitions(5):
         nt = partition_nullity(p)
-        redundant = p.loops == 0 and len(p.blocks) == 2
         for is_dual, row_nt in ((False, nt), (True, dual_nullity_type(nt))):
-            key = h_normal_form(row_nt.entries, 5)
+            key = h_coordinates(row_nt.entries, 5)
             if key in seen:
                 continue
             label = ("dual:" if is_dual else "") + p.label()
             seen[key] = label
-            out.append(D5Row(label, row_nt, p, is_dual, redundant))
+            out.append(D5Row(label, row_nt, p, is_dual))
     return tuple(out)

@@ -1,6 +1,6 @@
 """Floating-point verification layer: slope tests along eps-families,
-Fiedler inequality checks, bound searches, Jacobi-identity checks, and the
-exact factorization identities for R1, R2, R3.
+Fiedler inequality checks, bound searches, and the exact factorization
+identities for R1, R2, R3.
 
 Everything is deterministic given a SamplerConfig seed.
 """
@@ -13,11 +13,11 @@ import numpy as np
 
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, dot
-from .nullity import RationalMatrix, nullity_type
+from .nullity import RationalMatrix, matrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
 from .ratios import (FormalLog, NotPositiveDefiniteError, batch_log_minors,
-                     evaluate_log_ratio, is_homogeneous, is_koteljanskii_ray,
-                     log_of)
+                     evaluate_log_ratio, homogeneity_basis, is_homogeneous,
+                     is_koteljanskii_ray, log_of)
 from .subsets import members_of
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
@@ -253,27 +253,10 @@ def decomposition_check() -> bool:
     return True
 
 
-def jacobi_check(a: np.ndarray, s: int, tolerance: float = 1e-9) -> bool:
-    """det A[S] == det A * det A^{-1}[S^c], within a relative tolerance."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    full = (1 << n) - 1
-    inv = np.linalg.inv(a)
-    def minor(mat, mask):
-        if mask == 0:
-            return 1.0
-        idx = [i - 1 for i in members_of(mask)]
-        return float(np.linalg.det(mat[np.ix_(idx, idx)]))
-    lhs = minor(a, s)
-    rhs = float(np.linalg.det(a)) * minor(inv, full ^ s)
-    return abs(lhs - rhs) <= tolerance * abs(lhs)
-
-
 def random_homogeneous_log(n: int, rng: np.random.Generator,
                            max_coeff: int = 1) -> FormalLog:
     """Random nonzero integer vector in log(H_n), as a small integer
     combination of a primitive basis of the homogeneity subspace."""
-    from .cones import homogeneity_basis
     basis = homogeneity_basis(n)
     while True:
         coeffs = rng.integers(-max_coeff, max_coeff + 1, size=len(basis))
@@ -290,7 +273,6 @@ def random_homogeneous_log(n: int, rng: np.random.Generator,
 def random_rank_deficient_matrix(n: int, rng: np.random.Generator
                                  ) -> RationalMatrix:
     """Random small-integer matrix with fewer than n rows (so rank < n)."""
-    from .nullity import matrix
     rows = int(rng.integers(1, n))
     while True:
         m = rng.integers(-2, 3, size=(rows, n))

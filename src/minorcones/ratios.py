@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import primitive
-from .subsets import (check_permutation, complement_mask, format_subset,
-                      mask_of, members_of, permute_mask, subset_order)
+from .exact import dot, kernel_basis, primitive
+from .subsets import (check_permutation, format_subset, image_gather,
+                      mask_of, members_of, subset_order)
 
 # Largest ground size a parsed ratio may have: a formal log holds 2^n
 # entries, and the largest supported constraint system has n = 10.
@@ -232,6 +232,20 @@ def homogeneity_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(vecs)
 
 
+@lru_cache(maxsize=None)
+def homogeneity_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Primitive integer basis of the homogeneity subspace log(H_n), the
+    orthogonal complement of the homogeneity vectors."""
+    return tuple(kernel_basis(homogeneity_vectors(n), 1 << n))
+
+
+def h_coordinates(row: Sequence, n: int) -> Tuple:
+    """The dot products of a mask-indexed row with homogeneity_basis(n): the
+    constraint the row imposes on log(H_n).  Two rows have equal coordinates
+    iff they differ by a vector in the span of the homogeneity vectors."""
+    return tuple(dot(row, b) for b in homogeneity_basis(n))
+
+
 def is_homogeneous(v: FormalLog) -> bool:
     return all(sum(a * b for a, b in zip(v.exponents, h)) == 0
                for h in homogeneity_vectors(v.ground_size))
@@ -239,18 +253,13 @@ def is_homogeneous(v: FormalLog) -> bool:
 
 def apply_permutation(v: FormalLog, perm: Sequence[int]) -> FormalLog:
     check_permutation(perm, v.ground_size)
-    out = [Fraction(0)] * (1 << v.ground_size)
-    for mask, x in enumerate(v.exponents):
-        out[permute_mask(mask, perm)] = x
-    return FormalLog(v.ground_size, tuple(out))
+    return FormalLog(v.ground_size,
+                     image_gather(perm, False, v.ground_size)(v.exponents))
 
 
 def apply_complement(v: FormalLog) -> FormalLog:
     n = v.ground_size
-    out = [Fraction(0)] * (1 << n)
-    for mask, x in enumerate(v.exponents):
-        out[complement_mask(mask, n)] = x
-    return FormalLog(n, tuple(out))
+    return FormalLog(n, image_gather(range(1, n + 1), True, n)(v.exponents))
 
 
 def koteljanskii_log(s: int, t: int, n: int) -> FormalLog:

@@ -18,7 +18,7 @@ from .exact import dot, primitive, rank, rank_by_minors
 from .polyarith import (asn, asn_inner_product, gram, poly_det_cofactor,
                         principal_minor_poly, principal_submatrix)
 from .ratios import FormalLog, delete_index, log_of
-from .subsets import complement_mask
+from .subsets import image_gather
 
 
 @dataclass
@@ -53,8 +53,7 @@ def check_e3_extreme_rays() -> CheckResult:
 def check_d4_extreme_rays() -> CheckResult:
     rays = _d4_rays()
     kot = [r for r in rays
-           if probe.is_koteljanskii_ray(FormalLog(
-               4, tuple(Fraction(x) for x in r.vector)))]
+           if probe.is_koteljanskii_ray(FormalLog(4, r.vector))]
     r1_orbit = {v for v in cones._vector_images(_named_primitive("R1"), 4)}
     r1_rays = [r for r in rays if r.vector in r1_orbit]
     # R1's own orbit under permutation+complementation coincides with its
@@ -188,15 +187,13 @@ def check_bounds(samples: int = 100_000) -> CheckResult:
 
 def check_structural_identities() -> CheckResult:
     failures = []
+    complement = image_gather(range(1, 5), True, 4)
     for label, nt in nullity.catalog_n4():
         rt = nt.rank_type()
         if any(nt[m] + rt[m] != m.bit_count() for m in range(16)):
             failures.append(f"nul+rank cardinality: {label}")
         dual = nullity.dual_nullity_type(nt)
-        complemented = [0] * 16
-        for mask in range(16):
-            complemented[complement_mask(mask, 4)] = nt[mask]
-        if not nullity.h_equivalent(complemented, dual.entries, 4):
+        if not nullity.h_equivalent(complement(nt.entries), dual.entries, 4):
             failures.append(f"dual/complement equivalence: {label}")
     # Direct-sum additivity on random small instances.
     rng = np.random.default_rng(99)
@@ -213,8 +210,7 @@ def check_structural_identities() -> CheckResult:
         failures.append("D3 rays != E3 rays")
     e4 = cones.build_E_system(4)
     for r in _d4_rays():
-        v = FormalLog(4, tuple(Fraction(x) for x in r.vector))
-        if not cones.membership(v, e4).verdict:
+        if not cones.membership(FormalLog(4, r.vector), e4).verdict:
             failures.append("a D4 ray fails E4 membership")
             break
     reduced = cones._reduce_rows(cones.build_D_system(4).inequalities, 4)

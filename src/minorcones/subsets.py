@@ -1,11 +1,16 @@
-"""Bitmask encodings for subsets of the ground set {1, ..., n}.
+"""Bitmask encodings for subsets of the ground set {1, ..., n}, and the
+action of index permutations and complementation on subset-indexed vectors.
 
 Index i (1-based) corresponds to bit i-1.  Vectors indexed "by subset"
 are flat tuples of length 2**n whose position is the bitmask value;
 printing and canonical comparisons use the (cardinality, mask) order.
+The group S_n x {1, complement} acts on such vectors by one gather per
+element (`image_gather`); `group_gathers` lists all 2 * n! of them.
 """
 
 from functools import lru_cache
+from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple
 
 
@@ -60,3 +65,28 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
 def check_permutation(perm: Sequence[int], n: int) -> None:
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+
+
+def image_gather(perm: Sequence[int], complement: bool, n: int) -> itemgetter:
+    """The gather mapping a mask-indexed vector to its image under the
+    permutation perm (perm[i-1] = sigma(i)), followed by complementation if
+    `complement`.  It picks, for every target mask, the source mask mapped
+    onto it."""
+    source = [0] * (1 << n)
+    for mask in range(1 << n):
+        target = permute_mask(mask, perm)
+        if complement:
+            target = complement_mask(target, n)
+        source[target] = mask
+    # itemgetter with one index returns the entry, not a 1-tuple; at n = 0
+    # the one group element is the identity.
+    return itemgetter(*source) if n else tuple
+
+
+@lru_cache(maxsize=None)
+def group_gathers(n: int) -> Tuple[Tuple[Tuple[int, ...], bool, itemgetter], ...]:
+    """One (perm, complement, gather) triple per group element, permutations
+    in lexicographic order, each without then with complementation."""
+    return tuple((perm, complement, image_gather(perm, complement, n))
+                 for perm in permutations(range(1, n + 1))
+                 for complement in (False, True))

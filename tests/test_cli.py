@@ -93,7 +93,7 @@ class TestMembership:
         finally:
             nullity.catalog_n4.cache_clear()
         assert capsys.readouterr().err.startswith(
-            "error: n=4 catalogue has 1 types")
+            "error: n=4 catalogue has 6 types")
 
     @pytest.mark.parametrize("ratio,extra", [
         ("{1,40}{} / {1}{40}", []),

@@ -18,9 +18,8 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
 from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, dot,
                               primitive, rref)
-from minorcones.nullity import h_normal_form
 from minorcones.probe import random_homogeneous_log
-from minorcones.ratios import (delete_index, is_homogeneous,
+from minorcones.ratios import (delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
 from minorcones.simplex import nonnegative_combination
@@ -63,7 +62,7 @@ class TestSystems:
     def test_d_rows_pairwise_h_inequivalent(self, n, count):
         rows = build_D_system(n).inequalities
         assert len(rows) == count
-        assert len({h_normal_form(row, n) for row in rows}) == count
+        assert len({h_coordinates(row, n) for row in rows}) == count
 
     def test_unsupported_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,64 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from minorcones.nullity import (D5Row, NullityType, Partition, catalog_n4,
+from minorcones import nullity
+from minorcones.exact import rref
+from minorcones.nullity import (M6, M7, NullityType, Partition, catalog_n4,
                                 d5_constraint_set, dual_nullity_type,
                                 enumerate_partitions,
-                                format_matrix, h_equivalent, h_normal_form,
+                                format_matrix, h_equivalent,
                                 matrix, nullity_type, parse_matrix,
-                                partition_nullity, permute_columns, rank_type,
-                                realize_partition, subset_matrix,
+                                partition_nullity, rank_type, subset_matrix,
                                 superset_matrix)
-from minorcones.subsets import mask_of
+from minorcones.ratios import h_coordinates, homogeneity_vectors
+from minorcones.subsets import mask_of, members_of
+
+
+def permute_columns(m, perm):
+    """Column permutation sending column i to column perm[i-1] (1-based)."""
+    n = len(m[0])
+    out = [[Fraction(0)] * n for _ in m]
+    for r, row in enumerate(m):
+        for c in range(n):
+            out[r][perm[c] - 1] = row[c]
+    return tuple(tuple(row) for row in out)
+
+
+def realize_partition(p):
+    """A 2 x n rational matrix realizing a partition type: block k gets the
+    point (1, k) and loops get the zero column."""
+    n = p.ground_size
+    rows = [[Fraction(0)] * n, [Fraction(0)] * n]
+    for k, b in enumerate(sorted(p.blocks)):
+        for i in members_of(b):
+            rows[0][i - 1] = Fraction(1)
+            rows[1][i - 1] = Fraction(k)
+    return tuple(tuple(row) for row in rows)
+
+
+def reduce_against(red, pivots, v):
+    """Normal form of v modulo the row space given by an rref basis."""
+    vec = [Fraction(x) for x in v]
+    for r, p in enumerate(pivots):
+        if vec[p] != 0:
+            f = vec[p]
+            vec = [x - f * y for x, y in zip(vec, red[r])]
+    return tuple(vec)
+
+
+def h_normal_form(v, n):
+    """Oracle for h-equivalence: the rref normal form of v modulo the span
+    of the homogeneity vectors."""
+    return reduce_against(*rref(homogeneity_vectors(n)), v)
+
+
+def classes(keys):
+    """Index of the first equal key, per key: the partition keys induce."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
 class TestMatrixIO:
@@ -96,6 +143,42 @@ class TestCatalog:
     def test_exactly_23_types(self):
         assert len(catalog_n4()) == 23
 
+    def test_equals_eliminating_every_permuted_matrix(self):
+        families = [
+            ("M^{}", subset_matrix(0, 4)),
+            ("M^{1}", subset_matrix(mask_of([1]), 4)),
+            ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
+            ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
+            ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
+            ("M6", M6),
+            ("M7", M7),
+        ]
+        seen = set()
+        expected = []
+        for name, base in families:
+            for perm in permutations(range(1, 5)):
+                nt = nullity_type(permute_columns(base, perm))
+                if nt.entries not in seen:
+                    seen.add(nt.entries)
+                    expected.append((f"{name}@{''.join(map(str, perm))}", nt))
+        assert list(catalog_n4()) == expected
+
+    def test_one_elimination_per_base_matrix(self, monkeypatch):
+        calls = []
+        real = nullity.nullity_type
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(nullity, "nullity_type", spy)
+        nullity.catalog_n4.cache_clear()
+        try:
+            assert len(catalog_n4()) == 23
+        finally:
+            nullity.catalog_n4.cache_clear()
+        assert len(calls) == 7
+
     def test_types_distinct(self):
         entries = {nt.entries for _, nt in catalog_n4()}
         assert len(entries) == 23
@@ -173,10 +256,23 @@ class TestHEquivalence:
         m7 = nullity_type(matrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         assert not h_equivalent(m6.entries, m7.entries, 4)
 
-    def test_normal_form_idempotent(self):
-        v = [Fraction(t * t % 7) for t in range(16)]
-        nf = h_normal_form(v, 4)
-        assert h_normal_form(nf, 4) == nf
+    def test_oracle_member_and_nonmember(self):
+        rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        assert not any(reduce_against(*rref(rows),
+                                      [Fraction(3), Fraction(-2)]))
+        assert any(reduce_against(*rref([[Fraction(1), Fraction(1)]]),
+                                  [Fraction(1), Fraction(0)]))
+
+    def test_coordinates_agree_with_rref_normal_form(self):
+        # Every D5 candidate row: each partition type and its dual.
+        rows = []
+        for p in enumerate_partitions(5):
+            nt = partition_nullity(p)
+            rows += [nt.entries, dual_nullity_type(nt).entries]
+        assert len(rows) == 406
+        by_coordinates = classes([h_coordinates(r, 5) for r in rows])
+        assert by_coordinates == classes([h_normal_form(r, 5) for r in rows])
+        assert len(set(by_coordinates)) == 185
 
 
 class TestD5ConstraintSet:
@@ -185,18 +281,12 @@ class TestD5ConstraintSet:
         assert len(rows) == 185
         loop_free_primal = [r for r in rows
                             if not r.is_dual and r.partition.loops == 0
-                            and not r.direct_sum_redundant]
+                            and len(r.partition.blocks) != 2]
         assert len(loop_free_primal) == 37
-
-    def test_redundant_rows_are_two_block_loop_free(self):
-        for r in d5_constraint_set():
-            if r.direct_sum_redundant:
-                assert r.partition.loops == 0
-                assert len(r.partition.blocks) == 2
 
     def test_rows_pairwise_h_inequivalent(self):
         rows = d5_constraint_set()
-        forms = {tuple(h_normal_form(r.nullity.entries, 5)) for r in rows}
+        forms = {h_coordinates(r.nullity.entries, 5) for r in rows}
         assert len(forms) == len(rows)
 
 

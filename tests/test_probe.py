@@ -11,10 +11,26 @@ from minorcones.polyarith import eval_poly_matrix
 from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
                               complement_ratio_check, decomposition_check,
                               eval_family_slope, eval_poly_family_slope,
-                              fiedler_check, jacobi_check,
-                              random_homogeneous_log, sample_pd,
-                              slope_law_suite)
+                              fiedler_check, random_homogeneous_log,
+                              sample_pd, slope_law_suite)
 from minorcones.ratios import NotPositiveDefiniteError, is_homogeneous, log_of
+from minorcones.subsets import members_of
+
+
+def jacobi_check(a: np.ndarray, s: int, tolerance: float = 1e-9) -> bool:
+    """det A[S] == det A * det A^{-1}[S^c], within a relative tolerance."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    full = (1 << n) - 1
+    inv = np.linalg.inv(a)
+    def minor(mat, mask):
+        if mask == 0:
+            return 1.0
+        idx = [i - 1 for i in members_of(mask)]
+        return float(np.linalg.det(mat[np.ix_(idx, idx)]))
+    lhs = minor(a, s)
+    rhs = float(np.linalg.det(a)) * minor(inv, full ^ s)
+    return abs(lhs - rhs) <= tolerance * abs(lhs)
 
 
 class TestLinearFamilySlope:

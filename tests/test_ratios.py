@@ -1,3 +1,4 @@
+import itertools
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -13,7 +14,22 @@ from minorcones.ratios import (CHOLESKY_CHUNK, FormalLog,
                                from_entries, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                MAX_GROUND_SIZE, parse_ratio)
-from minorcones.subsets import mask_of, members_of, subset_order
+from minorcones.subsets import (complement_mask, mask_of, members_of,
+                                permute_mask, subset_order)
+
+
+def permuted_by_entry(v, perm):
+    out = [Fraction(0)] * len(v.exponents)
+    for mask, x in enumerate(v.exponents):
+        out[permute_mask(mask, perm)] = x
+    return FormalLog(v.ground_size, tuple(out))
+
+
+def complemented_by_entry(v):
+    out = [Fraction(0)] * len(v.exponents)
+    for mask, x in enumerate(v.exponents):
+        out[complement_mask(mask, v.ground_size)] = x
+    return FormalLog(v.ground_size, tuple(out))
 
 
 class TestParseRatio:
@@ -116,6 +132,20 @@ small_logs = st.dictionaries(
 
 
 class TestGroupActions:
+    def test_gathers_equal_per_entry_loops(self):
+        rng = np.random.default_rng(47)
+        cases = [(4, perm) for perm in itertools.permutations(range(1, 5))]
+        cases.append((7, tuple(int(i) + 1 for i in rng.permutation(7))))
+        cases.append((0, ()))
+        for n, perm in cases:
+            v = from_entries(n, {m: Fraction(int(x), 3) for m, x in
+                                 enumerate(rng.integers(-9, 10, 1 << n))})
+            permuted = apply_permutation(v, perm)
+            assert permuted == permuted_by_entry(v, perm)
+            assert apply_complement(v) == complemented_by_entry(v)
+            assert (apply_complement(permuted)
+                    == complemented_by_entry(permuted_by_entry(v, perm)))
+
     def test_identity_permutation(self):
         v = log_of("{1,2}{} / {1}{2}", 4)
         assert apply_permutation(v, (1, 2, 3, 4)) == v
