@@ -105,7 +105,7 @@ class NullityType:
                               for m, e in enumerate(self.entries)))
 
 
-def rank_type(m: RationalMatrix) -> RankType:
+def nullity_type(m: RationalMatrix) -> NullityType:
     # Scaling a row changes the rank of no column submatrix, so each row is
     # cleared of denominators once rather than once per column subset.
     rows = [_integer_row(row) for row in m]
@@ -114,15 +114,12 @@ def rank_type(m: RationalMatrix) -> RankType:
     for mask in range(1 << n):
         cols = [i - 1 for i in members_of(mask)]
         sub = [[row[c] for c in cols] for row in rows]
-        entries.append(rank(sub) if cols else 0)
-    return RankType(n, tuple(entries))
+        entries.append(len(cols) - rank(sub) if cols else 0)
+    return NullityType(n, tuple(entries))
 
 
-def nullity_type(m: RationalMatrix) -> NullityType:
-    rt = rank_type(m)
-    return NullityType(rt.ground_size,
-                       tuple(mask.bit_count() - rt[mask]
-                             for mask in range(1 << rt.ground_size)))
+def rank_type(m: RationalMatrix) -> RankType:
+    return nullity_type(m).rank_type()
 
 
 def superset_matrix(s: int, n: int) -> RationalMatrix:
@@ -232,7 +229,7 @@ def dual_nullity_type(nt: NullityType) -> NullityType:
     """Nullity type of the dual matroid: r*(T) = |T| + r(N\\T) - r(N)."""
     n = nt.ground_size
     full = (1 << n) - 1
-    r = nt.rank_type()
+    r = [m.bit_count() - e for m, e in enumerate(nt.entries)]
     entries = tuple(r[full] - r[full ^ t] for t in range(1 << n))
     return NullityType(n, entries)
 

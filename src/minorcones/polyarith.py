@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .exact import CertificateError
 from .ratios import FormalLog
 from .subsets import members_of
@@ -295,6 +297,5 @@ def asn_inner_product(v: FormalLog, a: AsnVector) -> Fraction:
 
 
 def eval_poly_matrix(p: PolyMatrix, x: float):
-    import numpy as np
     return np.array([[p_eval(entry, x) for entry in row]
                      for row in p.entries], dtype=float)

@@ -15,12 +15,14 @@ from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, dot
 from .nullity import RationalMatrix, matrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
-from .ratios import (FormalLog, NotPositiveDefiniteError, batch_log_minors,
-                     evaluate_log_ratio, homogeneity_basis, is_homogeneous,
-                     is_koteljanskii_ray, log_of)
+from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
+                     batch_log_minors, evaluate_log_ratio, homogeneity_basis,
+                     is_homogeneous, is_koteljanskii_ray, log_of,
+                     log_ratio_from_minors)
 from .subsets import members_of
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
+SLOPE_LAW_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e-7, 9))
 # Minors of a Gram family can scale like eps^2 per singular value; below
 # 1e-6 their double-precision singular values degrade, so the polynomial
 # probe uses a shorter grid by default.
@@ -55,14 +57,13 @@ class SamplerConfig:
     seed: int
     count: int
     dimension: int
-    distribution: str = "gram-of-gaussian"
     ridge: float = 1e-6
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.distribution not in ("gram-of-gaussian", "gram-plus-ridge"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        if not 1 <= self.dimension <= MAX_GROUND_SIZE:
+            raise ValueError(f"dimension must lie in 1..{MAX_GROUND_SIZE}")
 
 
 def _validate_grid(grid: Sequence[float]) -> Tuple[float, ...]:
@@ -76,7 +77,7 @@ def _validate_grid(grid: Sequence[float]) -> Tuple[float, ...]:
     return grid
 
 
-def _fit_report(v: FormalLog, grid: Tuple[float, ...], values: List[float],
+def _fit_report(grid: Tuple[float, ...], values: List[float],
                 predicted: Fraction) -> ProbeReport:
     logs = np.log(np.asarray(grid))
     vals = np.asarray(values)
@@ -103,19 +104,7 @@ def eval_family_slope(v: FormalLog, m: RationalMatrix,
     family = mat.T @ mat + np.multiply.outer(grid, np.eye(n))
     values = evaluate_log_ratio(v, family).tolist()
     predicted = Fraction(dot(v.exponents, nullity_type(m).entries))
-    return _fit_report(v, grid, values, predicted)
-
-
-def _gram_logminor(mat: np.ndarray, mask: int) -> float:
-    """log det (P^T P)[S] for P = mat evaluated at one eps, via singular
-    values of the column submatrix P[:, S].  Forming P^T P and factoring
-    it squares the condition number, which loses minors scaling like
-    eps^(2 d_S); the singular values of P keep them."""
-    cols = [i - 1 for i in members_of(mask)]
-    sing = np.linalg.svd(mat[:, cols], compute_uv=False)
-    if np.any(sing <= 0):
-        raise NotPositiveDefiniteError(members_of(mask))
-    return 2.0 * float(np.sum(np.log(sing)))
+    return _fit_report(grid, values, predicted)
 
 
 def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
@@ -127,15 +116,20 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     if not is_homogeneous(v):
         raise ValueError("slope probe requires a homogeneous formal log")
     grid = _validate_grid(grid)
-    values = []
-    for eps in grid:
-        mat = eval_poly_matrix(p, eps)
-        total = 0.0
-        for mask in v.support():
-            total += float(v.exponents[mask]) * _gram_logminor(mat, mask)
-        values.append(total)
+    mats = np.stack([eval_poly_matrix(p, eps) for eps in grid])
+    minors = {}
+    for mask in v.support():
+        # log det (P^T P)[S] from the singular values of P[:, S]: factoring
+        # the formed P^T P squares the condition number and loses minors
+        # scaling like eps^(2 d_S).
+        cols = [i - 1 for i in members_of(mask)]
+        sing = np.linalg.svd(mats[:, :, cols], compute_uv=False)
+        if np.any(sing <= 0):
+            raise NotPositiveDefiniteError(members_of(mask))
+        minors[mask] = 2.0 * np.log(sing).sum(axis=-1)
+    values = np.zeros(len(grid)) + log_ratio_from_minors(v, minors)
     predicted = 2 * asn_inner_product(v, asn(p))
-    return _fit_report(v, grid, values, predicted)
+    return _fit_report(grid, values.tolist(), predicted)
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
@@ -144,17 +138,15 @@ def sample_pd(cfg: SamplerConfig) -> np.ndarray:
     n = cfg.dimension
     g = rng.standard_normal((cfg.count, n, n))
     a = np.einsum("bij,bik->bjk", g, g)
-    if cfg.distribution == "gram-plus-ridge":
-        a = a / n  # Wishart-like scaling
     a += cfg.ridge * np.eye(n)
     batch_log_minors(a, [(1 << n) - 1])  # raises unless every sample is PD
     return a
 
 
-def fiedler_check(a: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
+def fiedler_check(a: np.ndarray) -> np.ndarray:
     """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
     with B = A^{-1}, for one matrix or a stack of shape (..., n, n).  The
-    inequality is a theorem, so a residual below -tolerance means the
+    inequality is a theorem, so a residual below -1e-9 means the
     floating-point inverse broke down: FloatingPointError."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
@@ -162,7 +154,7 @@ def fiedler_check(a: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
     roots = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
                     * np.diagonal(b, axis1=-2, axis2=-1))
     residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
-    if np.any(residuals < -tolerance):
+    if np.any(residuals < -1e-9):
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
     return residuals
@@ -202,17 +194,17 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
     Diagonal congruence leaves homogeneous ratios invariant, so the ascent
     perturbs with general near-identity congruence factors.
     """
-    return _bound_search_on(v, sample_pd(cfg), cfg.seed, ascent_steps,
-                            ascent_scale)
+    batch = sample_pd(cfg)
+    return _bound_search_on(v, evaluate_log_ratio(v, batch), batch, cfg.seed,
+                            ascent_steps, ascent_scale)
 
 
-def _bound_search_on(v: FormalLog, batch: np.ndarray, seed: int,
-                     ascent_steps: int = 200,
+def _bound_search_on(v: FormalLog, values: np.ndarray, batch: np.ndarray,
+                     seed: int, ascent_steps: int = 200,
                      ascent_scale: float = 0.05) -> BoundSearchResult:
-    """bound_search on an already sampled batch, so several ratios can share
-    one batch; the ascent draws from a generator seeded by (seed, 1)."""
+    """bound_search on a batch and its log-ratio values, which several ratios
+    can share; the ascent draws from a generator seeded by (seed, 1)."""
     n = v.ground_size
-    values = evaluate_log_ratio(v, batch)
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
     best_mat = batch[best_idx]
@@ -253,13 +245,12 @@ def decomposition_check() -> bool:
     return True
 
 
-def random_homogeneous_log(n: int, rng: np.random.Generator,
-                           max_coeff: int = 1) -> FormalLog:
-    """Random nonzero integer vector in log(H_n), as a small integer
-    combination of a primitive basis of the homogeneity subspace."""
+def random_homogeneous_log(n: int, rng: np.random.Generator) -> FormalLog:
+    """Random nonzero integer vector in log(H_n), a {-1, 0, 1} combination
+    of a primitive basis of the homogeneity subspace."""
     basis = homogeneity_basis(n)
     while True:
-        coeffs = rng.integers(-max_coeff, max_coeff + 1, size=len(basis))
+        coeffs = rng.integers(-1, 2, size=len(basis))
         if not np.any(coeffs):
             continue
         vec = [Fraction(0)] * (1 << n)
@@ -287,19 +278,16 @@ class SlopeCase:
     predicted_divergent: bool
 
 
-def slope_law_suite(count: int = 100, seed: int = 20240, n: int = 4,
-                        grid: Sequence[float] = None) -> List[SlopeCase]:
-    """Random (homogeneous v, rank-deficient M) pairs checked against the
-    boundedness criterion: fitted slope must match v . nul(M) and its sign
-    must classify bounded-versus-divergent behavior on the grid."""
-    if grid is None:
-        grid = tuple(float(x) for x in np.geomspace(1e-3, 1e-7, 9))
+def slope_law_suite(count: int = 100, seed: int = 20240) -> List[SlopeCase]:
+    """Random (homogeneous v, rank-deficient M) pairs at n = 4 checked against
+    the boundedness criterion: fitted slope must match v . nul(M) and its
+    sign must classify bounded-versus-divergent behavior on SLOPE_LAW_GRID."""
     rng = np.random.default_rng(seed)
     cases = []
     while len(cases) < count:
-        v = random_homogeneous_log(n, rng)
-        m = random_rank_deficient_matrix(n, rng)
-        report = eval_family_slope(v, m, grid)
+        v = random_homogeneous_log(4, rng)
+        m = random_rank_deficient_matrix(4, rng)
+        report = eval_family_slope(v, m, SLOPE_LAW_GRID)
         # Divergence on the grid: the log-ratio climbs toward small eps.
         observed = (report.log_ratio_values[-1] - report.log_ratio_values[0]
                     > 1.0)

@@ -347,20 +347,25 @@ def batch_log_minors(batch: np.ndarray,
     return out
 
 
+def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray]):
+    """Sum over v.support() of v_S * minors[S] (floats or arrays of one
+    shape), added in that order so that each matrix of a stack gets the
+    value it gets on its own.  The zero log gives 0.0."""
+    total = 0.0
+    for mask in v.support():
+        total = total + float(v.exponents[mask]) * minors[mask]
+    return total
+
+
 def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
     """Sum over subsets of v_S * logdet A[S], i.e. log(alpha(A)/beta(A)),
     for one matrix (a float) or a stack of shape (count, n, n) (an array).
-    Only the subsets in v.support() are factored, and their terms are added
-    in that order, so each matrix of a stack gets the value it gets on its
-    own."""
+    Only the subsets in v.support() are factored."""
     a = np.asarray(a, dtype=float)
     n = v.ground_size
     if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
     stack = a.reshape(-1, n, n)
-    masks = v.support()
-    minors = batch_log_minors(stack, masks)
-    total = np.zeros(stack.shape[0])
-    for mask in masks:
-        total += float(v.exponents[mask]) * minors[mask]
+    minors = batch_log_minors(stack, v.support())
+    total = np.zeros(len(stack)) + log_ratio_from_minors(v, minors)
     return float(total[0]) if a.ndim == 2 else total

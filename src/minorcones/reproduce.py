@@ -17,7 +17,8 @@ from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
 from .exact import dot, primitive, rank, rank_by_minors
 from .polyarith import (asn, asn_inner_product, gram, poly_det_cofactor,
                         principal_minor_poly, principal_submatrix)
-from .ratios import FormalLog, delete_index, log_of
+from .ratios import (FormalLog, batch_log_minors, delete_index, log_of,
+                     log_ratio_from_minors)
 from .subsets import image_gather
 
 
@@ -174,8 +175,12 @@ def check_bounds(samples: int = 100_000) -> CheckResult:
     seed = 4200
     batch = probe.sample_pd(probe.SamplerConfig(seed=seed, count=samples,
                                                 dimension=4))
+    # The R1-R3 supports cover the 15 nonempty subsets of {1..4}.
+    minors = batch_log_minors(batch, range(1, 16))
     for name in ("R1", "R2", "R3"):
-        res = probe._bound_search_on(named_log(name), batch, seed)
+        v = named_log(name)
+        res = probe._bound_search_on(v, log_ratio_from_minors(v, minors),
+                                     batch, seed)
         results[name] = res.max_ratio
         ok = ok and res.max_ratio <= 4 + 1e-9
     decomposition = probe.decomposition_check()

@@ -209,6 +209,19 @@ class TestSearchCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["worst_residual"] >= -1e-9
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fiedler", "--n", "0"], "dimension must lie in 1..16"),
+        (["fiedler", "--n", "17", "--samples", "1"],
+         "dimension must lie in 1..16"),
+        (["membership", "{1,2}{}/{1}{2}", "--semigroup", "K", "--n", "9"],
+         "Koteljanskii cone membership supported for n <= 8"),
+    ])
+    def test_oversized_input_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_fiedler_breakdown_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
         assert main(["fiedler", "--n", "4", "--samples", "10"]) == 2

@@ -221,6 +221,16 @@ class TestDuality:
         dual = dual_nullity_type(free)
         assert [dual[t] for t in range(4)] == [0, 1, 1, 2]
 
+    def test_one_validation_per_type(self, monkeypatch):
+        calls = []
+        validate = nullity._validate_rank_function
+        monkeypatch.setattr(nullity, "_validate_rank_function",
+                            lambda n, r: calls.append(n) or validate(n, r))
+        nt = nullity_type(M6)
+        assert calls == [4]
+        dual_nullity_type(nt)
+        assert calls == [4, 4]
+
     def test_dual_total_rank(self):
         # r*(N) = |N| - r(N): the dual of a rank-3 type on 4 columns has
         # total rank 1.

@@ -7,7 +7,7 @@ from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
 from minorcones.exact import CertificateError
 from minorcones.nullity import matrix
-from minorcones.polyarith import eval_poly_matrix
+from minorcones.polyarith import eval_poly_matrix, parse_poly_matrix
 from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
                               complement_ratio_check, decomposition_check,
                               eval_family_slope, eval_poly_family_slope,
@@ -82,6 +82,30 @@ class TestPolyFamilySlope:
         rep = eval_poly_family_slope(log_of("{1,2}{} / {1}{2}", 2), pm)
         assert rep.predicted_slope == 0 and rep.verdict
 
+    @pytest.mark.parametrize("text,p", [
+        (None, P_for_Q()),
+        ("{1,2}{} / {1}{2}", parse_poly_matrix("1, 0\n0, e\n")),
+        ("{1,2}{} / {1}{2}", parse_poly_matrix("1, 1/2\n0, 1\n")),
+    ])
+    def test_batched_svd_matches_per_eps_reference(self, text, p):
+        v = Q() if text is None else log_of(text, 2)
+
+        def reference(mat, mask):
+            cols = [i - 1 for i in members_of(mask)]
+            sing = np.linalg.svd(mat[:, cols], compute_uv=False)
+            return 2.0 * float(np.sum(np.log(sing)))
+
+        expect = []
+        for eps in DEFAULT_POLY_GRID:
+            mat = eval_poly_matrix(p, eps)
+            total = 0.0
+            for mask in v.support():
+                total += float(v.exponents[mask]) * reference(mat, mask)
+            expect.append(total)
+        got = eval_poly_family_slope(v, p).log_ratio_values
+        assert got == tuple(expect)
+        assert all(type(x) is float for x in got)
+
     def test_p_evaluated_once_per_eps(self, monkeypatch):
         calls = []
 
@@ -113,9 +137,9 @@ class TestSampling:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, count=0, dimension=3)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=0, count=1, dimension=3,
-                          distribution="uniform")
+        for dimension in (0, ratios.MAX_GROUND_SIZE + 1):
+            with pytest.raises(ValueError, match="dimension"):
+                SamplerConfig(seed=0, count=1, dimension=dimension)
 
 
 class TestInequalities:
@@ -214,9 +238,12 @@ class TestBoundSearch:
     def test_shared_batch_matches_own_sample(self):
         cfg = SamplerConfig(seed=11, count=300, dimension=4)
         batch = sample_pd(cfg)
+        minors = ratios.batch_log_minors(batch, range(1, 16))
         for name in ("R1", "R2", "R3"):
             own = bound_search(named_log(name), cfg)
-            shared = probe._bound_search_on(named_log(name), batch, cfg.seed)
+            v = named_log(name)
+            shared = probe._bound_search_on(
+                v, ratios.log_ratio_from_minors(v, minors), batch, cfg.seed)
             assert shared.max_ratio == own.max_ratio
             assert np.array_equal(shared.argmax, own.argmax)
             assert shared.diverging == own.diverging
@@ -231,6 +258,21 @@ class TestBoundSearch:
         for name in ("R1", "R2", "R3"):
             own = bound_search(named_log(name), calls[0])
             assert check.details["max_ratios"][name] == own.max_ratio
+
+    def test_check_bounds_factors_the_union_once(self, monkeypatch):
+        requested = []
+        kernel = ratios.batch_log_minors
+
+        def spy(batch, masks):
+            requested.append((len(batch), list(masks)))
+            return kernel(batch, masks)
+
+        for module in (ratios, probe, reproduce):
+            monkeypatch.setattr(module, "batch_log_minors", spy)
+        reproduce.check_bounds(samples=500)
+        on_batch = [masks for count, masks in requested if count == 500]
+        # sample_pd's positive definiteness check, then the R1-R3 union.
+        assert on_batch == [[15], list(range(1, 16))]
 
 
 class TestSuites:

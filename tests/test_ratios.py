@@ -290,6 +290,13 @@ class TestLogMinorKernel:
                                        for a in stack]
         assert isinstance(evaluate_log_ratio(R1(), stack[0]), float)
 
+    def test_zero_log_keeps_the_stack_shape(self):
+        v = log_of("{}/{}", 3)
+        assert v.support() == []
+        values = evaluate_log_ratio(v, _pd_stack(5, 3, seed=3))
+        assert isinstance(values, np.ndarray) and values.tolist() == [0.0] * 5
+        assert evaluate_log_ratio(v, np.eye(3)) == 0.0
+
     def test_matches_slogdet_across_a_chunk_boundary(self):
         count = CHOLESKY_CHUNK + 3
         stack = _pd_stack(count, 4, seed=2)
