@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import (CertificateError, bareiss_rank, dot, kernel_basis,
-                    primitive)
+from .exact import (CertificateError, as_fractions, bareiss_rank,
+                    clear_denominators, dot, kernel_basis, primitive)
 from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, h_coordinates, homogeneity_basis,
@@ -114,19 +114,18 @@ def build_D_system(n: int) -> ConstraintSystem:
 
 def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     """Exact inner products against every inequality row; member iff all
-    are nonnegative.  Requires a homogeneous input."""
+    are nonnegative.  Requires a homogeneous input.  The products are taken
+    in integers on d * v (d the lcm of v's denominators) and reported as
+    Fractions over d."""
     if v.ground_size != system.ground_size:
         raise ValueError("ground size mismatch")
     if not is_homogeneous(v):
         raise ValueError("membership requires a homogeneous formal log")
-    products = []
-    witness = None
-    for label, row in zip(system.labels, system.inequalities):
-        value = Fraction(dot(v.exponents, row))
-        products.append((label, value))
-        if witness is None and value < 0:
-            witness = (label, value)
-    return MembershipCertificate(witness is None, tuple(products), witness)
+    ints, d = clear_denominators(v.exponents)
+    values = [dot(ints, row) for row in system.inequalities]
+    products = tuple(zip(system.labels, as_fractions(values, d)))
+    witness = next((p for p, x in zip(products, values) if x < 0), None)
+    return MembershipCertificate(witness is None, products, witness)
 
 
 def _reduce_rows(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...]]:
@@ -334,8 +333,11 @@ def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
                       if coeff != 0)
         return KoteljanskiiCertificate(True, combo, None)
     # nonnegative_combination has checked y's Farkas inequalities, which
-    # for h = -y are h.v < 0 and h.col >= 0 for every column.
-    return KoteljanskiiCertificate(False, None, tuple(-val for val in y))
+    # for h = -y are h.v < 0 and h.col >= 0 for every column.  y shares
+    # one Fraction per distinct value, and so does h.
+    negated = {val: -val for val in set(y)}
+    return KoteljanskiiCertificate(False, None,
+                                   tuple(negated[val] for val in y))
 
 
 @dataclass(frozen=True)

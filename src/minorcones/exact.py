@@ -1,12 +1,17 @@
 """Exact rational linear algebra on plain Python lists of Fractions/ints.
 
 Everything here is deliberately dependency-free: cone certificates must be
-exact, so no floating point enters any function in this module.
+exact, so no floating point enters any function in this module.  The hot
+kernels run on Python ints: `clear_denominators` scales a rational vector
+to integers once, `primitive` and `bareiss_rank` work on its output, and
+`as_fractions` turns an integer result back into reported Fractions.
+`rref`, `det` and `rank_by_minors` stay on Fractions (`rref` feeds only
+the cached homogeneity basis and the brute-force ray oracle).
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -22,21 +27,30 @@ class CertificateError(ArithmeticError):
     """An exact answer failed its independent certificate check."""
 
 
-def _integer_row(row: Sequence) -> List[int]:
-    """The row itself if all entries are ints, else the row scaled by the
-    lcm of its denominators (same span, integer entries)."""
-    if set(map(type, row)) <= {int}:
-        return list(row)
-    fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return [x.numerator * (lcm // x.denominator) for x in fracs]
+def clear_denominators(row: Sequence) -> Tuple[List[int], int]:
+    """(ints, d) with ints = d * row, d > 0 the lcm of the entries'
+    denominators: (the row itself, 1) if all entries are ints.  A value
+    computed on ints is reported for the row as that value over d."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return list(row), 1
+    if not types <= {int, Fraction}:
+        row = [Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def as_fractions(values: Sequence[int], d: int) -> List[Fraction]:
+    """The reported values v / d of integers computed on a row cleared by
+    `clear_denominators`; one Fraction is built per distinct value and
+    shared, since Fractions are immutable."""
+    made = {v: Fraction(v, d) for v in set(values)}
+    return [made[v] for v in values]
 
 
 def primitive(vec: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    ints = _integer_row(vec)
+    ints, _ = clear_denominators(vec)
     g = gcd(*ints)
     return tuple(ints) if g == 0 else tuple(x // g for x in ints)
 
@@ -68,7 +82,7 @@ def rref(rows: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
 def bareiss_rank(rows: Matrix) -> int:
     """Exact rank by fraction-free (Bareiss) elimination.  Rows of ints are
     used as they are; other rows are first cleared of denominators."""
-    mat = [_integer_row(row) for row in rows]
+    mat = [clear_denominators(row)[0] for row in rows]
     if not mat:
         return 0
     nrows, ncols = len(mat), len(mat[0])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import CertificateError, _integer_row, rank
+from .exact import CertificateError, clear_denominators, rank
 from .ratios import h_coordinates
 from .subsets import format_subset, group_gathers, mask_of, members_of
 
@@ -108,7 +108,7 @@ class NullityType:
 def nullity_type(m: RationalMatrix) -> NullityType:
     # Scaling a row changes the rank of no column submatrix, so each row is
     # cleared of denominators once rather than once per column subset.
-    rows = [_integer_row(row) for row in m]
+    rows = [clear_denominators(row)[0] for row in m]
     n = len(m[0]) if m else 0
     entries = []
     for mask in range(1 << n):

@@ -1,6 +1,13 @@
 """Polynomial matrix families P(eps), exact Gram minors, and asymptotic
 nullity types: the half-degree d_S of the dominating term C_S * eps^(2 d_S)
 of each principal minor of P(eps)^T P(eps).
+
+Polynomials have rational coefficients: ints where the input gave ints,
+Fractions where it gave anything else (a parsed polynomial has Fraction
+coefficients).  `asn` scales P by the lcm of its coefficient denominators
+once, so the Gram matrix and its minors are computed over Z[e] on Python
+ints; `poly_det_bareiss` and `p_divexact` divide exactly in Z[e].
+Fractions stay in parsing, formatting and the cofactor oracle.
 """
 
 import re
@@ -10,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CertificateError
+from .exact import CertificateError, clear_denominators
 from .ratios import FormalLog
 from .subsets import members_of
 
@@ -19,20 +26,24 @@ from .subsets import members_of
 Poly = Tuple[Fraction, ...]
 
 P_ZERO: Poly = ()
-P_ONE: Poly = (Fraction(1),)
+P_ONE: Poly = (1,)
+
+
+def _trim(coeffs: List) -> Poly:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def poly(coeffs: Sequence) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    """A Poly from numbers: ints are kept, anything else becomes a Fraction."""
+    return _trim([c if type(c) is int else Fraction(c) for c in coeffs])
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def p_neg(a: Poly) -> Poly:
@@ -46,21 +57,22 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return P_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return poly(out)
+    return _trim(out)
 
 
 def p_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact polynomial division; raises if the division leaves a remainder
-    (it never does inside fraction-free elimination)."""
+    """Exact division in Z[e]: raises ArithmeticError if a quotient
+    coefficient is not an integer or a remainder is left (neither happens
+    inside fraction-free elimination over Z[e])."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    out = [0] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
     while len(rem) >= len(b):
         while rem and rem[-1] == 0:
@@ -68,14 +80,16 @@ def p_divexact(a: Poly, b: Poly) -> Poly:
         if len(rem) < len(b):
             break
         shift = len(rem) - len(b)
-        factor = rem[-1] / lead
+        factor, left = divmod(rem[-1], lead)
+        if left:
+            raise ArithmeticError("inexact polynomial division")
         out[shift] = factor
         for i, cb in enumerate(b):
             rem[shift + i] -= factor * cb
         rem.pop()
     if any(c != 0 for c in rem):
         raise ArithmeticError("inexact polynomial division")
-    return poly(out)
+    return _trim(out)
 
 
 def p_eval(a: Poly, x: float) -> float:
@@ -189,7 +203,8 @@ def format_poly_matrix(p: PolyMatrix) -> str:
 
 
 def gram(p: PolyMatrix) -> PolyMatrix:
-    """P^T P with exact polynomial products (real transpose; data rational)."""
+    """P^T P with exact polynomial products (real transpose; data rational,
+    over Z[e] when P's coefficients are ints)."""
     n = p.size
     out = [[P_ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -222,8 +237,10 @@ def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
 
 
 def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant over the polynomial ring; all divisions
-    by the previous pivot are exact."""
+    """Fraction-free determinant over Z[e]: every division by the previous
+    pivot is exact, and `p_divexact` checks that it is.  Entries with
+    fractional coefficients are cleared first by the caller (`asn` scales
+    P); left in, a division may raise ArithmeticError."""
     k = len(rows)
     if k == 0:
         return P_ONE
@@ -254,7 +271,7 @@ def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
 
 def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
     """det of the principal submatrix on the subset mask s, by fraction-free
-    elimination; the empty minor is the constant 1."""
+    elimination over Z[e]; the empty minor is the constant 1."""
     return poly_det_bareiss(principal_submatrix(a, s))
 
 
@@ -271,9 +288,17 @@ class AsnVector:
 def asn(p: PolyMatrix) -> AsnVector:
     """Asymptotic nullity type of an invertible polynomial matrix: for each
     subset S the minor det (P^T P)[S] has dominating term C_S eps^(2 d_S)
-    with C_S > 0; returns the vector of the d_S."""
+    with C_S > 0; returns the vector of the d_S.
+
+    P is first scaled by the lcm L of its coefficient denominators.  The
+    minor on S then scales by L^(2|S|) > 0, which changes neither d_S nor
+    the sign of C_S, and the Gram minors are computed over Z[e]."""
     n = p.size
-    a = gram(p)
+    flat = [c for row in p.entries for entry in row for c in entry]
+    ints = iter(clear_denominators(flat)[0])
+    a = gram(PolyMatrix(n, tuple(tuple(tuple(next(ints) for _ in entry)
+                                       for entry in row)
+                                 for row in p.entries)))
     entries = [0] * (1 << n)
     for s in range(1, 1 << n):
         minor = principal_minor_poly(a, s)

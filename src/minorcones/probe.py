@@ -116,6 +116,9 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     if not is_homogeneous(v):
         raise ValueError("slope probe requires a homogeneous formal log")
     grid = _validate_grid(grid)
+    if p.size != v.ground_size:
+        raise ValueError(
+            "polynomial matrix column count must equal the ground size")
     mats = np.stack([eval_poly_matrix(p, eps) for eps in grid])
     minors = {}
     for mask in v.support():

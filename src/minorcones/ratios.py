@@ -14,13 +14,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import dot, kernel_basis, primitive
+from .exact import (as_fractions, clear_denominators, dot, kernel_basis,
+                    primitive)
 from .subsets import (check_permutation, format_subset, image_gather,
                       mask_of, members_of, subset_order)
 
 # Largest ground size a parsed ratio may have: a formal log holds 2^n
 # entries, and the largest supported constraint system has n = 10.
 MAX_GROUND_SIZE = 16
+
+# The exponent of a term written without `^`, shared since Fractions are
+# immutable.
+_ONE = Fraction(1)
 
 
 class RatioSyntaxError(ValueError):
@@ -63,7 +68,7 @@ class FormalLog:
     def __post_init__(self):
         if len(self.exponents) != 1 << self.ground_size:
             raise ValueError("exponent vector has wrong length")
-        if sum(self.exponents) != 0:
+        if sum(clear_denominators(self.exponents)[0]) != 0:
             raise ValueError("formal logarithm must sum to zero")
 
     def __getitem__(self, mask: int) -> Fraction:
@@ -79,19 +84,22 @@ class FormalLog:
                 if mask and self.exponents[mask]]
 
 
-def _normalize_empty(n: int, acc: Dict[int, Fraction]) -> FormalLog:
-    vec = [Fraction(0)] * (1 << n)
-    for mask, v in acc.items():
+def _normalize_empty(n: int, acc: Dict[int, int], d: int) -> FormalLog:
+    """The FormalLog with entry acc[S] / d on each nonempty S and the
+    empty-set entry that makes the entries sum to zero."""
+    vec = [0] * (1 << n)
+    for mask, x in acc.items():
         if mask != 0:
-            vec[mask] = v
-    vec[0] = -sum(vec[1:])
-    return FormalLog(n, tuple(vec))
+            vec[mask] = x
+    vec[0] = -sum(vec)
+    return FormalLog(n, tuple(as_fractions(vec, d)))
 
 
 def from_entries(n: int, entries: Dict[int, Fraction]) -> FormalLog:
     """Build a FormalLog from nonempty-set entries; the empty-set entry is
     recomputed from the sum-zero convention."""
-    return _normalize_empty(n, {m: Fraction(v) for m, v in entries.items()})
+    ints, d = clear_denominators(list(entries.values()))
+    return _normalize_empty(n, dict(zip(entries, ints)), d)
 
 
 def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
@@ -148,7 +156,7 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
                         pos += 1
                         break
                     raise RatioSyntaxError("expected ',' or '}'", pos)
-            exponent = Fraction(1)
+            exponent = _ONE
             skip_ws()
             if pos < len(text) and text[pos] == "^":
                 pos += 1
@@ -209,13 +217,14 @@ def format_ratio(spec: RatioSpec) -> str:
 
 def formal_log(spec: RatioSpec) -> FormalLog:
     """Net exponent per subset, with the empty-set entry normalized to make
-    the total sum zero (explicit {} factors are folded in first)."""
-    acc: Dict[int, Fraction] = {}
-    for mask, exp in spec.numerator:
-        acc[mask] = acc.get(mask, Fraction(0)) + exp
-    for mask, exp in spec.denominator:
-        acc[mask] = acc.get(mask, Fraction(0)) - exp
-    return _normalize_empty(spec.ground_size, acc)
+    the total sum zero (explicit {} factors are folded in first).  The
+    exponents are summed in integers over their common denominator."""
+    terms = spec.numerator + spec.denominator
+    ints, d = clear_denominators([exp for _, exp in terms])
+    acc: Dict[int, int] = {}
+    for k, ((mask, _), x) in enumerate(zip(terms, ints)):
+        acc[mask] = acc.get(mask, 0) + (x if k < len(spec.numerator) else -x)
+    return _normalize_empty(spec.ground_size, acc, d)
 
 
 def log_of(text: str, n: Optional[int] = None) -> FormalLog:
@@ -247,8 +256,8 @@ def h_coordinates(row: Sequence, n: int) -> Tuple:
 
 
 def is_homogeneous(v: FormalLog) -> bool:
-    return all(sum(a * b for a, b in zip(v.exponents, h)) == 0
-               for h in homogeneity_vectors(v.ground_size))
+    ints, _ = clear_denominators(v.exponents)
+    return all(dot(ints, h) == 0 for h in homogeneity_vectors(v.ground_size))
 
 
 def apply_permutation(v: FormalLog, perm: Sequence[int]) -> FormalLog:
@@ -268,10 +277,10 @@ def koteljanskii_log(s: int, t: int, n: int) -> FormalLog:
         raise ValueError("subset outside ground set")
     if s | t == s or s | t == t:
         return from_entries(n, {})
-    acc: Dict[int, Fraction] = {}
+    acc: Dict[int, int] = {}
     for mask, sign in ((s | t, 1), (s & t, 1), (s, -1), (t, -1)):
-        acc[mask] = acc.get(mask, Fraction(0)) + sign
-    return _normalize_empty(n, acc)
+        acc[mask] = acc.get(mask, 0) + sign
+    return _normalize_empty(n, acc, 1)
 
 
 @lru_cache(maxsize=None)

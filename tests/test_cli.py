@@ -188,6 +188,13 @@ class TestAsnAndProbes:
                      "--eps-min", "1e-6", "--eps-max", "1e-2"]) == 0
         assert "verdict: matches" in capsys.readouterr().out
 
+    def test_probe_poly_size_mismatch_exits_2(self, poly_file, capsys):
+        assert main(["probe-poly", "{1,3}{}/{1}{3}", poly_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: polynomial matrix column count must "
+                                "equal the ground size\n")
+
     def test_out_file_written(self, m6_file, tmp_path, capsys):
         dest = tmp_path / "report.json"
         assert main(["nullity", m6_file, "--format", "json",

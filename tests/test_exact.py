@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from minorcones.exact import (bareiss_rank, det, dot, kernel_basis,
-                              primitive, rank, rank_by_minors, rref)
+from minorcones.exact import (as_fractions, bareiss_rank, clear_denominators,
+                              det, dot, kernel_basis, primitive, rank,
+                              rank_by_minors, rref)
 
 
 def primitive_reference(vec):
@@ -43,6 +44,28 @@ class TestPrimitive:
             assert all(type(x) is int for x in got)
         assert primitive([-6, 0, 9]) == (-2, 0, 3)
         assert primitive([4, Fraction(-6), 0]) == (2, -3, 0)
+
+
+class TestClearDenominators:
+    def test_round_trip_with_the_lcm(self):
+        rng = random.Random(12)
+        for trial in range(300):
+            vec = [rng.randint(-9, 9) if trial % 3 == 0 else
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                   for _ in range(rng.randint(0, 6))]
+            ints, d = clear_denominators(vec)
+            assert all(type(x) is int for x in ints)
+            assert d == lcm(*(Fraction(x).denominator for x in vec))
+            back = as_fractions(ints, d)
+            assert back == vec
+            assert all(type(x) is Fraction for x in back)
+
+    def test_other_numbers_go_through_fraction(self):
+        assert clear_denominators([0.5, 1, Fraction(1, 3)]) == ([3, 6, 2], 6)
+
+    def test_equal_values_share_one_fraction(self):
+        a, b, c = as_fractions([2, 3, 2], 4)
+        assert (a, b) == (Fraction(1, 2), Fraction(3, 4)) and a is c
 
 
 class TestExactRank:

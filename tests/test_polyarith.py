@@ -54,6 +54,21 @@ class TestPolyBasics:
         p = poly([1, Fraction(1, 2), -3])
         assert p_eval(p, 2.0) == pytest.approx(1 + 0.5 * 2 - 3 * 4)
 
+    def test_divexact_int_remainder_raises(self):
+        # x^2 + 3 = (x - 1)(x + 1) + 4, and 2x + 1 = 2 * x + 1: both leave
+        # a remainder in Z[e]; 3 / 2 has no integer quotient.
+        with pytest.raises(ArithmeticError, match="inexact"):
+            p_divexact((3, 0, 1), (1, 1))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            p_divexact((1, 2), (0, 1))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            p_divexact((3,), (2,))
+
+    def test_divexact_int_quotient_stays_int(self):
+        q = p_divexact(p_mul((2, -3, 1), (-1, 0, 4)), (-1, 0, 4))
+        assert q == (2, -3, 1)
+        assert all(type(c) is int for c in q)
+
     def test_lowest_term(self):
         assert lowest_term(poly([0, 0, 5, 7])) == (2, 5)
         with pytest.raises(ValueError):
@@ -172,6 +187,50 @@ def _is_generic(b, c, n):
     stacked = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
     base = [[bt_cols[j][i] for j in range(n)] for i in range(n)]
     return rank(stacked) == rank(base) + len(kern)
+
+
+def cofactor_half_degrees(p):
+    """Oracle: d_S read from the cofactor expansion of every principal
+    minor of the unscaled Gram matrix, in Fraction arithmetic."""
+    g = gram(p)
+    out = [0]
+    for s in range(1, 1 << p.size):
+        deg, coeff = lowest_term(poly_det_cofactor(principal_submatrix(g, s)))
+        assert deg % 2 == 0 and coeff > 0
+        out.append(deg // 2)
+    return tuple(out)
+
+
+class TestAsnRationalCoefficients:
+    @pytest.mark.parametrize("text", [
+        "1/2*e, 3/2\n0, 1\n",
+        "1/2*e, 3/2\n1/3, 1 - 1/3*e^2\n",
+        "1, 1, 1\n0, 1/2*e, 3/2\n0, 0, 2/3*e^2\n",
+        "e, 0, 0\n0, 1/7*e, 0\n0, 0, 5/2*e\n",
+    ])
+    def test_matches_cofactor_oracle(self, text):
+        p = parse_poly_matrix(text)
+        assert asn(p).entries == cofactor_half_degrees(p)
+
+    def test_random_rational_families_match_oracle(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 12:
+            n = rng.randint(2, 4)
+            p = poly_matrix([[poly([Fraction(rng.randint(-3, 3),
+                                             rng.choice((1, 2, 3, 4)))
+                                    for _ in range(rng.randint(0, 3))])
+                              for _ in range(n)] for _ in range(n)])
+            if not poly_det_cofactor([list(r) for r in p.entries]):
+                continue
+            assert asn(p).entries == cofactor_half_degrees(p)
+            checked += 1
+
+    def test_scaling_p_leaves_asn_unchanged(self):
+        base = P_for_Q()
+        scaled = poly_matrix([[poly([Fraction(c, 6) for c in entry])
+                               for entry in row] for row in base.entries])
+        assert asn(scaled) == asn(base)
 
 
 class TestAsnCertificate:

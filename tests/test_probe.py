@@ -106,6 +106,15 @@ class TestPolyFamilySlope:
         assert got == tuple(expect)
         assert all(type(x) is float for x in got)
 
+    @pytest.mark.parametrize("text", ["{1,3}{} / {1}{3}", "{1}{} / {}{1}"])
+    def test_size_mismatch_rejected_before_any_svd(self, text, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD reached with a mismatched P")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(ValueError, match="column count must equal"):
+            eval_poly_family_slope(log_of(text),
+                                   parse_poly_matrix("1, 0\n0, e\n"))
+
     def test_p_evaluated_once_per_eps(self, monkeypatch):
         calls = []
 

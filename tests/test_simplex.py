@@ -1,6 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from minorcones import simplex
+from minorcones.cones import (KoteljanskiiCertificate, MembershipCertificate,
+                              build_D_system, build_E_system,
+                              koteljanskii_cone_membership, membership)
+from minorcones.constants import R1, counterexample_E4
+from minorcones.exact import CertificateError, dot
+from minorcones.ratios import FormalLog, koteljanskii_generators, log_of
 from minorcones.simplex import nonnegative_combination
 
 
@@ -46,6 +59,31 @@ def fraction_tableau(columns, target):
                 x[var] = rows[i][-1]
         return x, None
     return None, [signs[i] * (1 - z[k + i]) for i in range(m)]
+
+
+def fraction_membership(v, system):
+    """Reference: E/D membership with the inner products summed in
+    Fractions, as the package computed them before integer dot products."""
+    products = tuple((label, Fraction(sum(a * b for a, b in
+                                          zip(v.exponents, row))))
+                     for label, row in zip(system.labels,
+                                           system.inequalities))
+    witness = next((p for p in products if p[1] < 0), None)
+    return MembershipCertificate(witness is None, products, witness)
+
+
+def fraction_koteljanskii(v):
+    """Reference: cone(K_n) membership through `fraction_tableau`."""
+    gens = koteljanskii_generators(v.ground_size)
+    x, y = fraction_tableau([vec for _, vec in gens], v.exponents)
+    if x is not None:
+        return KoteljanskiiCertificate(
+            True, tuple((gens[j][0], c) for j, c in enumerate(x) if c), None)
+    return KoteljanskiiCertificate(False, None, tuple(-val for val in y))
+
+
+def all_fractions(values):
+    return all(type(val) is Fraction for val in values)
 
 
 class TestFeasible:
@@ -183,3 +221,133 @@ class TestRandomized:
         for cols, target in cases:
             assert (nonnegative_combination(cols, target)
                     == fraction_tableau(cols, target))
+
+
+def tampered(corrupt):
+    """A stand-in for simplex._phase_one that corrupts the tableau it
+    leaves behind: corrupt(rows, z, basis, d) edits it in place."""
+    solve = simplex._phase_one
+
+    def phase_one(rows, z, basis):
+        d = solve(rows, z, basis)
+        corrupt(rows, z, basis, d)
+        return d
+    return phase_one
+
+
+def bump_basic_value(rows, z, basis, d):
+    k = len(z) - 1 - len(rows)
+    i = next(i for i, var in enumerate(basis) if var < k)
+    rows[i][-1] += d
+
+
+def zero_dual(rows, z, basis, d):
+    k = len(z) - 1 - len(rows)
+    for i in range(len(rows)):
+        z[k + i] = d
+
+
+class TestIntegerCertificateChecks:
+    COLS = [(F(1), F(0)), (F(0), F(1))]
+
+    def test_corrupted_basis_value_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_phase_one", tampered(bump_basic_value))
+        with pytest.raises(CertificateError, match="nonnegative combination"):
+            nonnegative_combination(self.COLS, (F(3), F(5)))
+
+    def test_negated_basis_value_raises(self, monkeypatch):
+        def negate(rows, z, basis, d):
+            for row in rows:
+                row[-1] = -row[-1]
+        monkeypatch.setattr(simplex, "_phase_one", tampered(negate))
+        with pytest.raises(CertificateError, match="nonnegative combination"):
+            nonnegative_combination(self.COLS, (F(3), F(5)))
+
+    def test_corrupted_dual_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_phase_one", tampered(zero_dual))
+        with pytest.raises(CertificateError, match="Farkas"):
+            nonnegative_combination(self.COLS, (F(-1), F(0)))
+
+    def test_corrupted_koteljanskii_dual_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_phase_one", tampered(zero_dual))
+        with pytest.raises(CertificateError, match="Farkas"):
+            koteljanskii_cone_membership(R1())
+
+    def test_corrupted_dual_caught_under_O(self):
+        script = (
+            "from fractions import Fraction as F\n"
+            "from minorcones import simplex\n"
+            "from minorcones.exact import CertificateError\n"
+            "solve = simplex._phase_one\n"
+            "def phase_one(rows, z, basis):\n"
+            "    d = solve(rows, z, basis)\n"
+            "    k = len(z) - 1 - len(rows)\n"
+            "    for i in range(len(rows)):\n"
+            "        z[k + i] = d\n"
+            "    return d\n"
+            "simplex._phase_one = phase_one\n"
+            "try:\n"
+            "    simplex.nonnegative_combination([(1, 0), (0, 1)],\n"
+            "                                    (F(-1), F(0)))\n"
+            "except CertificateError as err:\n"
+            "    print('debug', __debug__, 'raised', err)\n")
+        src = str(Path(simplex.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("debug False raised")
+        assert "Farkas" in done.stdout
+
+
+def rational_logs():
+    """n = 4 logs with non-integer exponents: parsed ratios with `^p/q`
+    exponents, and seeded rational sums of Koteljanskii logs (members)
+    and of signed ones (mostly non-members)."""
+    out = [
+        log_of("{1,2}^1/2{}^1/2 / {1}^1/2{2}^1/2", 4),
+        log_of("{1,2,3,4}^3/2{1,3,4}^3/2{1,2}^3/2{1,4}^3/2{2,3}^3/2"
+               "{2,4}^3/2{3}^3/2{}^3/2 / {1,2,3}^3/2{1,2,4}^3/2"
+               "{2,3,4}^3/2{1,3}^3/2{3,4}^3/2{1}^3/2{2}^3/2{4}^3/2", 4),
+        FormalLog(4, tuple(x / 3 for x in R1().exponents)),
+        FormalLog(4, tuple(x / 6 for x in counterexample_E4().exponents)),
+    ]
+    rng = random.Random(8)
+    gens = [vec for _, vec in koteljanskii_generators(4)]
+    for k in range(40):
+        vec = [F(0)] * 16
+        for _ in range(rng.randint(1, 4)):
+            c = Fraction(rng.randint(1, 5), rng.choice((2, 3, 4, 6)))
+            if k % 2:
+                c = rng.choice((-1, 1)) * c
+            vec = [a + c * g for a, g in zip(vec, rng.choice(gens))]
+        out.append(FormalLog(4, tuple(vec)))
+    return out
+
+
+class TestRationalInputsMatchFractionOracles:
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    def test_membership_certificates(self, build):
+        system = build(4)
+        verdicts = set()
+        for v in rational_logs():
+            cert = membership(v, system)
+            assert cert == fraction_membership(v, system)
+            assert all_fractions(val for _, val in cert.inner_products)
+            assert cert.witness is None or type(cert.witness[1]) is Fraction
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    def test_koteljanskii_certificates(self):
+        verdicts = set()
+        for v in rational_logs():
+            cert = koteljanskii_cone_membership(v)
+            assert cert == fraction_koteljanskii(v)
+            if cert.verdict:
+                assert all_fractions(c for _, c in cert.combination)
+            else:
+                assert all_fractions(cert.hyperplane)
+                assert dot(cert.hyperplane, v.exponents) < 0
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
