@@ -3,10 +3,10 @@ nullity types: the half-degree d_S of the dominating term C_S * eps^(2 d_S)
 of each principal minor of P(eps)^T P(eps).
 
 Polynomials have rational coefficients: ints where the input gave ints,
-Fractions where it gave anything else (a parsed polynomial has Fraction
-coefficients).  `asn` scales P by the lcm of its coefficient denominators
-once, so the Gram matrix and its minors are computed over Z[e] on Python
-ints; `poly_det_bareiss` and `p_divexact` divide exactly in Z[e].
+Fractions where it gave anything else (a parsed polynomial has ints for its
+integral coefficients).  `asn` scales P by the lcm of its coefficient
+denominators once, so the Gram matrix and its minors are computed over Z[e]
+on Python ints; `poly_det_bareiss` and `p_divexact` divide exactly in Z[e].
 Fractions stay in parsing, formatting and the cofactor oracle.
 """
 
@@ -134,7 +134,10 @@ def parse_poly(text: str) -> Poly:
             deg = int(m.group("deg")) if m.group("deg") else 1
         coeffs[deg] = coeffs.get(deg, Fraction(0)) + coef
     top = max(coeffs)
-    return poly([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+    # Integral coefficients become ints, which p_eval converts to float
+    # without Fraction.__float__ at every point.
+    return poly([c.numerator if c.denominator == 1 else c
+                 for c in (coeffs.get(i, 0) for i in range(top + 1))])
 
 
 def format_poly(a: Poly) -> str:

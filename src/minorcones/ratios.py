@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -329,31 +329,176 @@ def delete_index(v: FormalLog, i: int) -> FormalLog:
     return FormalLog(n - 1, tuple(out))
 
 
-# Matrices factored per call in batch_log_minors: large enough to amortise
-# numpy's per-call overhead, small enough that the gathered submatrices of a
-# 1e5-matrix stack never all sit in memory at once.
-CHOLESKY_CHUNK = 4096
+# The largest elimination level of batch_log_minors (states times kept rows
+# squared) holds at most this many n x n matrices' worth of doubles per chunk:
+# large enough to amortise numpy's per-call overhead, small enough that a
+# 1e5-matrix stack is never expanded in memory all at once.
+LOG_MINOR_CHUNK = 4096
+
+
+def _index(positions: List[int]):
+    """A slice over consecutive positions, which numpy serves as a view,
+    else an index array, which it serves as a gather."""
+    first = positions[0] if positions else 0
+    if positions == list(range(first, first + len(positions))):
+        return slice(first, first + len(positions))
+    return np.array(positions, dtype=np.intp)
+
+
+def _block(states: List[int], rows: List[int]):
+    """Indices into a (states, rows, rows, count) stack selecting the given
+    states' rows x rows blocks, their column 0 and their row 0 at those
+    rows: basic slices when both lists are runs."""
+    s, r = _index(states), _index(rows)
+    if isinstance(s, slice) and isinstance(r, slice):
+        return (s, r, r), (s, r, 0), (s, 0, r)
+    s = np.array(states, dtype=np.intp)[:, None]
+    r = np.array(rows, dtype=np.intp)
+    return ((s[:, :, None], r[None, :, None], r[None, None, :]),
+            (s, r[None, :], 0), (s, 0, r[None, :]))
+
+
+class _Step(NamedTuple):
+    """One level of the elimination, at index k: the states whose masks take
+    k pivot on it, the masks whose last member is k complete, and the next
+    level stacks the pivoted states, then the states whose masks skip k."""
+    pivot: object           # states pivoting on k
+    done: object            # output rows completing at k ...
+    done_from: object       # ... and the pivot each one reads
+    cont: object            # pivots whose state has masks past k
+    cont_count: int
+    sub: tuple              # their Schur blocks, column 0 and row 0 at the
+    col: tuple              # next level's rows
+    row: tuple
+    skip: Optional[tuple]   # the skipping states' blocks at those rows
+    skip_states: object
+    shape: Tuple[int, int]  # next level: (states, rows)
+
+
+class _Plan(NamedTuple):
+    masks: Tuple[int, ...]  # distinct requested masks, in the given order
+    rows: tuple             # the gather of the first level from a matrix
+    chunk: int
+    steps: Tuple[_Step, ...]
+
+
+@lru_cache(maxsize=256)
+def _log_minor_plan(n: int, masks: Tuple[int, ...]) -> _Plan:
+    """The trie of the masks' sorted member lists as stacked levels.  A state
+    is a prefix that some pending mask continues, held as the list of those
+    masks; the states of a level share one list of rows, the indices a
+    pending mask still needs."""
+    order = tuple(dict.fromkeys(masks))
+    for mask in order:
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"subset mask {mask} outside 1..{n}")
+    out_row = {mask: i for i, mask in enumerate(order)}
+
+    def needed(states, low):
+        union = 0
+        for pending in states:
+            for mask in pending:
+                union |= mask
+        return [i for i in range(low, n) if union >> i & 1]
+
+    states = [[mask for mask in order if mask]]
+    root = rows = needed(states, 0)
+    largest = max(1, len(root) ** 2)
+    steps = []
+    for k in root:
+        pivot, done, cont, skip, pivoted, skipped = [], [], [], [], [], []
+        for at, pending in enumerate(states):
+            take = [mask for mask in pending if mask >> k & 1]
+            if take:
+                done += [(out_row[mask], len(pivot))
+                         for mask in take if mask >> k == 1]
+                more = [mask for mask in take if mask >> k > 1]
+                if more:
+                    cont.append(len(pivot))
+                    pivoted.append(more)
+                pivot.append(at)
+            leave = [mask for mask in pending if not mask >> k & 1]
+            if leave:
+                skip.append(at)
+                skipped.append(leave)
+        new_states = pivoted + skipped
+        new_rows = needed(new_states, k + 1)
+        sel = [rows.index(i) for i in new_rows]
+        largest = max(largest, len(new_states) * len(new_rows) ** 2)
+        done.sort()
+        cont_states = [pivot[j] for j in cont]
+        sub, col, row = _block(cont_states, sel)
+        steps.append(_Step(
+            _index(pivot), _index([i for i, _ in done]),
+            _index([j for _, j in done]), _index(cont), len(cont),
+            sub, col, row, _block(skip, sel)[0] if skip else None,
+            _index(skip), (len(new_states), len(new_rows))))
+        states, rows = new_states, new_rows
+    return _Plan(order, _block([0], root)[0],
+                 max(1, LOG_MINOR_CHUNK * n * n // largest), tuple(steps))
 
 
 def batch_log_minors(batch: np.ndarray,
                      masks: Sequence[int]) -> Dict[int, np.ndarray]:
-    """log det A[S] for each requested nonempty subset mask S, over a stack
-    of matrices of shape (count, n, n): one Cholesky factorization per mask
-    and matrix, so a principal submatrix that is not numerically positive
-    definite raises NotPositiveDefiniteError naming its subset."""
-    count = batch.shape[0]
-    out = {mask: np.empty(count) for mask in masks}
-    for start in range(0, count, CHOLESKY_CHUNK):
-        chunk = batch[start:start + CHOLESKY_CHUNK]
-        for mask, logdet in out.items():
-            idx = [i - 1 for i in members_of(mask)]
-            try:
-                chol = np.linalg.cholesky(chunk[:, idx][:, :, idx])
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefiniteError(members_of(mask)) from None
-            diag = np.diagonal(chol, axis1=-2, axis2=-1)
-            logdet[start:start + len(chunk)] = 2.0 * np.log(diag).sum(axis=-1)
-    return out
+    """log det A[S] for each requested subset mask S (the empty one gives 0),
+    over a stack of matrices of shape (count, n, n).
+
+    One Schur-complement elimination serves all masks: the masks' sorted
+    member lists form a trie, and a trie node P holds the Schur complement
+    of A after pivoting on P, plus the sum of the logs of its pivots.  At
+    index k a node whose masks take k pivots on it, S' = S[1:,1:] -
+    S[1:,0] * (S[0,1:] / p), and a node whose masks skip k drops that row
+    and column; log det A[S] is the sum of the log-pivots along S's path.
+    Each operation is elementwise along a path that depends on S alone, so
+    each value is bitwise independent of the other masks requested and of
+    how the stack is chunked.  For a symmetric A[S], all pivots are positive
+    iff A[S] is positive definite; a pivot that is not positive and finite
+    makes the log-minor non-finite, and NotPositiveDefiniteError names the
+    first such subset in the given order.
+    """
+    count, n = batch.shape[0], batch.shape[-1]
+    plan = _log_minor_plan(n, tuple(masks))
+    values = np.zeros((len(plan.masks), count))
+    for start in range(0, count, plan.chunk):
+        chunk = batch[start:start + plan.chunk]
+        stop = start + len(chunk)
+        with np.errstate(all="ignore"):
+            _eliminate(chunk, plan, values[:, start:stop])
+        finite = np.isfinite(values[:, start:stop])
+        if not finite.all():
+            first = int(np.argmin(finite.all(axis=1)))
+            raise NotPositiveDefiniteError(members_of(plan.masks[first]))
+    return dict(zip(plan.masks, values))
+
+
+def _eliminate(chunk: np.ndarray, plan: _Plan, values: np.ndarray) -> None:
+    """Run plan's steps on a chunk of shape (count, n, n), writing each
+    mask's log-minors into its row of values.  A level is stacked as
+    (states, rows, rows, count), so every operation runs along the count."""
+    level = np.ascontiguousarray(chunk.transpose(1, 2, 0)[None][plan.rows])
+    logsum = np.zeros((1, len(chunk)))
+    for step in plan.steps:
+        pivots = level[step.pivot, 0, 0]
+        logs = logsum[step.pivot] + np.log(pivots)
+        values[step.done] = logs[step.done_from]
+        if not step.shape[0]:
+            return
+        # One new array holds the next level: the pivoted states' Schur
+        # complements, computed into it, then the skipping states' blocks.
+        # Where the states form one chain, the indices are slices (views),
+        # not gathers.
+        states, rows = step.shape
+        nxt = np.empty((states, rows, rows, len(chunk)))
+        if step.cont_count:
+            pivoted = nxt[:step.cont_count]
+            scaled = level[step.row] / pivots[step.cont][:, None]
+            np.multiply(level[step.col][:, :, None], scaled[:, None],
+                        out=pivoted)
+            np.subtract(level[step.sub], pivoted, out=pivoted)
+        if step.skip is not None:
+            nxt[step.cont_count:] = level[step.skip]
+        level = nxt
+        logsum = np.concatenate((logs[step.cont], logsum[step.skip_states]))
 
 
 def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray]):

@@ -82,7 +82,7 @@ def nonnegative_combination(
     basis = [k + i for i in range(m)]
     # Reduced-cost row for cost vector (0,...,0,1,...,1): start from the
     # artificial basis, i.e. subtract every constraint row.
-    z = [-sum(row[j] for row in rows) for j in range(k + m + 1)]
+    z = [-sum(col) for col in zip(*rows)] if rows else [0] * (k + 1)
     for i in range(m):
         z[k + i] += 1
     d = _phase_one(rows, z, basis)

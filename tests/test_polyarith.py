@@ -25,6 +25,20 @@ class TestPolyBasics:
         assert parse_poly("-e^3") == poly([0, 0, 0, -1])
         assert parse_poly("0") == poly([])
 
+    def test_integral_coefficients_parse_to_ints(self):
+        p = parse_poly("3 + 4/2*e - 3/2*e^2 + 0*e^3 - e^4")
+        assert p == (3, 2, Fraction(-3, 2), 0, -1)
+        assert [type(c) for c in p] == [int, int, Fraction, int, int]
+        # The same values as Fraction coefficients convert to the same
+        # floats, so the eps-matrices of a parsed P are unchanged.
+        pm = parse_poly_matrix("1 + 2*e, 3/2*e^2\n-e, 7 - 5*e^3\n")
+        as_fractions = polyarith.PolyMatrix(2, tuple(
+            tuple(tuple(Fraction(c) for c in entry) for entry in row)
+            for row in pm.entries))
+        for eps in (1.0, 0.3, 1e-3, 1e-7, 2.5e-11):
+            assert (polyarith.eval_poly_matrix(pm, eps).tobytes()
+                    == polyarith.eval_poly_matrix(as_fractions, eps).tobytes())
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("1 + x")

@@ -1,4 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorcones import ratios
-from minorcones.ratios import (CHOLESKY_CHUNK, FormalLog,
+from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                NotPositiveDefiniteError, RatioSyntaxError,
                                apply_complement, apply_permutation,
                                batch_log_minors, delete_index,
@@ -298,7 +304,7 @@ class TestLogMinorKernel:
         assert evaluate_log_ratio(v, np.eye(3)) == 0.0
 
     def test_matches_slogdet_across_a_chunk_boundary(self):
-        count = CHOLESKY_CHUNK + 3
+        count = LOG_MINOR_CHUNK + 3
         stack = _pd_stack(count, 4, seed=2)
         minors = batch_log_minors(stack, range(1, 16))
         assert sorted(minors) == list(range(1, 16))
@@ -312,10 +318,145 @@ class TestLogMinorKernel:
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
         masks = [m for m in subset_order(3) if 0 < m.bit_count() <= 2]
         for stack in (a[None], np.concatenate(
-                [np.broadcast_to(np.eye(3), (CHOLESKY_CHUNK, 3, 3)), a[None]])):
+                [np.broadcast_to(np.eye(3), (LOG_MINOR_CHUNK, 3, 3)), a[None]])):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 batch_log_minors(stack, masks)
             assert err.value.subset == (1, 3)
+
+    def test_each_mask_equals_its_own_call_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in range(3, 8):
+            stack = _pd_stack(25, n, seed=n)
+            for _ in range(4):
+                masks = [int(m) for m in rng.integers(1, 1 << n, size=12)]
+                minors = batch_log_minors(stack, masks)
+                for mask, logdet in minors.items():
+                    assert logdet.tobytes() == batch_log_minors(
+                        stack, [mask])[mask].tobytes()
+        # Across chunk boundaries, which differ between the two calls.
+        stack = _pd_stack(LOG_MINOR_CHUNK + 3, 4, seed=5)
+        minors = batch_log_minors(stack, range(1, 16))
+        for mask in (1, 6, 11, 15):
+            assert minors[mask].tobytes() == batch_log_minors(
+                stack, [mask])[mask].tobytes()
+            assert minors[mask][-2:].tobytes() == batch_log_minors(
+                stack[-2:], [mask])[mask].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_slogdet_on_mask_families(self, n):
+        full = (1 << n) - 1
+        rng = np.random.default_rng(n)
+        random_masks = [int(m) for m in rng.integers(1, full + 1, size=10)]
+        families = {
+            "duplicates": [full, 1, full, 1] + random_masks[:3] * 2,
+            # Lowest members all differ, so no two masks share a pivot.
+            "no shared prefix": [
+                mask_of([k] + [i for i in range(k + 1, n + 1)
+                               if rng.random() < 0.5])
+                for k in range(1, n + 1)],
+            "singletons": [1 << k for k in range(n)],
+            "full": [full],
+            "random": random_masks,
+        }
+        stack = _pd_stack(20, n, seed=n)
+        for name, masks in families.items():
+            minors = batch_log_minors(stack, masks)
+            assert list(minors) == list(dict.fromkeys(masks)), name
+            for mask, logdet in minors.items():
+                idx = [i - 1 for i in members_of(mask)]
+                sign, ref = np.linalg.slogdet(stack[:, idx][:, :, idx])
+                assert np.all(sign > 0)
+                np.testing.assert_allclose(logdet, ref, rtol=1e-12, atol=0,
+                                           err_msg=name)
+
+    def test_zero_pivot_names_the_singular_subset(self):
+        # The Gram matrix of the columns (1,0,0), (1,0,0), (0,1,0),
+        # (0,0,1): PSD, with columns 1 and 2 equal.  Pivoting on 1 leaves
+        # exactly 1 - 1*1/1 = 0 at index 2.
+        b = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        a = (b.T @ b)[None]
+        assert batch_log_minors(a, [1, 2, 4, 8, 13])[13].tolist() == [0.0]
+        for masks, subset in (([1, 5, 13, 3, 15], (1, 2)),
+                              ([1, 5, 15, 3], (1, 2, 3, 4)),
+                              ([4, 7, 3], (1, 2, 3))):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                batch_log_minors(a, masks)
+            assert err.value.subset == subset
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_inside_a_submatrix_raises(self, bad):
+        base = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]])
+        masks = [1, 5, 3, 7]
+        for (i, j), subset in (((0, 0), (1,)), ((1, 1), (1, 2)),
+                               ((0, 1), (1, 2)), ((1, 0), (1, 2)),
+                               ((0, 2), (1, 3)), ((2, 1), (1, 2, 3))):
+            a = base.copy()
+            a[i, j] = bad
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                batch_log_minors(np.stack([base, a]), masks)
+            assert err.value.subset == subset, (i, j)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            batch_log_minors(np.diag([1.0, bad, 1.0])[None], [7, 3])
+        assert err.value.subset == (1, 2, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_outside_every_submatrix(self, bad):
+        base = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]])
+        for masks, entries in (([3, 4], [(0, 2), (2, 0), (1, 2), (2, 1)]),
+                               ([1, 4], [(0, 2), (2, 0), (1, 1)]),
+                               ([1, 2], [(2, 2), (0, 2), (2, 1)])):
+            clean = batch_log_minors(base[None], masks)
+            for i, j in entries:
+                a = base.copy()
+                a[i, j] = bad
+                got = batch_log_minors(a[None], masks)
+                for mask in masks:
+                    assert got[mask].tobytes() == clean[mask].tobytes()
+
+    def test_non_finite_check_runs_without_asserts(self):
+        script = (
+            "import numpy as np\n"
+            "from minorcones.ratios import NotPositiveDefiniteError, "
+            "batch_log_minors\n"
+            "try:\n"
+            "    batch_log_minors(np.diag([1.0, np.nan, 1.0])[None], [7, 3])\n"
+            "except NotPositiveDefiniteError as err:\n"
+            "    print('debug', __debug__, 'raised', err.subset)\n")
+        src = str(Path(ratios.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "debug False raised (1, 2, 3)"
+
+    def test_memory_stays_within_the_chunk_bound(self):
+        # The masks of complement_ratio_check at n = 16: the largest level
+        # (states x kept rows^2) holds several times the doubles of one
+        # full matrix, so the chunk shrinks to keep each level array
+        # within LOG_MINOR_CHUNK full matrices.  A step holds at most
+        # three such arrays (this level, the next, and one gathered block)
+        # beside the output.
+        n, count = 16, 8192
+        full = (1 << n) - 1
+        masks = ([1 << k for k in range(n)]
+                 + [full ^ (1 << k) for k in range(n)])
+        stack = _pd_stack(count, n, seed=8)
+        batch_log_minors(stack[:2], masks)
+        tracemalloc.start()
+        try:
+            batch_log_minors(stack, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = len(masks) * count * 8
+        level = LOG_MINOR_CHUNK * n * n * 8
+        assert peak <= output + 3 * level
+
+    def test_rejects_a_mask_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            batch_log_minors(np.eye(3)[None], [1, 9])
 
     def test_positive_determinant_is_not_enough(self):
         a = np.diag([-1.0, -1.0, 1.0])

@@ -131,6 +131,14 @@ class TestInfeasible:
         x, y = nonnegative_combination([], (F(1),))
         assert x is None and y[0] > 0
 
+    def test_empty_target(self):
+        # m = 0: no constraint rows, so the reduced-cost row is k + 1 zeros
+        # and every generator gets weight 0.
+        for k in (0, 1, 3):
+            cols = [()] * k
+            assert nonnegative_combination(cols, ()) == ([F(0)] * k, None)
+            assert fraction_tableau(cols, ()) == ([F(0)] * k, None)
+
 
 class TestRandomized:
     def test_known_feasible_points_recovered(self):
