@@ -5,8 +5,10 @@ exact, so no floating point enters any function in this module.  The hot
 kernels run on Python ints: `clear_denominators` scales a rational vector
 to integers once, `primitive` and `bareiss_rank` work on its output, and
 `as_fractions` turns an integer result back into reported Fractions.
-`rref`, `det` and `rank_by_minors` stay on Fractions (`rref` feeds only
-the cached homogeneity basis and the brute-force ray oracle).
+`rref`, `kernel_basis`, `det` and `rank_by_minors` stay on Fractions:
+`rref` and `kernel_basis` serve only the brute-force ray oracle
+(`cones.brute_force_rays`) and the tests, since the homogeneity basis has a
+closed form (`ratios.homogeneity_basis`).
 """
 
 from fractions import Fraction

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import CertificateError, clear_denominators, rank
-from .ratios import h_coordinates
+from .ratios import MAX_GROUND_SIZE, h_coordinates
 from .subsets import format_subset, group_gathers, mask_of, members_of
 
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
@@ -106,10 +106,14 @@ class NullityType:
 
 
 def nullity_type(m: RationalMatrix) -> NullityType:
+    n = len(m[0]) if m else 0
+    # One rank per column subset: 2^n of them.
+    if n > MAX_GROUND_SIZE:
+        raise ValueError(f"matrix has {n} columns; at most "
+                         f"{MAX_GROUND_SIZE} are supported")
     # Scaling a row changes the rank of no column submatrix, so each row is
     # cleared of denominators once rather than once per column subset.
     rows = [clear_denominators(row)[0] for row in m]
-    n = len(m[0]) if m else 0
     entries = []
     for mask in range(1 << n):
         cols = [i - 1 for i in members_of(mask)]

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .exact import CertificateError, clear_denominators
-from .ratios import FormalLog
+from .ratios import MAX_GROUND_SIZE, FormalLog
 from .subsets import members_of
 
 # Dense univariate polynomials over the rationals: coefficient tuples with
@@ -297,6 +297,10 @@ def asn(p: PolyMatrix) -> AsnVector:
     minor on S then scales by L^(2|S|) > 0, which changes neither d_S nor
     the sign of C_S, and the Gram minors are computed over Z[e]."""
     n = p.size
+    # One polynomial determinant per subset: 2^n of them.
+    if n > MAX_GROUND_SIZE:
+        raise ValueError(f"matrix has {n} columns; at most "
+                         f"{MAX_GROUND_SIZE} are supported")
     flat = [c for row in p.entries for entry in row for c in entry]
     ints = iter(clear_denominators(flat)[0])
     a = gram(PolyMatrix(n, tuple(tuple(tuple(next(ints) for _ in entry)

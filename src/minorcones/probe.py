@@ -12,11 +12,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
-from .exact import CertificateError, dot
+from .exact import CertificateError, as_fractions, dot
 from .nullity import RationalMatrix, matrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
 from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
-                     batch_log_minors, evaluate_log_ratio, homogeneity_basis,
+                     batch_log_minors, evaluate_log_ratio, h_lift,
                      is_homogeneous, is_koteljanskii_ray, log_of,
                      log_ratio_from_minors)
 from .subsets import members_of
@@ -250,18 +250,15 @@ def decomposition_check() -> bool:
 
 def random_homogeneous_log(n: int, rng: np.random.Generator) -> FormalLog:
     """Random nonzero integer vector in log(H_n), a {-1, 0, 1} combination
-    of a primitive basis of the homogeneity subspace."""
-    basis = homogeneity_basis(n)
+    of homogeneity_basis(n), drawn again while all coefficients are zero
+    (the basis is independent, so no other draw gives zero)."""
+    if n < 2:
+        raise ValueError("log(H_n) is zero for n < 2")
     while True:
-        coeffs = rng.integers(-1, 2, size=len(basis))
-        if not np.any(coeffs):
-            continue
-        vec = [Fraction(0)] * (1 << n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                vec = [x + int(c) * y for x, y in zip(vec, b)]
-        if any(vec):
-            return FormalLog(n, tuple(Fraction(x) for x in vec))
+        coeffs = rng.integers(-1, 2, size=(1 << n) - n - 1)
+        if np.any(coeffs):
+            return FormalLog(n, tuple(as_fractions(
+                h_lift(coeffs.tolist(), n), 1)))
 
 
 def random_rank_deficient_matrix(n: int, rng: np.random.Generator

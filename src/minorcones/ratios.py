@@ -6,21 +6,22 @@ positive rational exponents (RatioSpec), or as its formal logarithm
 fixed so that all entries sum to zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import (as_fractions, clear_denominators, dot, kernel_basis,
-                    primitive)
+from .exact import as_fractions, clear_denominators, dot, primitive
 from .subsets import (check_permutation, format_subset, image_gather,
                       mask_of, members_of, subset_order)
 
-# Largest ground size a parsed ratio may have: a formal log holds 2^n
-# entries, and the largest supported constraint system has n = 10.
+# Largest ground size a parsed ratio, a sampled matrix, or a matrix given to
+# `nullity_type` or `asn` may have: a formal log holds 2^n entries, a
+# nullity type or asn takes one rank or determinant per subset, and the
+# largest supported constraint system has n = 10.
 MAX_GROUND_SIZE = 16
 
 # The exponent of a term written without `^`, shared since Fractions are
@@ -61,15 +62,23 @@ class RatioSpec:
 
 @dataclass(frozen=True)
 class FormalLog:
-    """Subset-indexed rational exponent vector summing to zero."""
+    """Subset-indexed rational exponent vector summing to zero.
+
+    `cleared` is the integer form (d * exponents, d) of
+    `clear_denominators`, kept from the sum-zero check; it takes no part in
+    equality or repr."""
     ground_size: int
     exponents: Tuple[Fraction, ...]
+    cleared: Tuple[Tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.exponents) != 1 << self.ground_size:
             raise ValueError("exponent vector has wrong length")
-        if sum(clear_denominators(self.exponents)[0]) != 0:
+        ints, d = clear_denominators(self.exponents)
+        if sum(ints) != 0:
             raise ValueError("formal logarithm must sum to zero")
+        object.__setattr__(self, "cleared", (tuple(ints), d))
 
     def __getitem__(self, mask: int) -> Fraction:
         return self.exponents[mask]
@@ -77,11 +86,23 @@ class FormalLog:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.exponents)
 
+    # The numeric forms are built on first use and kept; like `cleared`,
+    # they take no part in equality or repr.
+    @cached_property
+    def _support(self) -> Tuple[int, ...]:
+        return tuple(mask for mask in subset_order(self.ground_size)
+                     if mask and self.exponents[mask])
+
+    @cached_property
+    def _weights(self) -> Tuple[float, ...]:
+        """The support's exponents as floats, which may overflow where the
+        exact forms do not."""
+        return tuple(float(self.exponents[mask]) for mask in self._support)
+
     def support(self) -> List[int]:
         """Nonempty subsets with a nonzero exponent, in subset_order: the
         minors a numeric evaluation needs, in the order it adds them."""
-        return [mask for mask in subset_order(self.ground_size)
-                if mask and self.exponents[mask]]
+        return list(self._support)
 
 
 def _normalize_empty(n: int, acc: Dict[int, int], d: int) -> FormalLog:
@@ -242,21 +263,69 @@ def homogeneity_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _quotient_masks(n: int) -> Tuple[int, ...]:
+    """The subsets with at least two members, in increasing mask order: one
+    homogeneity-basis vector b_S each."""
+    return tuple(s for s in range(1 << n) if s.bit_count() >= 2)
+
+
+def _add_basis_vector(out: List, s: int, c) -> None:
+    """out += c * b_S, where b_S = e_S - sum_{i in S} e_{i} + (|S|-1) e_{}."""
+    out[s] += c
+    out[0] += (s.bit_count() - 1) * c
+    while s:
+        low = s & -s
+        out[low] -= c
+        s ^= low
+
+
+@lru_cache(maxsize=None)
 def homogeneity_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     """Primitive integer basis of the homogeneity subspace log(H_n), the
-    orthogonal complement of the homogeneity vectors."""
-    return tuple(kernel_basis(homogeneity_vectors(n), 1 << n))
+    orthogonal complement of the homogeneity vectors: b_S for |S| >= 2 in
+    increasing mask order.  It is the kernel basis elimination gives, with
+    {} and the singletons as pivots and b_S the vector that is 1 on the
+    free coordinate S and 0 on the other free ones."""
+    out = []
+    for s in _quotient_masks(n):
+        vec = [0] * (1 << n)
+        _add_basis_vector(vec, s, 1)
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 def h_coordinates(row: Sequence, n: int) -> Tuple:
-    """The dot products of a mask-indexed row with homogeneity_basis(n): the
-    constraint the row imposes on log(H_n).  Two rows have equal coordinates
-    iff they differ by a vector in the span of the homogeneity vectors."""
-    return tuple(dot(row, b) for b in homogeneity_basis(n))
+    """B * row for B = homogeneity_basis(n): the constraint the row imposes
+    on log(H_n), row[S] - sum_{i in S} row[{i}] + (|S|-1) row[{}] for each
+    |S| >= 2.  Two rows have equal coordinates iff they differ by a vector
+    in the span of the homogeneity vectors."""
+    if len(row) != 1 << n:
+        raise ValueError(f"subset-indexed row has {len(row)} entries, "
+                         f"expected 2^{n} = {1 << n}")
+    singles = [0] * (1 << n)   # singles[S] = sum_{i in S} row[{i}]
+    for s in range(1, 1 << n):
+        low = s & -s
+        singles[s] = singles[s ^ low] + row[low]
+    empty = row[0]
+    return tuple(row[s] - singles[s] + (s.bit_count() - 1) * empty
+                 for s in _quotient_masks(n))
+
+
+def h_lift(coords: Sequence, n: int) -> List:
+    """B^T * coords = sum_S coords_S * b_S for B = homogeneity_basis(n):
+    the vector of log(H_n) with these coefficients on the basis."""
+    masks = _quotient_masks(n)
+    if len(coords) != len(masks):
+        raise ValueError(f"{len(coords)} coordinates, expected {len(masks)}")
+    out = [0] * (1 << n)
+    for s, c in zip(masks, coords):
+        if c:
+            _add_basis_vector(out, s, c)
+    return out
 
 
 def is_homogeneous(v: FormalLog) -> bool:
-    ints, _ = clear_denominators(v.exponents)
+    ints, _ = v.cleared
     return all(dot(ints, h) == 0 for h in homogeneity_vectors(v.ground_size))
 
 
@@ -506,8 +575,8 @@ def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray]):
     shape), added in that order so that each matrix of a stack gets the
     value it gets on its own.  The zero log gives 0.0."""
     total = 0.0
-    for mask in v.support():
-        total = total + float(v.exponents[mask]) * minors[mask]
+    for mask, weight in zip(v._support, v._weights):
+        total = total + weight * minors[mask]
     return total
 
 
@@ -520,6 +589,6 @@ def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
     if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
     stack = a.reshape(-1, n, n)
-    minors = batch_log_minors(stack, v.support())
+    minors = batch_log_minors(stack, v._support)
     total = np.zeros(len(stack)) + log_ratio_from_minors(v, minors)
     return float(total[0]) if a.ndim == 2 else total

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -105,7 +106,23 @@ class TestMembership:
         assert "ground size 40" in err and "16" in err
 
 
+# sha256 of the `extreme-rays` text output, which is byte-stable.
+RAYS_TEXT_SHA256 = {
+    ("E", 3): "27fcc196dfbd5fcd25aaec60aa9b2aa6f603df814dda726d8e1a546ee460167f",
+    ("E", 4): "6c804bec6c92aa7f0d6a99f3ea1f97f970cb321813fda2de83ef53b03f1736b9",
+    ("E", 5): "3acac2b89f9e0604684ffa54f181d6873e6e65bc5c1612fd32767f9b6f93c416",
+    ("D", 3): "b63737c7e15278a0625db76d5e84616f7cb436f0bb6e1251221aa8c559adda2d",
+    ("D", 4): "dcc481e133d693ba3ab954114dc226f749027381b8de7d480a9d903e6dbe43ab",
+}
+
+
 class TestExtremeRays:
+    @pytest.mark.parametrize("system,n", sorted(RAYS_TEXT_SHA256))
+    def test_text_output_is_pinned(self, system, n, capsys):
+        assert main(["extreme-rays", "--system", system, "--n", str(n)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == RAYS_TEXT_SHA256[system, n]
+
     def test_e3(self, capsys):
         assert main(["extreme-rays", "--system", "E", "--n", "3"]) == 0
         out = capsys.readouterr().out
@@ -228,6 +245,23 @@ class TestSearchCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command,rows", [
+        # One row of 17 columns: 2^17 rank problems.
+        ("nullity", [" ".join(["1"] * 17)]),
+        # The 17 x 17 identity: 2^17 - 1 polynomial determinants.
+        ("asn", [", ".join("1" if i == j else "0" for j in range(17))
+                 for i in range(17)]),
+    ])
+    def test_oversized_matrix_file_exits_2(self, tmp_path, command, rows,
+                                           capsys):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("\n".join(rows) + "\n")
+        assert main([command, str(wide)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: matrix has 17 columns; at most 16 "
+                                "are supported\n")
 
     def test_fiedler_breakdown_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))

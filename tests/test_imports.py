@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used in that module."""
+"""Every top-level import of a package module is used in that module, and
+the elimination kernels serve only the brute-force ray oracle."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,33 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def callers(source: str, names):
+    """(top-level definition, callee) for each call of a name in `names`,
+    bare or as an attribute; "<module>" for a call outside definitions."""
+    found = set()
+    for top in ast.parse(source).body:
+        label = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in names:
+                    found.add((label, name))
+    return found
+
+
+def test_checker_finds_calls_at_every_level():
+    source = ("x = rref(a)\nclass C:\n    def m(self):\n"
+              "        return exact.kernel_basis(b)\n")
+    assert callers(source, {"rref", "kernel_basis"}) == {
+        ("<module>", "rref"), ("C", "kernel_basis")}
+
+
+def test_elimination_serves_only_the_brute_force_oracle():
+    names = {"rref", "kernel_basis"}
+    found = {(path.name, fn, name) for path in MODULES
+             for fn, name in callers(path.read_text(), names)}
+    assert found == {("exact.py", "kernel_basis", "rref"),
+                     ("cones.py", "brute_force_rays", "kernel_basis")}

@@ -266,6 +266,11 @@ class TestHEquivalence:
         m7 = nullity_type(matrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         assert not h_equivalent(m6.entries, m7.entries, 4)
 
+    def test_rejects_a_row_of_the_wrong_length(self):
+        # zip once truncated the longer row and answered True.
+        with pytest.raises(ValueError, match="7 entries"):
+            h_equivalent((0, 0, 0, 0), (0, 0, 0, 0, 5, 7, 9), 2)
+
     def test_oracle_member_and_nonmember(self):
         rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         assert not any(reduce_against(*rref(rows),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from minorcones import probe, ratios, reproduce
 from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
-from minorcones.exact import CertificateError
+from minorcones.exact import CertificateError, kernel_basis
 from minorcones.nullity import matrix
 from minorcones.polyarith import eval_poly_matrix, parse_poly_matrix
 from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
@@ -13,7 +13,8 @@ from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
                               eval_family_slope, eval_poly_family_slope,
                               fiedler_check, random_homogeneous_log,
                               sample_pd, slope_law_suite)
-from minorcones.ratios import NotPositiveDefiniteError, is_homogeneous, log_of
+from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
+                               homogeneity_vectors, is_homogeneous, log_of)
 from minorcones.subsets import members_of
 
 
@@ -309,6 +310,27 @@ class TestSuites:
             v = random_homogeneous_log(4, rng)
             assert is_homogeneous(v)
             assert sum(v.exponents) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_homogeneous_log_is_the_kernel_combination(self, n):
+        # The same draws, summed over the elimination kernel.
+        kernel = kernel_basis(homogeneity_vectors(n), 1 << n)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            while True:
+                coeffs = rng.integers(-1, 2, size=len(kernel))
+                if np.any(coeffs):
+                    break
+            expected = [Fraction(0)] * (1 << n)
+            for c, b in zip(coeffs, kernel):
+                expected = [x + int(c) * y for x, y in zip(expected, b)]
+            v = random_homogeneous_log(n, np.random.default_rng(seed))
+            assert v == FormalLog(n, tuple(expected))
+            assert all(type(x) is Fraction for x in v.exponents)
+
+    def test_random_homogeneous_log_needs_two_indices(self):
+        with pytest.raises(ValueError, match="n < 2"):
+            random_homogeneous_log(1, np.random.default_rng(0))
 
     def test_slope_suite_small(self):
         cases = slope_law_suite(count=10, seed=42)

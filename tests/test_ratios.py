@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,14 +12,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorcones import ratios
+from minorcones import cones, ratios
+from minorcones.exact import clear_denominators, dot, kernel_basis
 from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                NotPositiveDefiniteError, RatioSyntaxError,
                                apply_complement, apply_permutation,
                                batch_log_minors, delete_index,
                                evaluate_log_ratio, formal_log, format_ratio,
-                               from_entries, is_homogeneous,
-                               is_koteljanskii_ray, koteljanskii_log, log_of,
+                               from_entries, h_coordinates, h_lift,
+                               homogeneity_basis, homogeneity_vectors,
+                               is_homogeneous, is_koteljanskii_ray,
+                               koteljanskii_log, log_of, log_ratio_from_minors,
                                MAX_GROUND_SIZE, parse_ratio)
 from minorcones.subsets import (complement_mask, mask_of, members_of,
                                 permute_mask, subset_order)
@@ -111,6 +115,39 @@ class TestFormalLog:
         v = log_of("{1,2,3}^5{2} / {1}^2{3}^1/3", 3)
         assert sum(v.exponents) == 0
 
+    def test_integer_form_is_kept_outside_equality_and_repr(self):
+        v = log_of("{1,2,3}^5{2} / {1}^2{3}^1/3", 3)
+        ints, d = clear_denominators(v.exponents)
+        assert v.cleared == (tuple(ints), d) and d == 3
+        w = FormalLog(3, tuple(v.exponents))
+        assert w == v and hash(w) == hash(v)
+        assert repr(w) == repr(v) == (
+            f"FormalLog(ground_size=3, exponents={v.exponents!r})")
+
+    def test_exact_checks_read_the_kept_integer_form(self, monkeypatch):
+        from minorcones.constants import R1
+        v = R1()
+        calls = []
+        for module in (ratios, cones):
+            monkeypatch.setattr(module, "clear_denominators",
+                                lambda row: calls.append(row), raising=False)
+        assert is_homogeneous(v)
+        cert = cones.membership(v, cones.build_E_system(4))
+        assert cert.verdict and calls == []
+
+    def test_numeric_forms_are_built_once_and_only_on_use(self):
+        huge = Fraction(10 ** 400)
+        v = from_entries(2, {0b11: huge, 0b01: -huge, 0b10: -huge})
+        assert is_homogeneous(v)   # the exact forms need no float
+        assert v.support() == [0b01, 0b10, 0b11]
+        with pytest.raises(OverflowError):
+            evaluate_log_ratio(v, np.eye(2))
+        w = log_of("{1,2,3}^5{2} / {1}^2{3}^1/3", 3)
+        support = w.support()
+        support.append(99)
+        assert w.support() == [m for m in subset_order(3) if m and w[m]]
+        assert w._support is w._support and w._weights is w._weights
+
 
 class TestHomogeneity:
     def test_hadamard_homogeneous(self):
@@ -123,6 +160,54 @@ class TestHomogeneity:
     def test_r2_homogeneous(self):
         from minorcones.constants import R2
         assert is_homogeneous(R2())
+
+
+def seeded_rows(n, seed, count=4):
+    """Mask-indexed rows of small ints and of Fractions."""
+    rng = random.Random(seed)
+    ints = [tuple(rng.randint(-9, 9) for _ in range(1 << n))
+            for _ in range(count)]
+    fractions = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(1 << n)) for _ in range(count)]
+    return ints + fractions
+
+
+def elimination_kernel(n):
+    return kernel_basis(homogeneity_vectors(n), 1 << n)
+
+
+class TestHomogeneityQuotient:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_form_basis_is_the_elimination_kernel(self, n):
+        assert homogeneity_basis(n) == tuple(elimination_kernel(n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coordinates_are_dot_products_with_the_kernel(self, n):
+        kernel = elimination_kernel(n)
+        for row in seeded_rows(n, seed=n):
+            assert h_coordinates(row, n) == tuple(dot(row, b) for b in kernel)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lift_is_the_kernel_combination(self, n):
+        kernel = elimination_kernel(n)
+        rng = random.Random(100 + n)
+        for _ in range(4):
+            for coords in ([rng.randint(-5, 5) for _ in kernel],
+                           [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in kernel]):
+                assert h_lift(coords, n) == [
+                    sum(c * b[mask] for c, b in zip(coords, kernel))
+                    for mask in range(1 << n)]
+
+    @pytest.mark.parametrize("row,n", [
+        ((1, 2, 3, 4, 99), 2), ((1, 2, 3), 2), ((), 1)])
+    def test_coordinates_reject_a_row_of_the_wrong_length(self, row, n):
+        with pytest.raises(ValueError, match="expected 2\\^"):
+            h_coordinates(row, n)
+
+    def test_lift_rejects_a_wrong_coordinate_count(self):
+        with pytest.raises(ValueError, match="expected 11"):
+            h_lift([1] * 12, 4)
 
 
 perms_of_4 = st.permutations(list(range(1, 5)))
@@ -479,6 +564,16 @@ class TestLogMinorKernel:
         assert requested == [v.support()]
         assert len(v.support()) == 10
         assert v.support() == [m for m in subset_order(4) if m and v[m]]
+
+    def test_weighted_sum_is_the_per_term_sum_bitwise(self):
+        v = log_of("{1,2,3}^5/2{2} / {1}^2{3}^1/3{2,3}^7/6", 3)
+        minors = batch_log_minors(_pd_stack(50, 3, seed=5), v.support())
+        expected = 0.0
+        for mask in subset_order(3):
+            if mask and v[mask]:
+                expected = expected + float(v[mask]) * minors[mask]
+        for _ in range(2):   # the second call reads the kept weights
+            assert np.array_equal(log_ratio_from_minors(v, minors), expected)
 
     def test_rejects_wrong_shapes(self):
         v = log_of("{1,2}{} / {1}{2}", 2)
