@@ -4,14 +4,19 @@ Constraint systems live in the full subset-indexed space; enumeration works
 in exact integer coordinates on the homogeneity subspace (dimension
 2^n - n - 1) via the double description method, inserting the rows in
 lexicographic order ("lexmin", as in cdd) with combinatorial adjacency on
-tight-row bitmasks.  Every output ray is certified extreme by the rank of
-its tight rows: modulo a prime for all rays in one numpy elimination, and
-by exact Bareiss elimination for any ray whose modular rank falls short.
+tight-row bitmasks.  The certificate of all output rays rests on one
+exact product of the inequality rows with the lifted rays, `_exact_products`:
+an int64 numpy matmul when max ||row||_1 * max |entry| < 2^63 proves that no
+partial sum can overflow, else the same matmul on Python ints.  Its zeros
+are each ray's tight rows, whose rank must be dim - 1: modulo a prime for all
+rays in one numpy elimination, and by exact Bareiss elimination for any ray
+whose modular rank falls short.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,8 +142,11 @@ def _ambient(coords: Sequence[int], n: int) -> Tuple[int, ...]:
 
 def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
              ) -> Tuple[int, ...]:
-    """The primitive integer vector along s * u - t * v."""
-    return primitive(tuple(s * x - t * y for x, y in zip(u, v)))
+    """The primitive integer vector along s * u - t * v, for integer
+    vectors u, v and integers s, t."""
+    w = [s * x - t * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
 def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
@@ -215,8 +223,9 @@ _CERTIFICATE_PRIME = 2_147_483_647
 
 def _modular_ranks(rows: Sequence[Sequence[int]],
                    tight: Sequence[Sequence[bool]]) -> np.ndarray:
-    """For each boolean row selection in `tight` (one per ray, one flag per
-    row), the rank modulo _CERTIFICATE_PRIME of the selected integer rows.
+    """For each boolean row selection in `tight` (a (rays, rows) array or
+    nested sequence: one selection per ray, one flag per row), the rank
+    modulo _CERTIFICATE_PRIME of the selected integer rows.
     One int64 elimination over the (rays, rows, dim) stack with the other
     rows zeroed.  Each step takes the first column: every matrix pivots on
     its first row that is nonzero there, clears the column from every row
@@ -225,7 +234,7 @@ def _modular_ranks(rows: Sequence[Sequence[int]],
     p = _CERTIFICATE_PRIME
     residues = np.array([[x % p for x in row] for row in rows],
                         dtype=np.int64)
-    mask = np.array(tight, dtype=bool).reshape(-1, len(rows))
+    mask = np.asarray(tight, dtype=bool).reshape(-1, len(rows))
     m = mask[:, :, None] * residues
     ranks = np.zeros(len(m), dtype=np.int64)
     every = np.arange(len(m))
@@ -241,38 +250,55 @@ def _modular_ranks(rows: Sequence[Sequence[int]],
     return ranks
 
 
+def _exact_products(rows: Sequence[Sequence[int]],
+                    vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (rows, vecs) matrix of exact integer inner products row . vec,
+    for at least one row and one vector.  Every partial sum of row . vec is
+    at most ||row||_1 * max |entry of vecs| in absolute value, so when that
+    bound (each factor taken as at least 1, so every entry fits too) is
+    below 2^63 the product is an int64 matmul that cannot overflow;
+    otherwise it is the same matmul on Python ints (dtype object)."""
+    norm = max(sum(map(abs, row)) for row in rows)
+    top = max(map(abs, chain.from_iterable(vecs)))
+    dtype = np.int64 if max(norm, 1) * max(top, 1) < 1 << 63 else object
+    return np.array(rows, dtype=dtype) @ np.array(vecs, dtype=dtype).T
+
+
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     """Complete list of primitive extreme rays of the feasible cone, in
     canonical (subset-size, subset-value) lexicographic order.
 
     The double description inserts the rows in lexicographic order; the
     output does not depend on the order, but the intermediate ray lists
-    (and the time) do.  Each ray is certified from scratch in Python ints:
-    it is nonzero, satisfies every row and equality, and its tight rows are
-    found exactly.  Its tight rows then have rank dim - 1 modulo a prime p,
-    or else exactly by Bareiss elimination.  The modular rank is sound: it
-    is at most the rational rank, which is at most dim - 1 because the
-    nonzero ray lies in the kernel of its tight rows, so rank mod p =
-    dim - 1 proves the rational rank is dim - 1.  A failure raises
-    CertificateError."""
+    (and the time) do.  The rays are certified from scratch on their
+    subset-indexed vectors.  Each is nonzero.  One exact product of the
+    inequality rows with all of them (`_exact_products`) is nonnegative,
+    and that of the equality rows is zero.  The zeros of the first product
+    are each ray's tight rows.  Their coordinates on the homogeneity
+    quotient (`h_coordinates`) have rank dim - 1, which makes the face the
+    checked vector lies on a ray: modulo a prime p, or else exactly by
+    Bareiss elimination.  The modular rank is sound: it is at most the
+    rational rank, which is at most dim - 1 because the nonzero ray lies in
+    the kernel of its tight rows, so rank mod p = dim - 1 proves the
+    rational rank is dim - 1.  A failure raises CertificateError.  A
+    pointed cone equal to {0} has no extreme rays."""
     n = system.ground_size
     dim = len(homogeneity_basis(n))
     reduced = _reduce_rows(system.inequalities, n)
     lines, rays = _double_description(sorted(reduced), dim)
     if lines:
         raise NonPointedConeError(_ambient(lines[0], n))
-    out = []
-    tight = []
-    for coords in rays:
-        vec = _ambient(coords, n)
-        if not any(vec):
-            raise CertificateError("extreme ray is the zero vector")
-        if any(dot(row, vec) < 0 for row in system.inequalities):
-            raise CertificateError("extreme ray violates an inequality row")
-        if any(dot(eq, vec) != 0 for eq in system.equalities):
-            raise CertificateError("extreme ray violates an equality")
-        tight.append([dot(row, coords) == 0 for row in reduced])
-        out.append(Ray(n, vec))
+    if not rays:
+        return []
+    vecs = [_ambient(coords, n) for coords in rays]
+    if not all(map(any, vecs)):
+        raise CertificateError("extreme ray is the zero vector")
+    values = _exact_products(system.inequalities, vecs)
+    if (values < 0).any():
+        raise CertificateError("extreme ray violates an inequality row")
+    if (_exact_products(system.equalities, vecs) != 0).any():
+        raise CertificateError("extreme ray violates an equality")
+    tight = (values == 0).T
     for flags, rank_mod_p in zip(tight, _modular_ranks(reduced, tight)):
         if rank_mod_p == dim - 1:
             continue
@@ -280,8 +306,7 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
         if bareiss_rank(rows) != dim - 1:
             raise CertificateError(
                 "extreme ray's tight rows do not have rank dim - 1")
-    out.sort(key=Ray.sort_key)
-    return out
+    return sorted((Ray(n, vec) for vec in vecs), key=Ray.sort_key)
 
 
 def brute_force_rays(system: ConstraintSystem) -> List[Ray]:

@@ -35,6 +35,26 @@ def relabel(vec, perm, comp, n):
     return tuple(img)
 
 
+def certificate_error_under_O(patch, build):
+    """Run extreme_rays(`build`) under python -O in a fresh interpreter after
+    the statements `patch`; return the CertificateError it printed."""
+    script = ("from minorcones import cones\n"
+              "from minorcones.exact import CertificateError\n"
+              + patch +
+              "try:\n"
+              f"    cones.extreme_rays({build})\n"
+              "except CertificateError as err:\n"
+              "    print('debug', __debug__, 'raised', err)\n")
+    src = str(Path(cones.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("debug False raised")
+    return done.stdout
+
+
 class TestSystems:
     def test_e3_row_count(self):
         sys3 = build_E_system(3)
@@ -186,26 +206,46 @@ class TestExtremeRays:
             extreme_rays(build_E_system(3))
 
     def test_infeasible_output_fails_certificate_under_O(self):
-        script = (
-            "from minorcones import cones\n"
-            "from minorcones.exact import CertificateError\n"
+        out = certificate_error_under_O(
             "found = cones._double_description\n"
             "def negated(rows, dim):\n"
             "    lines, rays = found(rows, dim)\n"
             "    return lines, [tuple(-x for x in rays[0])]\n"
-            "cones._double_description = negated\n"
-            "try:\n"
-            "    cones.extreme_rays(cones.build_E_system(3))\n"
-            "except CertificateError as err:\n"
-            "    print('debug', __debug__, 'raised', err)\n")
-        src = str(Path(cones.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("debug False raised")
-        assert "inequality" in done.stdout
+            "cones._double_description = negated\n",
+            "cones.build_E_system(3)")
+        assert "inequality" in out
+
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    def test_off_quotient_output_fails_equality(self, build, monkeypatch):
+        # Every E/D row is 0 at the empty set, so adding e_{} moves no
+        # inequality value, but it breaks the all-ones equality.
+        system = build(4)
+        assert all(row[0] == 0 for row in system.inequalities)
+        lift = cones._ambient
+
+        def shifted(coords, n):
+            vec = lift(coords, n)
+            return (vec[0] + 1,) + vec[1:]
+
+        monkeypatch.setattr(cones, "_ambient", shifted)
+        with pytest.raises(CertificateError, match="equality"):
+            extreme_rays(system)
+
+    def test_off_quotient_output_fails_equality_under_O(self):
+        out = certificate_error_under_O(
+            "lift = cones._ambient\n"
+            "def shifted(coords, n):\n"
+            "    vec = lift(coords, n)\n"
+            "    return (vec[0] + 1,) + vec[1:]\n"
+            "cones._ambient = shifted\n",
+            "cones.build_D_system(4)")
+        assert "equality" in out
+
+    def test_zero_cone_has_no_rays(self):
+        # h-coordinate +1 and -1 on {1,2}: the pointed cone {0} in dim 1.
+        system = ConstraintSystem(2, build_E_system(2).equalities,
+                                  ((0, 0, 0, 1), (0, 0, 0, -1)), ("a", "b"))
+        assert extreme_rays(system) == []
 
     def test_rays_are_primitive(self):
         from math import gcd
@@ -303,6 +343,84 @@ class TestModularCertificate:
         assert len(fallback_calls) == 31
 
 
+def dot_products(rows, vecs):
+    return [[dot(row, vec) for vec in vecs] for row in rows]
+
+
+@pytest.fixture
+def product_dtypes(monkeypatch):
+    """dtypes of the certificate's exact products, in call order."""
+    dtypes = []
+    found = cones._exact_products
+
+    def spy(rows, vecs):
+        values = found(rows, vecs)
+        dtypes.append(values.dtype)
+        return values
+
+    monkeypatch.setattr(cones, "_exact_products", spy)
+    return dtypes
+
+
+class TestExactProducts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_equal_dot(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            width = rng.randint(1, 9)
+            big = 1 << rng.choice((3, 30, 55, 62, 62))
+            rows = [[rng.randint(-big, big) for _ in range(width)]
+                    for _ in range(rng.randint(1, 6))]
+            vecs = [[rng.randint(-7, 7) for _ in range(width)]
+                    for _ in range(rng.randint(1, 6))]
+            norm = max(sum(map(abs, row)) for row in rows)
+            top = max(abs(x) for vec in vecs for x in vec)
+            values = cones._exact_products(rows, vecs)
+            assert values.tolist() == dot_products(rows, vecs)
+            assert ((values.dtype == np.int64)
+                    == (max(norm, 1) * max(top, 1) < 1 << 63))
+
+    @pytest.mark.parametrize("rows, vecs, dtype", [
+        # ||row||_1 * max |vec| = 2^63 - 1: int64 holds the largest sum.
+        ([[(1 << 62) - 1, 1 << 62]], [[1, 1], [-1, -1]], np.int64),
+        # ... = 2^63: one more and the sum would wrap, so Python ints.
+        ([[1 << 62, 1 << 62]], [[1, 1], [-1, -1]], object),
+        # All-zero vectors: the rows must still fit in int64.
+        ([[1 << 63, 0]], [[0, 0]], object),
+        ([[0, 0]], [[1 << 63, 0]], object),
+    ])
+    def test_bound_edges(self, rows, vecs, dtype):
+        values = cones._exact_products(rows, vecs)
+        assert values.dtype == dtype
+        assert values.tolist() == dot_products(rows, vecs)
+
+    @pytest.mark.parametrize("shift, dtype", [(40, np.int64), (60, object)])
+    def test_scaled_e4_rows_give_the_same_rays(self, shift, dtype,
+                                               product_dtypes):
+        # The E4 rows have ||row||_1 <= 20 and its rays entries in -1..1:
+        # 20 * 2^40 keeps the bound below 2^63, 20 * 2^60 does not.
+        system = build_E_system(4)
+        scaled = ConstraintSystem(
+            4, system.equalities,
+            tuple(tuple(x << shift for x in row)
+                  for row in system.inequalities), system.labels)
+        assert extreme_rays(scaled) == extreme_rays(system)
+        assert product_dtypes[0] == dtype
+
+    @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4),
+                                        build_E_system(5)])
+    def test_full_space_zeros_are_the_quotient_zeros(self, system):
+        # vec = B^T c / g with g > 0, so row . vec = (B row) . c / g.
+        n = system.ground_size
+        reduced, dim = reduced_system(system)
+        _, rays = cones._double_description(sorted(reduced), dim)
+        vecs = [cones._ambient(coords, n) for coords in rays]
+        full = cones._exact_products(system.inequalities, vecs) == 0
+        assert full.T.tolist() == [
+            [dot(h_coordinates(row, n), coords) == 0
+             for row in system.inequalities] for coords in rays]
+
+
 class TestInsertionOrder:
     @pytest.mark.parametrize("build, n", [(build_E_system, 3),
                                           (build_E_system, 4),
@@ -327,6 +445,17 @@ class TestInsertionOrder:
             lines, rays = cones._double_description(rows, dim)
             assert lines == [] and len(rays) == 1310
             assert ray_set(rays) == ray_set(lexmin[1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_combine_is_the_primitive_difference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            width = rng.randint(1, 6)
+            u, v = ([rng.randint(-4, 4) * rng.choice((1, 6))
+                     for _ in range(width)] for _ in range(2))
+            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+            assert cones._combine(s, u, t, v) == primitive(
+                [s * x - t * y for x, y in zip(u, v)])
 
 
 class TestHomogeneityBasis:
