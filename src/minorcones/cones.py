@@ -137,7 +137,11 @@ def _reduce_rows(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...]]
 
 
 def _ambient(coords: Sequence[int], n: int) -> Tuple[int, ...]:
-    return primitive(h_lift(coords, n))
+    """The primitive subset-indexed vector B^T * coords of integer
+    coordinates on the homogeneity quotient."""
+    vec = h_lift(coords, n)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]

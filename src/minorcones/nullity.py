@@ -3,6 +3,15 @@ families behind the ST1/ST2 conditions, the 23-type catalogue for n = 4,
 partition-generated rank-<=2 types, matroid duality, and the h-equivalence
 of constraint rows (equal `ratios.h_coordinates`).
 
+`nullity_type` takes all 2^n column-subset nullities from one depth-first
+walk over the include/exclude trie of the columns, in integers: a node
+inherits from its parent the later columns reduced against the parent's
+echelon basis, and one new column either reduces to zero (the nullity
+grows by one) or joins the basis, reducing each later column by one
+fraction-free step divided by its gcd.  The result is cross-checked
+against an independent Bareiss rank of the whole matrix and the zero
+pattern of the columns, and validated as a matroid rank function.
+
 A column permutation of a matrix permutes its nullity type, so the
 catalogue eliminates each of its seven standard matrices once and takes
 the permuted types from `subsets.group_gathers`.  All computations here
@@ -12,7 +21,9 @@ are exact; floating point never enters.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from math import gcd
+from operator import sub
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CertificateError, clear_denominators, rank
 from .ratios import MAX_GROUND_SIZE, h_coordinates
@@ -54,23 +65,78 @@ def format_matrix(m: RationalMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in m)
 
 
+@lru_cache(maxsize=None)
+def _cardinalities(bits: int) -> Tuple[int, ...]:
+    """|T| for every mask T below 2^bits."""
+    card = [0]
+    for _ in range(bits):
+        card += [c + 1 for c in card]
+    return tuple(card)
+
+
+def _ranks_of(entries: Sequence[int]) -> List[int]:
+    """|T| - entries[T] for every mask T: the ranks of a nullity type of any
+    length, so that a wrong length reaches `_validate_rank_function`."""
+    return list(map(sub, _cardinalities((len(entries) - 1).bit_length()),
+                    entries))
+
+
+def _bit_walk(n: int, x: Sequence, across: Callable, along: Callable
+              ) -> Iterator[Tuple[list, list]]:
+    """For each bit k = 0..n-1 of the mask index of x, yield two lists:
+    across(x[T + k], x[T]) for every T without bit k, and along(a[T + k],
+    a[T]) for every list a yielded as `across` at an earlier bit and every
+    T of its index without bit k.
+
+    Each step moves bit k of every index to the top (the even positions,
+    then the odd ones), so the next bit is always the lowest; the `across`
+    lists join a second list that is moved the same way."""
+    made: list = []
+    for _ in range(n):
+        crossed = list(map(across, x[1::2], x[0::2]))
+        yield crossed, list(map(along, made[1::2], made[0::2]))
+        x = x[0::2] + x[1::2]
+        made = made[0::2] + made[1::2] + crossed
+
+
 def _validate_rank_function(n: int, r: Sequence[int]) -> None:
+    """Check that the mask-indexed `r` (2^n entries) is a matroid rank
+    function: r(empty) = 0, unit increase r(T+i) - r(T) in {0, 1}, and local
+    submodularity r(T+i) + r(T+j) >= r(T+i+j) + r(T), that is, no step
+    r(T+i) - r(T) grows when j is added to T.  A failure raises the message
+    of the first violation in the order (T, i, unit increase before
+    submodularity, j)."""
+    size = 1 << n
+    if len(r) != size:
+        raise ValueError(f"a type on {n} elements has {size} entries, "
+                         f"got {len(r)}")
     if r[0] != 0:
         raise ValueError("rank of the empty set must be 0")
-    for t in range(1 << n):
-        for i in range(n):
-            if t >> i & 1:
-                continue
-            ti = t | 1 << i
-            step = r[ti] - r[t]
-            if step not in (0, 1):
-                raise ValueError("rank function violates unit increase")
-            for j in range(i + 1, n):
-                if t >> j & 1:
-                    continue
-                tj = t | 1 << j
-                if r[ti] + r[tj] < r[ti | tj] + r[t]:
-                    raise ValueError("rank function is not submodular")
+    steps: list = []
+    growth: list = []
+    for crossed, changed in _bit_walk(n, r, sub, sub):
+        steps += crossed
+        growth += changed
+    if not {0, 1}.issuperset(steps) or max(growth, default=0) > 0:
+        raise ValueError(_first_violation(n, r))
+
+
+def _first_violation(n: int, r: Sequence[int]) -> str:
+    """The message of the first violation of `_validate_rank_function`,
+    found by walking the masks T (with the bit i of each step) in lockstep
+    with the values."""
+    masks = _bit_walk(n, list(range(1 << n)),
+                      lambda high, low: (low, (high ^ low).bit_length() - 1),
+                      lambda high, low: low)
+    keys = []
+    for (crossed, changed), (at, at_changed) in zip(
+            _bit_walk(n, r, sub, sub), masks):
+        keys += [(t, i, 0) for step, (t, i) in zip(crossed, at)
+                 if step not in (0, 1)]
+        keys += [(t, i, 1) for change, (t, i) in zip(changed, at_changed)
+                 if change > 0]
+    return ("rank function violates unit increase" if min(keys)[2] == 0
+            else "rank function is not submodular")
 
 
 @dataclass(frozen=True)
@@ -93,32 +159,79 @@ class NullityType:
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(m.bit_count() - e for m, e in enumerate(self.entries))
-        _validate_rank_function(self.ground_size, ranks)
+        _validate_rank_function(self.ground_size, _ranks_of(self.entries))
 
     def __getitem__(self, mask: int) -> int:
         return self.entries[mask]
 
     def rank_type(self) -> RankType:
-        return RankType(self.ground_size,
-                        tuple(m.bit_count() - e
-                              for m, e in enumerate(self.entries)))
+        return RankType(self.ground_size, tuple(_ranks_of(self.entries)))
+
+
+def _eliminate(w: List[int], v: List[int], q: int) -> Optional[List[int]]:
+    """v[q] * w - w[q] * v, the integer vector w reduced by the basis vector v
+    at its pivot q, divided by its gcd; None if it is zero."""
+    a, b = v[q], w[q]
+    out = [a * x - b * y for x, y in zip(w, v)]
+    g = gcd(*out)
+    if g == 0:
+        return None
+    return [x // g for x in out] if g > 1 else out
+
+
+def _subset_nullities(columns: Sequence[Sequence[int]]) -> List[int]:
+    """Mask-indexed nullity of every subset of the integer `columns`, by one
+    depth-first walk over the subsets in which each mask extends the mask
+    without its top column.  A node holds its later columns reduced against
+    its echelon basis (None once a column is in the span).  Its top column
+    adds one to the parent's nullity if it reduced to None, and otherwise
+    joins the basis: each later column is then reduced by it in one step.
+    Every later column stays zero at every pivot, so it reduces to zero
+    exactly when it lies in the span."""
+    nullities = [0] * (1 << len(columns))
+
+    def visit(mask: int, nullity: int, first: int, residuals: List) -> None:
+        for k, v in enumerate(residuals):
+            child = mask | 1 << (first + k)
+            rest = residuals[k + 1:]
+            if v is None:
+                nullities[child] = nullity + 1
+                if rest:
+                    visit(child, nullity + 1, first + k + 1, rest)
+            else:
+                nullities[child] = nullity
+                if rest:
+                    q = v.index(next(filter(None, v)))
+                    visit(child, nullity, first + k + 1,
+                          [w if w is None or not w[q] else _eliminate(w, v, q)
+                           for w in rest])
+
+    visit(0, 0, 0, [list(col) if any(col) else None for col in columns])
+    return nullities
 
 
 def nullity_type(m: RationalMatrix) -> NullityType:
     n = len(m[0]) if m else 0
-    # One rank per column subset: 2^n of them.
+    # One nullity per column subset: 2^n of them.
     if n > MAX_GROUND_SIZE:
         raise ValueError(f"matrix has {n} columns; at most "
                          f"{MAX_GROUND_SIZE} are supported")
+    for k, row in enumerate(m, start=1):
+        if len(row) != n:
+            raise ValueError(f"row {k} has {len(row)} entries, expected {n}")
     # Scaling a row changes the rank of no column submatrix, so each row is
-    # cleared of denominators once rather than once per column subset.
+    # cleared of denominators once.
     rows = [clear_denominators(row)[0] for row in m]
-    entries = []
-    for mask in range(1 << n):
-        cols = [i - 1 for i in members_of(mask)]
-        sub = [[row[c] for c in cols] for row in rows]
-        entries.append(len(cols) - rank(sub) if cols else 0)
+    columns = list(zip(*rows))
+    entries = _subset_nullities(columns)
+    # Cross-check: the whole matrix against an independent Bareiss rank, and
+    # each single column against its zero pattern.
+    if n - entries[-1] != rank(rows) or any(
+            entries[1 << c] != (not any(col))
+            for c, col in enumerate(columns)):
+        raise CertificateError(
+            "subset nullities disagree with the rank of the matrix or the "
+            "zero pattern of its columns")
     return NullityType(n, tuple(entries))
 
 
@@ -233,7 +346,7 @@ def dual_nullity_type(nt: NullityType) -> NullityType:
     """Nullity type of the dual matroid: r*(T) = |T| + r(N\\T) - r(N)."""
     n = nt.ground_size
     full = (1 << n) - 1
-    r = [m.bit_count() - e for m, e in enumerate(nt.entries)]
+    r = _ranks_of(nt.entries)
     entries = tuple(r[full] - r[full ^ t] for t in range(1 << n))
     return NullityType(n, entries)
 

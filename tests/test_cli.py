@@ -40,6 +40,18 @@ class TestNullity:
         assert payload["n"] == 4
         assert payload["entries"]["{3,4}"] == 1
 
+    def test_seven_column_stdout(self, tmp_path, capsys):
+        # The fixture of the CI nullity step: rational entries, a zero
+        # column and a row that is the sum of the other two.
+        fixture = tmp_path / "seven.txt"
+        fixture.write_text("1 0 1/2 2 0 1 -1\n0 1 1/2 2 0 1 3\n"
+                           "1 1 1 4 0 2 2\n")
+        assert main(["nullity", str(fixture)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("{1,2,3,4,5,6,7}: 5\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "39534f5e221344586c4b2e6e05f001f3fc55912426db4d51ed79dd4285050350")
+
     def test_bad_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 x\n")

@@ -421,6 +421,18 @@ class TestExactProducts:
              for row in system.inequalities] for coords in rays]
 
 
+    @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4),
+                                        build_E_system(5)])
+    def test_ambient_is_the_primitive_lift(self, system):
+        n = system.ground_size
+        reduced, dim = reduced_system(system)
+        _, rays = cones._double_description(sorted(reduced), dim)
+        # Every ray, then multiples whose lift has a common factor.
+        for coords in rays + [tuple(k * x for x in rays[0])
+                              for k in (6, -4, 0)]:
+            assert cones._ambient(coords, n) == primitive(
+                ratios.h_lift(coords, n))
+
 class TestInsertionOrder:
     @pytest.mark.parametrize("build, n", [(build_E_system, 3),
                                           (build_E_system, 4),

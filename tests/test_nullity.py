@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -5,16 +6,19 @@ from itertools import permutations
 import pytest
 
 from minorcones import nullity
-from minorcones.exact import rref
-from minorcones.nullity import (M6, M7, NullityType, Partition, catalog_n4,
-                                d5_constraint_set, dual_nullity_type,
-                                enumerate_partitions,
+from minorcones.cones import build_E_system
+from minorcones.exact import CertificateError, clear_denominators, rank, rref
+from minorcones.nullity import (M6, M7, NullityType, Partition, RankType,
+                                catalog_n4, d5_constraint_set,
+                                dual_nullity_type, enumerate_partitions,
                                 format_matrix, h_equivalent,
                                 matrix, nullity_type, parse_matrix,
                                 partition_nullity, rank_type, subset_matrix,
                                 superset_matrix)
 from minorcones.ratios import h_coordinates, homogeneity_vectors
 from minorcones.subsets import mask_of, members_of
+
+from test_cones import certificate_error_under_O
 
 
 def permute_columns(m, perm):
@@ -53,6 +57,85 @@ def h_normal_form(v, n):
     """Oracle for h-equivalence: the rref normal form of v modulo the span
     of the homogeneity vectors."""
     return reduce_against(*rref(homogeneity_vectors(n)), v)
+
+
+def per_subset_nullities(m):
+    """Oracle: one independent Bareiss rank per column subset, the loop that
+    `nullity_type` replaced."""
+    n = len(m[0]) if m else 0
+    rows = [clear_denominators(row)[0] for row in m]
+    entries = []
+    for mask in range(1 << n):
+        cols = [i - 1 for i in members_of(mask)]
+        sub = [[row[c] for c in cols] for row in rows]
+        entries.append(len(cols) - rank(sub) if cols else 0)
+    return tuple(entries)
+
+
+def loop_validate(n, r):
+    """Oracle: the rank-function check as one loop over (T, i, j)."""
+    if r[0] != 0:
+        raise ValueError("rank of the empty set must be 0")
+    for t in range(1 << n):
+        for i in range(n):
+            if t >> i & 1:
+                continue
+            ti = t | 1 << i
+            step = r[ti] - r[t]
+            if step not in (0, 1):
+                raise ValueError("rank function violates unit increase")
+            for j in range(i + 1, n):
+                if t >> j & 1:
+                    continue
+                tj = t | 1 << j
+                if r[ti] + r[tj] < r[ti | tj] + r[t]:
+                    raise ValueError("rank function is not submodular")
+
+
+def rejection(validate, n, r):
+    """The message `validate` raises for (n, r), or None if it accepts."""
+    try:
+        validate(n, r)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def random_matrix(rng, n):
+    """A small rational matrix with n columns: up to n + 2 rows, some of them
+    zero; some zero or repeated (possibly scaled) columns; Fraction entries
+    in about half of the matrices."""
+    nrows = rng.randint(1 if n else 0, n + 2)
+    denominators = (1, 2, 3) if rng.random() < 0.5 else (1,)
+    cols = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * nrows)
+        elif kind < 0.35 and cols:
+            scale = rng.choice((1, -2, Fraction(1, 3)))
+            cols.append([scale * x for x in rng.choice(cols)])
+        else:
+            cols.append([Fraction(rng.choice((0, 0, 1, -1, 2, 3)),
+                                  rng.choice(denominators))
+                         for _ in range(nrows)])
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    for row in rows:
+        if rng.random() < 0.15:
+            row[:] = [0] * n
+    return matrix(rows)
+
+
+def constraint_digest():
+    """sha256 of the E3..E7 systems' labels and rows, the n = 4 catalogue
+    and the D5 constraint set."""
+    h = hashlib.sha256()
+    for n in range(3, 8):
+        system = build_E_system(n)
+        h.update(repr((system.labels, system.inequalities)).encode())
+    h.update(repr(catalog_n4()).encode())
+    h.update(repr(d5_constraint_set()).encode())
+    return h.hexdigest()
 
 
 def classes(keys):
@@ -103,6 +186,146 @@ class TestNullityType:
         rt = rank_type(matrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         for t in range(16):
             assert rt[t] == min(t.bit_count(), 2)
+
+
+class TestSubsetKernel:
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_per_subset_bareiss(self, n):
+        rng = random.Random(1300 + n)
+        for _ in range(40 if n < 6 else 12):
+            m = random_matrix(rng, n)
+            assert nullity_type(m).entries == per_subset_nullities(m), m
+
+    def test_shapes_the_generator_covers(self):
+        rng = random.Random(1300 + 5)
+        shapes = set()
+        for _ in range(40):
+            m = random_matrix(rng, 5)
+            cols = list(zip(*m))
+            shapes.add("tall" if len(m) > 5 else "wide")
+            shapes |= {"zero row" for row in m if not any(row)}
+            shapes |= {"zero column" for col in cols if not any(col)}
+            shapes |= {"fraction" for row in m for x in row
+                       if x.denominator > 1}
+            if len(set(cols)) < len(cols):
+                shapes.add("repeated column")
+        assert shapes == {"tall", "wide", "zero row", "zero column",
+                          "fraction", "repeated column"}
+
+    def test_empty_and_columnless_matrices(self):
+        assert nullity_type(()).entries == (0,)
+        assert nullity_type(((), ())).entries == (0,)
+
+    def test_wide_entries_stay_exact(self):
+        # Columns that agree to 80 bits are still independent.
+        big = 1 << 80
+        m = matrix([[big, big + 1, 1], [big + 1, big + 2, 1]])
+        assert nullity_type(m).entries == per_subset_nullities(m)
+        assert nullity_type(m)[0b011] == 0
+
+    def test_constraint_rows_unchanged(self):
+        # Recorded from the per-subset Bareiss elimination.
+        assert constraint_digest() == (
+            "d99d5336973c6687b0f54e68dc8606a84b19acda4a8621bfb8163a1dc84639d0")
+
+    def test_one_rank_call_per_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nullity, "rank",
+                            lambda rows: calls.append(rows) or rank(rows))
+        nullity_type(M7)
+        assert calls == [[[1, 1, 1, 1], [0, 1, 2, 3]]]
+
+    @pytest.mark.parametrize("wrong", [
+        # The whole set one off.
+        lambda found: found[:-1] + [found[-1] + 1],
+        # The zero column {2} reported as a nonzero one, with the whole set
+        # right.
+        lambda found: [x ^ (mask == 2) for mask, x in enumerate(found)],
+    ])
+    def test_wrong_kernel_fails_cross_check(self, wrong, monkeypatch):
+        m = matrix([[1, 0, 0], [1, 0, 0]])
+        kernel = nullity._subset_nullities
+        monkeypatch.setattr(nullity, "_subset_nullities",
+                            lambda columns: wrong(kernel(columns)))
+        with pytest.raises(CertificateError, match="zero pattern"):
+            nullity_type(m)
+
+    def test_residuals_are_divided_by_their_gcd(self):
+        # 1 * (3, 6, 9) - 3 * (1, 1, 0) = (0, 3, 9).
+        assert nullity._eliminate([3, 6, 9], [1, 1, 0], 0) == [0, 1, 3]
+        assert nullity._eliminate([2, 2], [1, 1], 0) is None
+
+    def test_wrong_kernel_fails_cross_check_under_O(self):
+        out = certificate_error_under_O(
+            "from minorcones import nullity\n"
+            "found = nullity._subset_nullities\n"
+            "def shifted(columns):\n"
+            "    out = found(columns)\n"
+            "    out[-1] += 1\n"
+            "    return out\n"
+            "nullity._subset_nullities = shifted\n",
+            "cones.build_E_system(3)")
+        assert "zero pattern" in out
+
+    @pytest.mark.parametrize("rows,message", [
+        (((1,), (3, 4)), "row 2 has 2 entries, expected 1"),
+        (((1, 2), (3,)), "row 2 has 1 entries, expected 2"),
+        (((1, 2), ()), "row 2 has 0 entries, expected 2")])
+    def test_ragged_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            nullity_type(rows)
+
+
+class TestRankFunctionCheck:
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_loop_on_random_functions(self, n):
+        rng = random.Random(2600 + n)
+        valid = [rank_type(random_matrix(rng, n)).entries
+                 for _ in range(10)]
+        seen = set()
+        for trial in range(300):
+            r = list(rng.choice(valid))
+            if trial % 3 == 0:
+                r = [rng.randint(-1, n) for _ in r]
+            for _ in range(rng.randint(0, 3)):
+                r[rng.randrange(len(r))] += rng.choice((-1, 1))
+            if trial % 7 == 0:
+                r[0] = 0
+            expected = rejection(loop_validate, n, r)
+            assert rejection(nullity._validate_rank_function, n, r) \
+                == expected, r
+            seen.add(expected)
+        # n = 0 admits no step at all, n = 1 no pair of them.
+        assert len(seen) == {0: 2, 1: 3}.get(n, 4)
+
+    def test_mixed_violations_report_the_first(self):
+        # T = {} breaks submodularity at (1, 2) before T = {1} breaks unit
+        # increase, and the other way round.
+        sub_first = (0, 1, 1, 3)
+        unit_first = (0, 2, 1, 2)
+        for r in (sub_first, unit_first):
+            assert rejection(nullity._validate_rank_function, 2, r) \
+                == rejection(loop_validate, 2, r)
+        assert "submodular" in rejection(loop_validate, 2, sub_first)
+        assert "unit" in rejection(loop_validate, 2, unit_first)
+
+    def test_fraction_steps_rejected(self):
+        r = (0, Fraction(1, 2), 1, 1)
+        assert rejection(nullity._validate_rank_function, 2, r) \
+            == "rank function violates unit increase"
+
+    @pytest.mark.parametrize("build,n,entries,length", [
+        (NullityType, 2, (0, 0, 0, 0, 5, 7, 9, 1), 8),
+        (NullityType, 2, (0, 0, 0), 3),
+        (NullityType, 2, (), 0),
+        (NullityType, 1, (0,), 1),
+        (RankType, 1, (0, 1, 5), 3),
+        (RankType, 2, (0, 1), 2),
+    ])
+    def test_wrong_length_rejected(self, build, n, entries, length):
+        with pytest.raises(ValueError,
+                           match=f"has {1 << n} entries, got {length}"):
+            build(n, entries)
 
 
 class TestStandardMatrices:
