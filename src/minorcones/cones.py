@@ -5,24 +5,24 @@ in exact integer coordinates on the homogeneity subspace (dimension
 2^n - n - 1) via the double description method, inserting the rows in
 lexicographic order ("lexmin", as in cdd) with combinatorial adjacency on
 tight-row bitmasks.  The certificate of all output rays rests on one
-exact product of the inequality rows with the lifted rays, `_exact_products`:
-an int64 numpy matmul when max ||row||_1 * max |entry| < 2^63 proves that no
-partial sum can overflow, else the same matmul on Python ints.  Its zeros
-are each ray's tight rows, whose rank must be dim - 1: modulo a prime for all
-rays in one numpy elimination, and by exact Bareiss elimination for any ray
-whose modular rank falls short.
+exact product of the inequality rows with the lifted rays,
+`exact.exact_products`: an int64 numpy matmul when max ||row||_1 * max
+|entry| < 2^63 proves that no partial sum can overflow, else the same matmul
+on Python ints.  Its zeros are each ray's tight rows, whose rank must be
+dim - 1: modulo a prime for all rays in one numpy elimination, and by exact
+Bareiss elimination for any ray whose modular rank falls short.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exact import (CertificateError, as_fractions, bareiss_rank, dot,
-                    kernel_basis, primitive)
+                    exact_products, kernel_basis, primitive)
 from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, h_coordinates, h_lift, homogeneity_basis,
@@ -254,20 +254,6 @@ def _modular_ranks(rows: Sequence[Sequence[int]],
     return ranks
 
 
-def _exact_products(rows: Sequence[Sequence[int]],
-                    vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (rows, vecs) matrix of exact integer inner products row . vec,
-    for at least one row and one vector.  Every partial sum of row . vec is
-    at most ||row||_1 * max |entry of vecs| in absolute value, so when that
-    bound (each factor taken as at least 1, so every entry fits too) is
-    below 2^63 the product is an int64 matmul that cannot overflow;
-    otherwise it is the same matmul on Python ints (dtype object)."""
-    norm = max(sum(map(abs, row)) for row in rows)
-    top = max(map(abs, chain.from_iterable(vecs)))
-    dtype = np.int64 if max(norm, 1) * max(top, 1) < 1 << 63 else object
-    return np.array(rows, dtype=dtype) @ np.array(vecs, dtype=dtype).T
-
-
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     """Complete list of primitive extreme rays of the feasible cone, in
     canonical (subset-size, subset-value) lexicographic order.
@@ -276,7 +262,7 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     output does not depend on the order, but the intermediate ray lists
     (and the time) do.  The rays are certified from scratch on their
     subset-indexed vectors.  Each is nonzero.  One exact product of the
-    inequality rows with all of them (`_exact_products`) is nonnegative,
+    inequality rows with all of them (`exact_products`) is nonnegative,
     and that of the equality rows is zero.  The zeros of the first product
     are each ray's tight rows.  Their coordinates on the homogeneity
     quotient (`h_coordinates`) have rank dim - 1, which makes the face the
@@ -297,10 +283,10 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     vecs = [_ambient(coords, n) for coords in rays]
     if not all(map(any, vecs)):
         raise CertificateError("extreme ray is the zero vector")
-    values = _exact_products(system.inequalities, vecs)
+    values = exact_products(system.inequalities, vecs)
     if (values < 0).any():
         raise CertificateError("extreme ray violates an inequality row")
-    if (_exact_products(system.equalities, vecs) != 0).any():
+    if (exact_products(system.equalities, vecs) != 0).any():
         raise CertificateError("extreme ray violates an equality")
     tight = (values == 0).T
     for flags, rank_mod_p in zip(tight, _modular_ranks(reduced, tight)):
@@ -343,8 +329,8 @@ def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
     separating hyperplane."""
     # n(n-1)/2 * 2^(n-2) generators of 2^n entries each: 1,966,080 columns
     # of 65,536 at n = 16.  On probe.random_homogeneous_log(n,
-    # default_rng(7)) the LP took 17.6 s at n = 7 and did not finish in
-    # 240 s at n = 8.
+    # default_rng(7)) the LP takes 1.0 s at n = 7 and 45 s at n = 8 on one
+    # core of a 2-vCPU Xeon.
     if v.ground_size > 8:
         raise ValueError("Koteljanskii cone membership supported for n <= 8")
     if not is_homogeneous(v):
@@ -381,19 +367,26 @@ def _vector_images(vec: Tuple[int, ...], n: int, complement: bool = True):
 
 def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:
     """Partition rays into orbits under the group generated by index
-    permutations and set complementation."""
+    permutations and set complementation.  The canonical sort key of each
+    vector is computed once."""
     if not rays:
         return []
     n = rays[0].ground_size
+    keys = {}
+
+    def key(vec: Tuple[int, ...]):
+        found = keys.get(vec)
+        if found is None:
+            found = keys[vec] = ordered_entries(vec, n)
+        return found
+
     remaining = {r.vector for r in rays}
     orbits = []
-    for ray in sorted(rays, key=Ray.sort_key):
-        if ray.vector not in remaining:
+    for vec in sorted(remaining, key=key):
+        if vec not in remaining:
             continue
-        images = set(_vector_images(ray.vector, n))
-        members = sorted(images & remaining,
-                         key=lambda v: ordered_entries(v, n))
-        rep = min(images, key=lambda v: ordered_entries(v, n))
-        orbits.append(Orbit(rep, tuple(members)))
+        images = set(_vector_images(vec, n))
+        members = sorted(images & remaining, key=key)
+        orbits.append(Orbit(min(images, key=key), tuple(members)))
         remaining -= images
     return orbits

@@ -1,10 +1,12 @@
 """Exact rational linear algebra on plain Python lists of Fractions/ints.
 
-Everything here is deliberately dependency-free: cone certificates must be
-exact, so no floating point enters any function in this module.  The hot
-kernels run on Python ints: `clear_denominators` scales a rational vector
-to integers once, `primitive` and `bareiss_rank` work on its output, and
-`as_fractions` turns an integer result back into reported Fractions.
+Cone certificates must be exact, so no floating point enters any function
+in this module.  The hot kernels run on Python ints: `clear_denominators`
+scales a rational vector to integers once, `primitive` and `bareiss_rank`
+work on its output, and `as_fractions` turns an integer result back into
+reported Fractions.  `exact_products`, the one numpy kernel, takes a whole
+batch of inner products as an int64 matmul when a bound proves that no sum
+can overflow, and on Python ints otherwise.
 `rref`, `kernel_basis`, `det` and `rank_by_minors` stay on Fractions:
 `rref` and `kernel_basis` serve only the brute-force ray oracle
 (`cones.brute_force_rays`) and the tests, since the homogeneity basis has a
@@ -17,12 +19,28 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 Vector = Tuple
 Matrix = Sequence[Sequence]
 
 
 def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
+
+
+def exact_products(rows: Sequence[Sequence[int]],
+                   vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (rows, vecs) matrix of exact integer inner products row . vec,
+    for at least one row and one vector.  Every partial sum of row . vec is
+    at most ||row||_1 * max |entry of vecs| in absolute value, so when that
+    bound (each factor taken as at least 1, so every entry fits too) is
+    below 2^63 the product is an int64 matmul that cannot overflow;
+    otherwise it is the same matmul on Python ints (dtype object)."""
+    norm = max(sum(map(abs, row)) for row in rows)
+    top = max(max(map(max, vecs)), -min(map(min, vecs)))
+    dtype = np.int64 if max(norm, 1) * max(top, 1) < 1 << 63 else object
+    return np.array(rows, dtype=dtype) @ np.array(vecs, dtype=dtype).T
 
 
 class CertificateError(ArithmeticError):

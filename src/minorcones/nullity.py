@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 from operator import sub
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,7 @@ from .exact import CertificateError, clear_denominators, rank
 from .ratios import MAX_GROUND_SIZE, h_coordinates
 from .subsets import format_subset, group_gathers, mask_of, members_of
 
-RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
+RationalMatrix = Tuple[Tuple[Rational, ...], ...]
 
 
 def matrix(rows: Sequence[Sequence]) -> RationalMatrix:
@@ -240,8 +241,10 @@ def rank_type(m: RationalMatrix) -> RankType:
 
 
 def superset_matrix(s: int, n: int) -> RationalMatrix:
-    """The (n-1) x n matrix M_S, a column permutation of [I|e] + I, whose
-    nullity type is the indicator of supersets of S.  Requires |S| >= 3."""
+    """The (n-1) x n 0/1 matrix M_S, a column permutation of [I|e] + I,
+    whose nullity type is the indicator of supersets of S.  Requires
+    |S| >= 3.  Its entries are ints, which `nullity_type` takes as they
+    are."""
     size = s.bit_count()
     if size < 3:
         raise ValueError("superset matrix requires |S| >= 3")
@@ -249,24 +252,24 @@ def superset_matrix(s: int, n: int) -> RationalMatrix:
     other_cols = [c for c in range(n) if c not in s_cols]
     rows = []
     for r in range(size - 1):
-        row = [Fraction(0)] * n
-        row[s_cols[r]] = Fraction(1)
-        row[s_cols[-1]] = Fraction(1)
+        row = [0] * n
+        row[s_cols[r]] = 1
+        row[s_cols[-1]] = 1
         rows.append(tuple(row))
-    for r, c in enumerate(other_cols):
-        row = [Fraction(0)] * n
-        row[c] = Fraction(1)
+    for c in other_cols:
+        row = [0] * n
+        row[c] = 1
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def subset_matrix(s: int, n: int) -> RationalMatrix:
-    """The 1 x n matrix M^S: zero in the columns of S and one elsewhere;
-    its rank type is the indicator of non-subsets of S.  Requires |S| <= n-2."""
+    """The 1 x n 0/1 matrix M^S: zero in the columns of S and one
+    elsewhere; its rank type is the indicator of non-subsets of S.
+    Requires |S| <= n-2.  Its entries are ints."""
     if s.bit_count() > n - 2:
         raise ValueError("subset matrix requires |S| <= n-2")
-    return (tuple(Fraction(0) if s >> c & 1 else Fraction(1)
-                  for c in range(n)),)
+    return (tuple(0 if s >> c & 1 else 1 for c in range(n)),)
 
 
 # The two rank-2 matrices of the n = 4 catalogue with no M_S/M^S form.

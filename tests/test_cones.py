@@ -17,7 +17,7 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               orbit_decompose)
 from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, dot,
-                              primitive, rref)
+                              exact_products, primitive, rref)
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
@@ -351,14 +351,14 @@ def dot_products(rows, vecs):
 def product_dtypes(monkeypatch):
     """dtypes of the certificate's exact products, in call order."""
     dtypes = []
-    found = cones._exact_products
+    found = cones.exact_products
 
     def spy(rows, vecs):
         values = found(rows, vecs)
         dtypes.append(values.dtype)
         return values
 
-    monkeypatch.setattr(cones, "_exact_products", spy)
+    monkeypatch.setattr(cones, "exact_products", spy)
     return dtypes
 
 
@@ -375,7 +375,7 @@ class TestExactProducts:
                     for _ in range(rng.randint(1, 6))]
             norm = max(sum(map(abs, row)) for row in rows)
             top = max(abs(x) for vec in vecs for x in vec)
-            values = cones._exact_products(rows, vecs)
+            values = exact_products(rows, vecs)
             assert values.tolist() == dot_products(rows, vecs)
             assert ((values.dtype == np.int64)
                     == (max(norm, 1) * max(top, 1) < 1 << 63))
@@ -390,7 +390,7 @@ class TestExactProducts:
         ([[0, 0]], [[1 << 63, 0]], object),
     ])
     def test_bound_edges(self, rows, vecs, dtype):
-        values = cones._exact_products(rows, vecs)
+        values = exact_products(rows, vecs)
         assert values.dtype == dtype
         assert values.tolist() == dot_products(rows, vecs)
 
@@ -415,7 +415,7 @@ class TestExactProducts:
         reduced, dim = reduced_system(system)
         _, rays = cones._double_description(sorted(reduced), dim)
         vecs = [cones._ambient(coords, n) for coords in rays]
-        full = cones._exact_products(system.inequalities, vecs) == 0
+        full = exact_products(system.inequalities, vecs) == 0
         assert full.T.tolist() == [
             [dot(h_coordinates(row, n), coords) == 0
              for row in system.inequalities] for coords in rays]

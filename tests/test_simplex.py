@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minorcones import simplex
@@ -12,7 +14,8 @@ from minorcones.cones import (KoteljanskiiCertificate, MembershipCertificate,
                               build_D_system, build_E_system,
                               koteljanskii_cone_membership, membership)
 from minorcones.constants import R1, counterexample_E4
-from minorcones.exact import CertificateError, dot
+from minorcones.exact import CertificateError, clear_denominators, dot
+from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import FormalLog, koteljanskii_generators, log_of
 from minorcones.simplex import nonnegative_combination
 
@@ -59,6 +62,57 @@ def fraction_tableau(columns, target):
                 x[var] = rows[i][-1]
         return x, None
     return None, [signs[i] * (1 - z[k + i]) for i in range(m)]
+
+
+def list_phase_one(rows, z, basis):
+    """Reference: the integer phase-I pivots on Python lists, one list
+    comprehension per row, as the package ran them before the numpy
+    tableau.  Same contract as simplex._phase_one."""
+    m, width = len(rows), len(z) - 1
+    d = 1
+    while True:
+        enter = next((j for j in range(width) if z[j] < 0), None)
+        if enter is None:
+            return d
+        leave = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                if leave is not None:
+                    lhs = rows[i][-1] * rows[leave][enter]
+                    rhs = rows[leave][-1] * a
+                    if lhs > rhs or lhs == rhs and basis[i] > basis[leave]:
+                        continue
+                leave = i
+        if leave is None:
+            raise ArithmeticError("phase-I objective unbounded below")
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
+        for i in range(m):
+            f = rows[i][enter]
+            if i != leave and (f or piv != d):
+                rows[i] = [(x * piv - f * y) // d
+                           for x, y in zip(rows[i], pivot_row)]
+        f = z[enter]
+        z[:] = [(x * piv - f * y) // d for x, y in zip(z, pivot_row)]
+        d = piv
+        basis[leave] = enter
+
+
+def list_tableau(columns, target):
+    """Reference: the initial integer tableau (rows, z, basis) that
+    nonnegative_combination hands to _phase_one, built entry by entry."""
+    m, k = len(target), len(columns)
+    cols = [clear_denominators(col)[0] for col in columns]
+    tgt = clear_denominators(target)[0]
+    signs = [-1 if v < 0 else 1 for v in tgt]
+    rows = [[signs[i] * col[i] for col in cols]
+            + [int(i == r) for r in range(m)]
+            + [signs[i] * tgt[i]] for i in range(m)]
+    z = [-sum(col) for col in zip(*rows)] if rows else [0] * (k + 1)
+    for i in range(m):
+        z[k + i] += 1
+    return rows, z, [k + i for i in range(m)]
 
 
 def fraction_membership(v, system):
@@ -229,6 +283,186 @@ class TestRandomized:
         for cols, target in cases:
             assert (nonnegative_combination(cols, target)
                     == fraction_tableau(cols, target))
+
+
+def membership_targets(seed, count):
+    """Targets of the cone(K_4) LPs of a seeded n = 4 membership stream,
+    drawn as perfbench's `membership` workload draws them: nonnegative
+    integer combinations of 2-6 local generators (members) alternating
+    with random {-1, 0, 1} combinations of the homogeneity basis."""
+    rng, np_rng = random.Random(seed), np.random.default_rng(seed)
+    gens = [vec for _, vec in koteljanskii_generators(4)]
+    out = []
+    for job in range(count):
+        if job % 2:
+            out.append(random_homogeneous_log(4, np_rng).exponents)
+            continue
+        vec = [0] * 16
+        for _ in range(rng.randint(2, 6)):
+            c = rng.randint(1, 3)
+            vec = [a + c * g for a, g in zip(vec, rng.choice(gens))]
+        out.append(tuple(vec))
+    return out
+
+
+def seeded_systems(seed, count):
+    """Random (columns, target) with entries p/q, |p| <= 3, q | 6."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, k = rng.randint(1, 5), rng.randint(0, 7)
+        cols = [tuple(F(rng.randint(-3, 3)) / rng.choice((1, 2, 3, 6))
+                      for _ in range(m)) for _ in range(k)]
+        target = tuple(F(rng.randint(-3, 3)) / rng.choice((1, 2, 6))
+                       for _ in range(m))
+        out.append((cols, target))
+    return out
+
+
+def is_exact(value):
+    return (type(value) is Fraction and type(value.numerator) is int
+            and type(value.denominator) is int)
+
+
+def assert_same_pivots(columns, target):
+    """simplex._phase_one and list_phase_one leave the same (d, rows, z,
+    basis), all Python ints, on the tableau of the system."""
+    results = []
+    for solve in (simplex._phase_one, list_phase_one):
+        rows, z, basis = list_tableau(columns, target)
+        results.append((solve(rows, z, basis), rows, z, basis))
+    assert results[0] == results[1]
+    d, rows, z, basis = results[0]
+    assert all(type(v) is int for v in [d, *z, *basis, *sum(rows, [])])
+    return results[0]
+
+
+def assert_exact_certificate(columns, target):
+    """Every entry of the certificate is a Fraction of Python ints."""
+    x, y = nonnegative_combination(columns, target)
+    assert all(map(is_exact, x if y is None else y))
+
+
+class TableauRecorder:
+    """Stands in for numpy inside simplex: records the dtype of every array
+    it makes with np.array, and "exact" for each search of the largest
+    |entry| (np.abs); everything else is numpy's own."""
+
+    def __init__(self):
+        self.events = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, values, dtype=None):
+        self.events.append(np.dtype(dtype))
+        return np.array(values, dtype=dtype)
+
+    def abs(self, table):
+        self.events.append("exact")
+        return np.abs(table)
+
+
+@pytest.fixture
+def tableau_events(monkeypatch):
+    recorder = TableauRecorder()
+    monkeypatch.setattr(simplex, "np", recorder)
+    return recorder.events
+
+
+INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
+
+
+class TestNumpyTableauMatchesListTableau:
+    def test_seeded_rational_systems(self):
+        for cols, target in seeded_systems(7, 300):
+            assert_same_pivots(cols, target)
+            assert_exact_certificate(cols, target)
+
+    def test_membership_stream(self):
+        gens = [vec for _, vec in koteljanskii_generators(4)]
+        verdicts = set()
+        for target in membership_targets(9, 120):
+            _, _, z, _ = assert_same_pivots(gens, target)
+            assert_exact_certificate(gens, target)
+            verdicts.add(z[-1] == 0)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_koteljanskii_lp(self, n):
+        gens = [vec for _, vec in koteljanskii_generators(n)]
+        v = random_homogeneous_log(n, np.random.default_rng(n))
+        assert_same_pivots(gens, v.exponents)
+        assert_exact_certificate(gens, v.exponents)
+
+    def test_empty_target_and_no_columns(self):
+        cases = [([()] * k, ()) for k in (0, 1, 3)] + [
+            ([], target)
+            for target in [(F(1),), (F(0), F(0)), (F(-2), Fraction(3, 2))]]
+        for cols, target in cases:
+            assert_same_pivots(cols, target)
+            assert_exact_certificate(cols, target)
+
+    def test_entries_up_to_the_int64_limit(self, tableau_events):
+        # Integer entries up to 2^31 / 5 in absolute value, so that every
+        # entry of the initial tableau, column sums included, is below
+        # 2^31: the first pivot runs in int64 on products near 2^62.
+        assert 2 * (simplex._INT64_LIMIT - 1) ** 2 < 1 << 63
+        rng = random.Random(8)
+        top = ((1 << 31) - 1) // 5
+        for _ in range(60):
+            m, k = rng.randint(1, 5), rng.randint(1, 7)
+            cols = [tuple(rng.randint(-top, top) for _ in range(m))
+                    for _ in range(k)]
+            target = tuple(rng.randint(-top, top) for _ in range(m))
+            del tableau_events[:]
+            assert_same_pivots(cols, target)
+            assert tableau_events[0] == INT64
+            assert_exact_certificate(cols, target)
+
+    @pytest.mark.parametrize("entry, fits", [
+        (1, True), ((1 << 31) - 1, True), (1 - (1 << 31), True),
+        (1 << 31, False), (-(1 << 31), False), (1 << 70, False)])
+    def test_dtype_at_the_limit(self, entry, fits, tableau_events):
+        # x = (entry, 0) or no solution by unit pivots, which never grow an
+        # entry: int64 throughout, or Python ints from the start.
+        cols, target = [(F(1), F(0)), (F(0), F(1))], (F(entry), F(0))
+        assert_same_pivots(cols, target)
+        events = tableau_events[:]
+        assert_exact_certificate(cols, target)
+        if not fits:
+            assert events == [OBJECT]
+            return
+        assert events[0] == INT64 and OBJECT not in events
+        # The carried bound reaches 2^31 only next to the limit; there the
+        # largest entry is searched for, and is still below 2^31.
+        assert ("exact" in events) == (abs(entry) > 1)
+
+    def test_switch_after_a_pivot(self, tableau_events):
+        # 46341^2 > 2^31: the first pivot leaves 46341^2 - 1 in row 1, so
+        # the second, on that entry, runs on Python ints.
+        cols, target = [(F(46341), F(1)), (F(1), F(46341))], (F(1), F(1))
+        d, _, _, basis = assert_same_pivots(cols, target)
+        assert d == 46341 ** 2 - 1 and sorted(basis) == [0, 1]
+        assert tableau_events == [INT64, "exact", OBJECT]
+        assert_exact_certificate(cols, target)
+
+    def test_nonnegative_combination_builds_the_list_tableau(self,
+                                                             monkeypatch):
+        seen = []
+        solve = simplex._phase_one
+
+        def spy(rows, z, basis):
+            seen.append(copy.deepcopy((rows, z, basis)))
+            return solve(rows, z, basis)
+
+        monkeypatch.setattr(simplex, "_phase_one", spy)
+        cases = seeded_systems(10, 60) + [
+            ([()] * 2, ()), ([], (F(1),)),
+            ([(F(1 << 70), F(-1))], (F(-(1 << 40)), F(3)))]
+        for cols, target in cases:
+            nonnegative_combination(cols, target)
+            assert seen.pop() == list_tableau(cols, target)
 
 
 def tampered(corrupt):
