@@ -5,6 +5,7 @@ identities for R1, R2, R3.
 Everything is deterministic given a SamplerConfig seed.
 """
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -18,7 +19,7 @@ from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
 from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
                      batch_log_minors, evaluate_log_ratio, h_lift,
                      is_homogeneous, is_koteljanskii_ray, log_of,
-                     log_ratio_from_minors)
+                     log_ratio_from_minors, log_ratio_values)
 from .subsets import members_of
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
@@ -154,10 +155,12 @@ def fiedler_check(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
     n = a.shape[-1]
-    roots = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
-                    * np.diagonal(b, axis1=-2, axis2=-1))
-    residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
-    if np.any(residuals < -1e-9):
+    # Array methods, not the np.diagonal/np.any wrappers: a caller looping
+    # over single matrices pays their dispatch on every call.
+    roots = a.diagonal(0, -2, -1) * b.diagonal(0, -2, -1)
+    np.sqrt(roots, out=roots)
+    residuals = roots.sum(-1, keepdims=True) - (2.0 * roots + (n - 2))
+    if residuals.min(initial=0.0) < -1e-9:
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
     return residuals
@@ -195,11 +198,23 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
     local congruence ascent E A E^T from the best sample.
 
     Diagonal congruence leaves homogeneous ratios invariant, so the ascent
-    perturbs with general near-identity congruence factors.
+    perturbs with general near-identity congruence factors.  Step i tries
+    E_i A E_i^T and keeps it if it is PD on v's support and raises the
+    log-ratio.  The factors are drawn up front, and one kernel call per
+    accepted step evaluates every remaining step's candidate from the
+    current matrix: the same draws and a bitwise identical result to
+    trying the steps one at a time.
     """
+    _check_ascent_steps(ascent_steps)
     batch = sample_pd(cfg)
     return _bound_search_on(v, evaluate_log_ratio(v, batch), batch, cfg.seed,
                             ascent_steps, ascent_scale)
+
+
+def _check_ascent_steps(ascent_steps) -> None:
+    if not isinstance(ascent_steps, numbers.Integral) or ascent_steps < 0:
+        raise ValueError("ascent_steps must be a nonnegative integer, "
+                         f"not {ascent_steps!r}")
 
 
 def _bound_search_on(v: FormalLog, values: np.ndarray, batch: np.ndarray,
@@ -207,23 +222,27 @@ def _bound_search_on(v: FormalLog, values: np.ndarray, batch: np.ndarray,
                      ascent_scale: float = 0.05) -> BoundSearchResult:
     """bound_search on a batch and its log-ratio values, which several ratios
     can share; the ascent draws from a generator seeded by (seed, 1)."""
+    _check_ascent_steps(ascent_steps)
     n = v.ground_size
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
-    best_mat = batch[best_idx]
 
     rng = np.random.default_rng((seed, 1))
-    current = best_mat
+    factors = np.eye(n) + ascent_scale * rng.standard_normal(
+        (ascent_steps, n, n))
+    current = batch[best_idx]
     current_val = best_val
-    for _ in range(ascent_steps):
-        e = np.eye(n) + ascent_scale * rng.standard_normal((n, n))
-        cand = e @ current @ e.T
-        try:
-            val = evaluate_log_ratio(v, cand)
-        except NotPositiveDefiniteError:
-            continue
-        if val > current_val:
-            current, current_val = cand, val
+    step = 0
+    while step < ascent_steps:
+        rest = factors[step:]
+        cands = rest @ current @ rest.transpose(0, 2, 1)
+        vals, finite = log_ratio_values(v, cands)
+        better = np.flatnonzero(finite & (vals > current_val))
+        if not len(better):
+            break
+        accepted = int(better[0])
+        current, current_val = cands[accepted], float(vals[accepted])
+        step += accepted + 1
     diverging = current_val > best_val + 5.0
     return BoundSearchResult(float(np.exp(current_val)), current, diverging)
 

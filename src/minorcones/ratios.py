@@ -523,21 +523,31 @@ def batch_log_minors(batch: np.ndarray,
     how the stack is chunked.  For a symmetric A[S], all pivots are positive
     iff A[S] is positive definite; a pivot that is not positive and finite
     makes the log-minor non-finite, and NotPositiveDefiniteError names the
-    first such subset in the given order.
+    first such subset in the given order, within the first chunk that has
+    one.
     """
+    plan, values = _log_minors(batch, masks)
+    finite = np.isfinite(values)
+    if not finite.all():
+        start = int(np.argmin(finite.all(axis=0))) // plan.chunk * plan.chunk
+        first = int(np.argmin(finite[:, start:start + plan.chunk].all(axis=1)))
+        raise NotPositiveDefiniteError(members_of(plan.masks[first]))
+    return dict(zip(plan.masks, values))
+
+
+def _log_minors(batch: np.ndarray, masks: Sequence[int]):
+    """The elimination of batch_log_minors without its check: the plan and
+    the values, one row per plan.masks entry and one column per matrix.  A
+    value is finite iff the matrix is numerically positive definite on
+    that subset."""
     count, n = batch.shape[0], batch.shape[-1]
     plan = _log_minor_plan(n, tuple(masks))
     values = np.zeros((len(plan.masks), count))
-    for start in range(0, count, plan.chunk):
-        chunk = batch[start:start + plan.chunk]
-        stop = start + len(chunk)
-        with np.errstate(all="ignore"):
-            _eliminate(chunk, plan, values[:, start:stop])
-        finite = np.isfinite(values[:, start:stop])
-        if not finite.all():
-            first = int(np.argmin(finite.all(axis=1)))
-            raise NotPositiveDefiniteError(members_of(plan.masks[first]))
-    return dict(zip(plan.masks, values))
+    with np.errstate(all="ignore"):
+        for start in range(0, count, plan.chunk):
+            chunk = batch[start:start + plan.chunk]
+            _eliminate(chunk, plan, values[:, start:start + len(chunk)])
+    return plan, values
 
 
 def _eliminate(chunk: np.ndarray, plan: _Plan, values: np.ndarray) -> None:
@@ -592,3 +602,14 @@ def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
     minors = batch_log_minors(stack, v._support)
     total = np.zeros(len(stack)) + log_ratio_from_minors(v, minors)
     return float(total[0]) if a.ndim == 2 else total
+
+
+def log_ratio_values(v: FormalLog, stack: np.ndarray):
+    """evaluate_log_ratio on a (count, n, n) stack without the positive
+    definiteness check: the log-ratios, and per matrix whether every
+    minor in v.support() is finite.  Where it is not, the value means
+    nothing (a minor of -inf with a negative weight gives +inf)."""
+    plan, values = _log_minors(stack, v._support)
+    with np.errstate(invalid="ignore"):
+        total = log_ratio_from_minors(v, dict(zip(plan.masks, values)))
+    return np.zeros(len(stack)) + total, np.isfinite(values).all(axis=0)

@@ -14,7 +14,8 @@ from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
                               fiedler_check, random_homogeneous_log,
                               sample_pd, slope_law_suite)
 from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
-                               homogeneity_vectors, is_homogeneous, log_of)
+                               evaluate_log_ratio, homogeneity_vectors,
+                               is_homogeneous, log_of)
 from minorcones.subsets import members_of
 
 
@@ -32,6 +33,48 @@ def jacobi_check(a: np.ndarray, s: int, tolerance: float = 1e-9) -> bool:
     lhs = minor(a, s)
     rhs = float(np.linalg.det(a)) * minor(inv, full ^ s)
     return abs(lhs - rhs) <= tolerance * abs(lhs)
+
+
+def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
+    """The Fiedler residuals through the np.diagonal/np.any wrappers."""
+    a = np.asarray(a, dtype=float)
+    b = np.linalg.inv(a)
+    n = a.shape[-1]
+    roots = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
+                    * np.diagonal(b, axis1=-2, axis2=-1))
+    residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
+    if np.any(residuals < -1e-9):
+        raise FloatingPointError(
+            "Fiedler inequality violated beyond tolerance")
+    return residuals
+
+
+def reference_bound_search_on(v, values, batch, seed, ascent_steps=200,
+                              ascent_scale=0.05, skipped=None):
+    """The congruence ascent one step at a time, each candidate through
+    evaluate_log_ratio; a non-PD candidate is appended to skipped."""
+    n = v.ground_size
+    best_idx = int(np.argmax(values))
+    best_val = float(values[best_idx])
+    best_mat = batch[best_idx]
+
+    rng = np.random.default_rng((seed, 1))
+    current = best_mat
+    current_val = best_val
+    for _ in range(ascent_steps):
+        e = np.eye(n) + ascent_scale * rng.standard_normal((n, n))
+        cand = e @ current @ e.T
+        try:
+            val = evaluate_log_ratio(v, cand)
+        except NotPositiveDefiniteError:
+            if skipped is not None:
+                skipped.append(cand)
+            continue
+        if val > current_val:
+            current, current_val = cand, val
+    diverging = current_val > best_val + 5.0
+    return probe.BoundSearchResult(float(np.exp(current_val)), current,
+                                   diverging)
 
 
 class TestLinearFamilySlope:
@@ -166,8 +209,36 @@ class TestInequalities:
 
     def test_fiedler_violation_is_a_floating_point_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
-        with pytest.raises(FloatingPointError, match="Fiedler"):
-            fiedler_check(np.eye(4))
+        for check in (fiedler_check, reference_fiedler_check):
+            with pytest.raises(FloatingPointError) as err:
+                check(np.eye(4))
+            assert str(err.value) == (
+                "Fiedler inequality violated beyond tolerance")
+
+    @pytest.mark.parametrize("shortfall,raises", [(1e-9, True),
+                                                  (1e-10, False)])
+    def test_fiedler_tolerance_is_1e_minus_9(self, monkeypatch, shortfall,
+                                             raises):
+        # With B = c^2 I at A = I, each residual is (n - 2) * (c - 1).
+        c = 1.0 - shortfall
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: c * c * np.eye(a.shape[-1]))
+        for check in (fiedler_check, reference_fiedler_check):
+            if raises:
+                with pytest.raises(FloatingPointError):
+                    check(np.eye(4))
+            else:
+                assert np.all(check(np.eye(4)) > -1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fiedler_matches_the_wrapper_formula_bitwise(self, n):
+        batch = sample_pd(SamplerConfig(seed=30 + n, count=200, dimension=n))
+        for a in (batch, batch[0], batch[:0], batch.reshape(
+                10, 20, n, n), np.eye(n)):
+            got = fiedler_check(a)
+            want = reference_fiedler_check(a)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_complement_ratio_requests_2n_minors(self, monkeypatch):
         requested = []
@@ -244,6 +315,86 @@ class TestBoundSearch:
                            ascent_steps=400, ascent_scale=0.2)
         assert res.max_ratio > 1.0
 
+    @staticmethod
+    def assert_matches_reference(v, cfg, ascent_steps=200, ascent_scale=0.05,
+                                 skipped=None):
+        batch = sample_pd(cfg)
+        values = evaluate_log_ratio(v, batch)
+        want = reference_bound_search_on(v, values, batch, cfg.seed,
+                                         ascent_steps, ascent_scale, skipped)
+        for got in (probe._bound_search_on(v, values, batch, cfg.seed,
+                                           ascent_steps, ascent_scale),
+                    bound_search(v, cfg, ascent_steps, ascent_scale)):
+            assert got.max_ratio == want.max_ratio
+            assert np.array_equal(got.argmax, want.argmax)
+            assert got.argmax.tobytes() == want.argmax.tobytes()
+            assert got.diverging is want.diverging
+        return want
+
+    @pytest.mark.parametrize("name", ["R1", "R2", "R3"])
+    @pytest.mark.parametrize("seed", [0, 11, 4200])
+    def test_named_ascent_matches_the_stepwise_reference(self, name, seed):
+        self.assert_matches_reference(
+            named_log(name), SamplerConfig(seed=seed, count=300, dimension=4))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_ascent_matches_the_stepwise_reference(self, n):
+        rng = np.random.default_rng(50 + n)
+        for seed in range(3):
+            v = random_homogeneous_log(n, rng)
+            self.assert_matches_reference(
+                v, SamplerConfig(seed=seed, count=100, dimension=n))
+
+    def test_counterexample_ascent_matches_the_stepwise_reference(self):
+        self.assert_matches_reference(
+            counterexample_E4(), SamplerConfig(seed=6, count=200, dimension=4),
+            ascent_steps=400, ascent_scale=0.2)
+
+    def test_non_pd_candidates_are_skipped_as_stepwise(self):
+        # The ascent drives this unbounded ratio towards singular matrices,
+        # where some candidates are not numerically PD; on some of those a
+        # -inf minor with a negative weight gives a log-ratio of +inf, which
+        # must not be accepted.
+        v = log_of("{1,2}{1,3}{2,3} / {1}{2}{3}{1,2,3}", 3)
+        skipped = []
+        want = self.assert_matches_reference(
+            v, SamplerConfig(seed=7, count=200, dimension=3),
+            ascent_steps=400, ascent_scale=0.2, skipped=skipped)
+        assert want.diverging and skipped
+        values, finite = ratios.log_ratio_values(v, np.stack(skipped))
+        assert not finite.any()
+        assert np.any(values == np.inf)
+
+    @pytest.mark.parametrize("steps", [-1, 2.0, 1.5, "3", None])
+    def test_bad_ascent_steps_rejected_before_sampling(self, monkeypatch,
+                                                       steps):
+        v = named_log("R1")
+        cfg = SamplerConfig(seed=1, count=20, dimension=4)
+        batch = sample_pd(cfg)
+        values = evaluate_log_ratio(v, batch)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking ascent_steps")
+
+        monkeypatch.setattr(probe, "sample_pd", no_sampling)
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValueError, match="ascent_steps"):
+            bound_search(v, cfg, ascent_steps=steps)
+        with pytest.raises(ValueError, match="ascent_steps"):
+            probe._bound_search_on(v, values, batch, cfg.seed, steps)
+
+    def test_zero_ascent_steps_returns_the_best_sample(self):
+        v = named_log("R1")
+        cfg = SamplerConfig(seed=1, count=50, dimension=4)
+        batch = sample_pd(cfg)
+        values = evaluate_log_ratio(v, batch)
+        best = int(np.argmax(values))
+        for res in (bound_search(v, cfg, ascent_steps=0),
+                    probe._bound_search_on(v, values, batch, cfg.seed, 0),
+                    bound_search(v, cfg, ascent_steps=np.int64(0))):
+            assert res.max_ratio == float(np.exp(values[best]))
+            assert np.array_equal(res.argmax, batch[best])
+            assert res.diverging is False
 
     def test_shared_batch_matches_own_sample(self):
         cfg = SamplerConfig(seed=11, count=300, dimension=4)

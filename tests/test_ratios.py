@@ -23,7 +23,7 @@ from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                homogeneity_basis, homogeneity_vectors,
                                is_homogeneous, is_koteljanskii_ray,
                                koteljanskii_log, log_of, log_ratio_from_minors,
-                               MAX_GROUND_SIZE, parse_ratio)
+                               log_ratio_values, MAX_GROUND_SIZE, parse_ratio)
 from minorcones.subsets import (complement_mask, mask_of, members_of,
                                 permute_mask, subset_order)
 
@@ -407,6 +407,46 @@ class TestLogMinorKernel:
             with pytest.raises(NotPositiveDefiniteError) as err:
                 batch_log_minors(stack, masks)
             assert err.value.subset == (1, 3)
+
+    def test_names_the_first_failing_chunk_before_later_ones(self):
+        # The first chunk fails on {1,3} only; a later chunk fails on
+        # {1,2}, which comes first in the order.  The elimination meets
+        # the first chunk first, so {1,3} is named.
+        fails_13 = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0],
+                             [2.0, 0.0, 1.0]])
+        fails_12 = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]])
+        masks = [1, 2, 4, 3, 5, 6]
+        chunk = ratios._log_minor_plan(3, tuple(masks)).chunk
+        stack = np.concatenate([np.broadcast_to(np.eye(3), (chunk - 1, 3, 3)),
+                                fails_13[None], fails_12[None]])
+        for rows, subset in ((stack, (1, 3)), (stack[chunk:], (1, 2)),
+                             (stack[chunk - 1:], (1, 2))):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                batch_log_minors(rows, masks)
+            assert err.value.subset == subset
+
+    def test_log_ratio_values_match_the_checked_evaluation(self):
+        from minorcones.constants import R1, counterexample_E4
+        stack = _pd_stack(30, 4, seed=4)
+        bad = stack.copy()
+        bad[3, 0, 0] = -1.0            # not PD on {1}
+        bad[7, 2, 3] = bad[7, 3, 2] = 50.0   # not PD on {3,4}
+        bad[9, 1, 1] = np.nan
+        for v in (R1(), counterexample_E4(), log_of("{}/{}", 4)):
+            values, finite = log_ratio_values(v, stack)
+            assert finite.all() and finite.shape == (30,)
+            assert values.tobytes() == evaluate_log_ratio(v, stack).tobytes()
+            values, finite = log_ratio_values(v, bad)
+            for k, a in enumerate(bad):
+                try:
+                    want = evaluate_log_ratio(v, a)
+                except NotPositiveDefiniteError:
+                    assert not finite[k]
+                else:
+                    assert finite[k] and values[k] == want
+        values, finite = log_ratio_values(R1(), bad)
+        assert np.flatnonzero(~finite).tolist() == [3, 7, 9]
 
     def test_each_mask_equals_its_own_call_bitwise(self):
         rng = np.random.default_rng(11)
