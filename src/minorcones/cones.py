@@ -15,6 +15,7 @@ Bareiss elimination for any ray whose modular rank falls short.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -22,12 +23,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import (CertificateError, as_fractions, bareiss_rank, dot,
-                    exact_products, kernel_basis, primitive)
+                    exact_products, int64_products_fit, kernel_basis,
+                    primitive)
 from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, h_coordinates, h_lift, homogeneity_basis,
                      homogeneity_vectors, is_homogeneous,
-                     koteljanskii_generators)
+                     koteljanskii_generators, koteljanskii_matrix)
 from .simplex import nonnegative_combination
 from .subsets import (format_subset, group_gathers, ordered_entries,
                       subset_order)
@@ -47,6 +49,21 @@ class ConstraintSystem:
     equalities: Tuple[Tuple[int, ...], ...]
     inequalities: Tuple[Tuple[int, ...], ...]
     labels: Tuple[str, ...]
+
+    @cached_property
+    def integer_rows(self) -> Tuple[Optional[np.ndarray], int]:
+        """The inequality rows as one read-only int64 array, built on first
+        use and kept, and their largest L1 norm.  The array is None when
+        that norm is 2^63 or more: then no product with a row is sure to
+        fit in int64 (`exact.int64_products_fit`)."""
+        norm = max((sum(map(abs, row)) for row in self.inequalities),
+                   default=0)
+        if not int64_products_fit(norm, 1):
+            return None, norm
+        rows = np.array(self.inequalities, dtype=np.int64).reshape(
+            len(self.inequalities), 1 << self.ground_size)
+        rows.flags.writeable = False
+        return rows, norm
 
 
 @dataclass(frozen=True)
@@ -120,13 +137,19 @@ def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     """Exact inner products against every inequality row; member iff all
     are nonnegative.  Requires a homogeneous input.  The products are taken
     in integers on d * v (d the lcm of v's denominators) and reported as
-    Fractions over d."""
+    Fractions over d: one int64 matmul with `system.integer_rows` when
+    `exact.int64_products_fit` proves that no sum can overflow, else one
+    Python-int dot product per row."""
     if v.ground_size != system.ground_size:
         raise ValueError("ground size mismatch")
     if not is_homogeneous(v):
         raise ValueError("membership requires a homogeneous formal log")
     ints, d = v.cleared
-    values = [dot(ints, row) for row in system.inequalities]
+    rows, norm = system.integer_rows
+    if int64_products_fit(norm, max(map(abs, ints))):
+        values = (rows @ np.array(ints, dtype=np.int64)).tolist()
+    else:
+        values = [dot(ints, row) for row in system.inequalities]
     products = tuple(zip(system.labels, as_fractions(values, d)))
     witness = next((p for p, x in zip(products, values) if x < 0), None)
     return MembershipCertificate(witness is None, products, witness)
@@ -325,29 +348,32 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
 
 def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
     """Decide v in cone(K_n) by exact rational feasibility over the local
-    generators: either explicit nonnegative generator coefficients, or a
-    separating hyperplane."""
+    generators, the cached matrix `koteljanskii_matrix(n)`, with v's
+    cleared form as the target: either explicit nonnegative generator
+    coefficients, or a separating hyperplane."""
     # n(n-1)/2 * 2^(n-2) generators of 2^n entries each: 1,966,080 columns
     # of 65,536 at n = 16.  On probe.random_homogeneous_log(n,
-    # default_rng(7)) the LP takes 1.0 s at n = 7 and 45 s at n = 8 on one
-    # core of a 2-vCPU Xeon.
+    # default_rng(7)) the LP takes about 1.0 s at n = 7 and 32-43 s at
+    # n = 8 on one core of a 2-vCPU Xeon.
     if v.ground_size > 8:
         raise ValueError("Koteljanskii cone membership supported for n <= 8")
     if not is_homogeneous(v):
         raise ValueError("Koteljanskii cone membership requires homogeneity")
     gens = koteljanskii_generators(v.ground_size)
-    columns = [vec for _, vec in gens]
-    x, y = nonnegative_combination(columns, v.exponents)
+    x, y = nonnegative_combination(koteljanskii_matrix(v.ground_size),
+                                   v.cleared)
     if x is not None:
         combo = tuple((gens[j][0], coeff) for j, coeff in enumerate(x)
-                      if coeff != 0)
+                      if coeff)
         return KoteljanskiiCertificate(True, combo, None)
     # nonnegative_combination has checked y's Farkas inequalities, which
     # for h = -y are h.v < 0 and h.col >= 0 for every column.  y shares
-    # one Fraction per distinct value, and so does h.
-    negated = {val: -val for val in set(y)}
+    # one Fraction per distinct value, and so does h; the values are told
+    # apart by identity, since hashing a Fraction is slow.
+    distinct = {id(val): val for val in y}
+    negated = {key: -val for key, val in distinct.items()}
     return KoteljanskiiCertificate(False, None,
-                                   tuple(negated[val] for val in y))
+                                   tuple(negated[id(val)] for val in y))
 
 
 @dataclass(frozen=True)

@@ -29,18 +29,35 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def exact_products(rows: Sequence[Sequence[int]],
-                   vecs: Sequence[Sequence[int]]) -> np.ndarray:
+def int64_products_fit(norm: int, top: int) -> bool:
+    """Whether every partial sum of row . vec fits in int64 for any row with
+    ||row||_1 <= norm and any vec with every |entry| <= top: the sums are at
+    most norm * top in absolute value, and with each factor taken as at
+    least 1 every entry fits too."""
+    return max(norm, 1) * max(top, 1) < 1 << 63
+
+
+def largest_entry(values) -> int:
+    """max |entry| of an integer array (int64 or Python ints; 0 if it is
+    empty), or of a nonempty sequence of nonempty integer rows."""
+    if isinstance(values, np.ndarray):
+        if not values.size:
+            return 0
+        return max(int(values.max()), -int(values.min()))
+    return max(max(map(max, values)), -min(map(min, values)))
+
+
+def exact_products(rows: Sequence[Sequence[int]], vecs) -> np.ndarray:
     """The (rows, vecs) matrix of exact integer inner products row . vec,
-    for at least one row and one vector.  Every partial sum of row . vec is
-    at most ||row||_1 * max |entry of vecs| in absolute value, so when that
-    bound (each factor taken as at least 1, so every entry fits too) is
-    below 2^63 the product is an int64 matmul that cannot overflow;
-    otherwise it is the same matmul on Python ints (dtype object)."""
+    for at least one row; `vecs` is a sequence of integer vectors or an
+    integer array with one vector per row.  When `int64_products_fit`
+    proves that no partial sum can overflow, the product is an int64
+    matmul; otherwise it is the same matmul on Python ints (dtype
+    object)."""
     norm = max(sum(map(abs, row)) for row in rows)
-    top = max(max(map(max, vecs)), -min(map(min, vecs)))
-    dtype = np.int64 if max(norm, 1) * max(top, 1) < 1 << 63 else object
-    return np.array(rows, dtype=dtype) @ np.array(vecs, dtype=dtype).T
+    fits = int64_products_fit(norm, largest_entry(vecs))
+    dtype = np.int64 if fits else object
+    return np.asarray(rows, dtype=dtype) @ np.asarray(vecs, dtype=dtype).T
 
 
 class CertificateError(ArithmeticError):

@@ -6,10 +6,12 @@ positive rational exponents (RatioSpec), or as its formal logarithm
 fixed so that all entries sum to zero.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,12 +75,29 @@ class FormalLog:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._keep_cleared(*clear_denominators(self.exponents))
+
+    def _keep_cleared(self, ints: Sequence[int], d: int) -> None:
         if len(self.exponents) != 1 << self.ground_size:
             raise ValueError("exponent vector has wrong length")
-        ints, d = clear_denominators(self.exponents)
         if sum(ints) != 0:
             raise ValueError("formal logarithm must sum to zero")
         object.__setattr__(self, "cleared", (tuple(ints), d))
+
+    @classmethod
+    def _from_cleared(cls, n: int, ints: Sequence[int], d: int) -> "FormalLog":
+        """The FormalLog with exponents ints / d (d > 0, 2^n ints), handed
+        its integer form instead of clearing the Fractions again.  Dividing
+        by g = gcd(d, *ints) gives exactly what `clear_denominators` gives
+        on those exponents: d / g is the lcm of their denominators."""
+        g = gcd(d, *ints)
+        if g > 1:
+            ints, d = [x // g for x in ints], d // g
+        v = cls.__new__(cls)
+        object.__setattr__(v, "ground_size", n)
+        object.__setattr__(v, "exponents", tuple(as_fractions(ints, d)))
+        v._keep_cleared(ints, d)
+        return v
 
     def __getitem__(self, mask: int) -> Fraction:
         return self.exponents[mask]
@@ -86,8 +105,16 @@ class FormalLog:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.exponents)
 
-    # The numeric forms are built on first use and kept; like `cleared`,
+    # The derived forms are built on first use and kept; like `cleared`,
     # they take no part in equality or repr.
+    @cached_property
+    def _homogeneous(self) -> bool:
+        """Whether the integer form is orthogonal to every homogeneity
+        vector: `is_homogeneous`, which each membership test asks."""
+        ints, _ = self.cleared
+        return all(dot(ints, h) == 0
+                   for h in homogeneity_vectors(self.ground_size))
+
     @cached_property
     def _support(self) -> Tuple[int, ...]:
         return tuple(mask for mask in subset_order(self.ground_size)
@@ -107,13 +134,14 @@ class FormalLog:
 
 def _normalize_empty(n: int, acc: Dict[int, int], d: int) -> FormalLog:
     """The FormalLog with entry acc[S] / d on each nonempty S and the
-    empty-set entry that makes the entries sum to zero."""
+    empty-set entry that makes the entries sum to zero, built from these
+    integers over d."""
     vec = [0] * (1 << n)
     for mask, x in acc.items():
         if mask != 0:
             vec[mask] = x
     vec[0] = -sum(vec)
-    return FormalLog(n, tuple(as_fractions(vec, d)))
+    return FormalLog._from_cleared(n, vec, d)
 
 
 def from_entries(n: int, entries: Dict[int, Fraction]) -> FormalLog:
@@ -123,95 +151,97 @@ def from_entries(n: int, entries: Dict[int, Fraction]) -> FormalLog:
     return _normalize_empty(n, dict(zip(entries, ints)), d)
 
 
+# The scanner's patterns.  One term: optional whitespace, `{`, members
+# separated by commas, `}`, then an optional exponent `^p` or `^p/q`; the
+# `/q` part is taken when the slash is followed (after any whitespace) by
+# digits.  An empty p is matched so that `^` without digits is reported
+# where the digits should be.  `\s` and `\d` are str.isspace and
+# str.isdecimal, the characters int() reads.
+_TERM = re.compile(r"\s*\{\s*((?:\d+\s*,\s*)*\d+)?\s*\}"
+                   r"\s*(?:\^\s*(\d*)\s*(?:/\s*(\d+))?)?")
+_SPACE = re.compile(r"\s*")
+# The well-formed members of a malformed `{...}` that end in a comma, then
+# one more integer and the whitespace after it.
+_MEMBERS_SO_FAR = re.compile(r"\{\s*(?:\d+\s*,\s*)*")
+_INTEGER = re.compile(r"\d+\s*")
+
+
+def _term_error(text: str, pos: int) -> RatioSyntaxError:
+    """The error of the malformed `{...}` term that opens at pos: an
+    integer is missing where the first fault is, or after an integer there
+    is neither `,` nor `}`."""
+    at = _MEMBERS_SO_FAR.match(text, pos).end()
+    after = _INTEGER.match(text, at)
+    if after is None:
+        return RatioSyntaxError("expected an integer", at)
+    return RatioSyntaxError("expected ',' or '}'", after.end())
+
+
+@lru_cache(maxsize=1024)
+def _subset(body: Optional[str]) -> Tuple[Optional[int], int]:
+    """(mask, largest index) of a term's members, listed in `body` as
+    _TERM matched it (None for `{}`).  The mask is None past
+    MAX_GROUND_SIZE: parse_ratio rejects such an index before it needs the
+    mask, so a huge index costs no memory."""
+    members = [int(x) for x in body.split(",")] if body else []
+    if 0 in members:
+        raise ValueError("index 0 out of range (1-based)")
+    top = max(members, default=0)
+    return (mask_of(members) if top <= MAX_GROUND_SIZE else None), top
+
+
+@lru_cache(maxsize=1024)
+def _exponent(p: str, q: Optional[str]) -> Fraction:
+    """The exponent `^p` or `^p/q` of a term, one shared Fraction per
+    distinct text."""
+    return Fraction(int(p), int(q or 1))
+
+
+def _parse_product(text: str, pos: int):
+    """The terms of the product at pos, as (mask, largest index,
+    exponent), and the position after its last term and any whitespace."""
+    terms = []
+    while True:
+        match = _TERM.match(text, pos)
+        if match is None:
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith("{", pos):
+                raise _term_error(text, pos)
+            if not terms:
+                raise RatioSyntaxError("expected '{'", pos)
+            return terms, pos
+        body, p, q = match.groups()
+        exponent = _ONE
+        if p is not None:
+            if not p:
+                raise RatioSyntaxError("expected an integer", match.start(2))
+            exponent = _exponent(p, q)
+            if exponent <= 0:
+                raise RatioSyntaxError("exponent must be positive",
+                                       match.start(2))
+        terms.append((*_subset(body), exponent))
+        pos = match.end()
+
+
 def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
     """Parse `PRODUCT / PRODUCT` where a product is a sequence of `{i,j,...}`
     terms, each optionally raised to `^p` or `^p/q`.
 
     Whitespace is ignored.  An exponent's `/q` part is taken greedily when
     the slash is immediately followed by digits; the remaining slash is the
-    numerator/denominator separator.
+    numerator/denominator separator.  A RatioSyntaxError names the first
+    fault and its position.  Indices are checked against the ground size
+    before any subset mask is built, so a huge index costs no memory.
     """
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise RatioSyntaxError("expected an integer", start)
-        return int(text[start:pos])
-
-    def peek_digit_after_slash() -> bool:
-        p = pos + 1
-        while p < len(text) and text[p].isspace():
-            p += 1
-        return p < len(text) and text[p].isdigit()
-
-    def parse_product() -> Tuple[Tuple[int, Fraction], ...]:
-        nonlocal pos
-        terms = []
-        while True:
-            skip_ws()
-            if pos >= len(text) or text[pos] != "{":
-                break
-            pos += 1
-            members = []
-            skip_ws()
-            if pos < len(text) and text[pos] == "}":
-                pos += 1
-            else:
-                while True:
-                    skip_ws()
-                    members.append(parse_int())
-                    skip_ws()
-                    if pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        continue
-                    if pos < len(text) and text[pos] == "}":
-                        pos += 1
-                        break
-                    raise RatioSyntaxError("expected ',' or '}'", pos)
-            exponent = _ONE
-            skip_ws()
-            if pos < len(text) and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                at = pos
-                p = parse_int()
-                q = 1
-                skip_ws()
-                if pos < len(text) and text[pos] == "/" and peek_digit_after_slash():
-                    pos += 1
-                    skip_ws()
-                    q = parse_int()
-                exponent = Fraction(p, q)
-                if exponent <= 0:
-                    raise RatioSyntaxError("exponent must be positive", at)
-            terms.append((mask_of(members), exponent))
-        if not terms:
-            raise RatioSyntaxError("expected '{'", pos)
-        return tuple(terms)
-
-    numerator = parse_product()
-    skip_ws()
-    if pos >= len(text) or text[pos] != "/":
-        raise RatioSyntaxError("expected '/' between numerator and denominator", pos)
-    pos += 1
-    denominator = parse_product()
-    skip_ws()
+    numerator, pos = _parse_product(text, 0)
+    if not text.startswith("/", pos):
+        raise RatioSyntaxError(
+            "expected '/' between numerator and denominator", pos)
+    denominator, pos = _parse_product(text, pos + 1)
     if pos != len(text):
         raise RatioSyntaxError("unexpected trailing input", pos)
 
-    max_index = 0
-    for mask, _ in numerator + denominator:
-        if mask:
-            max_index = max(max_index, members_of(mask)[-1])
+    max_index = max(top for _, top, _ in numerator + denominator)
     if n is None:
         n = max(max_index, 1)
     elif max_index > n:
@@ -219,7 +249,8 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
     if n > MAX_GROUND_SIZE:
         raise ValueError(f"ground size {n} exceeds the supported maximum "
                          f"{MAX_GROUND_SIZE}")
-    return RatioSpec(n, numerator, denominator)
+    return RatioSpec(n, tuple((mask, exp) for mask, _, exp in numerator),
+                     tuple((mask, exp) for mask, _, exp in denominator))
 
 
 def format_ratio(spec: RatioSpec) -> str:
@@ -325,8 +356,7 @@ def h_lift(coords: Sequence, n: int) -> List:
 
 
 def is_homogeneous(v: FormalLog) -> bool:
-    ints, _ = v.cleared
-    return all(dot(ints, h) == 0 for h in homogeneity_vectors(v.ground_size))
+    return v._homogeneous
 
 
 def apply_permutation(v: FormalLog, perm: Sequence[int]) -> FormalLog:
@@ -369,6 +399,17 @@ def koteljanskii_generators(n: int) -> Tuple[Tuple[Tuple[int, int], Tuple[int, .
             vec[a | bi] = vec[a | bj] = -1
             out.append(((a | bi, a | bj), tuple(vec)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def koteljanskii_matrix(n: int) -> np.ndarray:
+    """The vectors of `koteljanskii_generators(n)` as one read-only int64
+    array of shape (generators, 2^n), row j the j-th generator: the
+    integer columns of every cone(K_n) LP, built on first use and shared."""
+    gens = np.array([vec for _, vec in koteljanskii_generators(n)],
+                    dtype=np.int64).reshape(-1, 1 << n)
+    gens.flags.writeable = False
+    return gens
 
 
 @lru_cache(maxsize=None)

@@ -118,6 +118,83 @@ class TestMembership:
         assert "ground size 40" in err and "16" in err
 
 
+# Fixed ratios for the `membership` pins: members and non-members of
+# cone(K_n), D_n and E_n at n = 4, 5 and 6, with `^p/q` exponents.
+MEMBERSHIP_RATIOS = (
+    (HADAMARD, 4),
+    ("{1,2,4}{1,3,4}{2,3}{1}{4} / {1,2}{1,3}{1,4}{2,4}{3,4}", 4),
+    ("{1,2,3,4}^2{2,3}{2,4}{3,4}{1}{} / "
+     "{1,2,3}{1,2,4}{1,3,4}{2,3,4}{2}{3}{4}", 4),
+    (COUNTEREXAMPLE, 4),
+    ("{1,2}^1/2{}^1/2 / {1}^1/2{2}^1/2", 4),
+    ("{1,2,3,4}^3/2{1,3,4}^3/2{1,2}^3/2{1,4}^3/2{2,3}^3/2{2,4}^3/2{3}^3/2"
+     "{}^3/2 / {1,2,3}^3/2{1,2,4}^3/2{2,3,4}^3/2{1,3}^3/2{3,4}^3/2{1}^3/2"
+     "{2}^3/2{4}^3/2", 4),
+    ("{1,2,3,4,5}{1,3,4,5}{2,3,4,5}{1,2,3}{1,2,5}{3,4}{4,5}{1}{2}{} / "
+     "{1,2,3,4}{1,2,3,5}{1,4,5}{2,4,5}{3,4,5}{1,2}{1,3}{2,3}{4}{5}", 5),
+    ("{1,2,5}^5/2{1}^5/2{3,4}^1/3{}^1/3 / {1,2}^5/2{1,5}^5/2{3}^1/3{4}^1/3",
+     5),
+    ("{1}^4{3}^5{4}^3{5}{1,2}{2,4}{1,2,4}{2,3,5}{3,4,5}{1,2,3,5} / "
+     "{2}{1,3}{2,3}{1,4}{3,5}{4,5}{1,2,3}{1,3,4}{2,3,4}{1,3,5}{1,4,5}"
+     "{1,2,3,4}", 5),
+    ("{1,2}{3,4}^2{2,5}{1,2,3,6}{1,2,4,6}^3{2,3,5,6}{1,2,3,4,5,6}^3 / "
+     "{3}^2{4}^2{1,2,3}{2,3,5}{1,2,6}{2,5,6}{1,2,3,4,6}^3{1,2,4,5,6}^3", 6),
+    ("{1}^6{3}^3{4}^3{5}^5{6}{1,2}{2,4}{3,6}{1,2,4}{2,3,5}{3,4,5}{1,3,6}"
+     "{2,3,6}{3,4,6}{2,5,6}{4,5,6}{1,2,3,5}{1,2,3,6}{1,3,4,6}{1,2,5,6}"
+     "{1,2,3,4,6}{2,3,4,5,6} / {2}^2{1,3}{2,3}{1,4}{3,5}{4,5}{4,6}{5,6}"
+     "{1,2,3}{1,3,4}{2,3,4}{1,3,5}{1,4,5}{1,2,6}{1,4,6}{1,5,6}{3,5,6}"
+     "{1,2,3,4}{2,3,4,6}{1,3,5,6}{2,3,5,6}{1,2,3,5,6}{1,2,4,5,6}"
+     "{1,3,4,5,6}", 6),
+)
+
+# (ratio index, semigroup, exit code, sha256 of the text stdout) of
+# `membership`: the exact combinations, hyperplanes and inner products.
+MEMBERSHIP_STDOUT_SHA256 = (
+    (0, 'K', 0, '6bfb2aa3d31556573ce61184cbcfc86f7091299de7789223340d9ed2a33a990f'),
+    (0, 'D', 0, 'bff0548e8495e2f3ac621cd512638ffb7927f167e972fb0d1a862030a0ed6589'),
+    (0, 'E', 0, 'ebcc805d2cbe9bac6be0559b2843b063237bd2a258d9597a46e0151f670aac7b'),
+    (1, 'K', 1, '979b9a118a7ab73ee330c777af423fabecee1d3aa1b8539d38ff2bcd772a03cf'),
+    (1, 'D', 0, '2d01e97d63f4c8c6ff20c60d3fc871a89177f68d3d77b0513ef886af7d46e774'),
+    (1, 'E', 0, '95146d9ed76f3fdc66560a25ab6b9caa4034314fcbe5baf496cc6edead1edab9'),
+    (2, 'K', 1, '4834840159317a1281205bb2827ee7ee23a72843fef837cbc72bd09258a0c09b'),
+    (2, 'D', 0, '3cd0b4ecd99e2100bc64c9d47c1fd2f864998ab7c4bcdc4e13df27d0fcb9c80c'),
+    (2, 'E', 0, '67d5820b546c224a98c124931b775b8a8760f0de3141baba7bca8f5ef9d5f17a'),
+    (3, 'K', 1, '02bbbf60203e4a05a9b56bcae3969f7c8cd892496bb205a4b43afda627a09a05'),
+    (3, 'D', 1, '04ef9fb6b727a513002e582453c0a8943966f28f240fb6625220c03ff1328e2e'),
+    (3, 'E', 0, '2a96c4b02f1107a1d97c47b204de479cecedb20b1e748050f2099d7df94e9709'),
+    (4, 'K', 0, 'f62f666fb7664ce4a6a0fb27d6dad80f0e40cae76ce37bae9b5f426fd3a84b66'),
+    (4, 'D', 0, 'e76a414fddf90fcf87654061620d2dd95d26a5467f8972aa1e2fe703aeb03c7b'),
+    (4, 'E', 0, 'c77435cb0341115b08c17d403b412e0a2804bdb101363fb127916fc9735ffc3b'),
+    (5, 'K', 1, '02bbbf60203e4a05a9b56bcae3969f7c8cd892496bb205a4b43afda627a09a05'),
+    (5, 'D', 1, 'f7ec6abe780798e5ebe9277aa75fa7f8a462d6823c960b27938ef6a3314feb16'),
+    (5, 'E', 0, 'c6664f097636745d5d46abac8b2d6d49f99f4e315f9d644a222ef259c8b27f84'),
+    (6, 'K', 1, 'a84f346ed5f60d61114e9e5ed563acedff9d48ef781a6f63a1c046802c0d9e58'),
+    (6, 'D', 0, '33f48739a7fc81be77d63357058a89a2519a9a56e3b63714c545a6efd76ea9c9'),
+    (6, 'E', 0, '05d21e8f975d19cb70711dd9974d65448a272e6ea66d9ff6fc93057584ba8ec3'),
+    (7, 'K', 0, 'ee9a1715ce9cea5c042beaa4ea7912ee103bcb98a7e30195a8e3e654ca730f44'),
+    (7, 'D', 0, '4410b339bf7067da069428443d5a203f65382bbfc531677b21a5b5ad183fb7b8'),
+    (7, 'E', 0, '91261fd248d705c9d7c30376303ce7fdb5ac8fa5eeed1d3f357be4fe5f134583'),
+    (8, 'K', 1, '2e10ade0ebec713423bc606b2bcd9de9bbfe252bd72ef29ee8e1a19d1c6c320e'),
+    (8, 'D', 1, 'ce3ba0e19a401438404c99cc5db9d01dbf9cabc968eb518ad8e6fa5414a5bc51'),
+    (8, 'E', 1, '9f12915cb473fe5a27061fb6c2f4ea0fefeb30a563e2591213975f15b71d8653'),
+    (9, 'K', 0, '8efd3fd6bd746050f985362ff9e3916061ccde791365db62f947f174e85cf8fe'),
+    (9, 'E', 0, 'b99d994c799ee7ab7ad54e1578f6609110306a87e646fa0e106a5b1ea342d415'),
+    (10, 'K', 1, '4776476328311495be13a4e67dbc4e65640eff8e069f1ea724632ba87103d729'),
+    (10, 'E', 1, '339d559be1346057753167e36c5c4a0ece0f8bda05bb361e9aa2d7eb04c0003e'),
+)
+
+
+class TestMembershipPins:
+    @pytest.mark.parametrize("index,semigroup,code,digest",
+                             MEMBERSHIP_STDOUT_SHA256)
+    def test_stdout_is_pinned(self, index, semigroup, code, digest, capsys):
+        ratio, n = MEMBERSHIP_RATIOS[index]
+        assert main(["membership", ratio, "--semigroup", semigroup,
+                     "--n", str(n)]) == code
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
 # sha256 of the `extreme-rays` text output, which is byte-stable.
 RAYS_TEXT_SHA256 = {
     ("E", 3): "27fcc196dfbd5fcd25aaec60aa9b2aa6f603df814dda726d8e1a546ee460167f",

@@ -19,7 +19,7 @@ from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, dot,
                               exact_products, primitive, rref)
 from minorcones.probe import random_homogeneous_log
-from minorcones.ratios import (delete_index, h_coordinates, is_homogeneous,
+from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
 from minorcones.simplex import nonnegative_combination
@@ -117,6 +117,72 @@ class TestMembership:
     def test_ground_size_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             membership(log_of("{1,2}{} / {1}{2}", 2), build_E_system(3))
+
+    @pytest.mark.parametrize("build,n", [(build_E_system, 4),
+                                         (build_D_system, 4),
+                                         (build_D_system, 5)])
+    def test_integer_rows_cached_and_read_only(self, build, n):
+        system = build(n)
+        rows, norm = system.integer_rows
+        assert rows is system.integer_rows[0]
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.tolist() == [list(row) for row in system.inequalities]
+        assert norm == max(sum(map(abs, row))
+                           for row in system.inequalities)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5
+
+    def test_integer_rows_not_built_with_the_system(self):
+        system = build_E_system(3)
+        assert "integer_rows" not in vars(system)
+        membership(log_of("{1,2}{} / {1}{2}", 3), system)
+        assert "integer_rows" in vars(system)
+
+    @staticmethod
+    def dot_certificate(v, system):
+        """The certificate from one Python-int dot product per row."""
+        ints, d = v.cleared
+        products = tuple((label, Fraction(dot(ints, row), d))
+                         for label, row in zip(system.labels,
+                                               system.inequalities))
+        witness = next((p for p in products if p[1] < 0), None)
+        return cones.MembershipCertificate(witness is None, products,
+                                           witness)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matmul_equals_dot_products(self, n):
+        # Random homogeneous logs, mostly non-members, and positive
+        # rational sums of Koteljanskii generators, members of both.
+        rng = np.random.default_rng(n)
+        gens = [vec for _, vec in koteljanskii_generators(n)]
+        for system in (build_E_system(n), build_D_system(n)):
+            verdicts = set()
+            for job in range(20):
+                v = random_homogeneous_log(n, rng)
+                if job % 2:
+                    picks = rng.integers(len(gens), size=3)
+                    v = FormalLog(n, tuple(
+                        sum(Fraction(int(i) + 1, 3) * gens[i][s]
+                            for i in picks) for s in range(1 << n)))
+                cert = membership(v, system)
+                assert cert == self.dot_certificate(v, system)
+                verdicts.add(cert.verdict)
+            assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("shift", [0, 40, 61, 62, 70])
+    def test_products_past_int64_use_python_ints(self, shift):
+        # Scaled rows and logs on both sides of the int64 bound: the
+        # certificate is the same whichever way the products are taken.
+        base = build_D_system(4)
+        rows = tuple(tuple(x << shift for x in row)
+                     for row in base.inequalities)
+        system = ConstraintSystem(4, base.equalities, rows, base.labels)
+        for v in (counterexample_E4(), R1(),
+                  FormalLog(4, tuple(x * (1 << shift)
+                                     for x in R1().exponents))):
+            assert membership(v, system) == self.dot_certificate(v, system)
+        rows, norm = system.integer_rows
+        assert (rows is None) == (norm >= 1 << 63)
 
 
 class TestExtremeRays:

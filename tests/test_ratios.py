@@ -42,6 +42,110 @@ def complemented_by_entry(v):
     return FormalLog(v.ground_size, tuple(out))
 
 
+# Malformed ratio strings: (text, message, position) of the
+# RatioSyntaxError each one raises.
+SYNTAX_ERRORS = (
+    ('', "expected '{'", 0),
+    ('   ', "expected '{'", 3),
+    ('/', "expected '{'", 0),
+    ('{1}', "expected '/' between numerator and denominator", 3),
+    ('{1} ', "expected '/' between numerator and denominator", 4),
+    ('{1} {2}', "expected '/' between numerator and denominator", 7),
+    ('{1}/', "expected '{'", 4),
+    ('{1} / ', "expected '{'", 6),
+    ('{1} / x', "expected '{'", 6),
+    ('x / {1}', "expected '{'", 0),
+    ('  x', "expected '{'", 2),
+    ('{', 'expected an integer', 1),
+    ('{ ', 'expected an integer', 2),
+    ('{1', "expected ',' or '}'", 2),
+    ('{1 ', "expected ',' or '}'", 3),
+    ('{1,', 'expected an integer', 3),
+    ('{1, ', 'expected an integer', 4),
+    ('{,}', 'expected an integer', 1),
+    ('{1,}', 'expected an integer', 3),
+    ('{1,,2}', 'expected an integer', 3),
+    ('{1 2} / {}', "expected ',' or '}'", 3),
+    ('{a} / {}', 'expected an integer', 1),
+    ('{1}^ / {1}', 'expected an integer', 5),
+    ('{1}^x / {1}', 'expected an integer', 4),
+    ('{1}^/2 / {1}', 'expected an integer', 4),
+    ('{1}^ / 3{2} / {1}', 'expected an integer', 5),
+    ('{1}^  /3 {2} / {1}', 'expected an integer', 6),
+    ('{1}^ / x', 'expected an integer', 5),
+    ('{1} ^ 0 / {1}', 'exponent must be positive', 6),
+    ('{1}^0/3 / {1}', 'exponent must be positive', 4),
+    ('{1}^00 / {1}', 'exponent must be positive', 4),
+    ('{1}^2/ / {1}', "expected '{'", 7),
+    ('{1}^2/3/{1}^ 1 / 3 x', 'unexpected trailing input', 19),
+    ('{1} / {2} }', 'unexpected trailing input', 10),
+    ('{1} / {2}{', 'expected an integer', 10),
+    ('{1} / {2}^', 'expected an integer', 10),
+    ('{1}{2}^3/ {1,2}x', 'unexpected trailing input', 15),
+    ('{1}\t/\n{2}\t^\t', 'expected an integer', 12),
+    ('{1}}/{2}', "expected '/' between numerator and denominator", 3),
+    ('{1}^-1 / {1}', 'expected an integer', 4),
+    ('{1}^+1 / {1}', 'expected an integer', 4),
+    ('{1.5} / {1}', "expected ',' or '}'", 2),
+    ('{1}^1.5 / {1}', "expected '/' between numerator and denominator", 5),
+    ('{-1} / {}', 'expected an integer', 1),
+    ('{1}/{2}/{3}', 'unexpected trailing input', 7),
+    ('{1} // {2}', "expected '{'", 5),
+    ('{1}^2//3 / {1}', "expected '{'", 6),
+    ('{ 1 , 2 ', "expected ',' or '}'", 8),
+    ('{\xa01\u2003}/{\u3000 2}^\xa0', 'expected an integer', 13),
+)
+
+# Inputs that are well formed but rejected by a value check, with the
+# ground size given or not: (text, n, exception type, message).
+VALUE_ERRORS = (
+    ("{1}^1/0 / {1}", None, ZeroDivisionError, "Fraction(1, 0)"),
+    ("{1}^0/0 / {1}", None, ZeroDivisionError, "Fraction(0, 0)"),
+    ("{0} / {}", None, ValueError, "index 0 out of range (1-based)"),
+    ("{0} / {", None, ValueError, "index 0 out of range (1-based)"),
+    ("{1,0} / {1}", None, ValueError, "index 0 out of range (1-based)"),
+    ("{2,0,1} / {", None, ValueError, "index 0 out of range (1-based)"),
+    ("{0,99} / {}", None, ValueError, "index 0 out of range (1-based)"),
+    ("{99,0} / {1}", None, ValueError, "index 0 out of range (1-based)"),
+    ("{99} / {0}", None, ValueError, "index 0 out of range (1-based)"),
+    ("{5} / {1}", 4, ValueError, "index 5 exceeds ground size 4"),
+    ("{1,17}{} / {1}{17}", None, ValueError,
+     "ground size 17 exceeds the supported maximum 16"),
+    ("{1,17}{} / {1}{17}", 17, ValueError,
+     "ground size 17 exceeds the supported maximum 16"),
+    ("{1}{} / {1}{}", 17, ValueError,
+     "ground size 17 exceeds the supported maximum 16"),
+)
+
+
+class TestClearedForm:
+    @pytest.mark.parametrize("text,n", [
+        ("{1,2}{} / {1}{2}", 4),
+        ("{1,2}^2/4{}^1/2 / {1}^3/6{2}^1/2", 2),
+        ("{1,2,3}^6{}^2 / {1,2}^4{3}^4", 3),
+        ("{1}^1/3{2}^1/6 / {1}^1/3{2}^1/6", 2),
+        ("{1,2,3,4,5}^7/4{1}^7/4 / {1,2,3,4}^7/4{1,5}^7/4", 5)])
+    def test_cleared_form_is_that_of_the_exponents(self, text, n):
+        v = log_of(text, n)
+        ints, d = clear_denominators(v.exponents)
+        assert v.cleared == (tuple(ints), d)
+        assert v == FormalLog(n, v.exponents)
+
+    def test_generated_logs(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            n = rng.randint(2, 5)
+            entries = {rng.randrange(1, 1 << n):
+                       Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6, 9)))
+                       for _ in range(rng.randint(0, 6))}
+            for v in (from_entries(n, entries),
+                      koteljanskii_log(rng.randrange(1 << n),
+                                       rng.randrange(1 << n), n)):
+                ints, d = clear_denominators(v.exponents)
+                assert v.cleared == (tuple(ints), d)
+                assert sum(v.exponents) == 0
+
+
 class TestParseRatio:
     def test_hadamard(self):
         spec = parse_ratio("{1,2}{} / {1}{2}", 2)
@@ -70,6 +174,26 @@ class TestParseRatio:
             parse_ratio("{1,2 / {1}{2}")
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize("text,message,position", SYNTAX_ERRORS)
+    def test_syntax_error_message_and_position(self, text, message,
+                                               position):
+        with pytest.raises(RatioSyntaxError) as err:
+            parse_ratio(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,n,kind,message", VALUE_ERRORS)
+    def test_value_error_message(self, text, n, kind, message):
+        with pytest.raises(kind) as err:
+            parse_ratio(text, n)
+        assert type(err.value) is kind and str(err.value) == message
+
+    def test_whitespace_inside_exponent(self):
+        spec = parse_ratio("{1,2} ^ 2 /3 {} / {1}^2/ 3{2}^ 2 / 3")
+        assert spec.numerator == ((0b11, Fraction(2, 3)), (0, Fraction(1)))
+        assert spec.denominator == ((0b01, Fraction(2, 3)),
+                                    (0b10, Fraction(2, 3)))
+
     def test_zero_exponent_rejected(self):
         with pytest.raises(RatioSyntaxError):
             parse_ratio("{1}^0 / {1}")
@@ -88,6 +212,28 @@ class TestParseRatio:
         top = MAX_GROUND_SIZE
         assert parse_ratio(f"{{1,{top}}}{{}} / {{1}}{{{top}}}").ground_size \
             == top
+
+    @pytest.mark.parametrize("n", [None, 4, 16])
+    def test_huge_index_rejected_without_a_mask(self, n, monkeypatch):
+        # No mask of an index past MAX_GROUND_SIZE is built: 1 << 10^12
+        # alone would need 125 GB.
+        built = []
+        monkeypatch.setattr(ratios, "mask_of",
+                            lambda members: built.append(members) or 0)
+        huge = 10 ** 12
+        message = (f"ground size {huge}" if n is None
+                   else f"index {huge} exceeds ground size {n}")
+        with pytest.raises(ValueError, match=message):
+            parse_ratio(f"{{1}}{{2,{huge}}} / {{1,2}}{{{huge}}}", n)
+        assert all(max(members) <= MAX_GROUND_SIZE for members in built)
+
+    def test_digits_int_cannot_read_are_a_syntax_error(self):
+        # U+00B2 is a digit to str.isdigit but not a decimal digit.
+        with pytest.raises(RatioSyntaxError) as err:
+            parse_ratio("{\u00b2} / {}")
+        assert str(err.value) == "expected an integer (at position 1)"
+        spec = parse_ratio("{\u0661,\u0662} / {\u0661}{\u0662}")
+        assert spec.numerator == ((0b11, Fraction(1)),)
 
     def test_round_trip(self):
         for text in ("{1,2}{} / {1}{2}", "{1,2}^3/2 / {1}^3/2{2}^3/2",

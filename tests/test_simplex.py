@@ -1,4 +1,3 @@
-import copy
 import os
 import random
 import subprocess
@@ -16,7 +15,8 @@ from minorcones.cones import (KoteljanskiiCertificate, MembershipCertificate,
 from minorcones.constants import R1, counterexample_E4
 from minorcones.exact import CertificateError, clear_denominators, dot
 from minorcones.probe import random_homogeneous_log
-from minorcones.ratios import FormalLog, koteljanskii_generators, log_of
+from minorcones.ratios import (FormalLog, koteljanskii_generators,
+                               koteljanskii_matrix, log_of)
 from minorcones.simplex import nonnegative_combination
 
 
@@ -324,17 +324,46 @@ def is_exact(value):
             and type(value.denominator) is int)
 
 
+def cleared_columns(columns, target):
+    """The integer system nonnegative_combination builds from rational
+    columns: the (k, m) array of the cleared columns and the cleared
+    target's integers."""
+    tgt, _ = clear_denominators(target)
+    cols = [clear_denominators(col)[0] for col in columns]
+    return np.array(cols, dtype=object).reshape(len(cols), len(tgt)), tgt
+
+
+def largest(rows):
+    return max((abs(x) for row in rows for x in row), default=0)
+
+
+def assert_is_list_tableau(table, columns, target):
+    """`table` holds the entries of list_tableau(columns, target), rows
+    over z, as Python ints, in int64 exactly when every entry is below
+    2^31 in absolute value."""
+    rows, z, _ = list_tableau(columns, target)
+    values = table.tolist()
+    assert values == rows + [z]
+    assert all(type(v) is int for v in sum(values, []))
+    fits = largest(values) < simplex._INT64_LIMIT
+    assert table.dtype == (INT64 if fits else OBJECT)
+
+
 def assert_same_pivots(columns, target):
-    """simplex._phase_one and list_phase_one leave the same (d, rows, z,
-    basis), all Python ints, on the tableau of the system."""
-    results = []
-    for solve in (simplex._phase_one, list_phase_one):
-        rows, z, basis = list_tableau(columns, target)
-        results.append((solve(rows, z, basis), rows, z, basis))
-    assert results[0] == results[1]
-    d, rows, z, basis = results[0]
-    assert all(type(v) is int for v in [d, *z, *basis, *sum(rows, [])])
-    return results[0]
+    """simplex._phase_one, on simplex._tableau of the cleared system, and
+    list_phase_one, on list_tableau, leave the same (d, rows, z, basis),
+    all Python ints."""
+    cols, tgt = cleared_columns(columns, target)
+    table = simplex._tableau(cols, tgt)
+    assert_is_list_tableau(table, columns, target)
+    rows, z, basis = list_tableau(columns, target)
+    expected = (list_phase_one(rows, z, basis), rows, z, basis)
+    basis = list(range(len(columns), len(columns) + len(tgt)))
+    table, d = simplex._phase_one(table, basis)
+    values = table.tolist()
+    assert (d, values[:-1], values[-1], basis) == expected
+    assert all(type(v) is int for v in [d, *sum(values, []), *basis])
+    return expected
 
 
 def assert_exact_certificate(columns, target):
@@ -344,9 +373,10 @@ def assert_exact_certificate(columns, target):
 
 
 class TableauRecorder:
-    """Stands in for numpy inside simplex: records the dtype of every array
-    it makes with np.array, and "exact" for each search of the largest
-    |entry| (np.abs); everything else is numpy's own."""
+    """Stands in for numpy inside simplex: records the dtype of each array
+    that an existing array is turned into with np.array, and "exact" for
+    each search of the largest |entry| (np.abs); everything else is
+    numpy's own."""
 
     def __init__(self):
         self.events = []
@@ -355,7 +385,8 @@ class TableauRecorder:
         return getattr(np, name)
 
     def array(self, values, dtype=None):
-        self.events.append(np.dtype(dtype))
+        if isinstance(values, np.ndarray):
+            self.events.append(np.dtype(dtype))
         return np.array(values, dtype=dtype)
 
     def abs(self, table):
@@ -365,8 +396,18 @@ class TableauRecorder:
 
 @pytest.fixture
 def tableau_events(monkeypatch):
+    """The dtype of every tableau simplex._tableau builds, then the
+    recorder's events of the pivots on it."""
     recorder = TableauRecorder()
+    build = simplex._tableau
+
+    def tableau(cols, tgt):
+        table = build(cols, tgt)
+        recorder.events.append(table.dtype)
+        return table
+
     monkeypatch.setattr(simplex, "np", recorder)
+    monkeypatch.setattr(simplex, "_tableau", tableau)
     return recorder.events
 
 
@@ -452,9 +493,9 @@ class TestNumpyTableauMatchesListTableau:
         seen = []
         solve = simplex._phase_one
 
-        def spy(rows, z, basis):
-            seen.append(copy.deepcopy((rows, z, basis)))
-            return solve(rows, z, basis)
+        def spy(table, basis):
+            seen.append((table.copy(), list(basis)))
+            return solve(table, basis)
 
         monkeypatch.setattr(simplex, "_phase_one", spy)
         cases = seeded_systems(10, 60) + [
@@ -462,31 +503,86 @@ class TestNumpyTableauMatchesListTableau:
             ([(F(1 << 70), F(-1))], (F(-(1 << 40)), F(3)))]
         for cols, target in cases:
             nonnegative_combination(cols, target)
-            assert seen.pop() == list_tableau(cols, target)
+            table, basis = seen.pop()
+            assert_is_list_tableau(table, cols, target)
+            assert basis == list_tableau(cols, target)[2]
+        # The array entry point: the cached generator matrix and a cleared
+        # target, also one whose entries need Python ints.
+        gens = [vec for _, vec in koteljanskii_generators(4)]
+        targets = [FormalLog(4, target)
+                   for target in membership_targets(11, 20)]
+        for v in targets:
+            for ints, d in (v.cleared,
+                            ([x << 40 for x in v.cleared[0]], 1 << 40)):
+                nonnegative_combination(koteljanskii_matrix(4), (ints, d))
+                table, basis = seen.pop()
+                assert_is_list_tableau(table, gens, ints)
+                assert basis == list(range(len(gens), len(gens) + 16))
+        assert not seen
 
 
 def tampered(corrupt):
     """A stand-in for simplex._phase_one that corrupts the tableau it
-    leaves behind: corrupt(rows, z, basis, d) edits it in place."""
+    leaves behind: corrupt(table, basis, d, start) edits it in place,
+    `start` a copy of the tableau it was given."""
     solve = simplex._phase_one
 
-    def phase_one(rows, z, basis):
-        d = solve(rows, z, basis)
-        corrupt(rows, z, basis, d)
-        return d
+    def phase_one(table, basis):
+        start = table.copy()
+        table, d = solve(table, basis)
+        corrupt(table, basis, d, start)
+        return table, d
     return phase_one
 
 
-def bump_basic_value(rows, z, basis, d):
-    k = len(z) - 1 - len(rows)
+def bump_basic_value(table, basis, d, start):
+    m = len(basis)
+    k = table.shape[1] - 1 - m
     i = next(i for i, var in enumerate(basis) if var < k)
-    rows[i][-1] += d
+    table[i, -1] += d
 
 
-def zero_dual(rows, z, basis, d):
-    k = len(z) - 1 - len(rows)
-    for i in range(len(rows)):
-        z[k + i] = d
+def negate_basic_values(table, basis, d, start):
+    table[:len(basis), -1] *= -1
+
+
+def zero_dual(table, basis, d, start):
+    m = len(basis)
+    k = table.shape[1] - 1 - m
+    table[m, k:k + m] = d
+
+
+def raise_dual(table, basis, d, start):
+    # y_i = 1000 on the first row whose target entry is 0: y.target > 0
+    # still holds, but y.column > 0 for a column positive in that row.
+    m = len(basis)
+    k = table.shape[1] - 1 - m
+    i = next(i for i in range(m) if start[i, -1] == 0)
+    table[m, k + i] = d - 1000 * d
+
+
+HADAMARD_4 = "{1,2}{} / {1}{2}"
+
+# (corruption, message, whether it corrupts a member's combination rather
+# than a non-member's dual): each is solved with Fraction columns, with the
+# generator array, and through koteljanskii_cone_membership.
+CORRUPTIONS = [
+    (bump_basic_value, "nonnegative combination", True),
+    (negate_basic_values, "nonnegative combination", True),
+    (zero_dual, "Farkas", False),
+    (raise_dual, "Farkas", False),
+]
+
+
+def corrupted_calls(member):
+    """The three ways into the LP, on a cone(K_4) member or on R1."""
+    v = log_of(HADAMARD_4, 4) if member else R1()
+    gens = [tuple(map(F, vec)) for _, vec in koteljanskii_generators(4)]
+    return [
+        lambda: nonnegative_combination(gens, v.exponents),
+        lambda: nonnegative_combination(koteljanskii_matrix(4), v.cleared),
+        lambda: koteljanskii_cone_membership(v),
+    ]
 
 
 class TestIntegerCertificateChecks:
@@ -498,10 +594,8 @@ class TestIntegerCertificateChecks:
             nonnegative_combination(self.COLS, (F(3), F(5)))
 
     def test_negated_basis_value_raises(self, monkeypatch):
-        def negate(rows, z, basis, d):
-            for row in rows:
-                row[-1] = -row[-1]
-        monkeypatch.setattr(simplex, "_phase_one", tampered(negate))
+        monkeypatch.setattr(simplex, "_phase_one",
+                            tampered(negate_basic_values))
         with pytest.raises(CertificateError, match="nonnegative combination"):
             nonnegative_combination(self.COLS, (F(3), F(5)))
 
@@ -510,37 +604,181 @@ class TestIntegerCertificateChecks:
         with pytest.raises(CertificateError, match="Farkas"):
             nonnegative_combination(self.COLS, (F(-1), F(0)))
 
+    def test_negative_weight_with_the_right_sum_raises(self, monkeypatch):
+        # -1 * (0, 1) + 2 * (1, 1) = (2, 1): the product check passes, and
+        # only the sign of the weights shows that this is no certificate.
+        def swap_in_basis(table, basis, d, start):
+            basis[:] = [2, 1]
+            table[:2, -1] = [2 * d, -d]
+
+        cols, target = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))], (F(2), F(1))
+        assert nonnegative_combination(cols, target)[0] is not None
+        monkeypatch.setattr(simplex, "_phase_one", tampered(swap_in_basis))
+        with pytest.raises(CertificateError, match="nonnegative combination"):
+            nonnegative_combination(cols, target)
+
     def test_corrupted_koteljanskii_dual_raises(self, monkeypatch):
         monkeypatch.setattr(simplex, "_phase_one", tampered(zero_dual))
         with pytest.raises(CertificateError, match="Farkas"):
             koteljanskii_cone_membership(R1())
 
+    @pytest.mark.parametrize("corrupt,message,member", CORRUPTIONS)
+    def test_every_entry_point_raises(self, corrupt, message, member,
+                                      monkeypatch):
+        calls = corrupted_calls(member)
+        x, _ = calls[0]()
+        assert (x is not None) == member
+        assert calls[1]() == calls[0]()
+        assert calls[2]().verdict == member
+        monkeypatch.setattr(simplex, "_phase_one", tampered(corrupt))
+        for call in calls:
+            with pytest.raises(CertificateError, match=message):
+                call()
+
     def test_corrupted_dual_caught_under_O(self):
-        script = (
-            "from fractions import Fraction as F\n"
-            "from minorcones import simplex\n"
-            "from minorcones.exact import CertificateError\n"
-            "solve = simplex._phase_one\n"
-            "def phase_one(rows, z, basis):\n"
-            "    d = solve(rows, z, basis)\n"
-            "    k = len(z) - 1 - len(rows)\n"
-            "    for i in range(len(rows)):\n"
-            "        z[k + i] = d\n"
-            "    return d\n"
-            "simplex._phase_one = phase_one\n"
-            "try:\n"
-            "    simplex.nonnegative_combination([(1, 0), (0, 1)],\n"
-            "                                    (F(-1), F(0)))\n"
-            "except CertificateError as err:\n"
-            "    print('debug', __debug__, 'raised', err)\n")
+        lines = corrupted_under_O(["zero_dual", "raise_dual"])
+        assert lines == ["debug False raised Farkas certificate failed "
+                         "its check"] * 8
+
+    def test_corrupted_combination_caught_under_O(self):
+        lines = corrupted_under_O(["bump", "negate"])
+        assert lines == ["debug False raised nonnegative combination "
+                         "failed its check"] * 8
+
+
+# Run in a fresh `python -O`: each named corruption of the tableau that
+# simplex._phase_one leaves, on four ways into the LP (2 x 2 unit columns,
+# Fraction generator columns, the generator array, and
+# koteljanskii_cone_membership), printing whether each one raised.
+UNDER_O_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from minorcones import simplex
+from minorcones.cones import koteljanskii_cone_membership
+from minorcones.constants import R1
+from minorcones.exact import CertificateError
+from minorcones.ratios import (koteljanskii_generators, koteljanskii_matrix,
+                               log_of)
+solve = simplex._phase_one
+def bump(table, basis, d):
+    m = len(basis)
+    k = table.shape[1] - 1 - m
+    i = next(i for i, var in enumerate(basis) if var < k)
+    table[i, -1] += d
+def negate(table, basis, d):
+    table[:len(basis), -1] *= -1
+def zero_dual(table, basis, d):
+    m = len(basis)
+    k = table.shape[1] - 1 - m
+    table[m, k:k + m] = d
+def raise_dual(table, basis, d):
+    m = len(basis)
+    k = table.shape[1] - 1 - m
+    i = next(i for i in range(m) if start[i, -1] == 0)
+    table[m, k + i] = d - 1000 * d
+gens = [tuple(map(F, vec)) for _, vec in koteljanskii_generators(4)]
+for name in sys.argv[1:]:
+    corrupt = globals()[name]
+    member = name in ('bump', 'negate')
+    v = log_of('{1,2}{} / {1}{2}', 4) if member else R1()
+    def phase_one(table, basis):
+        global start
+        start = table.copy()
+        table, d = solve(table, basis)
+        corrupt(table, basis, d)
+        return table, d
+    simplex._phase_one = phase_one
+    calls = [
+        lambda: simplex.nonnegative_combination(
+            [(1, 0), (0, 1)], (F(3), F(5)) if member else (F(-1), F(0))),
+        lambda: simplex.nonnegative_combination(gens, v.exponents),
+        lambda: simplex.nonnegative_combination(koteljanskii_matrix(4),
+                                                v.cleared),
+        lambda: koteljanskii_cone_membership(v)]
+    for call in calls:
+        try:
+            call()
+            print('debug', __debug__, 'passed', name)
+        except CertificateError as err:
+            print('debug', __debug__, 'raised', err)
+"""
+
+
+def corrupted_under_O(names):
+    src = str(Path(simplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", UNDER_O_SCRIPT, *names], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestArrayEntryPoint:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_generator_matrix_is_cached_and_read_only(self, n):
+        gens = koteljanskii_matrix(n)
+        assert gens is koteljanskii_matrix(n)
+        assert gens.dtype == INT64 and not gens.flags.writeable
+        assert gens.tolist() == [list(vec) for _, vec in
+                                 koteljanskii_generators(n)]
+        with pytest.raises(ValueError):
+            gens[0, 0] = 2
+
+    def test_no_generator_matrix_at_import(self):
+        script = ("import minorcones, minorcones.cli\n"
+                  "from minorcones import ratios\n"
+                  "print(ratios.koteljanskii_matrix.cache_info().currsize)\n")
         src = str(Path(simplex.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("debug False raised")
-        assert "Farkas" in done.stdout
+        assert done.stdout == "0\n"
+
+    @pytest.mark.parametrize("n,count", [(4, 40), (5, 16), (6, 6)])
+    def test_same_certificates_as_fraction_columns(self, n, count):
+        # Seeded members (nonnegative rational combinations of local
+        # generators) and random homogeneous logs, mostly non-members.
+        rng = random.Random(n)
+        np_rng = np.random.default_rng(n)
+        gens = [vec for _, vec in koteljanskii_generators(n)]
+        columns = [tuple(map(F, vec)) for vec in gens]
+        verdicts = set()
+        for job in range(count):
+            if job % 2:
+                v = random_homogeneous_log(n, np_rng)
+            else:
+                vec = [F(0)] * (1 << n)
+                for _ in range(rng.randint(1, 5)):
+                    c = Fraction(rng.randint(1, 5), rng.choice((1, 2, 3)))
+                    vec = [a + c * g for a, g in zip(vec, rng.choice(gens))]
+                v = FormalLog(n, tuple(vec))
+            expected = nonnegative_combination(columns, v.exponents)
+            ints, d = v.cleared
+            for target in ((ints, d), ([x * 7 for x in ints], d * 7),
+                           ([x << 64 for x in ints], d << 64)):
+                got = nonnegative_combination(koteljanskii_matrix(n), target)
+                assert got == expected
+                assert all(map(is_exact, got[0] or got[1]))
+            verdicts.add(expected[0] is not None)
+        assert verdicts == {True, False}
+
+    def test_object_array_columns(self):
+        # Integer columns with entries beyond int64, as an array of Python
+        # ints and as a sequence.
+        verdicts = set()
+        for cols, target in seeded_systems(12, 60):
+            scaled = [tuple(x * (1 << 70) for x in col) for col in cols]
+            ints, _ = cleared_columns(scaled, target)
+            expected = nonnegative_combination(
+                [tuple(col) for col in ints.tolist()], target)
+            assert nonnegative_combination(
+                ints, clear_denominators(target)) == expected
+            verdicts.add(expected[0] is not None)
+        assert verdicts == {True, False}
 
 
 def rational_logs():
