@@ -6,8 +6,11 @@ Polynomials have rational coefficients: ints where the input gave ints,
 Fractions where it gave anything else (a parsed polynomial has ints for its
 integral coefficients).  `asn` scales P by the lcm of its coefficient
 denominators once, so the Gram matrix and its minors are computed over Z[e]
-on Python ints; `poly_det_bareiss` and `p_divexact` divide exactly in Z[e].
-Fractions stay in parsing, formatting and the cofactor oracle.
+on Python ints: `gram_principal_minors` takes all 2^n principal minors from
+one depth-first fraction-free walk over the subsets.  `poly_det_bareiss`,
+one determinant, shares its elimination step, `_eliminate`, whose
+divisions `p_divexact` checks to be exact in Z[e].  Fractions stay in
+parsing, formatting and the cofactor oracle.
 """
 
 import re
@@ -17,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CertificateError, clear_denominators
+from .exact import CertificateError, clear_denominators, dot
 from .ratios import MAX_GROUND_SIZE, FormalLog
 from .subsets import members_of
 
@@ -50,10 +53,6 @@ def p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return P_ZERO
@@ -72,22 +71,19 @@ def p_divexact(a: Poly, b: Poly) -> Poly:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor, left = divmod(rem[-1], lead)
-        if left:
-            raise ArithmeticError("inexact polynomial division")
-        out[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] -= factor * cb
-        rem.pop()
-    if any(c != 0 for c in rem):
+    top = len(b) - 1
+    lead = b[top]
+    out = [0] * max(len(a) - top, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        head = rem[shift + top]
+        if head:
+            factor, left = divmod(head, lead)
+            if left:
+                raise ArithmeticError("inexact polynomial division")
+            out[shift] = factor
+            for i, cb in enumerate(b, start=shift):
+                rem[i] -= factor * cb
+    if any(rem[:top]):
         raise ArithmeticError("inexact polynomial division")
     return _trim(out)
 
@@ -126,16 +122,22 @@ def parse_poly(text: str) -> Poly:
         m = _TERM.match(chunk)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"bad polynomial term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("sign") == "-":
-            coef = -coef
-        deg = 0
-        if m.group("var"):
-            deg = int(m.group("deg")) if m.group("deg") else 1
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + coef
+        sign, coef, var, deg = m.group("sign", "coef", "var", "deg")
+        if coef is None:
+            value = 1
+        elif "/" in coef:
+            num, den = coef.split("/")
+            value = Fraction(int(num), int(den))
+        else:
+            value = int(coef)
+        if sign == "-":
+            value = -value
+        power = (int(deg) if deg else 1) if var else 0
+        coeffs[power] = coeffs.get(power, 0) + value
     top = max(coeffs)
-    # Integral coefficients become ints, which p_eval converts to float
-    # without Fraction.__float__ at every point.
+    # Integral coefficients are ints, also where Fractions summed to one,
+    # which p_eval converts to float without Fraction.__float__ at every
+    # point.
     return poly([c.numerator if c.denominator == 1 else c
                  for c in (coeffs.get(i, 0) for i in range(top + 1))])
 
@@ -209,20 +211,24 @@ def gram(p: PolyMatrix) -> PolyMatrix:
     """P^T P with exact polynomial products (real transpose; data rational,
     over Z[e] when P's coefficients are ints)."""
     n = p.size
+    columns = list(zip(*p.entries))
     out = [[P_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = P_ZERO
-            for k in range(n):
-                acc = p_add(acc, p_mul(p.entries[k][i], p.entries[k][j]))
-            out[i][j] = acc
-            out[j][i] = acc
+            acc = [0] * (2 * max(map(len, columns[i] + columns[j])) - 1)
+            for x, y in zip(columns[i], columns[j]):
+                for k, cx in enumerate(x):
+                    if cx:
+                        for m, cy in enumerate(y, start=k):
+                            acc[m] += cx * cy
+            out[i][j] = out[j][i] = _trim(acc)
     return PolyMatrix(n, tuple(tuple(row) for row in out))
 
 
 def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     """Determinant by cofactor expansion: the test oracle for
-    `poly_det_bareiss`, never run on the `asn` path."""
+    `poly_det_bareiss` and `gram_principal_minors`, never run on the `asn`
+    path."""
     k = len(rows)
     if k == 0:
         return P_ONE
@@ -239,31 +245,54 @@ def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     return total
 
 
+def _cross(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
+    """a*b - c*d in one coefficient list."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(d):
+                out[i + j] -= x * y
+    return _trim(out)
+
+
+def _eliminate(row: Sequence[Poly], pivot_row: Sequence[Poly], pivot: Poly,
+               factor: Poly, prev: Poly) -> List[Poly]:
+    """One fraction-free step on a row over Z[e]: the entries
+    (pivot * row[j] - factor * pivot_row[j]) / prev.  By Sylvester's
+    identity each division is exact, and `p_divexact` checks that it is;
+    it is skipped when prev is 1."""
+    if prev == P_ONE:
+        return [_cross(x, pivot, factor, y) for x, y in zip(row, pivot_row)]
+    return [p_divexact(_cross(x, pivot, factor, y), prev)
+            for x, y in zip(row, pivot_row)]
+
+
 def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant over Z[e]: every division by the previous
-    pivot is exact, and `p_divexact` checks that it is.  Entries with
-    fractional coefficients are cleared first by the caller (`asn` scales
-    P); left in, a division may raise ArithmeticError."""
-    k = len(rows)
-    if k == 0:
-        return P_ONE
+    """Fraction-free determinant over Z[e] of one matrix, with row swaps
+    past a zero pivot.  Entries with fractional coefficients are cleared
+    first by the caller (`asn` scales P); left in, a division may raise
+    ArithmeticError."""
     m = [list(row) for row in rows]
+    if not m:
+        return P_ONE
     prev = P_ONE
     sign = 1
-    for c in range(k - 1):
-        piv = next((i for i in range(c, k) if m[i][c]), None)
+    while len(m) > 1:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
             return P_ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
             sign = -sign
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                num = p_sub(p_mul(m[i][j], m[c][c]), p_mul(m[i][c], m[c][j]))
-                m[i][j] = p_divexact(num, prev)
-            m[i][c] = P_ZERO
-        prev = m[c][c]
-    det = m[k - 1][k - 1]
+        top = m[0]
+        m = [_eliminate(row[1:], top[1:], top[0], row[0], prev)
+             for row in m[1:]]
+        prev = top[0]
+    det = m[0][0]
     return det if sign > 0 else p_neg(det)
 
 
@@ -276,6 +305,37 @@ def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
     """det of the principal submatrix on the subset mask s, by fraction-free
     elimination over Z[e]; the empty minor is the constant 1."""
     return poly_det_bareiss(principal_submatrix(a, s))
+
+
+def gram_principal_minors(g: PolyMatrix) -> List[Poly]:
+    """Mask-indexed principal minors det G[S] of a Gram matrix G over Z[e],
+    by one depth-first walk over the subsets in which each mask extends the
+    mask without its top index.
+
+    A node on the subset S holds the upper triangle of its trailing block
+    after fraction-free pivots on S, one row per index after max(S): by
+    Sylvester's identity entry (i, j) is det G[S+i, S+j], so row i starts
+    with the minor of the child S+i, and one `_eliminate` step per later
+    row, dividing by det G[S], opens that child.  The pivots are principal
+    minors, so no row is swapped.  A zero pivot leaves its subset and
+    every subset below it zero: with G = P^T P, the columns of P on that
+    subset are dependent, and so are those on every superset."""
+    n = g.size
+    minors = [P_ZERO] * (1 << n)
+    minors[0] = P_ONE
+
+    def visit(mask: int, first: int, prev: Poly, rows: List) -> None:
+        for t, row in enumerate(rows):
+            pivot = row[0]
+            child = mask | 1 << (first + t)
+            minors[child] = pivot
+            if pivot and t + 1 < len(rows):
+                visit(child, first + t + 1, pivot,
+                      [_eliminate(later, row[k:], pivot, row[k], prev)
+                       for k, later in enumerate(rows[t + 1:], start=1)])
+
+    visit(0, 0, P_ONE, [g.entries[i][i:] for i in range(n)])
+    return minors
 
 
 @dataclass(frozen=True)
@@ -297,7 +357,7 @@ def asn(p: PolyMatrix) -> AsnVector:
     minor on S then scales by L^(2|S|) > 0, which changes neither d_S nor
     the sign of C_S, and the Gram minors are computed over Z[e]."""
     n = p.size
-    # One polynomial determinant per subset: 2^n of them.
+    # One minor per subset, 2^n of them, from one elimination walk.
     if n > MAX_GROUND_SIZE:
         raise ValueError(f"matrix has {n} columns; at most "
                          f"{MAX_GROUND_SIZE} are supported")
@@ -306,9 +366,10 @@ def asn(p: PolyMatrix) -> AsnVector:
     a = gram(PolyMatrix(n, tuple(tuple(tuple(next(ints) for _ in entry)
                                        for entry in row)
                                  for row in p.entries)))
+    minors = gram_principal_minors(a)
     entries = [0] * (1 << n)
     for s in range(1, 1 << n):
-        minor = principal_minor_poly(a, s)
+        minor = minors[s]
         if not minor:
             raise ValueError(
                 "a principal Gram minor is identically zero; "
@@ -324,8 +385,8 @@ def asn(p: PolyMatrix) -> AsnVector:
 def asn_inner_product(v: FormalLog, a: AsnVector) -> Fraction:
     if v.ground_size != a.ground_size:
         raise ValueError("ground size mismatch")
-    return sum((x * d for x, d in zip(v.exponents, a.entries)),
-               start=Fraction(0))
+    ints, d = v.cleared
+    return Fraction(dot(ints, a.entries), d)
 
 
 def eval_poly_matrix(p: PolyMatrix, x: float):

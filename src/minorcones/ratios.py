@@ -215,6 +215,9 @@ def _parse_product(text: str, pos: int):
         if p is not None:
             if not p:
                 raise RatioSyntaxError("expected an integer", match.start(2))
+            if q is not None and not int(q):
+                raise RatioSyntaxError("exponent denominator must be positive",
+                                       match.start(3))
             exponent = _exponent(p, q)
             if exponent <= 0:
                 raise RatioSyntaxError("exponent must be positive",

@@ -117,6 +117,13 @@ class TestMembership:
         err = capsys.readouterr().err
         assert "ground size 40" in err and "16" in err
 
+    def test_zero_exponent_denominator_exits_2(self, capsys):
+        assert main(["membership", "{1}^1/0 / {1}", "--semigroup", "H"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: exponent denominator must be "
+                                "positive (at position 6)\n")
+
 
 # Fixed ratios for the `membership` pins: members and non-members of
 # cone(K_n), D_n and E_n at n = 4, 5 and 6, with `^p/q` exponents.

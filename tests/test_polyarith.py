@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from minorcones import polyarith
 from minorcones.cli import main
 from minorcones.constants import P_for_Q
-from minorcones.exact import CertificateError, kernel_basis, rank
+from minorcones.exact import (CertificateError, clear_denominators,
+                              kernel_basis, rank)
 from minorcones.nullity import matrix, nullity_type
-from minorcones.polyarith import (asn, asn_inner_product, format_poly,
-                                  format_poly_matrix, gram, lowest_term,
-                                  p_add, p_divexact, p_eval, p_mul, p_sub,
-                                  parse_poly, parse_poly_matrix, poly,
+from minorcones.polyarith import (P_ONE, AsnVector, asn, asn_inner_product,
+                                  format_poly, format_poly_matrix, gram,
+                                  gram_principal_minors, lowest_term, p_add,
+                                  p_divexact, p_eval, p_mul, parse_poly,
+                                  parse_poly_matrix, poly,
                                   poly_det_bareiss, poly_det_cofactor,
                                   poly_matrix, principal_minor_poly,
                                   principal_submatrix)
@@ -38,6 +41,27 @@ class TestPolyBasics:
         for eps in (1.0, 0.3, 1e-3, 1e-7, 2.5e-11):
             assert (polyarith.eval_poly_matrix(pm, eps).tobytes()
                     == polyarith.eval_poly_matrix(as_fractions, eps).tobytes())
+
+    def test_parse_matches_fraction_parser(self):
+        # Bench-style tokens (sign, coefficient, `*e^k`) with p/q
+        # coefficients, spaces, repeated degrees and cancelling terms.
+        rng = random.Random(41)
+        tokens = ["4/2*e", "1/3 - 1/3", "-0", "0", "-4/2", "6/4*e - 1/2*e",
+                  "0*e^5", "+3*e - 3e", "7/1", "e^0 + 3", "-e"]
+        for _ in range(400):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                coef = rng.choice(["", str(rng.randint(0, 9)),
+                                   f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"])
+                var = rng.choice(["", "e", "e^2", "e^3"] if coef else
+                                 ["e", "e^2", "e^3"])
+                body = coef + ("*" if coef and var else "") + var
+                terms.append(rng.choice("+-") + rng.choice(["", " "]) + body)
+            tokens.append(" ".join(terms).lstrip("+"))
+        for text in tokens:
+            got, expect = parse_poly(text), fraction_parse_poly(text)
+            assert got == expect, text
+            assert [type(c) for c in got] == [type(c) for c in expect], text
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -140,6 +164,129 @@ class TestDeterminants:
                 principal_submatrix(g, s))
 
 
+def fraction_parse_poly(text):
+    """Reference parser: every coefficient read as a Fraction and summed,
+    integral sums returned as ints."""
+    s = "".join(text.split())
+    if s == "0":
+        return ()
+    coeffs = {}
+    for chunk in re.split(r"(?=[+-])", s):
+        if not chunk:
+            continue
+        m = polyarith._TERM.match(chunk)
+        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        if m.group("sign") == "-":
+            coef = -coef
+        deg = 0
+        if m.group("var"):
+            deg = int(m.group("deg")) if m.group("deg") else 1
+        coeffs[deg] = coeffs.get(deg, Fraction(0)) + coef
+    return poly([c.numerator if c.denominator == 1 else c
+                 for c in (coeffs.get(i, 0) for i in range(max(coeffs) + 1))])
+
+
+def random_poly_matrix(rng, n, denominators=(1,), degree=2):
+    """Coefficients in [-2, 2] over a denominator from `denominators`,
+    ints where it is 1."""
+    def coefficient():
+        d, x = rng.choice(denominators), rng.randint(-2, 2)
+        return x if d == 1 else Fraction(x, d)
+    return poly_matrix([[poly([coefficient()
+                               for _ in range(rng.randint(0, degree + 1))])
+                         for _ in range(n)] for _ in range(n)])
+
+
+def integral_multiple(p):
+    """(L * P, L) for the lcm L of P's coefficient denominators."""
+    flat = [c for row in p.entries for entry in row for c in entry]
+    scale = clear_denominators(flat)[1]
+    return poly_matrix([[poly([int(c * scale) for c in entry])
+                         for entry in row] for row in p.entries]), scale
+
+
+def degenerate_family(rng, n):
+    """P = A + eB + e^2 C with rank A = 2: invertible, with many positive
+    half-degrees."""
+    while True:
+        u = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(n)]
+        v = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+        p = poly_matrix([[poly([sum(u[i][k] * v[k][j] for k in range(2)),
+                                rng.randint(-1, 1), rng.randint(-1, 1)])
+                          for j in range(n)] for i in range(n)])
+        if poly_det_bareiss([list(r) for r in p.entries]):
+            return p
+
+
+class TestGramWalk:
+    def check_minors(self, g, scale=1, oracle=None):
+        """Every walk minor against the Bareiss determinant of its
+        submatrix and L^(2|S|) times the cofactor expansion on `oracle`
+        (the unscaled Gram matrix; g itself by default)."""
+        minors = gram_principal_minors(g)
+        assert len(minors) == 1 << g.size
+        for s, minor in enumerate(minors):
+            assert minor == principal_minor_poly(g, s), s
+            cofactor = poly_det_cofactor(principal_submatrix(oracle or g, s))
+            factor = scale ** (2 * s.bit_count())
+            assert minor == poly([c * factor for c in cofactor]), s
+            assert all(type(c) is int for c in minor)
+
+    def test_p_for_q(self):
+        self.check_minors(gram(P_for_Q()))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_integer_families(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            self.check_minors(gram(random_poly_matrix(rng, n)))
+        self.check_minors(gram(degenerate_family(rng, n)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_rational_families(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(3 if n < 6 else 1):
+            p = random_poly_matrix(rng, n, denominators=(1, 2, 3), degree=1)
+            scaled, scale = integral_multiple(p)
+            self.check_minors(gram(scaled), scale, gram(p))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_singular_families(self, n):
+        # Column n repeats column 1 times 1 - e, so every subset holding
+        # both has a zero minor, and the walk leaves the subsets below a
+        # zero pivot zero.
+        rng = random.Random(300 + n)
+        p = random_poly_matrix(rng, n)
+        rows = [list(row) for row in p.entries]
+        for row in rows:
+            row[-1] = p_mul(row[0], poly([1, -1]))
+        self.check_minors(gram(poly_matrix(rows)))
+
+    def test_zero_minor_below_a_nonleading_pair(self):
+        # Columns 1 and 3 are parallel: {1,3} is the first zero subset, a
+        # child of {1}, not of the leading prefix {1,2}.
+        p = parse_poly_matrix("1, 0, 2\ne, 1, 2*e\n0, e, 0\n")
+        minors = gram_principal_minors(gram(p))
+        assert [s for s in range(8) if not minors[s]] == [0b101, 0b111]
+        with pytest.raises(ValueError, match="identically zero"):
+            asn(p)
+
+    @pytest.mark.parametrize("n,count", [(5, 4), (6, 2)])
+    def test_asn_matches_cofactor_oracle(self, n, count):
+        rng = random.Random(400 + n)
+        for _ in range(count):
+            p = degenerate_family(rng, n)
+            assert asn(p).entries == cofactor_half_degrees(p)
+
+    def test_asn_makes_no_single_determinant(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("single determinant on the asn path")
+        expect = asn(P_for_Q())
+        monkeypatch.setattr(polyarith, "principal_minor_poly", refuse)
+        monkeypatch.setattr(polyarith, "poly_det_bareiss", refuse)
+        assert asn(P_for_Q()) == expect
+
+
 class TestAsn:
     def test_identity_is_zero(self):
         pm = parse_poly_matrix("1, 0\n0, 1\n")
@@ -179,6 +326,19 @@ class TestAsn:
         v = from_entries(2, {0b11: 1})  # {1,2} / {} convention: sum zero
         a = asn(pm)
         assert asn_inner_product(v, a) == a[0b11]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_inner_product_matches_fraction_sum(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(20):
+            v = from_entries(n, {
+                s: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for s in range(1, 1 << n) if rng.random() < 0.6})
+            a = AsnVector(n, tuple(rng.randint(0, n) for _ in range(1 << n)))
+            got = asn_inner_product(v, a)
+            assert got == sum((x * d for x, d in zip(v.exponents, a.entries)),
+                              start=Fraction(0))
+            assert type(got) is Fraction
 
     def test_inner_product_size_mismatch(self):
         pm = parse_poly_matrix("1, 0\n0, 1\n")
@@ -249,19 +409,30 @@ class TestAsnRationalCoefficients:
 
 class TestAsnCertificate:
     def test_negative_dominating_term_raises(self, monkeypatch):
-        monkeypatch.setattr(polyarith, "principal_minor_poly",
-                            lambda a, s: poly([-1]))
+        monkeypatch.setattr(polyarith, "gram_principal_minors",
+                            lambda g: [poly([-1])] * (1 << g.size))
         with pytest.raises(CertificateError, match="positive even power"):
             asn(parse_poly_matrix("1, 0\n0, e\n"))
 
     def test_cli_exits_2(self, monkeypatch, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("1, 0\n0, e\n")
-        monkeypatch.setattr(polyarith, "principal_minor_poly",
-                            lambda a, s: poly([-1]))
+        monkeypatch.setattr(polyarith, "gram_principal_minors",
+                            lambda g: [poly([-1])] * (1 << g.size))
         assert main(["asn", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dominating minor term")
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # Off by one in every fraction-free numerator: the first division
+        # by a pivot other than 1 (det G[{2}] = 1 + e^2 of P_for_Q) is
+        # inexact, and p_divexact says so.
+        cross = polyarith._cross
+        monkeypatch.setattr(polyarith, "_cross",
+                            lambda *polys: p_add(cross(*polys), P_ONE))
+        with pytest.raises(ArithmeticError, match="inexact") as err:
+            asn(P_for_Q())
+        assert type(err.value) is ArithmeticError
 
     def test_cofactor_oracle_off_the_asn_path(self, monkeypatch):
         def refuse(rows):
