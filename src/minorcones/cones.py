@@ -1,16 +1,19 @@
 """Polyhedral cone engine for the semigroups H_n, E_n, D_n and cone(K_n).
 
-Constraint systems live in the full subset-indexed space; enumeration works
-in exact integer coordinates on the homogeneity subspace (dimension
-2^n - n - 1) via the double description method, inserting the rows in
-lexicographic order ("lexmin", as in cdd) with combinatorial adjacency on
-tight-row bitmasks.  The certificate of all output rays rests on one
-exact product of the inequality rows with the lifted rays,
-`exact.exact_products`: an int64 numpy matmul when max ||row||_1 * max
-|entry| < 2^63 proves that no partial sum can overflow, else the same matmul
-on Python ints.  Its zeros are each ray's tight rows, whose rank must be
-dim - 1: modulo a prime for all rays in one numpy elimination, and by exact
-Bareiss elimination for any ray whose modular rank falls short.
+Constraint systems live in the full subset-indexed space; the E_n rows
+come from one nullity elimination per family and set size, relabelled for
+the other sets (`nullity.family_types`).  Enumeration works in exact
+integer coordinates on the homogeneity subspace (dimension 2^n - n - 1)
+via the double description method, inserting the rows in lexicographic
+order ("lexmin", as in cdd) with combinatorial adjacency on tight-row
+bitmasks and a per-row index of tight rays kept across steps.  The
+certificate of all output rays rests on one exact product of the
+inequality rows with the lifted rays, `exact.exact_products`: an int64
+numpy matmul when max ||row||_1 * max |entry| < 2^63 proves that no partial
+sum can overflow, else the same matmul on Python ints.  Its zeros are each
+ray's tight rows, whose rank must be dim - 1: modulo a prime for all rays
+in one numpy elimination, and by exact Bareiss elimination for any ray
+whose modular rank falls short.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ import numpy as np
 from .exact import (CertificateError, as_fractions, bareiss_rank, dot,
                     exact_products, int64_products_fit, kernel_basis,
                     primitive)
-from .nullity import (catalog_n4, d5_constraint_set, nullity_type,
+from .nullity import (catalog_n4, d5_constraint_set, family_types,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, h_coordinates, h_lift, homogeneity_basis,
                      homogeneity_vectors, is_homogeneous,
@@ -94,33 +97,31 @@ class KoteljanskiiCertificate:
 
 def build_E_system(n: int) -> ConstraintSystem:
     """ST1/ST2 as nullity-type rows: nul(M_S) for |S| >= 3 and nul(M^S)
-    for |S| <= n-2."""
+    for |S| <= n-2, each family in `subset_order`.  `nullity.family_types`
+    eliminates one matrix per family and size (2n - 3 in all) and relabels
+    its type for the other sets of that size."""
     if not 2 <= n <= 10:
         raise ValueError("E system supported for 2 <= n <= 10")
-    ineqs: List[Tuple[int, ...]] = []
-    labels: List[str] = []
-    for s in subset_order(n):
-        if s.bit_count() >= 3:
-            nt = nullity_type(superset_matrix(s, n))
-            ineqs.append(nt.entries)
-            labels.append(f"nul(M_{format_subset(s)})")
-    for s in subset_order(n):
-        if s.bit_count() <= n - 2:
-            nt = nullity_type(subset_matrix(s, n))
-            ineqs.append(nt.entries)
-            labels.append(f"nul(M^{format_subset(s)})")
+    supersets = [s for s in subset_order(n) if s.bit_count() >= 3]
+    subsets = [s for s in subset_order(n) if s.bit_count() <= n - 2]
+    ineqs = (family_types(superset_matrix, supersets, n)
+             + family_types(subset_matrix, subsets, n))
+    labels = ([f"nul(M_{format_subset(s)})" for s in supersets]
+              + [f"nul(M^{format_subset(s)})" for s in subsets])
     return ConstraintSystem(n, homogeneity_vectors(n), tuple(ineqs),
                             tuple(labels))
 
 
 def build_D_system(n: int) -> ConstraintSystem:
-    """Nullity-type constraint systems defining D_3, D_4, D_5."""
+    """Nullity-type constraint systems defining D_3, D_4, D_5: at n = 3 the
+    rows M^{}, M^{i} and M_{1,2,3} (three eliminations through
+    `nullity.family_types`), at n = 4 `catalog_n4` and at n = 5
+    `d5_constraint_set`."""
     if n == 3:
-        rows = [("M^{}", subset_matrix(0, 3))]
-        rows += [(f"M^{format_subset(1 << i)}", subset_matrix(1 << i, 3))
-                 for i in range(3)]
-        rows.append(("M_{1,2,3}", superset_matrix(7, 3)))
-        labeled = [(label, nullity_type(m).entries) for label, m in rows]
+        subsets = [0, 1, 2, 4]
+        labels = [f"M^{format_subset(s)}" for s in subsets] + ["M_{1,2,3}"]
+        labeled = list(zip(labels, family_types(subset_matrix, subsets, 3)
+                           + family_types(superset_matrix, [7], 3)))
     elif n == 4:
         labeled = [(label, nt.entries) for label, nt in catalog_n4()]
     elif n == 5:
@@ -179,57 +180,86 @@ def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
 def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
     """Double description over the integers with combinatorial adjacency on
     tight-row bitmasks.  Starts from the full space (a basis of lines) and
-    inserts inequalities one at a time.  Each ray carries the bitmask of the
-    processed rows it is tight on, kept up to date as rows are inserted.
-    Two rays are adjacent iff their common tight rows number at least
-    dim - #lines - 2 and no third ray is tight on all of them (Fukuda and
-    Prodon, "Double description method revisited", 1996); the third-ray
-    test ANDs a per-step index from each row to the rays tight on it."""
+    inserts inequalities one at a time.  Two rays are adjacent iff their
+    common tight rows number at least dim - #lines - 2 and no third ray is
+    tight on all of them (Fukuda and Prodon, "Double description method
+    revisited", 1996).
+
+    Each ray keeps a slot that is never reused: its vector (dropped when
+    the ray is removed), the bitmask of the processed rows it is tight on,
+    and a bit in `alive`.  The third-ray test ANDs, from `alive`, a per-row
+    bitmask of the slots tight on that row.  The index only grows: a step
+    adds its row with the slots that are zero on it, and a new ray adds its
+    slot to each of its tight rows, while removed slots leave `alive`.  The
+    rays come out in slot order, each step's new rays after the old ones in
+    (negative, positive) pair order."""
     lines: List[Tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays: List[Tuple[int, ...]] = []
+    vecs: List[Optional[Tuple[int, ...]]] = []
     tight: List[int] = []
+    index: List[int] = []
+    live: List[int] = []
+    alive = 0
+
+    def add(vec: Tuple[int, ...], rows: int) -> None:
+        nonlocal alive
+        slot = len(vecs)
+        vecs.append(vec)
+        tight.append(rows)
+        live.append(slot)
+        alive |= 1 << slot
+        while rows:
+            low = rows & -rows
+            index[low.bit_length() - 1] |= 1 << slot
+            rows ^= low
 
     for k, a in enumerate(ineqs):
         bit = 1 << k
-        pivot_idx = next((i for i, l in enumerate(lines) if dot(a, l) != 0),
-                         None)
+        products = [dot(a, l) for l in lines]
+        pivot_idx = next((i for i, val in enumerate(products) if val), None)
         if pivot_idx is not None:
             # Lines are tight on every processed row, so projecting along
             # the pivot keeps each old ray's tight set and adds row k.
             pivot = lines.pop(pivot_idx)
-            if dot(a, pivot) < 0:
-                pivot = tuple(-x for x in pivot)
-            ap = dot(a, pivot)
-            lines = [_combine(ap, l, dot(a, l), pivot) for l in lines]
-            rays = [_combine(ap, r, dot(a, r), pivot) for r in rays]
-            rays.append(pivot)
-            tight = [t | bit for t in tight] + [bit - 1]
+            ap = products.pop(pivot_idx)
+            if ap < 0:
+                pivot, ap = tuple(-x for x in pivot), -ap
+            lines = [_combine(ap, l, val, pivot) if val else l
+                     for l, val in zip(lines, products)]
+            for slot in live:
+                val = dot(a, vecs[slot])
+                if val:
+                    vecs[slot] = _combine(ap, vecs[slot], val, pivot)
+                tight[slot] |= bit
+            index.append(alive)
+            add(pivot, bit - 1)
             continue
 
-        values = [dot(a, r) for r in rays]
-        kept = [(r, t | bit if val == 0 else t)
-                for r, t, val in zip(rays, tight, values) if val >= 0]
-        if len(kept) == len(rays):
-            tight = [t for _, t in kept]
+        zero = 0
+        positive = []
+        negative = []
+        for slot in live:
+            val = dot(a, vecs[slot])
+            if not val:
+                zero |= 1 << slot
+                tight[slot] |= bit
+            elif val > 0:
+                positive.append((slot, val))
+            else:
+                negative.append((slot, val))
+        index.append(zero)
+        if not negative:
             continue
-        index = [0] * k
-        for i, t in enumerate(tight):
-            while t:
-                low = t & -t
-                index[low.bit_length() - 1] |= 1 << i
-                t ^= low
-        everyone = (1 << len(rays)) - 1
         target = dim - len(lines) - 2
-        positive = [i for i, val in enumerate(values) if val > 0]
-        negative = [i for i, val in enumerate(values) if val < 0]
-        for im in negative:
-            for ip in positive:
-                common = tight[ip] & tight[im]
+        born = []
+        for im, vm in negative:
+            tm = tight[im]
+            for ip, vp in positive:
+                common = tight[ip] & tm
                 if common.bit_count() < target:
                     continue
                 pair = (1 << ip) | (1 << im)
-                others = everyone
+                others = alive
                 rest = common
                 while rest and others != pair:
                     low = rest & -rest
@@ -237,11 +267,16 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
                     rest ^= low
                 if others != pair:
                     continue
-                w = _combine(values[ip], rays[im], values[im], rays[ip])
-                kept.append((w, common | bit))
-        rays = [r for r, _ in kept]
-        tight = [t for _, t in kept]
-    return lines, rays
+                born.append((_combine(vp, vecs[im], vm, vecs[ip]),
+                             common | bit))
+        for slot, _ in negative:
+            vecs[slot] = None
+            tight[slot] = 0
+            alive ^= 1 << slot
+        live = [slot for slot in live if vecs[slot] is not None]
+        for vec, rows in born:
+            add(vec, rows)
+    return lines, [vecs[slot] for slot in live]
 
 
 # A prime below 2^31, so the product of two residues stays below 2^62.

@@ -14,8 +14,10 @@ pattern of the columns, and validated as a matroid rank function.
 
 A column permutation of a matrix permutes its nullity type, so the
 catalogue eliminates each of its seven standard matrices once and takes
-the permuted types from `subsets.group_gathers`.  All computations here
-are exact; floating point never enters.
+the permuted types from `subsets.group_gathers`, and `family_types`
+eliminates one M_S or M^S per set size and relabels its type for the other
+sets of that size.  All computations here are exact; floating point never
+enters.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CertificateError, clear_denominators, rank
 from .ratios import MAX_GROUND_SIZE, h_coordinates
-from .subsets import format_subset, group_gathers, mask_of, members_of
+from .subsets import (format_subset, group_gathers, mask_of, members_of,
+                      order_preserving_gather)
 
 RationalMatrix = Tuple[Tuple[Rational, ...], ...]
 
@@ -270,6 +273,26 @@ def subset_matrix(s: int, n: int) -> RationalMatrix:
     if s.bit_count() > n - 2:
         raise ValueError("subset matrix requires |S| <= n-2")
     return (tuple(0 if s >> c & 1 else 1 for c in range(n)),)
+
+
+def family_types(family: Callable[[int, int], RationalMatrix],
+                 masks: Sequence[int], n: int) -> List[Tuple[int, ...]]:
+    """The nullity type entries of family(s, n) for every s in `masks`, in
+    order, for `superset_matrix` or `subset_matrix`.  Each is the matrix of
+    the first set of its size with its columns relabelled in order, so
+    `nullity_type` runs once per size and every other set takes the image
+    under `subsets.order_preserving_gather`."""
+    first: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    out = []
+    for s in masks:
+        base = first.get(s.bit_count())
+        if base is None:
+            entries = nullity_type(family(s, n)).entries
+            first[s.bit_count()] = (s, entries)
+        else:
+            entries = order_preserving_gather(base[0], s, n)(base[1])
+        out.append(entries)
+    return out
 
 
 # The two rank-2 matrices of the n = 4 catalogue with no M_S/M^S form.

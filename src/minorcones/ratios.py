@@ -55,7 +55,9 @@ class RatioSpec:
     def __post_init__(self):
         full = (1 << self.ground_size) - 1
         for mask, exp in self.numerator + self.denominator:
-            if exp <= 0:
+            # The sign of a Fraction or an int is that of its numerator,
+            # read without a Fraction comparison.
+            if exp.numerator <= 0:
                 raise ValueError(f"exponent {exp} must be positive")
             if mask & ~full:
                 raise ValueError(

@@ -72,15 +72,38 @@ def image_gather(perm: Sequence[int], complement: bool, n: int) -> itemgetter:
     permutation perm (perm[i-1] = sigma(i)), followed by complementation if
     `complement`.  It picks, for every target mask, the source mask mapped
     onto it."""
-    source = [0] * (1 << n)
-    for mask in range(1 << n):
-        target = permute_mask(mask, perm)
-        if complement:
-            target = complement_mask(target, n)
-        source[target] = mask
+    # The image of every mask, one index at a time: the masks with bit i
+    # are those without it, each gaining the image of bit i.
+    images = [0]
+    for i in range(n):
+        bit = 1 << (perm[i] - 1)
+        images += [t | bit for t in images]
+    if complement:
+        images = [complement_mask(t, n) for t in images]
+    # source[target] = mask: the masks in the order of their images.
+    source = sorted(range(1 << n), key=images.__getitem__)
     # itemgetter with one index returns the entry, not a 1-tuple; at n = 0
     # the one group element is the identity.
     return itemgetter(*source) if n else tuple
+
+
+def order_preserving_gather(source: int, target: int, n: int) -> itemgetter:
+    """The gather of the permutation that maps the members of `source`, in
+    increasing order, onto those of `target`, and its non-members onto the
+    non-members of `target` in the same way.  The two sets must have the
+    same size.  When the matrix of a family for `target` is its matrix for
+    `source` with column i moved to column sigma(i), as for
+    `nullity.superset_matrix` and `nullity.subset_matrix`, this gather takes
+    the nullity type of the one to that of the other."""
+    if source.bit_count() != target.bit_count():
+        raise ValueError("order-preserving relabelling needs two sets of "
+                         "the same size")
+    full = (1 << n) - 1
+    perm = [0] * n
+    for fro, to in ((source, target), (full ^ source, full ^ target)):
+        for i, j in zip(members_of(fro), members_of(to)):
+            perm[i - 1] = j
+    return image_gather(perm, False, n)
 
 
 @lru_cache(maxsize=None)

@@ -329,6 +329,118 @@ def ray_set(rays):
     return {primitive(r) for r in rays}
 
 
+def reference_double_description(ineqs, dim):
+    """The double description as it was before slots: the per-row index of
+    tight rays is rebuilt from every ray's bitmask at each inequality step
+    that removes a ray, and the list of rays is rebuilt at every step."""
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    tight = []
+
+    for k, a in enumerate(ineqs):
+        bit = 1 << k
+        pivot_idx = next((i for i, l in enumerate(lines) if dot(a, l) != 0),
+                         None)
+        if pivot_idx is not None:
+            pivot = lines.pop(pivot_idx)
+            if dot(a, pivot) < 0:
+                pivot = tuple(-x for x in pivot)
+            ap = dot(a, pivot)
+            lines = [cones._combine(ap, l, dot(a, l), pivot) for l in lines]
+            rays = [cones._combine(ap, r, dot(a, r), pivot) for r in rays]
+            rays.append(pivot)
+            tight = [t | bit for t in tight] + [bit - 1]
+            continue
+
+        values = [dot(a, r) for r in rays]
+        kept = [(r, t | bit if val == 0 else t)
+                for r, t, val in zip(rays, tight, values) if val >= 0]
+        if len(kept) == len(rays):
+            tight = [t for _, t in kept]
+            continue
+        index = [0] * k
+        for i, t in enumerate(tight):
+            while t:
+                low = t & -t
+                index[low.bit_length() - 1] |= 1 << i
+                t ^= low
+        everyone = (1 << len(rays)) - 1
+        target = dim - len(lines) - 2
+        positive = [i for i, val in enumerate(values) if val > 0]
+        negative = [i for i, val in enumerate(values) if val < 0]
+        for im in negative:
+            for ip in positive:
+                common = tight[ip] & tight[im]
+                if common.bit_count() < target:
+                    continue
+                pair = (1 << ip) | (1 << im)
+                others = everyone
+                rest = common
+                while rest and others != pair:
+                    low = rest & -rest
+                    others &= index[low.bit_length() - 1]
+                    rest ^= low
+                if others != pair:
+                    continue
+                w = cones._combine(values[ip], rays[im], values[im],
+                                   rays[ip])
+                kept.append((w, common | bit))
+        rays = [r for r, _ in kept]
+        tight = [t for _, t in kept]
+    return lines, rays
+
+
+def relabelled_shuffled_rows(system, seed):
+    """The quotient rows of `system` after a seeded relabelling (odd seeds
+    also complement) and a seeded shuffle."""
+    n = system.ground_size
+    rng = random.Random(seed)
+    perm = tuple(rng.sample(range(1, n + 1), n))
+    rows = [relabel(row, perm, seed % 2 == 1, n)
+            for row in system.inequalities]
+    rng.shuffle(rows)
+    return cones._reduce_rows(rows, n)
+
+
+class TestDoubleDescriptionReference:
+    @pytest.mark.parametrize("build, n", [(build_E_system, 3),
+                                          (build_D_system, 3),
+                                          (build_E_system, 4),
+                                          (build_D_system, 4),
+                                          (build_E_system, 5)])
+    def test_lexmin_order(self, build, n):
+        reduced, dim = reduced_system(build(n))
+        rows = sorted(reduced)
+        assert (cones._double_description(rows, dim)
+                == reference_double_description(rows, dim))
+
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled_shuffled_orders(self, build, seed):
+        system = build(4)
+        rows = relabelled_shuffled_rows(system, seed)
+        dim = len(homogeneity_basis(4))
+        lines, rays = cones._double_description(rows, dim)
+        assert (lines, rays) == reference_double_description(rows, dim)
+        assert lines == [] and len(rays) == (31 if build is build_E_system
+                                             else 46)
+
+    @pytest.mark.parametrize("seed, dim, count", [
+        (0, 3, 1), (1, 4, 2), (2, 5, 3), (3, 3, 8), (4, 4, 12), (5, 5, 15)])
+    def test_negative_line_pivots(self, seed, dim, count):
+        # The first row is negative on the first unit line, so the first
+        # line step flips its pivot; the seeded rows after it have negative
+        # leading entries too.  With fewer rows than dim, lines are left.
+        rng = random.Random(seed)
+        rows = [(-1,) + (0,) * (dim - 1)]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(dim))
+                 for _ in range(count)]
+        lines, rays = cones._double_description(rows, dim)
+        assert (lines, rays) == reference_double_description(rows, dim)
+        assert all(dot(row, r) >= 0 for row in rows for r in rays)
+        assert (len(lines) > 0) == (count + 1 < dim)
+
+
 def seeded_stacks(seed):
     """Integer matrices with boolean row selections: entries that are
     negative or at least p, rank-deficient products, and empty selections."""

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from minorcones import nullity
-from minorcones.cones import build_E_system
+from minorcones.cones import build_D_system, build_E_system
 from minorcones.exact import CertificateError, clear_denominators, rank, rref
 from minorcones.nullity import (M6, M7, NullityType, Partition, RankType,
                                 catalog_n4, d5_constraint_set,
@@ -16,7 +16,8 @@ from minorcones.nullity import (M6, M7, NullityType, Partition, RankType,
                                 partition_nullity, rank_type, subset_matrix,
                                 superset_matrix)
 from minorcones.ratios import h_coordinates, homogeneity_vectors
-from minorcones.subsets import mask_of, members_of
+from minorcones.subsets import (format_subset, mask_of, members_of,
+                                order_preserving_gather, subset_order)
 
 from test_cones import certificate_error_under_O
 
@@ -360,6 +361,83 @@ class TestStandardMatrices:
                 if t >> (i - 1) & 1:
                     image |= 1 << (perm[i - 1] - 1)
             assert ntp[image] == nt[t]
+
+
+def per_row_e_system(n):
+    """The E_n rows and labels with one elimination per row."""
+    supersets = [s for s in subset_order(n) if s.bit_count() >= 3]
+    subsets = [s for s in subset_order(n) if s.bit_count() <= n - 2]
+    rows = ([nullity_type(superset_matrix(s, n)).entries for s in supersets]
+            + [nullity_type(subset_matrix(s, n)).entries for s in subsets])
+    labels = ([f"nul(M_{format_subset(s)})" for s in supersets]
+              + [f"nul(M^{format_subset(s)})" for s in subsets])
+    return tuple(rows), tuple(labels)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """The matrices handed to `nullity.nullity_type`, in call order."""
+    calls = []
+    real = nullity.nullity_type
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(nullity, "nullity_type", spy)
+    return calls
+
+
+class TestFamilyTypes:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_e_rows_equal_one_elimination_per_row(self, n):
+        system = build_E_system(n)
+        assert (system.inequalities, system.labels) == per_row_e_system(n)
+
+    def test_d3_rows_equal_one_elimination_per_row(self):
+        rows = [subset_matrix(s, 3) for s in (0, 1, 2, 4)]
+        rows.append(superset_matrix(7, 3))
+        system = build_D_system(3)
+        assert system.inequalities == tuple(nullity_type(m).entries
+                                            for m in rows)
+        assert system.labels == ("M^{}", "M^{1}", "M^{2}", "M^{3}",
+                                 "M_{1,2,3}")
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_one_elimination_per_family_and_size(self, n,
+                                                 elimination_calls):
+        build_E_system(n)
+        # |S| = 3..n for M_S and |S| = 0..n-2 for M^S.
+        assert len(elimination_calls) == 2 * n - 3
+
+    def test_d3_takes_three_eliminations(self, elimination_calls):
+        build_D_system(3)
+        assert elimination_calls == [subset_matrix(0, 3),
+                                     subset_matrix(1, 3),
+                                     superset_matrix(7, 3)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gather_is_the_column_relabelling(self, seed):
+        rng = random.Random(seed)
+        n = 6
+        for _ in range(10):
+            size = rng.randint(0, n)
+            source, target = (mask_of(rng.sample(range(1, n + 1), size))
+                              for _ in range(2))
+            perm = [0] * n
+            for fro, to in ((source, target),
+                            ((1 << n) - 1 ^ source, (1 << n) - 1 ^ target)):
+                for i, j in zip(members_of(fro), members_of(to)):
+                    perm[i - 1] = j
+            m = matrix([[rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(3)])
+            assert order_preserving_gather(source, target, n)(
+                nullity_type(m).entries) == nullity_type(
+                    permute_columns(m, perm)).entries
+
+    def test_gather_needs_sets_of_one_size(self):
+        with pytest.raises(ValueError, match="same size"):
+            order_preserving_gather(0b011, 0b100, 3)
 
 
 class TestCatalog:

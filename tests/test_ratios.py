@@ -199,6 +199,21 @@ class TestParseRatio:
         with pytest.raises(RatioSyntaxError):
             parse_ratio("{1}^0 / {1}")
 
+    @pytest.mark.parametrize("exponent", [0, Fraction(0), Fraction(-1, 2),
+                                          -1])
+    def test_directly_built_spec_rejects_non_positive_exponents(
+            self, exponent):
+        with pytest.raises(ValueError, match="must be positive"):
+            ratios.RatioSpec(2, ((0b11, exponent),), ((0b01, Fraction(1)),))
+        with pytest.raises(ValueError, match="must be positive"):
+            ratios.RatioSpec(2, ((0b11, Fraction(1)),), ((0b01, exponent),))
+
+    def test_directly_built_spec_takes_int_exponents(self):
+        spec = ratios.RatioSpec(2, ((0b11, 2), (0, 1)), ((0b01, 2), (0b10, 1)))
+        assert spec.numerator == ((0b11, 2), (0, 1))
+        assert log_of("{1,2}^2{} / {1}^2{2}", 2).exponents == formal_log(
+            spec).exponents
+
     def test_index_beyond_ground_size(self):
         with pytest.raises(ValueError):
             parse_ratio("{1,5} / {1}{5}", n=3)
