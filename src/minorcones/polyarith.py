@@ -4,18 +4,37 @@ of each principal minor of P(eps)^T P(eps).
 
 Polynomials have rational coefficients: ints where the input gave ints,
 Fractions where it gave anything else (a parsed polynomial has ints for its
-integral coefficients).  `asn` scales P by the lcm of its coefficient
-denominators once, so the Gram matrix and its minors are computed over Z[e]
-on Python ints: `gram_principal_minors` takes all 2^n principal minors from
-one depth-first fraction-free walk over the subsets.  `poly_det_bareiss`,
-one determinant, shares its elimination step, `_eliminate`, whose
-divisions `p_divexact` checks to be exact in Z[e].  Fractions stay in
-parsing, formatting and the cofactor oracle.
+integral coefficients).  Exact arithmetic over Z[e] runs on
+Kronecker-packed ints: a polynomial a becomes the one int a(2^k), so a
+product of polynomials is one int multiply and an exact quotient one
+`divmod`.  k is chosen per matrix from a bound on its minors.  Expanding a
+determinant, and using that the l1 norm of a product is at most the
+product of the l1 norms, every minor of a matrix G has coefficients of
+absolute value at most B = prod_i max(1, sum_j ||g_ij||_1).  With
+2^(k-1) > B the balanced base-2^k digits of a packed minor are its
+coefficients.
+
+Fraction-free elimination reads only minors and divides only by minors,
+so nothing is unpacked between its steps.  The numerators it forms may
+exceed B, but packing is a ring map Z[e] -> Z, so a division exact in
+Z[e] is exact on the packed ints.  A remainder raises ArithmeticError:
+the polynomial division would have been inexact.
+
+`gram_principal_minors` takes all 2^n principal minors of a Gram matrix
+from one depth-first walk over the subsets, and `poly_det_bareiss`, one
+determinant, shares its elimination step.  Both take integer
+coefficients.  `asn` scales P by the lcm of its coefficient denominators
+once and reads each packed minor directly: zero or not, its lowest degree
+as the 2-adic valuation // k, and the sign of its lowest digit.  Fractions
+stay in parsing, formatting, `gram` of a rational P and the cofactor
+oracle.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -64,51 +83,15 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def p_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division in Z[e]: raises ArithmeticError if a quotient
-    coefficient is not an integer or a remainder is left (neither happens
-    inside fraction-free elimination over Z[e])."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    top = len(b) - 1
-    lead = b[top]
-    out = [0] * max(len(a) - top, 0)
-    for shift in range(len(out) - 1, -1, -1):
-        head = rem[shift + top]
-        if head:
-            factor, left = divmod(head, lead)
-            if left:
-                raise ArithmeticError("inexact polynomial division")
-            out[shift] = factor
-            for i, cb in enumerate(b, start=shift):
-                rem[i] -= factor * cb
-    if any(rem[:top]):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(out)
-
-
-def p_eval(a: Poly, x: float) -> float:
-    total = 0.0
-    for c in reversed(a):
-        total = total * x + float(c)
-    return total
-
-
-def lowest_term(a: Poly) -> Tuple[int, Fraction]:
-    """(degree, coefficient) of the lowest-order nonzero term."""
-    for i, c in enumerate(a):
-        if c != 0:
-            return i, c
-    raise ValueError("zero polynomial has no lowest term")
-
-
 _TERM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>e)(?:\^(?P<deg>\d+))?)?$")
 
 
+@lru_cache(maxsize=1024)
 def parse_poly(text: str) -> Poly:
-    """Parse a polynomial in the literal variable `e`, e.g. `1 + 2*e - 3/2*e^2`."""
+    """Parse a polynomial in the literal variable `e`, e.g. `1 + 2*e - 3/2*e^2`.
+    Memoised on the text: a Poly is an immutable tuple, and matrix files
+    repeat entries.  An error is raised again on every call."""
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
@@ -136,8 +119,8 @@ def parse_poly(text: str) -> Poly:
         coeffs[power] = coeffs.get(power, 0) + value
     top = max(coeffs)
     # Integral coefficients are ints, also where Fractions summed to one,
-    # which p_eval converts to float without Fraction.__float__ at every
-    # point.
+    # which the packed kernel takes and `float` converts without
+    # Fraction.__float__.
     return poly([c.numerator if c.denominator == 1 else c
                  for c in (coeffs.get(i, 0) for i in range(top + 1))])
 
@@ -207,22 +190,74 @@ def format_poly_matrix(p: PolyMatrix) -> str:
                      for row in p.entries)
 
 
+def _pack(a: Poly, k: int) -> int:
+    """a(2^k) for integer coefficients."""
+    value = 0
+    for c in reversed(a):
+        value = (value << k) + c
+    return value
+
+
+def _unpack(value: int, k: int) -> Poly:
+    """The Poly whose balanced base-2^k digits, each of absolute value
+    below 2^(k-1), make up value."""
+    full = 1 << k
+    low, half = full - 1, full >> 1
+    out = []
+    while value:
+        digit = value & low
+        value >>= k
+        if digit >= half:
+            digit -= full
+            value += 1
+        out.append(digit)
+    return tuple(out)
+
+
+def _minor_bits(rows: Sequence[Sequence[Poly]]) -> int:
+    """The packing width k = bit_length(B) + 1, so 2^(k-1) > B, for the
+    bound B = prod_i max(1, sum_j ||g_ij||_1) on the coefficients of every
+    minor of the matrix `rows`.  Raises ValueError on a coefficient that
+    is not an int."""
+    bound = 1
+    for row in rows:
+        coeffs = [c for entry in row for c in entry]
+        if not set(map(type, coeffs)) <= {int}:
+            raise ValueError("integer coefficients are required; clear "
+                             "denominators first")
+        bound *= max(1, sum(map(abs, coeffs)))
+    return bound.bit_length() + 1
+
+
+def _integral_gram(p: PolyMatrix) -> Tuple[List[List[Poly]], int]:
+    """(G, L): G = (L P)^T (L P) over Z[e], for the lcm L of P's
+    coefficient denominators.  A coefficient of g_ij is at most
+    sum_r ||p_ri||_1 ||p_rj||_1 <= N^2, for the l1 norm N of all of L P's
+    coefficients, so the products are taken packed at 2^(k-1) > N^2."""
+    flat = [c for row in p.entries for entry in row for c in entry]
+    ints, scale = clear_denominators(flat)
+    k = (sum(map(abs, ints)) ** 2).bit_length() + 1
+    ints = iter(ints)
+    rows = [[[next(ints) for _ in entry] for entry in row]
+            for row in p.entries]
+    columns = list(zip(*[[_pack(entry, k) for entry in row] for row in rows]))
+    g = [[P_ZERO] * len(columns) for _ in columns]
+    for i, x in enumerate(columns):
+        for j in range(i, len(columns)):
+            g[i][j] = g[j][i] = _unpack(sum(map(mul, x, columns[j])), k)
+    return g, scale
+
+
 def gram(p: PolyMatrix) -> PolyMatrix:
-    """P^T P with exact polynomial products (real transpose; data rational,
-    over Z[e] when P's coefficients are ints)."""
-    n = p.size
-    columns = list(zip(*p.entries))
-    out = [[P_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = [0] * (2 * max(map(len, columns[i] + columns[j])) - 1)
-            for x, y in zip(columns[i], columns[j]):
-                for k, cx in enumerate(x):
-                    if cx:
-                        for m, cy in enumerate(y, start=k):
-                            acc[m] += cx * cy
-            out[i][j] = out[j][i] = _trim(acc)
-    return PolyMatrix(n, tuple(tuple(row) for row in out))
+    """P^T P with exact polynomial products (real transpose).  A rational
+    P is scaled to integers once and the product divided by L^2 at the
+    end: ints where a coefficient is integral, Fractions elsewhere."""
+    g, scale = _integral_gram(p)
+    square = scale * scale
+    if square > 1:
+        g = [[poly([c // square if c % square == 0 else Fraction(c, square)
+                    for c in entry]) for entry in row] for row in g]
+    return PolyMatrix(p.size, tuple(map(tuple, g)))
 
 
 def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
@@ -245,41 +280,38 @@ def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     return total
 
 
-def _cross(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
-    """a*b - c*d in one coefficient list."""
-    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for i, x in enumerate(c):
-        if x:
-            for j, y in enumerate(d):
-                out[i + j] -= x * y
-    return _trim(out)
+def _divexact(nums: List[int], den: int) -> List[int]:
+    """Quotients of packed numerators by a packed divisor.  A remainder
+    means the polynomial division is inexact too: ArithmeticError."""
+    out = []
+    for num in nums:
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out.append(q)
+    return out
 
 
-def _eliminate(row: Sequence[Poly], pivot_row: Sequence[Poly], pivot: Poly,
-               factor: Poly, prev: Poly) -> List[Poly]:
-    """One fraction-free step on a row over Z[e]: the entries
+def _eliminate(row: Sequence[int], pivot_row: Sequence[int], pivot: int,
+               factor: int, prev: int) -> List[int]:
+    """One fraction-free step on a packed row: the entries
     (pivot * row[j] - factor * pivot_row[j]) / prev.  By Sylvester's
-    identity each division is exact, and `p_divexact` checks that it is;
+    identity each division is exact, and `_divexact` checks that it is;
     it is skipped when prev is 1."""
-    if prev == P_ONE:
-        return [_cross(x, pivot, factor, y) for x, y in zip(row, pivot_row)]
-    return [p_divexact(_cross(x, pivot, factor, y), prev)
-            for x, y in zip(row, pivot_row)]
+    nums = [x * pivot - factor * y for x, y in zip(row, pivot_row)]
+    return nums if prev == 1 else _divexact(nums, prev)
 
 
 def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant over Z[e] of one matrix, with row swaps
-    past a zero pivot.  Entries with fractional coefficients are cleared
-    first by the caller (`asn` scales P); left in, a division may raise
-    ArithmeticError."""
-    m = [list(row) for row in rows]
-    if not m:
+    """Fraction-free determinant over Z[e] of one matrix, on packed ints,
+    with row swaps past a zero pivot.  Every entry met is a minor of the
+    matrix, so one packing width holds them all.  Coefficients must be
+    ints (`asn` scales P); a Fraction raises ValueError."""
+    if not rows:
         return P_ONE
-    prev = P_ONE
+    k = _minor_bits(rows)
+    m = [[_pack(x, k) for x in row] for row in rows]
+    prev = 1
     sign = 1
     while len(m) > 1:
         piv = next((i for i, row in enumerate(m) if row[0]), None)
@@ -292,8 +324,7 @@ def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
         m = [_eliminate(row[1:], top[1:], top[0], row[0], prev)
              for row in m[1:]]
         prev = top[0]
-    det = m[0][0]
-    return det if sign > 0 else p_neg(det)
+    return _unpack(sign * m[0][0], k)
 
 
 def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
@@ -307,10 +338,11 @@ def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
     return poly_det_bareiss(principal_submatrix(a, s))
 
 
-def gram_principal_minors(g: PolyMatrix) -> List[Poly]:
-    """Mask-indexed principal minors det G[S] of a Gram matrix G over Z[e],
-    by one depth-first walk over the subsets in which each mask extends the
-    mask without its top index.
+def _packed_principal_minors(upper: List[List[int]]) -> List[int]:
+    """The mask-indexed principal minors det G[S] of a Gram matrix G over
+    Z[e], from the upper triangle of G packed at a width that holds every
+    minor of G (row i from the diagonal on), by one depth-first walk over
+    the subsets in which each mask extends the mask without its top index.
 
     A node on the subset S holds the upper triangle of its trailing block
     after fraction-free pivots on S, one row per index after max(S): by
@@ -320,22 +352,36 @@ def gram_principal_minors(g: PolyMatrix) -> List[Poly]:
     minors, so no row is swapped.  A zero pivot leaves its subset and
     every subset below it zero: with G = P^T P, the columns of P on that
     subset are dependent, and so are those on every superset."""
-    n = g.size
-    minors = [P_ZERO] * (1 << n)
-    minors[0] = P_ONE
+    minors = [0] * (1 << len(upper))
+    minors[0] = 1
 
-    def visit(mask: int, first: int, prev: Poly, rows: List) -> None:
+    def visit(mask: int, first: int, prev: int, rows: List) -> None:
         for t, row in enumerate(rows):
             pivot = row[0]
             child = mask | 1 << (first + t)
             minors[child] = pivot
             if pivot and t + 1 < len(rows):
                 visit(child, first + t + 1, pivot,
-                      [_eliminate(later, row[k:], pivot, row[k], prev)
-                       for k, later in enumerate(rows[t + 1:], start=1)])
+                      [_eliminate(later, row[j:], pivot, row[j], prev)
+                       for j, later in enumerate(rows[t + 1:], start=1)])
 
-    visit(0, 0, P_ONE, [g.entries[i][i:] for i in range(n)])
+    visit(0, 0, 1, upper)
     return minors
+
+
+def _principal_minors(g: Sequence[Sequence[Poly]]) -> Tuple[int, List[int]]:
+    """(k, minors): the principal minors of the Gram matrix g with integer
+    coefficients, packed at the width k of its minor bound."""
+    k = _minor_bits(g)
+    return k, _packed_principal_minors([[_pack(x, k) for x in row[i:]]
+                                        for i, row in enumerate(g)])
+
+
+def gram_principal_minors(g: PolyMatrix) -> List[Poly]:
+    """Mask-indexed principal minors det G[S] of a Gram matrix G with
+    integer coefficients, from `_packed_principal_minors`."""
+    k, minors = _principal_minors(g.entries)
+    return [_unpack(m, k) for m in minors]
 
 
 @dataclass(frozen=True)
@@ -355,18 +401,17 @@ def asn(p: PolyMatrix) -> AsnVector:
 
     P is first scaled by the lcm L of its coefficient denominators.  The
     minor on S then scales by L^(2|S|) > 0, which changes neither d_S nor
-    the sign of C_S, and the Gram minors are computed over Z[e]."""
+    the sign of C_S, and the Gram minors are computed over Z[e].  Each is
+    read packed at 2^k: the valuation of a nonzero m = sum_i c_i 2^(k i)
+    with lowest coefficient c_d is k d + v(c_d), and |c_d| < 2^(k-1), so
+    d is that valuation // k and c_d the balanced digit at position d."""
     n = p.size
     # One minor per subset, 2^n of them, from one elimination walk.
     if n > MAX_GROUND_SIZE:
         raise ValueError(f"matrix has {n} columns; at most "
                          f"{MAX_GROUND_SIZE} are supported")
-    flat = [c for row in p.entries for entry in row for c in entry]
-    ints = iter(clear_denominators(flat)[0])
-    a = gram(PolyMatrix(n, tuple(tuple(tuple(next(ints) for _ in entry)
-                                       for entry in row)
-                                 for row in p.entries)))
-    minors = gram_principal_minors(a)
+    k, minors = _principal_minors(_integral_gram(p)[0])
+    low, half = (1 << k) - 1, 1 << (k - 1)
     entries = [0] * (1 << n)
     for s in range(1, 1 << n):
         minor = minors[s]
@@ -374,8 +419,8 @@ def asn(p: PolyMatrix) -> AsnVector:
             raise ValueError(
                 "a principal Gram minor is identically zero; "
                 "P is not invertible as a polynomial matrix")
-        deg, coeff = lowest_term(minor)
-        if deg % 2 or coeff <= 0:
+        deg = ((minor & -minor).bit_length() - 1) // k
+        if deg % 2 or (minor >> k * deg) & low >= half:
             raise CertificateError(
                 "dominating minor term is not a positive even power")
         entries[s] = deg // 2
@@ -389,6 +434,20 @@ def asn_inner_product(v: FormalLog, a: AsnVector) -> Fraction:
     return Fraction(dot(ints, a.entries), d)
 
 
-def eval_poly_matrix(p: PolyMatrix, x: float):
-    return np.array([[p_eval(entry, x) for entry in row]
-                     for row in p.entries], dtype=float)
+def eval_poly_matrix(p: PolyMatrix, x):
+    """P at x: an n x n array for a scalar x, or one matrix per point,
+    shape (len(x), n, n), for a 1-d array x.  Each entry is Horner's rule
+    from 0.0, total * x + float(c) from the top coefficient down, with the
+    same float operations in the same order at every point.  Entries of
+    lower degree start with zero coefficients, which leave the total +0.0
+    at a finite x, so each value is bitwise the entry's own scalar Horner
+    value."""
+    x = np.asarray(x, dtype=float)[..., None, None]
+    top = max((len(entry) for row in p.entries for entry in row), default=0)
+    coeffs = np.array([[[float(c) for c in entry] + [0.0] * (top - len(entry))
+                        for entry in row] for row in p.entries],
+                      dtype=float).reshape(p.size, p.size, top)
+    total = np.zeros(x.shape[:-2] + (p.size, p.size))
+    for d in range(top - 1, -1, -1):
+        total = total * x + coeffs[:, :, d]
+    return total

@@ -120,17 +120,25 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     if p.size != v.ground_size:
         raise ValueError(
             "polynomial matrix column count must equal the ground size")
-    mats = np.stack([eval_poly_matrix(p, eps) for eps in grid])
+    mats = eval_poly_matrix(p, np.array(grid))
+    # log det (P^T P)[S] from the singular values of P[:, S]: factoring the
+    # formed P^T P squares the condition number and loses minors scaling
+    # like eps^(2 d_S).  One SVD call per subset size takes the matrices
+    # P(eps)[:, S] of every S of that size, shape (masks, grid, n, |S|).
+    by_size: Dict[int, List[int]] = {}
+    for mask in v.support():
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    sing = {}
+    for masks in by_size.values():
+        cols = np.array([[i - 1 for i in members_of(m)] for m in masks])
+        batch = np.linalg.svd(mats[:, :, cols].transpose(2, 0, 1, 3),
+                              compute_uv=False)
+        sing.update(zip(masks, batch))
     minors = {}
     for mask in v.support():
-        # log det (P^T P)[S] from the singular values of P[:, S]: factoring
-        # the formed P^T P squares the condition number and loses minors
-        # scaling like eps^(2 d_S).
-        cols = [i - 1 for i in members_of(mask)]
-        sing = np.linalg.svd(mats[:, :, cols], compute_uv=False)
-        if np.any(sing <= 0):
+        if np.any(sing[mask] <= 0):
             raise NotPositiveDefiniteError(members_of(mask))
-        minors[mask] = 2.0 * np.log(sing).sum(axis=-1)
+        minors[mask] = 2.0 * np.log(sing[mask]).sum(axis=-1)
     values = np.zeros(len(grid)) + log_ratio_from_minors(v, minors)
     predicted = 2 * asn_inner_product(v, asn(p))
     return _fit_report(grid, values.tolist(), predicted)

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorcones import polyarith
@@ -10,15 +11,123 @@ from minorcones.constants import P_for_Q
 from minorcones.exact import (CertificateError, clear_denominators,
                               kernel_basis, rank)
 from minorcones.nullity import matrix, nullity_type
-from minorcones.polyarith import (P_ONE, AsnVector, asn, asn_inner_product,
-                                  format_poly, format_poly_matrix, gram,
-                                  gram_principal_minors, lowest_term, p_add,
-                                  p_divexact, p_eval, p_mul, parse_poly,
-                                  parse_poly_matrix, poly,
+from minorcones.polyarith import (P_ONE, P_ZERO, AsnVector, PolyMatrix,
+                                  asn, asn_inner_product, format_poly,
+                                  format_poly_matrix, gram,
+                                  gram_principal_minors, p_add, p_mul,
+                                  p_neg, parse_poly, parse_poly_matrix, poly,
                                   poly_det_bareiss, poly_det_cofactor,
                                   poly_matrix, principal_minor_poly,
                                   principal_submatrix)
 from minorcones.ratios import from_entries
+from minorcones.subsets import members_of
+
+
+# List arithmetic over Z[e] and on floats: the oracles for the packed
+# kernel and the array Horner evaluation.
+
+def _trim(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def p_divexact(a, b):
+    """Exact division in Z[e]: raises ArithmeticError if a quotient
+    coefficient is not an integer or a remainder is left."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    top = len(b) - 1
+    lead = b[top]
+    out = [0] * max(len(a) - top, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        head = rem[shift + top]
+        if head:
+            factor, left = divmod(head, lead)
+            if left:
+                raise ArithmeticError("inexact polynomial division")
+            out[shift] = factor
+            for i, cb in enumerate(b, start=shift):
+                rem[i] -= factor * cb
+    if any(rem[:top]):
+        raise ArithmeticError("inexact polynomial division")
+    return _trim(out)
+
+
+def p_eval(a, x):
+    total = 0.0
+    for c in reversed(a):
+        total = total * x + float(c)
+    return total
+
+
+def lowest_term(a):
+    """(degree, coefficient) of the lowest-order nonzero term."""
+    for i, c in enumerate(a):
+        if c != 0:
+            return i, c
+    raise ValueError("zero polynomial has no lowest term")
+
+
+def list_gram(p):
+    """P^T P from coefficient lists, in the arithmetic of P's entries."""
+    columns = list(zip(*p.entries))
+    n = p.size
+    out = [[P_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = P_ZERO
+            for x, y in zip(columns[i], columns[j]):
+                acc = p_add(acc, p_mul(x, y))
+            out[i][j] = out[j][i] = acc
+    return PolyMatrix(n, tuple(map(tuple, out)))
+
+
+def list_eliminate(row, pivot_row, pivot, factor, prev):
+    nums = [p_add(p_mul(x, pivot), p_neg(p_mul(factor, y)))
+            for x, y in zip(row, pivot_row)]
+    return nums if prev == P_ONE else [p_divexact(x, prev) for x in nums]
+
+
+def list_det_bareiss(rows):
+    """Fraction-free determinant on coefficient lists, with row swaps."""
+    m = [list(row) for row in rows]
+    if not m:
+        return P_ONE
+    prev, sign = P_ONE, 1
+    while len(m) > 1:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            return P_ZERO
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            sign = -sign
+        top = m[0]
+        m = [list_eliminate(row[1:], top[1:], top[0], row[0], prev)
+             for row in m[1:]]
+        prev = top[0]
+    return m[0][0] if sign > 0 else p_neg(m[0][0])
+
+
+def list_principal_minors(g):
+    """The depth-first Sylvester walk over the subsets on coefficient
+    lists."""
+    minors = [P_ZERO] * (1 << g.size)
+    minors[0] = P_ONE
+
+    def visit(mask, first, prev, rows):
+        for t, row in enumerate(rows):
+            pivot = row[0]
+            child = mask | 1 << (first + t)
+            minors[child] = pivot
+            if pivot and t + 1 < len(rows):
+                visit(child, first + t + 1, pivot,
+                      [list_eliminate(later, row[j:], pivot, row[j], prev)
+                       for j, later in enumerate(rows[t + 1:], start=1)])
+
+    visit(0, 0, P_ONE, [g.entries[i][i:] for i in range(g.size)])
+    return minors
 
 
 class TestPolyBasics:
@@ -69,6 +178,17 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             parse_poly("")
 
+    def test_memoised_parse_raises_again_on_a_repeated_bad_entry(self):
+        # Exceptions are not cached: the same text fails, with the same
+        # message, on every call, also inside a matrix file.
+        for _ in range(3):
+            with pytest.raises(ValueError,
+                               match=r"bad polynomial term '\+x' in '1 \+ x'"):
+                parse_poly("1 + x")
+            with pytest.raises(ValueError, match="line 2: bad polynomial"):
+                parse_poly_matrix("1, e\n1 + x, 0\n")
+        assert parse_poly("1 + 2*e") is parse_poly("1 + 2*e")
+
     def test_format_round_trip(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -91,6 +211,26 @@ class TestPolyBasics:
     def test_eval_matches_horner(self):
         p = poly([1, Fraction(1, 2), -3])
         assert p_eval(p, 2.0) == pytest.approx(1 + 0.5 * 2 - 3 * 4)
+
+    def test_matrix_eval_is_bitwise_per_entry_horner(self):
+        # Scalar and array points against p_eval entry by entry, with
+        # entries of mixed degree (the zero polynomial included), int and
+        # Fraction coefficients, and points of either sign.
+        rng = random.Random(23)
+        points = [0.5, 1e-2, 3.7e-5, 1e-7, -0.3, 0.0, 2.0, 123.25]
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            p = random_poly_matrix(rng, n, denominators=(1, 1, 3, 7),
+                                   degree=rng.randint(0, 4))
+            expect = np.array([[[p_eval(entry, x) for entry in row]
+                                for row in p.entries] for x in points])
+            stacked = polyarith.eval_poly_matrix(p, np.array(points))
+            assert stacked.shape == (len(points), n, n)
+            assert stacked.tobytes() == expect.tobytes()
+            for x, mat in zip(points, expect):
+                got = polyarith.eval_poly_matrix(p, x)
+                assert got.shape == (n, n)
+                assert got.tobytes() == mat.tobytes()
 
     def test_divexact_int_remainder_raises(self):
         # x^2 + 3 = (x - 1)(x + 1) + 4, and 2x + 1 = 2 * x + 1: both leave
@@ -287,6 +427,160 @@ class TestGramWalk:
         assert asn(P_for_Q()) == expect
 
 
+def big_family(rng, n, bits=40, degree=4):
+    """Integer entries of degree up to `degree` with coefficients up to
+    +-2^bits, a quarter of them zero polynomials."""
+    top = 1 << bits
+    return poly_matrix([[() if rng.random() < 0.25 else
+                         poly([rng.randint(-top, top)
+                               for _ in range(rng.randint(1, degree + 1))])
+                         for _ in range(n)] for _ in range(n)])
+
+
+def every_minor(rows):
+    """Every square minor of `rows` by cofactor expansion."""
+    n = len(rows)
+    for size in range(1, n + 1):
+        for r in range(1 << n):
+            if r.bit_count() != size:
+                continue
+            for c in range(1 << n):
+                if c.bit_count() == size:
+                    yield poly_det_cofactor(
+                        [[rows[i - 1][j - 1] for j in members_of(c)]
+                         for i in members_of(r)])
+
+
+class TestPackedKernel:
+    """The Kronecker-packed walk, determinant and Gram product against
+    cofactor expansion and the list arithmetic they replaced."""
+
+    def families(self, n):
+        rng = random.Random(600 + n)
+        out = [big_family(rng, n) for _ in range(2)]
+        out.append(big_family(rng, n, bits=3, degree=1))
+        out.append(degenerate_family(rng, n))
+        if n > 1:
+            # Column n repeats column 1 times 1 - e: a singular family.
+            rows = [list(row) for row in big_family(rng, n, 20, 2).entries]
+            for row in rows:
+                row[-1] = p_mul(row[0], poly([1, -1]))
+            out.append(poly_matrix(rows))
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_walk_determinant_and_gram_match_the_oracles(self, n):
+        for p in self.families(n):
+            g = gram(p)
+            assert g == list_gram(p)
+            minors = gram_principal_minors(g)
+            assert minors == list_principal_minors(g)
+            for s in (1 << n) - 1, (1 << n) - 2, 1:
+                assert minors[s] == poly_det_cofactor(
+                    principal_submatrix(g, s))
+            rows = [list(row) for row in p.entries]
+            det = poly_det_bareiss(rows)
+            assert det == list_det_bareiss(rows)
+            if n <= 5:
+                assert det == poly_det_cofactor(rows)
+            assert all(type(c) is int for m in minors for c in m)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rational_gram_scales_back(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(3):
+            p = random_poly_matrix(rng, n, denominators=(1, 2, 3, 7),
+                                   degree=3)
+            g = gram(p)
+            assert g == list_gram(p)
+            assert all(type(c) is int or c.denominator > 1
+                       for row in g.entries for x in row for c in x)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_minor_fits_the_packing_width(self, n):
+        # The width of the walk and the determinant bounds every minor of
+        # G, not only the principal ones, and also G's largest coefficient
+        # alone is far too narrow for them.
+        rng = random.Random(800 + n)
+        for p in self.families(n):
+            # The widths of the walk and asn, and of the determinant.
+            for g in (gram(p), p):
+                k = polyarith._minor_bits(g.entries)
+                top = max((abs(c) for m in every_minor(g.entries) for c in m),
+                          default=0)
+                assert top < 1 << (k - 1)
+        if n > 1:
+            g = gram(big_family(rng, n))
+            widest = max(abs(c) for row in g.entries for x in row for c in x)
+            assert max(abs(c) for m in every_minor(g.entries)
+                       for c in m) >= 1 << widest.bit_length()
+
+    def test_pack_round_trip_and_lowest_digit(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            k = rng.randint(2, 70)
+            top = (1 << (k - 1)) - 1
+            a = poly([rng.choice([0, rng.randint(-top, top), top, -top])
+                      for _ in range(rng.randint(0, 6))])
+            packed = polyarith._pack(a, k)
+            assert polyarith._unpack(packed, k) == a
+            assert (packed == 0) == (a == P_ZERO)
+
+    def test_asn_reads_the_packed_lowest_term(self):
+        # Degrees and signs of the lowest term at every position, read by
+        # asn from single-entry families e^d * c, c of either sign.
+        for d in range(4):
+            for c in (1, 3, 2 ** 40 + 1, 6):
+                p = poly_matrix([[poly([0] * d + [c])]])
+                assert asn(p).entries == (0, d)
+                q = poly_matrix([[poly([0] * d + [-c])]])
+                assert asn(q).entries == (0, d)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_asn_matches_the_list_oracle(self, n):
+        rng = random.Random(900 + n)
+        families = [degenerate_family(rng, n) for _ in range(3)]
+        families += [p for p in self.families(n)[:2]]
+        for p in families:
+            expect = list_half_degrees(p)
+            if expect is None:
+                with pytest.raises(ValueError, match="identically zero"):
+                    asn(p)
+            else:
+                assert asn(p).entries == expect
+
+    def test_fraction_coefficients_rejected_up_front(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elimination reached with a Fraction")
+        monkeypatch.setattr(polyarith, "_eliminate", refuse)
+        rows = [[poly([1]), poly([Fraction(1, 2)])],
+                [poly([0, 1]), poly([3])]]
+        with pytest.raises(ValueError, match="integer coefficients"):
+            poly_det_bareiss(rows)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            principal_minor_poly(poly_matrix(rows), 0b11)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            gram_principal_minors(gram(poly_matrix(rows)))
+        # An integral Fraction is a Fraction all the same.
+        with pytest.raises(ValueError, match="integer coefficients"):
+            poly_det_bareiss([[(Fraction(2),)]])
+
+
+def list_half_degrees(p):
+    """asn from the list walk on the Gram matrix of the cleared P; None
+    where a principal Gram minor is zero."""
+    scaled, _ = integral_multiple(p)
+    minors = list_principal_minors(list_gram(scaled))
+    if not all(minors):
+        return None
+    out = [0]
+    for s in range(1, 1 << p.size):
+        deg, coeff = lowest_term(minors[s])
+        assert deg % 2 == 0 and coeff > 0
+        out.append(deg // 2)
+    return tuple(out)
+
+
 class TestAsn:
     def test_identity_is_zero(self):
         pm = parse_poly_matrix("1, 0\n0, 1\n")
@@ -408,17 +702,23 @@ class TestAsnRationalCoefficients:
 
 
 class TestAsnCertificate:
+    # Every minor replaced by the packed constant -1: a negative lowest
+    # digit at degree 0.
+    @staticmethod
+    def negative_minors(g):
+        return [-1] * (1 << len(g))
+
     def test_negative_dominating_term_raises(self, monkeypatch):
-        monkeypatch.setattr(polyarith, "gram_principal_minors",
-                            lambda g: [poly([-1])] * (1 << g.size))
+        monkeypatch.setattr(polyarith, "_packed_principal_minors",
+                            self.negative_minors)
         with pytest.raises(CertificateError, match="positive even power"):
             asn(parse_poly_matrix("1, 0\n0, e\n"))
 
     def test_cli_exits_2(self, monkeypatch, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("1, 0\n0, e\n")
-        monkeypatch.setattr(polyarith, "gram_principal_minors",
-                            lambda g: [poly([-1])] * (1 << g.size))
+        monkeypatch.setattr(polyarith, "_packed_principal_minors",
+                            self.negative_minors)
         assert main(["asn", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dominating minor term")
@@ -426,10 +726,10 @@ class TestAsnCertificate:
     def test_inexact_division_raises(self, monkeypatch):
         # Off by one in every fraction-free numerator: the first division
         # by a pivot other than 1 (det G[{2}] = 1 + e^2 of P_for_Q) is
-        # inexact, and p_divexact says so.
-        cross = polyarith._cross
-        monkeypatch.setattr(polyarith, "_cross",
-                            lambda *polys: p_add(cross(*polys), P_ONE))
+        # inexact, and _divexact says so.
+        divexact = polyarith._divexact
+        monkeypatch.setattr(polyarith, "_divexact", lambda nums, den: divexact(
+            [x + 1 for x in nums], den))
         with pytest.raises(ArithmeticError, match="inexact") as err:
             asn(P_for_Q())
         assert type(err.value) is ArithmeticError

@@ -1,13 +1,16 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from minorcones import probe, ratios, reproduce
 from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
 from minorcones.exact import CertificateError, kernel_basis
 from minorcones.nullity import matrix
-from minorcones.polyarith import eval_poly_matrix, parse_poly_matrix
+from minorcones.polyarith import (asn, asn_inner_product, eval_poly_matrix,
+                                  parse_poly_matrix, poly, poly_matrix)
 from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
                               complement_ratio_check, decomposition_check,
                               eval_family_slope, eval_poly_family_slope,
@@ -159,16 +162,61 @@ class TestPolyFamilySlope:
             eval_poly_family_slope(log_of(text),
                                    parse_poly_matrix("1, 0\n0, e\n"))
 
-    def test_p_evaluated_once_per_eps(self, monkeypatch):
+    def test_p_evaluated_once_on_the_grid(self, monkeypatch):
         calls = []
 
-        def spy(p, eps):
-            calls.append(eps)
-            return eval_poly_matrix(p, eps)
+        def spy(p, points):
+            calls.append(np.array(points))
+            return eval_poly_matrix(p, points)
 
         monkeypatch.setattr(probe, "eval_poly_matrix", spy)
         eval_poly_family_slope(Q(), P_for_Q())
-        assert calls == list(DEFAULT_POLY_GRID)
+        assert len(calls) == 1
+        assert calls[0].tolist() == list(DEFAULT_POLY_GRID)
+
+    def test_matches_the_per_eps_per_mask_reference(self):
+        # Q / P_for_Q, and 240 seeded (ratio, family) pairs of the bench's
+        # shape at n = 3 and 4, some with a rational or constant P.
+        pairs = [(Q(), P_for_Q())]
+        rng = random.Random(31)
+        while len(pairs) < 241:
+            n = rng.choice((3, 4))
+            v = random_homogeneous_log(n, np.random.default_rng(
+                rng.getrandbits(32)))
+            degree = rng.choice((0, 1, 2))
+            pm = poly_matrix([[poly([Fraction(rng.randint(-2, 2),
+                                              rng.choice((1, 1, 1, 2)))
+                                     for _ in range(degree + 1)])
+                               for _ in range(n)] for _ in range(n)])
+            pairs.append((v, pm))
+        compared = 0
+        for v, pm in pairs:
+            try:
+                expect = per_eps_poly_family_slope(v, pm)
+            except (ValueError, NotPositiveDefiniteError) as err:
+                with pytest.raises(type(err)) as got:
+                    eval_poly_family_slope(v, pm)
+                assert str(got.value) == str(err)
+                continue
+            assert eval_poly_family_slope(v, pm) == expect
+            compared += 1
+        assert compared >= 200
+
+
+def per_eps_poly_family_slope(v, p, grid=DEFAULT_POLY_GRID):
+    """eval_poly_family_slope as it was: P evaluated at one eps at a time
+    and one SVD call per mask."""
+    mats = np.stack([eval_poly_matrix(p, eps) for eps in grid])
+    minors = {}
+    for mask in v.support():
+        cols = [i - 1 for i in members_of(mask)]
+        sing = np.linalg.svd(mats[:, :, cols], compute_uv=False)
+        if np.any(sing <= 0):
+            raise NotPositiveDefiniteError(members_of(mask))
+        minors[mask] = 2.0 * np.log(sing).sum(axis=-1)
+    values = np.zeros(len(grid)) + ratios.log_ratio_from_minors(v, minors)
+    predicted = 2 * asn_inner_product(v, asn(p))
+    return probe._fit_report(tuple(grid), values.tolist(), predicted)
 
 
 class TestSampling:
