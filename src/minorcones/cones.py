@@ -6,14 +6,18 @@ the other sets (`nullity.family_types`).  Enumeration works in exact
 integer coordinates on the homogeneity subspace (dimension 2^n - n - 1)
 via the double description method, inserting the rows in lexicographic
 order ("lexmin", as in cdd) with combinatorial adjacency on tight-row
-bitmasks and a per-row index of tight rays kept across steps.  The
-certificate of all output rays rests on one exact product of the
-inequality rows with the lifted rays, `exact.exact_products`: an int64
-numpy matmul when max ||row||_1 * max |entry| < 2^63 proves that no partial
-sum can overflow, else the same matmul on Python ints.  Its zeros are each
-ray's tight rows, whose rank must be dim - 1: modulo a prime for all rays
-in one numpy elimination, and by exact Bareiss elimination for any ray
-whose modular rank falls short.
+bitmasks and a per-row index of tight rays kept across steps.
+The certificate of all output rays works on integer arrays, each from one
+exact product (`exact.exact_products`: an int64 numpy matmul when
+max ||row||_1 * max |entry| < 2^63 proves that no partial sum can
+overflow, else the same matmul on Python ints) with the cached basis
+B = `ratios.homogeneity_matrix(n)` or with the rays: the inequality rows
+times B^T are their coordinates on the quotient, the ray coordinates
+times B, divided by each row's gcd, are the primitive rays, and the rows
+times the rays are checked nonnegative, with zeros at each ray's tight
+rows.  Those rows must have rank dim - 1: modulo a prime for all rays in
+one numpy elimination, with the rays innermost, and by exact Bareiss
+elimination for any ray whose modular rank falls short.
 """
 
 from dataclasses import dataclass
@@ -27,10 +31,10 @@ import numpy as np
 
 from .exact import (CertificateError, as_fractions, bareiss_rank, dot,
                     exact_products, int64_products_fit, kernel_basis,
-                    primitive)
+                    largest_norm, primitive)
 from .nullity import (catalog_n4, d5_constraint_set, family_types,
                       subset_matrix, superset_matrix)
-from .ratios import (FormalLog, h_coordinates, h_lift, homogeneity_basis,
+from .ratios import (FormalLog, homogeneity_basis, homogeneity_matrix,
                      homogeneity_vectors, is_homogeneous,
                      koteljanskii_generators, koteljanskii_matrix)
 from .simplex import nonnegative_combination
@@ -59,8 +63,7 @@ class ConstraintSystem:
         use and kept, and their largest L1 norm.  The array is None when
         that norm is 2^63 or more: then no product with a row is sure to
         fit in int64 (`exact.int64_products_fit`)."""
-        norm = max((sum(map(abs, row)) for row in self.inequalities),
-                   default=0)
+        norm = largest_norm(self.inequalities)
         if not int64_products_fit(norm, 1):
             return None, norm
         rows = np.array(self.inequalities, dtype=np.int64).reshape(
@@ -156,16 +159,19 @@ def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     return MembershipCertificate(witness is None, products, witness)
 
 
-def _reduce_rows(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...]]:
-    return [h_coordinates(row, n) for row in rows]
+def _reduce_rows(rows, n: int) -> np.ndarray:
+    """The coordinates B * row on the homogeneity quotient of every integer
+    row (a sequence of rows or an integer array), as one (rows, dim)
+    product with B = `homogeneity_matrix(n)`: `h_coordinates` of each."""
+    return exact_products(rows, homogeneity_matrix(n))
 
 
-def _ambient(coords: Sequence[int], n: int) -> Tuple[int, ...]:
-    """The primitive subset-indexed vector B^T * coords of integer
-    coordinates on the homogeneity quotient."""
-    vec = h_lift(coords, n)
-    g = gcd(*vec)
-    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+def _ambient(coords: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The primitive subset-indexed vectors B^T * c of integer coordinate
+    vectors c on the homogeneity quotient, one row each, from one product
+    and a row-wise gcd; a zero vector stays zero."""
+    vecs = exact_products(coords, homogeneity_matrix(n).T)
+    return vecs // np.maximum(np.gcd.reduce(vecs, axis=1), 1)[:, None]
 
 
 def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
@@ -279,37 +285,50 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
     return lines, [vecs[slot] for slot in live]
 
 
-# A prime below 2^31, so the product of two residues stays below 2^62.
+# A prime below 2^31.  Entries are kept in (-p, p) (np.fmod, the remainder
+# with the sign of the dividend, is cheaper than np.remainder on mixed
+# signs), so each product of two is at most (p - 1)^2 and the difference of
+# two products stays below 2^63 in absolute value.
 _CERTIFICATE_PRIME = 2_147_483_647
 
 
-def _modular_ranks(rows: Sequence[Sequence[int]],
-                   tight: Sequence[Sequence[bool]]) -> np.ndarray:
+def _modular_ranks(rows, tight) -> np.ndarray:
     """For each boolean row selection in `tight` (a (rays, rows) array or
     nested sequence: one selection per ray, one flag per row), the rank
-    modulo _CERTIFICATE_PRIME of the selected integer rows.
-    One int64 elimination over the (rays, rows, dim) stack with the other
-    rows zeroed.  Each step takes the first column: every matrix pivots on
-    its first row that is nonzero there, clears the column from every row
-    by cross-multiplication (the pivot row itself becomes zero), reduces
-    mod p and drops the column."""
+    modulo _CERTIFICATE_PRIME of the selected integer rows (an integer
+    array or a nested sequence of rows).
+    One int64 elimination over a (rows, cols, rays) stack with the rays
+    innermost: each ray's selected rows are packed first, in their order,
+    and padded with zero rows up to the largest selection, so that every
+    step runs along the rays over that count instead of over all rows.
+    Each step takes the first column: every matrix pivots on its first
+    row that is nonzero there, clears the column from every row by
+    cross-multiplication (the pivot row itself becomes zero), reduces mod
+    p and drops the column.  The rank is the number of steps that found a
+    pivot; modulo p it does not depend on the order of rows or of
+    elimination."""
     p = _CERTIFICATE_PRIME
-    residues = np.array([[x % p for x in row] for row in rows],
-                        dtype=np.int64)
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(rows, dtype=object)
+    residues = (rows % p).astype(np.int64)
     mask = np.asarray(tight, dtype=bool).reshape(-1, len(rows))
-    m = mask[:, :, None] * residues
-    ranks = np.zeros(len(m), dtype=np.int64)
-    every = np.arange(len(m))
-    for _ in range(residues.shape[1]):
-        col = m[:, :, 0]
-        pivot = m[every, (col != 0).argmax(axis=1)]
-        found = pivot[:, 0] != 0
-        ranks += found
+    counts = mask.sum(axis=1)
+    depth = max(int(counts.max(initial=0)), 1)
+    # Each ray's selected rows first, in order (a stable sort of the
+    # unselected flags), then rows zeroed past its count.
+    packed = np.argsort(~mask, axis=1, kind="stable")[:, :depth].T
+    m = np.ascontiguousarray(residues[packed].transpose(0, 2, 1)) * (
+        np.arange(depth)[:, None, None] < counts)
+    every = np.arange(len(mask))
+    leads = np.empty((residues.shape[1], len(mask)), dtype=np.int64)
+    for k in range(len(leads)):
+        col = m[:, 0]
+        pivot = m[(col != 0).argmax(axis=0), :, every].T
+        leads[k] = lead = pivot[0]
         # A matrix with a zero column is left as it is (scale 1, col 0).
-        scale = np.where(found, pivot[:, 0], 1)
-        m = (scale[:, None, None] * m[:, :, 1:]
-             - col[:, :, None] * pivot[:, None, 1:]) % p
-    return ranks
+        m = np.fmod(np.where(lead != 0, lead, 1) * m[:, 1:]
+                    - col[:, None, :] * pivot[1:], p)
+    return np.count_nonzero(leads, axis=0)
 
 
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
@@ -318,30 +337,38 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
 
     The double description inserts the rows in lexicographic order; the
     output does not depend on the order, but the intermediate ray lists
-    (and the time) do.  The rays are certified from scratch on their
-    subset-indexed vectors.  Each is nonzero.  One exact product of the
-    inequality rows with all of them (`exact_products`) is nonnegative,
-    and that of the equality rows is zero.  The zeros of the first product
-    are each ray's tight rows.  Their coordinates on the homogeneity
-    quotient (`h_coordinates`) have rank dim - 1, which makes the face the
-    checked vector lies on a ray: modulo a prime p, or else exactly by
-    Bareiss elimination.  The modular rank is sound: it is at most the
-    rational rank, which is at most dim - 1 because the nonzero ray lies in
-    the kernel of its tight rows, so rank mod p = dim - 1 proves the
-    rational rank is dim - 1.  A failure raises CertificateError.  A
-    pointed cone equal to {0} has no extreme rays."""
+    (and the time) do.  The rays are certified from scratch on integer
+    arrays, with B = `homogeneity_matrix(n)`.  One `exact_products` of the
+    inequality rows (`system.integer_rows`, or the rows themselves past
+    the int64 bound) with B gives their quotient coordinates, one of the
+    double description's coordinates with B^T, divided row-wise by the
+    gcd, gives the primitive subset-indexed vectors.  Each is nonzero.
+    One exact product of the inequality rows with all of them is
+    nonnegative, and that of the equality rows is zero.  The zeros of the
+    first product are each ray's tight rows.  Their quotient coordinates
+    have rank dim - 1, which makes the face the checked vector lies on a
+    ray: modulo a prime p (`_modular_ranks`), or else exactly by Bareiss
+    elimination.  The modular rank is sound: it is at most the rational
+    rank, which is at most dim - 1 because the nonzero ray lies in the
+    kernel of its tight rows, so rank mod p = dim - 1 proves the rational
+    rank is dim - 1.  A failure raises CertificateError.  A pointed cone
+    equal to {0} has no extreme rays."""
     n = system.ground_size
-    dim = len(homogeneity_basis(n))
-    reduced = _reduce_rows(system.inequalities, n)
-    lines, rays = _double_description(sorted(reduced), dim)
+    dim = len(homogeneity_matrix(n))
+    rows = system.integer_rows[0]
+    if rows is None:
+        rows = system.inequalities
+    reduced = _reduce_rows(rows, n)
+    ineqs = reduced.tolist()
+    lines, rays = _double_description(sorted(ineqs), dim)
     if lines:
-        raise NonPointedConeError(_ambient(lines[0], n))
+        raise NonPointedConeError(tuple(_ambient(lines[:1], n)[0].tolist()))
     if not rays:
         return []
-    vecs = [_ambient(coords, n) for coords in rays]
-    if not all(map(any, vecs)):
+    vecs = _ambient(rays, n)
+    if not vecs.any(axis=1).all():
         raise CertificateError("extreme ray is the zero vector")
-    values = exact_products(system.inequalities, vecs)
+    values = exact_products(rows, vecs)
     if (values < 0).any():
         raise CertificateError("extreme ray violates an inequality row")
     if (exact_products(system.equalities, vecs) != 0).any():
@@ -350,11 +377,12 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     for flags, rank_mod_p in zip(tight, _modular_ranks(reduced, tight)):
         if rank_mod_p == dim - 1:
             continue
-        rows = [row for row, flag in zip(reduced, flags) if flag]
-        if bareiss_rank(rows) != dim - 1:
+        selected = [row for row, flag in zip(ineqs, flags) if flag]
+        if bareiss_rank(selected) != dim - 1:
             raise CertificateError(
                 "extreme ray's tight rows do not have rank dim - 1")
-    return sorted((Ray(n, vec) for vec in vecs), key=Ray.sort_key)
+    return sorted((Ray(n, vec) for vec in map(tuple, vecs.tolist())),
+                  key=Ray.sort_key)
 
 
 def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
@@ -362,7 +390,7 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
     rows whose tight space is one-dimensional.  Exponential; small n only."""
     n = system.ground_size
     dim = len(homogeneity_basis(n))
-    reduced = _reduce_rows(system.inequalities, n)
+    reduced = _reduce_rows(system.inequalities, n).tolist()
     found = set()
     for size in range(len(reduced) + 1):
         for rows in combinations(reduced, size):
@@ -376,7 +404,10 @@ def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
                     tight = [row for row in reduced if dot(row, cand) == 0]
                     if bareiss_rank(tight) == dim - 1:
                         found.add(primitive(cand))
-    out = [Ray(n, _ambient(r, n)) for r in found]
+    if not found:
+        return []
+    vecs = _ambient(list(found), n).tolist()
+    out = [Ray(n, tuple(vec)) for vec in vecs]
     out.sort(key=Ray.sort_key)
     return out
 

@@ -5,8 +5,8 @@ in this module.  The hot kernels run on Python ints: `clear_denominators`
 scales a rational vector to integers once, `primitive` and `bareiss_rank`
 work on its output, and `as_fractions` turns an integer result back into
 reported Fractions.  `exact_products`, the one numpy kernel, takes a whole
-batch of inner products as an int64 matmul when a bound proves that no sum
-can overflow, and on Python ints otherwise.
+batch of inner products, of integer rows or arrays, as an int64 matmul when
+a bound proves that no sum can overflow, and on Python ints otherwise.
 `rref`, `kernel_basis`, `det` and `rank_by_minors` stay on Fractions:
 `rref` and `kernel_basis` serve only the brute-force ray oracle
 (`cones.brute_force_rays`) and the tests, since the homogeneity basis has a
@@ -47,15 +47,30 @@ def largest_entry(values) -> int:
     return max(max(map(max, values)), -min(map(min, values)))
 
 
-def exact_products(rows: Sequence[Sequence[int]], vecs) -> np.ndarray:
-    """The (rows, vecs) matrix of exact integer inner products row . vec,
-    for at least one row; `vecs` is a sequence of integer vectors or an
+def largest_norm(rows) -> int:
+    """max ||row||_1 of integer rows, a sequence of integer rows or an
+    integer array (int64 or Python ints); 0 if there are none."""
+    if isinstance(rows, np.ndarray):
+        if not len(rows):
+            return 0
+        # A row of ones has ||.||_1 = width: if its products with entries
+        # up to the largest fit in int64, so does every |row| sum.
+        if rows.dtype != object and int64_products_fit(rows.shape[1],
+                                                       largest_entry(rows)):
+            return int(np.abs(rows).sum(axis=1).max())
+        rows = rows.tolist()
+    return max((sum(map(abs, row)) for row in rows), default=0)
+
+
+def exact_products(rows, vecs) -> np.ndarray:
+    """The (rows, vecs) matrix of exact integer inner products row . vec.
+    `rows` is a nonempty sequence of integer rows or an integer array of
+    rows (possibly none); `vecs` is a sequence of integer vectors or an
     integer array with one vector per row.  When `int64_products_fit`
     proves that no partial sum can overflow, the product is an int64
     matmul; otherwise it is the same matmul on Python ints (dtype
     object)."""
-    norm = max(sum(map(abs, row)) for row in rows)
-    fits = int64_products_fit(norm, largest_entry(vecs))
+    fits = int64_products_fit(largest_norm(rows), largest_entry(vecs))
     dtype = np.int64 if fits else object
     return np.asarray(rows, dtype=dtype) @ np.asarray(vecs, dtype=dtype).T
 

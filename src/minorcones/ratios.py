@@ -330,6 +330,18 @@ def homogeneity_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def homogeneity_matrix(n: int) -> np.ndarray:
+    """The vectors of `homogeneity_basis(n)` as one read-only int64 array
+    of shape (2^n - n - 1, 2^n), row k the k-th basis vector, built on
+    first use and shared: `exact.exact_products(rows, B)` is
+    `h_coordinates` of every row, and `exact_products(coords, B.T)` is
+    `h_lift` of every coordinate vector."""
+    basis = np.array(homogeneity_basis(n), dtype=np.int64).reshape(-1, 1 << n)
+    basis.flags.writeable = False
+    return basis
+
+
 def h_coordinates(row: Sequence, n: int) -> Tuple:
     """B * row for B = homogeneity_basis(n): the constraint the row imposes
     on log(H_n), row[S] - sum_{i in S} row[{i}] + (|S|-1) row[{}] for each

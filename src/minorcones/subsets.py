@@ -44,9 +44,17 @@ def subset_order(n: int) -> Tuple[int, ...]:
     return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
 
 
+@lru_cache(maxsize=None)
+def _order_gather(n: int):
+    """The gather taking a mask-indexed vector to (size, mask) order."""
+    # itemgetter with one index returns the entry, not a 1-tuple; at n = 0
+    # the one entry is already in order.
+    return itemgetter(*subset_order(n)) if n else tuple
+
+
 def ordered_entries(vector: Sequence, n: int) -> Tuple:
     """Reorder a mask-indexed vector into (size, mask) order."""
-    return tuple(vector[m] for m in subset_order(n))
+    return _order_gather(n)(vector)
 
 
 def complement_mask(mask: int, n: int) -> int:

@@ -17,7 +17,7 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               orbit_decompose)
 from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, dot,
-                              exact_products, primitive, rref)
+                              exact_products, largest_norm, primitive, rref)
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
@@ -290,8 +290,9 @@ class TestExtremeRays:
         lift = cones._ambient
 
         def shifted(coords, n):
-            vec = lift(coords, n)
-            return (vec[0] + 1,) + vec[1:]
+            vecs = lift(coords, n)
+            vecs[:, 0] += 1
+            return vecs
 
         monkeypatch.setattr(cones, "_ambient", shifted)
         with pytest.raises(CertificateError, match="equality"):
@@ -301,17 +302,31 @@ class TestExtremeRays:
         out = certificate_error_under_O(
             "lift = cones._ambient\n"
             "def shifted(coords, n):\n"
-            "    vec = lift(coords, n)\n"
-            "    return (vec[0] + 1,) + vec[1:]\n"
+            "    vecs = lift(coords, n)\n"
+            "    vecs[:, 0] += 1\n"
+            "    return vecs\n"
             "cones._ambient = shifted\n",
             "cones.build_D_system(4)")
         assert "equality" in out
+
+    def test_lineality_is_the_primitive_lift_of_a_line(self):
+        # Two E3 rows leave lines: the error carries the first one, lifted.
+        base = build_E_system(3)
+        system = ConstraintSystem(3, base.equalities, base.inequalities[:2],
+                                  base.labels[:2])
+        reduced, dim = reduced_system(system)
+        lines, _ = cones._double_description(sorted(reduced), dim)
+        with pytest.raises(cones.NonPointedConeError) as err:
+            extreme_rays(system)
+        assert err.value.lineality == primitive(ratios.h_lift(lines[0], 3))
+        assert all(type(x) is int for x in err.value.lineality)
 
     def test_zero_cone_has_no_rays(self):
         # h-coordinate +1 and -1 on {1,2}: the pointed cone {0} in dim 1.
         system = ConstraintSystem(2, build_E_system(2).equalities,
                                   ((0, 0, 0, 1), (0, 0, 0, -1)), ("a", "b"))
         assert extreme_rays(system) == []
+        assert brute_force_rays(system) == []
 
     def test_rays_are_primitive(self):
         from math import gcd
@@ -321,7 +336,7 @@ class TestExtremeRays:
 
 def reduced_system(system):
     n = system.ground_size
-    return (cones._reduce_rows(system.inequalities, n),
+    return (cones._reduce_rows(system.inequalities, n).tolist(),
             len(homogeneity_basis(n)))
 
 
@@ -399,7 +414,7 @@ def relabelled_shuffled_rows(system, seed):
     rows = [relabel(row, perm, seed % 2 == 1, n)
             for row in system.inequalities]
     rng.shuffle(rows)
-    return cones._reduce_rows(rows, n)
+    return cones._reduce_rows(rows, n).tolist()
 
 
 class TestDoubleDescriptionReference:
@@ -498,6 +513,30 @@ class TestModularCertificate:
     def test_no_rays_no_ranks(self):
         assert len(cones._modular_ranks([[1, 2]], [])) == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_ranks_on_unequal_selections(self, seed):
+        # Each ray's rows are packed first and padded to the largest
+        # selection: unequal counts, a ray with no row selected and one
+        # with every row selected, over full-rank and deficient rows.
+        rng = random.Random(seed)
+        p = cones._CERTIFICATE_PRIME
+        for nrows, ncols, inner in ((9, 5, 5), (12, 6, 3), (7, 8, 7)):
+            left = [[rng.randint(-4, 4) for _ in range(inner)]
+                    for _ in range(nrows)]
+            right = [[rng.randint(-4, 4) + rng.choice((0, p))
+                      for _ in range(ncols)] for _ in range(inner)]
+            rows = [[dot(row, col) for col in zip(*right)] for row in left]
+            tight = [[i < k for i in range(nrows)] for k in range(nrows + 1)]
+            tight += [rng.sample([True] * k + [False] * (nrows - k), nrows)
+                      for k in (1, 2, nrows - 1)]
+            tight.append([False] * nrows)
+            rng.shuffle(tight)
+            expected = [bareiss_rank([row for row, t in zip(rows, flags)
+                                      if t]) for flags in tight]
+            assert list(cones._modular_ranks(rows, tight)) == expected
+            assert list(cones._modular_ranks(np.array(rows, dtype=object),
+                                             np.array(tight))) == expected
+
     @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4)])
     def test_bareiss_fallback_certifies_short_modular_ranks(
             self, system, monkeypatch, fallback_calls):
@@ -519,6 +558,15 @@ class TestModularCertificate:
             system.labels)
         assert extreme_rays(scaled) == extreme_rays(system)
         assert len(fallback_calls) == 31
+
+
+# E3-E5 and D3-D4; the lift test keeps its first three, E4, D4 and E5.
+LIFT_SYSTEMS = [build_E_system(4), build_D_system(4), build_E_system(5),
+                build_E_system(3), build_D_system(3)]
+
+
+def shifted_rows(rows, shift):
+    return [tuple(x << shift for x in row) for row in rows]
 
 
 def dot_products(rows, vecs):
@@ -572,18 +620,43 @@ class TestExactProducts:
         assert values.dtype == dtype
         assert values.tolist() == dot_products(rows, vecs)
 
+    @pytest.mark.parametrize("rows", [
+        [[3, -4, 0], [1, 1, 1]],
+        # width * largest entry passes 2^63: the sums are taken in Python.
+        [[1 << 62, 1 << 62], [-1, 0]],
+        [[-(1 << 63), 0], [5, 5]],
+        [[(1 << 63) - 1, -(1 << 63)]],
+    ])
+    def test_norm_of_int64_arrays_is_exact(self, rows):
+        expected = max(sum(map(abs, row)) for row in rows)
+        for given in (np.array(rows, dtype=np.int64),
+                      np.array(rows, dtype=object)):
+            assert largest_norm(given) == expected
+        assert largest_norm(np.zeros((0, 3), dtype=np.int64)) == 0
+
+    def test_int64_array_rows_at_the_bound(self):
+        # ||row||_1 = 2^63 - 1 as an int64 array: int64 holds every sum.
+        rows = np.array([[(1 << 62) - 1, 1 << 62]], dtype=np.int64)
+        values = exact_products(rows, [[1, 1], [-1, -1]])
+        assert values.dtype == np.int64
+        assert values.tolist() == [[(1 << 63) - 1, 1 - (1 << 63)]]
+        assert exact_products(rows, [[2, 0]]).dtype == object
+
     @pytest.mark.parametrize("shift, dtype", [(40, np.int64), (60, object)])
     def test_scaled_e4_rows_give_the_same_rays(self, shift, dtype,
                                                product_dtypes):
-        # The E4 rows have ||row||_1 <= 20 and its rays entries in -1..1:
-        # 20 * 2^40 keeps the bound below 2^63, 20 * 2^60 does not.
+        # The E4 rows have ||row||_1 <= 20, the homogeneity basis entries
+        # in -1..3 and the rays entries in -1..1: 60 * 2^40 keeps the bound
+        # below 2^63, 20 * 2^60 does not.  The products are, in order, the
+        # reduction of the rows, the lift of the rays (small primitive
+        # coordinates either way), the inequality and the equality checks.
         system = build_E_system(4)
         scaled = ConstraintSystem(
             4, system.equalities,
             tuple(tuple(x << shift for x in row)
                   for row in system.inequalities), system.labels)
         assert extreme_rays(scaled) == extreme_rays(system)
-        assert product_dtypes[0] == dtype
+        assert product_dtypes[:4] == [dtype, np.int64, dtype, np.int64]
 
     @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4),
                                         build_E_system(5)])
@@ -592,24 +665,70 @@ class TestExactProducts:
         n = system.ground_size
         reduced, dim = reduced_system(system)
         _, rays = cones._double_description(sorted(reduced), dim)
-        vecs = [cones._ambient(coords, n) for coords in rays]
+        vecs = cones._ambient(rays, n)
         full = exact_products(system.inequalities, vecs) == 0
         assert full.T.tolist() == [
             [dot(h_coordinates(row, n), coords) == 0
              for row in system.inequalities] for coords in rays]
 
-
-    @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4),
-                                        build_E_system(5)])
+    @pytest.mark.parametrize("system", LIFT_SYSTEMS)
     def test_ambient_is_the_primitive_lift(self, system):
         n = system.ground_size
         reduced, dim = reduced_system(system)
         _, rays = cones._double_description(sorted(reduced), dim)
         # Every ray, then multiples whose lift has a common factor.
-        for coords in rays + [tuple(k * x for x in rays[0])
-                              for k in (6, -4, 0)]:
-            assert cones._ambient(coords, n) == primitive(
-                ratios.h_lift(coords, n))
+        coords = rays + [tuple(k * x for x in rays[0]) for k in (6, -4, 0)]
+        vecs = cones._ambient(coords, n)
+        assert vecs.dtype == np.int64
+        assert list(map(tuple, vecs.tolist())) == [
+            primitive(ratios.h_lift(c, n)) for c in coords]
+
+
+class TestArrayQuotient:
+    """The reduction and the lift of the certificate are two exact products
+    with `homogeneity_matrix(n)`; the tuple forms `h_coordinates` and
+    `primitive(h_lift(...))` are their reference."""
+
+    @pytest.mark.parametrize("system", LIFT_SYSTEMS)
+    def test_reduction_is_h_coordinates(self, system):
+        n = system.ground_size
+        expected = [list(h_coordinates(row, n)) for row in system.inequalities]
+        for rows in (system.inequalities, system.integer_rows[0]):
+            reduced = cones._reduce_rows(rows, n)
+            assert reduced.dtype == np.int64
+            assert reduced.tolist() == expected
+
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    def test_reduction_of_rows_scaled_by_2_60(self, build):
+        # ||row||_1 * 2^60 passes 2^63: the product runs on Python ints.
+        n = 4
+        rows = shifted_rows(build(n).inequalities, 60)
+        reduced = cones._reduce_rows(rows, n)
+        assert reduced.dtype == object
+        assert reduced.tolist() == [list(h_coordinates(row, n))
+                                    for row in rows]
+
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    def test_lift_of_rays_of_rows_scaled_by_2_60(self, build):
+        # The double description of the scaled rows gives the same
+        # primitive coordinates; scaled by 2^60 again they lift on Python
+        # ints, to the same primitive vectors.
+        n = 4
+        system = build(n)
+        rows = cones._reduce_rows(shifted_rows(system.inequalities, 60),
+                                 n).tolist()
+        _, rays = cones._double_description(sorted(rows), len(rows[0]))
+        assert ray_set(rays) == ray_set(cones._double_description(
+            sorted(reduced_system(system)[0]), len(rows[0]))[1])
+        coords = shifted_rows(rays, 60) + [
+            tuple(3 * x for x in shifted_rows(rays, 61)[0])]
+        vecs = cones._ambient(coords, n)
+        assert vecs.dtype == object
+        assert list(map(tuple, vecs.tolist())) == [
+            primitive(ratios.h_lift(c, n)) for c in coords]
+        assert list(map(tuple, vecs.tolist()))[:len(rays)] == list(map(
+            tuple, cones._ambient(rays, n).tolist()))
+
 
 class TestInsertionOrder:
     @pytest.mark.parametrize("build, n", [(build_E_system, 3),

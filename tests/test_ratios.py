@@ -25,7 +25,7 @@ from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                koteljanskii_log, log_of, log_ratio_from_minors,
                                log_ratio_values, MAX_GROUND_SIZE, parse_ratio)
 from minorcones.subsets import (complement_mask, mask_of, members_of,
-                                permute_mask, subset_order)
+                                ordered_entries, permute_mask, subset_order)
 
 
 def permuted_by_entry(v, perm):
@@ -398,6 +398,13 @@ class TestGroupActions:
             assert apply_complement(v) == complemented_by_entry(v)
             assert (apply_complement(permuted)
                     == complemented_by_entry(permuted_by_entry(v, perm)))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_ordered_entries_equal_the_generator_form(self, n):
+        vec = tuple(random.Random(n).randint(-9, 9) for _ in range(1 << n))
+        got = ordered_entries(vec, n)
+        assert type(got) is tuple
+        assert got == tuple(vec[m] for m in subset_order(n))
 
     def test_identity_permutation(self):
         v = log_of("{1,2}{} / {1}{2}", 4)
