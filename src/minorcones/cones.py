@@ -159,11 +159,12 @@ def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     return MembershipCertificate(witness is None, products, witness)
 
 
-def _reduce_rows(rows, n: int) -> np.ndarray:
+def _reduce_rows(rows, n: int, norm: Optional[int] = None) -> np.ndarray:
     """The coordinates B * row on the homogeneity quotient of every integer
-    row (a sequence of rows or an integer array), as one (rows, dim)
-    product with B = `homogeneity_matrix(n)`: `h_coordinates` of each."""
-    return exact_products(rows, homogeneity_matrix(n))
+    row (a sequence of rows or an integer array, with `norm` their largest
+    L1 norm if known), as one (rows, dim) product with
+    B = `homogeneity_matrix(n)`: `h_coordinates` of each."""
+    return exact_products(rows, homogeneity_matrix(n), norm)
 
 
 def _ambient(coords: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -340,9 +341,10 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     (and the time) do.  The rays are certified from scratch on integer
     arrays, with B = `homogeneity_matrix(n)`.  One `exact_products` of the
     inequality rows (`system.integer_rows`, or the rows themselves past
-    the int64 bound) with B gives their quotient coordinates, one of the
-    double description's coordinates with B^T, divided row-wise by the
-    gcd, gives the primitive subset-indexed vectors.  Each is nonzero.
+    the int64 bound, with the norm `integer_rows` holds) with B gives
+    their quotient coordinates, one of the double description's
+    coordinates with B^T, divided row-wise by the gcd, gives the
+    primitive subset-indexed vectors.  Each is nonzero.
     One exact product of the inequality rows with all of them is
     nonnegative, and that of the equality rows is zero.  The zeros of the
     first product are each ray's tight rows.  Their quotient coordinates
@@ -355,10 +357,10 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     equal to {0} has no extreme rays."""
     n = system.ground_size
     dim = len(homogeneity_matrix(n))
-    rows = system.integer_rows[0]
+    rows, norm = system.integer_rows
     if rows is None:
         rows = system.inequalities
-    reduced = _reduce_rows(rows, n)
+    reduced = _reduce_rows(rows, n, norm)
     ineqs = reduced.tolist()
     lines, rays = _double_description(sorted(ineqs), dim)
     if lines:
@@ -368,7 +370,7 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     vecs = _ambient(rays, n)
     if not vecs.any(axis=1).all():
         raise CertificateError("extreme ray is the zero vector")
-    values = exact_products(rows, vecs)
+    values = exact_products(rows, vecs, norm)
     if (values < 0).any():
         raise CertificateError("extreme ray violates an inequality row")
     if (exact_products(system.equalities, vecs) != 0).any():

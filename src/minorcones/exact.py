@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,26 +51,22 @@ def largest_norm(rows) -> int:
     """max ||row||_1 of integer rows, a sequence of integer rows or an
     integer array (int64 or Python ints); 0 if there are none."""
     if isinstance(rows, np.ndarray):
-        if not len(rows):
-            return 0
-        # A row of ones has ||.||_1 = width: if its products with entries
-        # up to the largest fit in int64, so does every |row| sum.
-        if rows.dtype != object and int64_products_fit(rows.shape[1],
-                                                       largest_entry(rows)):
-            return int(np.abs(rows).sum(axis=1).max())
         rows = rows.tolist()
     return max((sum(map(abs, row)) for row in rows), default=0)
 
 
-def exact_products(rows, vecs) -> np.ndarray:
+def exact_products(rows, vecs, norm: Optional[int] = None) -> np.ndarray:
     """The (rows, vecs) matrix of exact integer inner products row . vec.
     `rows` is a nonempty sequence of integer rows or an integer array of
-    rows (possibly none); `vecs` is a sequence of integer vectors or an
+    rows (possibly none), with `norm` their `largest_norm` when the caller
+    already holds it; `vecs` is a sequence of integer vectors or an
     integer array with one vector per row.  When `int64_products_fit`
     proves that no partial sum can overflow, the product is an int64
     matmul; otherwise it is the same matmul on Python ints (dtype
     object)."""
-    fits = int64_products_fit(largest_norm(rows), largest_entry(vecs))
+    if norm is None:
+        norm = largest_norm(rows)
+    fits = int64_products_fit(norm, largest_entry(vecs))
     dtype = np.int64 if fits else object
     return np.asarray(rows, dtype=dtype) @ np.asarray(vecs, dtype=dtype).T
 

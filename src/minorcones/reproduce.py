@@ -218,7 +218,8 @@ def check_structural_identities() -> CheckResult:
         if not cones.membership(FormalLog(4, r.vector), e4).verdict:
             failures.append("a D4 ray fails E4 membership")
             break
-    reduced = cones._reduce_rows(cones.build_D_system(4).inequalities, 4)
+    reduced = cones._reduce_rows(cones.build_D_system(4).inequalities,
+                                 4).tolist()
     dim = len(cones.homogeneity_basis(4))
     if rank(reduced) != dim:
         failures.append("D4 system has nonzero lineality")

@@ -575,12 +575,14 @@ def dot_products(rows, vecs):
 
 @pytest.fixture
 def product_dtypes(monkeypatch):
-    """dtypes of the certificate's exact products, in call order."""
+    """dtypes of the certificate's exact products, in call order; a norm
+    the caller passes must be the rows' largest L1 norm."""
     dtypes = []
     found = cones.exact_products
 
-    def spy(rows, vecs):
-        values = found(rows, vecs)
+    def spy(rows, vecs, norm=None):
+        assert norm is None or norm == largest_norm(rows)
+        values = found(rows, vecs, norm)
         dtypes.append(values.dtype)
         return values
 
@@ -622,7 +624,7 @@ class TestExactProducts:
 
     @pytest.mark.parametrize("rows", [
         [[3, -4, 0], [1, 1, 1]],
-        # width * largest entry passes 2^63: the sums are taken in Python.
+        # Sums past 2^63, which an int64 sum would wrap.
         [[1 << 62, 1 << 62], [-1, 0]],
         [[-(1 << 63), 0], [5, 5]],
         [[(1 << 63) - 1, -(1 << 63)]],
@@ -728,6 +730,22 @@ class TestArrayQuotient:
             primitive(ratios.h_lift(c, n)) for c in coords]
         assert list(map(tuple, vecs.tolist()))[:len(rays)] == list(map(
             tuple, cones._ambient(rays, n).tolist()))
+
+
+def test_structural_lineality_rank_runs_on_python_ints(monkeypatch):
+    # The D4 lineality check ranks the reduced rows by exact Bareiss
+    # elimination, which must see Python ints and not int64 scalars.
+    from minorcones import reproduce
+    seen = []
+    found = reproduce.rank
+
+    def spy(rows):
+        seen.append({type(x) for row in rows for x in row})
+        return found(rows)
+
+    monkeypatch.setattr(reproduce, "rank", spy)
+    assert reproduce.check_structural_identities().passed
+    assert seen and all(types == {int} for types in seen)
 
 
 class TestInsertionOrder:
