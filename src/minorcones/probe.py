@@ -5,9 +5,11 @@ identities for R1, R2, R3.
 Everything is deterministic given a SamplerConfig seed.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -22,11 +24,19 @@ from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
                      log_ratio_from_minors, log_ratio_values)
 from .subsets import members_of
 
+# The largest sample batch, count * dimension^2 doubles (256 MiB): above
+# bound-search's default of 100 000 samples at n = 16, 25.6 M of them.
+MAX_SAMPLE_ENTRIES = 1 << 25
+
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
 SLOPE_LAW_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e-7, 9))
-# Minors of a Gram family can scale like eps^2 per singular value; below
-# 1e-6 their double-precision singular values degrade, so the polynomial
-# probe uses a shorter grid by default.
+# How deep a grid the SVD probe stands depends on the family.  Q on P_for_Q
+# gets more accurate below 1e-6: its slope error is 3.4e-4 on this grid,
+# 4.4e-7 on 1e-5..1e-9, 1.1e-6 on 1e-8..1e-12 and 0.057 on 1e-11..1e-15.
+# On 300 seeded n = 4 bench families, the grids from 1e-2, 1e-5, 1e-8 and
+# 1e-11 miss 2, 8, 8 and 28 verdicts, and each miss on the 1e-5 grid has a
+# singular value below 1e-16 times the largest at 1e-9.  So the default
+# grid stops at 1e-6.
 DEFAULT_POLY_GRID = tuple(float(x) for x in np.geomspace(1e-2, 1e-6, 9))
 
 
@@ -65,10 +75,18 @@ class SamplerConfig:
             raise ValueError("count must be >= 1")
         if not 1 <= self.dimension <= MAX_GROUND_SIZE:
             raise ValueError(f"dimension must lie in 1..{MAX_GROUND_SIZE}")
+        entries = self.count * self.dimension ** 2
+        if entries > MAX_SAMPLE_ENTRIES:
+            raise ValueError(
+                f"{self.count} samples of dimension {self.dimension} are "
+                f"{entries} matrix entries; at most {MAX_SAMPLE_ENTRIES} "
+                "are supported")
 
 
 def _validate_grid(grid: Sequence[float]) -> Tuple[float, ...]:
     grid = tuple(float(x) for x in grid)
+    if not grid:
+        raise ValueError("grid must not be empty")
     if any(not 0.0 < x < 1.0 for x in grid):
         raise ValueError("grid values must lie in (0, 1)")
     if any(a <= b for a, b in zip(grid, grid[1:])):
@@ -78,16 +96,32 @@ def _validate_grid(grid: Sequence[float]) -> Tuple[float, ...]:
     return grid
 
 
+def _fit_line(grid: Tuple[float, ...], values: Sequence[float]
+              ) -> Tuple[float, float, float]:
+    """Least-squares line values ~ slope * log(eps) + intercept over a
+    nonempty grid, in closed form: (slope, intercept, residual), where the
+    residual is the largest absolute deviation from the line.  Both
+    coordinates are centred and every sum is a correctly rounded
+    `math.fsum`, so the result does not depend on how the Python version
+    adds floats."""
+    logs = [math.log(eps) for eps in grid]
+    count = len(logs)
+    mean_x = math.fsum(logs) / count
+    mean_y = math.fsum(values) / count
+    dx = [x - mean_x for x in logs]
+    dy = [y - mean_y for y in values]
+    slope = math.fsum(map(mul, dx, dy)) / math.fsum(map(mul, dx, dx))
+    residual = max(abs(y - slope * x) for x, y in zip(dx, dy))
+    return slope, mean_y - slope * mean_x, residual
+
+
 def _fit_report(grid: Tuple[float, ...], values: List[float],
                 predicted: Fraction) -> ProbeReport:
-    logs = np.log(np.asarray(grid))
-    vals = np.asarray(values)
-    slope, intercept = np.polyfit(logs, vals, 1)
-    residual = float(np.max(np.abs(slope * logs + intercept - vals)))
+    slope, _, residual = _fit_line(grid, values)
     tol = 0.05 * max(1.0, abs(float(predicted)))
     verdict = abs(slope - float(predicted)) <= tol
-    return ProbeReport(grid, tuple(values), float(slope), predicted,
-                       residual, verdict)
+    return ProbeReport(grid, tuple(values), slope, predicted, residual,
+                       verdict)
 
 
 def eval_family_slope(v: FormalLog, m: RationalMatrix,
@@ -104,7 +138,9 @@ def eval_family_slope(v: FormalLog, m: RationalMatrix,
         raise ValueError("matrix column count must equal the ground size")
     family = mat.T @ mat + np.multiply.outer(grid, np.eye(n))
     values = evaluate_log_ratio(v, family).tolist()
-    predicted = Fraction(dot(v.exponents, nullity_type(m).entries))
+    # v's exponents are ints / d: the exact slope from one integer dot.
+    ints, d = v.cleared
+    predicted = Fraction(dot(ints, nullity_type(m).entries), d)
     return _fit_report(grid, values, predicted)
 
 
@@ -124,21 +160,23 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     # log det (P^T P)[S] from the singular values of P[:, S]: factoring the
     # formed P^T P squares the condition number and loses minors scaling
     # like eps^(2 d_S).  One SVD call per subset size takes the matrices
-    # P(eps)[:, S] of every S of that size, shape (masks, grid, n, |S|).
+    # P(eps)[:, S] of every S of that size, shape (masks, grid, n, |S|),
+    # and one positivity test and one log pass take all its singular
+    # values.  The support lists the sizes in increasing order, so the
+    # first size with a zero singular value holds the first singular S.
     by_size: Dict[int, List[int]] = {}
     for mask in v.support():
         by_size.setdefault(mask.bit_count(), []).append(mask)
-    sing = {}
+    minors = {}
     for masks in by_size.values():
         cols = np.array([[i - 1 for i in members_of(m)] for m in masks])
-        batch = np.linalg.svd(mats[:, :, cols].transpose(2, 0, 1, 3),
-                              compute_uv=False)
-        sing.update(zip(masks, batch))
-    minors = {}
-    for mask in v.support():
-        if np.any(sing[mask] <= 0):
-            raise NotPositiveDefiniteError(members_of(mask))
-        minors[mask] = 2.0 * np.log(sing[mask]).sum(axis=-1)
+        sing = np.linalg.svd(mats[:, :, cols].transpose(2, 0, 1, 3),
+                             compute_uv=False)
+        singular = sing <= 0
+        if singular.any():
+            first = int(singular.any(axis=(1, 2)).argmax())
+            raise NotPositiveDefiniteError(members_of(masks[first]))
+        minors.update(zip(masks, 2.0 * np.log(sing).sum(axis=-1)))
     values = np.zeros(len(grid)) + log_ratio_from_minors(v, minors)
     predicted = 2 * asn_inner_product(v, asn(p))
     return _fit_report(grid, values.tolist(), predicted)
@@ -163,12 +201,14 @@ def fiedler_check(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
     n = a.shape[-1]
-    # Array methods, not the np.diagonal/np.any wrappers: a caller looping
-    # over single matrices pays their dispatch on every call.
+    # The ufunc reductions and a float n - 2, not the np.diagonal/np.any
+    # wrappers, the array methods over them or an int scalar: a caller
+    # looping over single matrices pays their dispatch on every call.
     roots = a.diagonal(0, -2, -1) * b.diagonal(0, -2, -1)
     np.sqrt(roots, out=roots)
-    residuals = roots.sum(-1, keepdims=True) - (2.0 * roots + (n - 2))
-    if residuals.min(initial=0.0) < -1e-9:
+    residuals = np.add.reduce(roots, -1, keepdims=True) - (
+        2.0 * roots + (n - 2.0))
+    if np.minimum.reduce(residuals, None, initial=0.0) < -1e-9:
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
     return residuals

@@ -342,6 +342,25 @@ class TestSearchCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        # 131 073 matrices of 16 x 16: one past 2^25 entries.
+        (["fiedler", "--n", "16", "--samples", "131073"],
+         "131073 samples of dimension 16 are 33554688 matrix entries; at "
+         "most 33554432 are supported"),
+        (["bound-search", "{1,2}{} / {1}{2}", "--samples", "8388609"],
+         "8388609 samples of dimension 2 are 33554436 matrix entries; at "
+         "most 33554432 are supported"),
+    ])
+    def test_oversized_sample_batch_exits_2_before_sampling(
+            self, monkeypatch, argv, message, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled an oversized batch")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command,rows", [
         # One row of 17 columns: 2^17 rank problems.
         ("nullity", [" ".join(["1"] * 17)]),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from minorcones import probe, ratios, reproduce
 from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
 from minorcones.exact import CertificateError, kernel_basis
-from minorcones.nullity import matrix
+from minorcones.nullity import matrix, nullity_type
 from minorcones.polyarith import (asn, asn_inner_product, eval_poly_matrix,
                                   parse_poly_matrix, poly, poly_matrix)
-from minorcones.probe import (DEFAULT_POLY_GRID, SamplerConfig, bound_search,
+from minorcones.probe import (DEFAULT_POLY_GRID, MAX_SAMPLE_ENTRIES,
+                              SamplerConfig, bound_search,
                               complement_ratio_check, decomposition_check,
                               eval_family_slope, eval_poly_family_slope,
                               fiedler_check, random_homogeneous_log,
@@ -52,6 +54,38 @@ def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
     return residuals
 
 
+def exact_line_fit(grid, values):
+    """The least-squares line through the points (log eps, value), with the
+    float logs and values taken as Fractions: (slope, intercept, residual)
+    in exact rationals, the residual the largest absolute deviation."""
+    xs = [Fraction(math.log(eps)) for eps in grid]
+    ys = [Fraction(y) for y in values]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+             / sum((x - mean_x) ** 2 for x in xs))
+    intercept = mean_y - slope * mean_x
+    return slope, intercept, max(abs(y - slope * x - intercept)
+                                 for x, y in zip(xs, ys))
+
+
+def seeded_poly_pairs(count, seed=31):
+    """count seeded (ratio, family) pairs of the bench's shape at n = 3 and
+    4, some with a rational or constant P."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.choice((3, 4))
+        v = random_homogeneous_log(n, np.random.default_rng(
+            rng.getrandbits(32)))
+        degree = rng.choice((0, 1, 2))
+        pm = poly_matrix([[poly([Fraction(rng.randint(-2, 2),
+                                          rng.choice((1, 1, 1, 2)))
+                                 for _ in range(degree + 1)])
+                           for _ in range(n)] for _ in range(n)])
+        pairs.append((v, pm))
+    return pairs
+
+
 def reference_bound_search_on(v, values, batch, seed, ascent_steps=200,
                               ascent_scale=0.05, skipped=None):
     """The congruence ascent one step at a time, each candidate through
@@ -80,6 +114,55 @@ def reference_bound_search_on(v, values, batch, seed, ascent_steps=200,
                                    diverging)
 
 
+class TestLineFit:
+    @staticmethod
+    def reports():
+        """The 100 slope-law reports, then Q / P_for_Q and seeded poly
+        reports."""
+        out = [case.report for case in slope_law_suite()]
+        out.append(eval_poly_family_slope(Q(), P_for_Q()))
+        for v, pm in seeded_poly_pairs(120, seed=47):
+            try:
+                out.append(eval_poly_family_slope(v, pm))
+            except (ValueError, NotPositiveDefiniteError):
+                continue
+        assert len(out) >= 200
+        return out
+
+    def test_matches_the_exact_least_squares_line(self):
+        # Within 1e-12 relative, or 1e-12 of the values' magnitude: that is
+        # the rounding of a value, so a residual or a zero slope at that
+        # level (constant values) has no relative precision in any float
+        # fit.
+        for report in self.reports():
+            got = probe._fit_line(report.epsilons, report.log_ratio_values)
+            scale = max(abs(y) for y in report.log_ratio_values)
+            exact = exact_line_fit(report.epsilons, report.log_ratio_values)
+            for g, e in zip(got, exact):
+                assert math.isclose(g, e, rel_tol=1e-12,
+                                    abs_tol=1e-12 * scale)
+            assert (report.fitted_slope, report.residual) == (got[0], got[2])
+
+    def test_matches_np_polyfit(self):
+        # The tolerance with which the bench verifier refits a report.
+        for report in self.reports():
+            logs = np.log(np.asarray(report.epsilons))
+            values = np.asarray(report.log_ratio_values)
+            slope, intercept = np.polyfit(logs, values, 1)
+            got = probe._fit_line(report.epsilons, report.log_ratio_values)
+            assert math.isclose(got[0], slope, rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(got[1], intercept, rel_tol=1e-9,
+                                abs_tol=1e-9)
+
+    @pytest.mark.parametrize("grid", [(), []])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            probe._validate_grid(grid)
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            eval_family_slope(log_of("{1,2}{} / {1}{2}", 2),
+                              matrix([[1, 1]]), grid)
+
+
 class TestLinearFamilySlope:
     def test_positive_slope(self):
         # nul([1 1]) puts a single unit on {1,2}; Hadamard log pairs with
@@ -101,6 +184,18 @@ class TestLinearFamilySlope:
         assert rep.predicted_slope == -1
         assert rep.verdict
         assert rep.max_ratio() > 1e3
+
+    @pytest.mark.parametrize("text,n", [
+        ("{1,2}^1/2{}^1/2 / {1}^1/2{2}^1/2", 2),
+        ("{1,2,3}^2/3{2}^2/3{1,3}{} / {1,2}^2/3{2,3}^2/3{1}{3}", 3),
+    ])
+    def test_predicted_slope_is_the_fraction_dot_product(self, text, n):
+        v = log_of(text, n)
+        m = matrix([[1] * n])
+        rep = eval_family_slope(v, m)
+        assert rep.predicted_slope == sum(
+            x * y for x, y in zip(v.exponents, nullity_type(m).entries))
+        assert type(rep.predicted_slope) is Fraction
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError, match="homogeneous"):
@@ -175,22 +270,9 @@ class TestPolyFamilySlope:
         assert calls[0].tolist() == list(DEFAULT_POLY_GRID)
 
     def test_matches_the_per_eps_per_mask_reference(self):
-        # Q / P_for_Q, and 240 seeded (ratio, family) pairs of the bench's
-        # shape at n = 3 and 4, some with a rational or constant P.
-        pairs = [(Q(), P_for_Q())]
-        rng = random.Random(31)
-        while len(pairs) < 241:
-            n = rng.choice((3, 4))
-            v = random_homogeneous_log(n, np.random.default_rng(
-                rng.getrandbits(32)))
-            degree = rng.choice((0, 1, 2))
-            pm = poly_matrix([[poly([Fraction(rng.randint(-2, 2),
-                                              rng.choice((1, 1, 1, 2)))
-                                     for _ in range(degree + 1)])
-                               for _ in range(n)] for _ in range(n)])
-            pairs.append((v, pm))
+        # Q / P_for_Q, and 240 seeded pairs.
         compared = 0
-        for v, pm in pairs:
+        for v, pm in [(Q(), P_for_Q())] + seeded_poly_pairs(240):
             try:
                 expect = per_eps_poly_family_slope(v, pm)
             except (ValueError, NotPositiveDefiniteError) as err:
@@ -201,6 +283,17 @@ class TestPolyFamilySlope:
             assert eval_poly_family_slope(v, pm) == expect
             compared += 1
         assert compared >= 200
+
+    def test_names_the_first_singular_subset_in_support_order(self):
+        # Column 3 is twice column 2, so {2,3} (size 2, after {1,2}) and
+        # {1,2,3} (size 3) are singular at every eps; {2} and {1,2} are not.
+        v = log_of("{1,2,3}{2} / {1,2}{2,3}", 3)
+        pm = parse_poly_matrix("1, 0, 0\n0, 1, 2\ne, 0, 0\n")
+        assert v.support() == [0b010, 0b011, 0b110, 0b111]
+        for check in (eval_poly_family_slope, per_eps_poly_family_slope):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                check(v, pm)
+            assert err.value.subset == (2, 3)
 
 
 def per_eps_poly_family_slope(v, p, grid=DEFAULT_POLY_GRID):
@@ -241,6 +334,19 @@ class TestSampling:
         for dimension in (0, ratios.MAX_GROUND_SIZE + 1):
             with pytest.raises(ValueError, match="dimension"):
                 SamplerConfig(seed=0, count=1, dimension=dimension)
+
+    def test_batch_size_bounded(self):
+        # bound-search's default, 100 000 samples at n = 16, is the
+        # package's largest batch.
+        SamplerConfig(seed=0, count=100_000, dimension=16)
+        count = MAX_SAMPLE_ENTRIES // 256
+        SamplerConfig(seed=0, count=count, dimension=16)
+        with pytest.raises(ValueError) as err:
+            SamplerConfig(seed=0, count=count + 1, dimension=16)
+        assert str(err.value) == (
+            f"{count + 1} samples of dimension 16 are "
+            f"{(count + 1) * 256} matrix entries; at most "
+            f"{MAX_SAMPLE_ENTRIES} are supported")
 
 
 class TestInequalities:
