@@ -39,13 +39,15 @@ def _grid(args):
     return tuple(float(x) for x in np.geomspace(hi, lo, 9))
 
 
-def cmd_nullity(args) -> int:
-    m = nullity.parse_matrix(Path(args.matrix).read_text())
-    nt = nullity.nullity_type(m)
-    payload = {"n": nt.ground_size,
-               "entries": {format_subset(mask): nt[mask]
-                           for mask in subset_order(nt.ground_size)}}
-    _emit(payload, _subset_lines(nt.entries, nt.ground_size), args)
+def cmd_type(args) -> int:
+    """nullity and asn: the subset-indexed type of the matrix in a file,
+    with the command's own JSON fields after the entries."""
+    vec = args.type_of(args.parse(Path(args.matrix).read_text()))
+    payload = {"n": vec.ground_size,
+               "entries": {format_subset(mask): vec[mask]
+                           for mask in subset_order(vec.ground_size)},
+               **args.fields}
+    _emit(payload, _subset_lines(vec.entries, vec.ground_size), args)
     return 0
 
 
@@ -129,18 +131,13 @@ def cmd_extreme_rays(args) -> int:
     return 0
 
 
-def cmd_asn(args) -> int:
-    p = polyarith.parse_poly_matrix(Path(args.matrix).read_text())
-    vec = polyarith.asn(p)
-    payload = {"n": vec.ground_size,
-               "entries": {format_subset(mask): vec[mask]
-                           for mask in subset_order(vec.ground_size)},
-               "dominating_coefficients": "all positive even powers"}
-    _emit(payload, _subset_lines(vec.entries, vec.ground_size), args)
-    return 0
-
-
-def _report_payload(report: probe.ProbeReport):
+def cmd_probe(args) -> int:
+    """probe-family and probe-poly: the slope probe of a ratio along the
+    family of the matrix in a file, on the given grid or the probe's
+    default."""
+    v = log_of(args.ratio, args.n)
+    family = args.parse(Path(args.matrix).read_text())
+    report = args.probe(v, family, _grid(args) or args.default_grid)
     text = "\n".join([
         "epsilons: " + " ".join(f"{e:g}" for e in report.epsilons),
         "log_ratio: " + " ".join(f"{v:.6f}" for v in report.log_ratio_values),
@@ -150,26 +147,7 @@ def _report_payload(report: probe.ProbeReport):
         "verdict: " + ("matches" if report.verdict
                        else "diverges-from-prediction"),
     ])
-    return report.to_dict(), text
-
-
-def cmd_probe_family(args) -> int:
-    v = log_of(args.ratio, args.n)
-    m = nullity.parse_matrix(Path(args.matrix).read_text())
-    grid = _grid(args) or probe.DEFAULT_GRID
-    report = probe.eval_family_slope(v, m, grid)
-    payload, text = _report_payload(report)
-    _emit(payload, text, args)
-    return 0
-
-
-def cmd_probe_poly(args) -> int:
-    v = log_of(args.ratio, args.n)
-    p = polyarith.parse_poly_matrix(Path(args.matrix).read_text())
-    grid = _grid(args) or probe.DEFAULT_POLY_GRID
-    report = probe.eval_poly_family_slope(v, p, grid)
-    payload, text = _report_payload(report)
-    _emit(payload, text, args)
+    _emit(report.to_dict(), text, args)
     return 0
 
 
@@ -250,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nullity", help="nullity type of a rational matrix")
     p.add_argument("matrix", help="matrix file (rows of integers or p/q)")
     common(p)
-    p.set_defaults(fn=cmd_nullity)
+    p.set_defaults(fn=cmd_type, parse=nullity.parse_matrix,
+                   type_of=nullity.nullity_type, fields={})
 
     p = sub.add_parser("membership", help="semigroup membership certificate")
     p.add_argument("ratio", help="ratio string, e.g. '{1,2}{}/{1}{2}'")
@@ -269,25 +248,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="polynomial matrix file (entries in e, "
                                   "comma-separated)")
     common(p)
-    p.set_defaults(fn=cmd_asn)
+    p.set_defaults(fn=cmd_type, parse=polyarith.parse_poly_matrix,
+                   type_of=polyarith.asn,
+                   fields={"dominating_coefficients":
+                           "all positive even powers"})
 
-    p = sub.add_parser("probe-family", help="slope probe along M^T M + eps I")
-    p.add_argument("ratio")
-    p.add_argument("matrix")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-min", type=float, default=None)
-    p.add_argument("--eps-max", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_probe_family)
-
-    p = sub.add_parser("probe-poly", help="slope probe along P(e)^T P(e)")
-    p.add_argument("ratio")
-    p.add_argument("matrix")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-min", type=float, default=None)
-    p.add_argument("--eps-max", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_probe_poly)
+    for name, help_text, parse, probe_fn, grid in (
+            ("probe-family", "slope probe along M^T M + eps I",
+             nullity.parse_matrix, probe.eval_family_slope,
+             probe.DEFAULT_GRID),
+            ("probe-poly", "slope probe along P(e)^T P(e)",
+             polyarith.parse_poly_matrix, probe.eval_poly_family_slope,
+             probe.DEFAULT_POLY_GRID)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("ratio")
+        p.add_argument("matrix")
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--eps-min", type=float, default=None)
+        p.add_argument("--eps-max", type=float, default=None)
+        common(p)
+        p.set_defaults(fn=cmd_probe, parse=parse, probe=probe_fn,
+                       default_grid=grid)
 
     p = sub.add_parser("bound-search", help="empirical supremum of a ratio")
     p.add_argument("ratio")

@@ -6,7 +6,10 @@ the other sets (`nullity.family_types`).  Enumeration works in exact
 integer coordinates on the homogeneity subspace (dimension 2^n - n - 1)
 via the double description method, inserting the rows in lexicographic
 order ("lexmin", as in cdd) with combinatorial adjacency on tight-row
-bitmasks and a per-row index of tight rays kept across steps.
+bitmasks and a per-row index of tight rays kept across steps; rays and
+lines are combined by `exact.combine`.  Each system keeps its rows as one
+integer array (`ConstraintSystem.integer_rows`: int64, or Python ints past
+the int64 bound), and E/D membership is one exact product with it.
 The certificate of all output rays works on integer arrays, each from one
 exact product (`exact.exact_products`: an int64 numpy matmul when
 max ||row||_1 * max |entry| < 2^63 proves that no partial sum can
@@ -17,20 +20,20 @@ times B, divided by each row's gcd, are the primitive rays, and the rows
 times the rays are checked nonnegative, with zeros at each ray's tight
 rows.  Those rows must have rank dim - 1: modulo a prime for all rays in
 one numpy elimination, with the rays innermost, and by exact Bareiss
-elimination for any ray whose modular rank falls short.
+elimination (`exact.bareiss_rank`) for any ray whose modular rank falls
+short.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import (CertificateError, as_fractions, bareiss_rank, dot,
-                    exact_products, int64_products_fit, kernel_basis,
+from .exact import (CertificateError, as_fractions, bareiss_rank, combine,
+                    dot, exact_products, int64_products_fit, kernel_basis,
                     largest_norm, primitive)
 from .nullity import (catalog_n4, d5_constraint_set, family_types,
                       subset_matrix, superset_matrix)
@@ -58,15 +61,14 @@ class ConstraintSystem:
     labels: Tuple[str, ...]
 
     @cached_property
-    def integer_rows(self) -> Tuple[Optional[np.ndarray], int]:
-        """The inequality rows as one read-only int64 array, built on first
-        use and kept, and their largest L1 norm.  The array is None when
-        that norm is 2^63 or more: then no product with a row is sure to
-        fit in int64 (`exact.int64_products_fit`)."""
+    def integer_rows(self) -> Tuple[np.ndarray, int]:
+        """The inequality rows as one read-only integer array, built on
+        first use and kept, and their largest L1 norm.  The array is int64
+        when that norm is below 2^63 (`exact.int64_products_fit`) and holds
+        Python ints (dtype object) otherwise."""
         norm = largest_norm(self.inequalities)
-        if not int64_products_fit(norm, 1):
-            return None, norm
-        rows = np.array(self.inequalities, dtype=np.int64).reshape(
+        dtype = np.int64 if int64_products_fit(norm, 1) else object
+        rows = np.array(self.inequalities, dtype=dtype).reshape(
             len(self.inequalities), 1 << self.ground_size)
         rows.flags.writeable = False
         return rows, norm
@@ -140,20 +142,16 @@ def build_D_system(n: int) -> ConstraintSystem:
 def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:
     """Exact inner products against every inequality row; member iff all
     are nonnegative.  Requires a homogeneous input.  The products are taken
-    in integers on d * v (d the lcm of v's denominators) and reported as
-    Fractions over d: one int64 matmul with `system.integer_rows` when
-    `exact.int64_products_fit` proves that no sum can overflow, else one
-    Python-int dot product per row."""
+    in integers on d * v (d the lcm of v's denominators), as one
+    `exact.exact_products` with `system.integer_rows`, and reported as
+    Fractions over d."""
     if v.ground_size != system.ground_size:
         raise ValueError("ground size mismatch")
     if not is_homogeneous(v):
         raise ValueError("membership requires a homogeneous formal log")
     ints, d = v.cleared
     rows, norm = system.integer_rows
-    if int64_products_fit(norm, max(map(abs, ints))):
-        values = (rows @ np.array(ints, dtype=np.int64)).tolist()
-    else:
-        values = [dot(ints, row) for row in system.inequalities]
+    values = exact_products(rows, [ints], norm)[:, 0].tolist()
     products = tuple(zip(system.labels, as_fractions(values, d)))
     witness = next((p for p, x in zip(products, values) if x < 0), None)
     return MembershipCertificate(witness is None, products, witness)
@@ -175,15 +173,6 @@ def _ambient(coords: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return vecs // np.maximum(np.gcd.reduce(vecs, axis=1), 1)[:, None]
 
 
-def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
-             ) -> Tuple[int, ...]:
-    """The primitive integer vector along s * u - t * v, for integer
-    vectors u, v and integers s, t."""
-    w = [s * x - t * y for x, y in zip(u, v)]
-    g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
-
-
 def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
     """Double description over the integers with combinatorial adjacency on
     tight-row bitmasks.  Starts from the full space (a basis of lines) and
@@ -199,7 +188,9 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
     adds its row with the slots that are zero on it, and a new ray adds its
     slot to each of its tight rows, while removed slots leave `alive`.  The
     rays come out in slot order, each step's new rays after the old ones in
-    (negative, positive) pair order."""
+    (negative, positive) pair order.  No `combine` is zero (None): the
+    lines stay independent, and a negative and a positive ray cancel only
+    if they are opposite, which the cone beside the lines never holds."""
     lines: List[Tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     vecs: List[Optional[Tuple[int, ...]]] = []
@@ -231,12 +222,12 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
             ap = products.pop(pivot_idx)
             if ap < 0:
                 pivot, ap = tuple(-x for x in pivot), -ap
-            lines = [_combine(ap, l, val, pivot) if val else l
+            lines = [combine(ap, l, val, pivot) if val else l
                      for l, val in zip(lines, products)]
             for slot in live:
                 val = dot(a, vecs[slot])
                 if val:
-                    vecs[slot] = _combine(ap, vecs[slot], val, pivot)
+                    vecs[slot] = combine(ap, vecs[slot], val, pivot)
                 tight[slot] |= bit
             index.append(alive)
             add(pivot, bit - 1)
@@ -274,7 +265,7 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
                     rest ^= low
                 if others != pair:
                     continue
-                born.append((_combine(vp, vecs[im], vm, vecs[ip]),
+                born.append((combine(vp, vecs[im], vm, vecs[ip]),
                              common | bit))
         for slot, _ in negative:
             vecs[slot] = None
@@ -340,9 +331,8 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     output does not depend on the order, but the intermediate ray lists
     (and the time) do.  The rays are certified from scratch on integer
     arrays, with B = `homogeneity_matrix(n)`.  One `exact_products` of the
-    inequality rows (`system.integer_rows`, or the rows themselves past
-    the int64 bound, with the norm `integer_rows` holds) with B gives
-    their quotient coordinates, one of the double description's
+    inequality rows (`system.integer_rows`, with the norm it holds) with B
+    gives their quotient coordinates, one of the double description's
     coordinates with B^T, divided row-wise by the gcd, gives the
     primitive subset-indexed vectors.  Each is nonzero.
     One exact product of the inequality rows with all of them is
@@ -358,8 +348,6 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     n = system.ground_size
     dim = len(homogeneity_matrix(n))
     rows, norm = system.integer_rows
-    if rows is None:
-        rows = system.inequalities
     reduced = _reduce_rows(rows, n, norm)
     ineqs = reduced.tolist()
     lines, rays = _double_description(sorted(ineqs), dim)

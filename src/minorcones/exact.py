@@ -1,16 +1,23 @@
 """Exact rational linear algebra on plain Python lists of Fractions/ints.
 
 Cone certificates must be exact, so no floating point enters any function
-in this module.  The hot kernels run on Python ints: `clear_denominators`
-scales a rational vector to integers once, `primitive` and `bareiss_rank`
-work on its output, and `as_fractions` turns an integer result back into
-reported Fractions.  `exact_products`, the one numpy kernel, takes a whole
-batch of inner products, of integer rows or arrays, as an int64 matmul when
-a bound proves that no sum can overflow, and on Python ints otherwise.
-`rref`, `kernel_basis`, `det` and `rank_by_minors` stay on Fractions:
-`rref` and `kernel_basis` serve only the brute-force ray oracle
-(`cones.brute_force_rays`) and the tests, since the homogeneity basis has a
-closed form (`ratios.homogeneity_basis`).
+in this module.  It is the one home of each integer step the other
+modules take.  `clear_denominators` scales a rational vector to integers
+once, and `as_fractions` turns an integer result back into reported
+Fractions.  `bareiss_step` is the one fraction-free step, and `bareiss`
+the one elimination built on it: it gives the rank (`bareiss_rank`) and,
+on Kronecker-packed polynomials, the determinant over Z[e]
+(`polyarith.poly_det_bareiss`); the `asn` subset walk takes the same
+step.  `combine` is the one primitive combination s * u - t * v, which
+the double description (`cones`) and the nullity walk (`nullity`) take.
+`exact_products`, the one numpy kernel, takes a whole batch of inner
+products, of integer rows or arrays, as an int64 matmul when a bound
+(`int64_products_fit`) proves that no sum can overflow, and on Python ints
+otherwise: E/D membership, the ray certificate and the LP checks all call
+it.  `rref`, `kernel_basis`, `det` and `rank_by_minors` stay on
+Fractions: `rref` and `kernel_basis` serve only the brute-force ray oracle
+(`cones.brute_force_rays`) and the tests, since the homogeneity basis has
+a closed form (`ratios.homogeneity_basis`).
 """
 
 from fractions import Fraction
@@ -103,6 +110,17 @@ def primitive(vec: Sequence) -> Tuple[int, ...]:
     return tuple(ints) if g == 0 else tuple(x // g for x in ints)
 
 
+def combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
+            ) -> Optional[Tuple[int, ...]]:
+    """The primitive integer vector along s * u - t * v, for integer
+    vectors u, v and integers s, t; None if that vector is zero."""
+    w = [s * x - t * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    if g == 0:
+        return None
+    return tuple([x // g for x in w] if g > 1 else w)
+
+
 def rref(rows: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -127,32 +145,55 @@ def rref(rows: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
     return mat[:r], pivots
 
 
-def bareiss_rank(rows: Matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.  Rows of ints are
-    used as they are; other rows are first cleared of denominators."""
-    mat = [clear_denominators(row)[0] for row in rows]
-    if not mat:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+def bareiss_step(row: Sequence[int], pivot_row: Sequence[int], pivot: int,
+                 factor: int, prev: int) -> List[int]:
+    """One fraction-free (Bareiss) step on integer rows: the entries
+    (pivot * row[j] - factor * pivot_row[j]) / prev.  By Sylvester's
+    identity each division is exact; a remainder raises ArithmeticError.
+    The division is skipped when prev is 1."""
+    nums = [x * pivot - factor * y for x, y in zip(row, pivot_row)]
+    if prev == 1:
+        return nums
+    out = []
+    for num in nums:
+        q, r = divmod(num, prev)
+        if r:
+            raise ArithmeticError("inexact division")
+        out.append(q)
+    return out
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(rank, last pivot) of integer rows by fraction-free elimination with
+    row swaps past a zero pivot, the pivot signed by the swaps.  Each step
+    pivots on the first column that is not zero and keeps only the later
+    columns of the other rows, so the last pivot of a square matrix of
+    full rank is its determinant; the empty matrix gives (0, 1).  The
+    rows are not changed."""
+    m = list(rows)
+    rank, sign, prev = 0, 1, 1
+    c = 0
+    while m and c < len(m[0]):
+        piv = next((i for i, row in enumerate(m) if row[c]), None)
         if piv is None:
+            c += 1
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        for i in range(r + 1, nrows):
-            fi = mat[i][c]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(ncols):
-                row_i[j] = (row_i[j] * p - fi * row_r[j]) // prev
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            sign = -sign
+        pivot, tail = m[0][c], m[0][c + 1:]
+        m = [bareiss_step(row[c + 1:], tail, pivot, row[c], prev)
+             for row in m[1:]]
+        prev = pivot
+        rank += 1
+        c = 0
+    return rank, sign * prev
+
+
+def bareiss_rank(rows: Matrix) -> int:
+    """Exact rank by `bareiss`.  Rows of ints are used as they are; other
+    rows are first cleared of denominators."""
+    return bareiss([clear_denominators(row)[0] for row in rows])[0]
 
 
 rank = bareiss_rank

@@ -8,9 +8,10 @@ walk over the include/exclude trie of the columns, in integers: a node
 inherits from its parent the later columns reduced against the parent's
 echelon basis, and one new column either reduces to zero (the nullity
 grows by one) or joins the basis, reducing each later column by one
-fraction-free step divided by its gcd.  The result is cross-checked
-against an independent Bareiss rank of the whole matrix and the zero
-pattern of the columns, and validated as a matroid rank function.
+primitive combination (`exact.combine`).  The result is cross-checked
+against an independent Bareiss rank (`exact.rank`) of the whole matrix
+and the zero pattern of the columns, and validated as a matroid rank
+function.
 
 A column permutation of a matrix permutes its nullity type, so the
 catalogue eliminates each of its seven standard matrices once and takes
@@ -23,12 +24,11 @@ enters.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from numbers import Rational
 from operator import sub
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exact import CertificateError, clear_denominators, rank
+from .exact import CertificateError, clear_denominators, combine, rank
 from .ratios import MAX_GROUND_SIZE, h_coordinates
 from .subsets import (format_subset, group_gathers, mask_of, members_of,
                       order_preserving_gather)
@@ -172,17 +172,6 @@ class NullityType:
         return RankType(self.ground_size, tuple(_ranks_of(self.entries)))
 
 
-def _eliminate(w: List[int], v: List[int], q: int) -> Optional[List[int]]:
-    """v[q] * w - w[q] * v, the integer vector w reduced by the basis vector v
-    at its pivot q, divided by its gcd; None if it is zero."""
-    a, b = v[q], w[q]
-    out = [a * x - b * y for x, y in zip(w, v)]
-    g = gcd(*out)
-    if g == 0:
-        return None
-    return [x // g for x in out] if g > 1 else out
-
-
 def _subset_nullities(columns: Sequence[Sequence[int]]) -> List[int]:
     """Mask-indexed nullity of every subset of the integer `columns`, by one
     depth-first walk over the subsets in which each mask extends the mask
@@ -207,8 +196,8 @@ def _subset_nullities(columns: Sequence[Sequence[int]]) -> List[int]:
                 if rest:
                     q = v.index(next(filter(None, v)))
                     visit(child, nullity, first + k + 1,
-                          [w if w is None or not w[q] else _eliminate(w, v, q)
-                           for w in rest])
+                          [w if w is None or not w[q]
+                           else combine(v[q], w, w[q], v) for w in rest])
 
     visit(0, 0, 0, [list(col) if any(col) else None for col in columns])
     return nullities

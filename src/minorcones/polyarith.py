@@ -17,17 +17,18 @@ coefficients.
 Fraction-free elimination reads only minors and divides only by minors,
 so nothing is unpacked between its steps.  The numerators it forms may
 exceed B, but packing is a ring map Z[e] -> Z, so a division exact in
-Z[e] is exact on the packed ints.  A remainder raises ArithmeticError:
-the polynomial division would have been inexact.
+Z[e] is exact on the packed ints, and the integer elimination of `exact`
+serves Z[e] unchanged.  A remainder raises ArithmeticError: the
+polynomial division would have been inexact.
 
 `gram_principal_minors` takes all 2^n principal minors of a Gram matrix
-from one depth-first walk over the subsets, and `poly_det_bareiss`, one
-determinant, shares its elimination step.  Both take integer
-coefficients.  `asn` scales P by the lcm of its coefficient denominators
-once and reads each packed minor directly: zero or not, its lowest degree
-as the 2-adic valuation // k, and the sign of its lowest digit.  Fractions
-stay in parsing, formatting, `gram` of a rational P and the cofactor
-oracle.
+from one depth-first walk over the subsets, each child opened by
+`exact.bareiss_step`, and `poly_det_bareiss`, one determinant, is
+`exact.bareiss` on the packed matrix.  Both take integer coefficients.
+`asn` scales P by the lcm of its coefficient denominators once and reads
+each packed minor directly: zero or not, its lowest degree as the 2-adic
+valuation // k, and the sign of its lowest digit.  Fractions stay in
+parsing, formatting, `gram` of a rational P and the cofactor oracle.
 """
 
 import re
@@ -39,7 +40,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CertificateError, clear_denominators, dot
+from .exact import (CertificateError, bareiss, bareiss_step,
+                    clear_denominators, dot)
 from .ratios import MAX_GROUND_SIZE, FormalLog
 from .subsets import members_of
 
@@ -280,51 +282,16 @@ def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     return total
 
 
-def _divexact(nums: List[int], den: int) -> List[int]:
-    """Quotients of packed numerators by a packed divisor.  A remainder
-    means the polynomial division is inexact too: ArithmeticError."""
-    out = []
-    for num in nums:
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out.append(q)
-    return out
-
-
-def _eliminate(row: Sequence[int], pivot_row: Sequence[int], pivot: int,
-               factor: int, prev: int) -> List[int]:
-    """One fraction-free step on a packed row: the entries
-    (pivot * row[j] - factor * pivot_row[j]) / prev.  By Sylvester's
-    identity each division is exact, and `_divexact` checks that it is;
-    it is skipped when prev is 1."""
-    nums = [x * pivot - factor * y for x, y in zip(row, pivot_row)]
-    return nums if prev == 1 else _divexact(nums, prev)
-
-
 def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant over Z[e] of one matrix, on packed ints,
-    with row swaps past a zero pivot.  Every entry met is a minor of the
-    matrix, so one packing width holds them all.  Coefficients must be
-    ints (`asn` scales P); a Fraction raises ValueError."""
-    if not rows:
-        return P_ONE
+    """Fraction-free determinant over Z[e] of one matrix: `exact.bareiss`
+    on the entries packed at the width of the matrix's minor bound, whose
+    last pivot is the determinant when the rank is full, and zero
+    otherwise.  Every entry met is a minor of the matrix, so one packing
+    width holds them all.  Coefficients must be ints (`asn` scales P); a
+    Fraction raises ValueError."""
     k = _minor_bits(rows)
-    m = [[_pack(x, k) for x in row] for row in rows]
-    prev = 1
-    sign = 1
-    while len(m) > 1:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
-        if piv is None:
-            return P_ZERO
-        if piv:
-            m[0], m[piv] = m[piv], m[0]
-            sign = -sign
-        top = m[0]
-        m = [_eliminate(row[1:], top[1:], top[0], row[0], prev)
-             for row in m[1:]]
-        prev = top[0]
-    return _unpack(sign * m[0][0], k)
+    rank, last = bareiss([[_pack(x, k) for x in row] for row in rows])
+    return _unpack(last, k) if rank == len(rows) else P_ZERO
 
 
 def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
@@ -347,7 +314,7 @@ def _packed_principal_minors(upper: List[List[int]]) -> List[int]:
     A node on the subset S holds the upper triangle of its trailing block
     after fraction-free pivots on S, one row per index after max(S): by
     Sylvester's identity entry (i, j) is det G[S+i, S+j], so row i starts
-    with the minor of the child S+i, and one `_eliminate` step per later
+    with the minor of the child S+i, and one `exact.bareiss_step` per later
     row, dividing by det G[S], opens that child.  The pivots are principal
     minors, so no row is swapped.  A zero pivot leaves its subset and
     every subset below it zero: with G = P^T P, the columns of P on that
@@ -362,7 +329,7 @@ def _packed_principal_minors(upper: List[List[int]]) -> List[int]:
             minors[child] = pivot
             if pivot and t + 1 < len(rows):
                 visit(child, first + t + 1, pivot,
-                      [_eliminate(later, row[j:], pivot, row[j], prev)
+                      [bareiss_step(later, row[j:], pivot, row[j], prev)
                        for j, later in enumerate(rows[t + 1:], start=1)])
 
     visit(0, 0, 1, upper)

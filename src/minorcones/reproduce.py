@@ -55,8 +55,6 @@ def check_d4_extreme_rays() -> CheckResult:
     rays = _d4_rays()
     kot = [r for r in rays
            if probe.is_koteljanskii_ray(FormalLog(4, r.vector))]
-    r1_orbit = {v for v in cones._vector_images(_named_primitive("R1"), 4)}
-    r1_rays = [r for r in rays if r.vector in r1_orbit]
     # R1's own orbit under permutation+complementation coincides with its
     # permutation orbit; count the pure permutation images separately.
     perm_images = set(cones._vector_images(_named_primitive("R1"), 4,

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from minorcones.exact import (as_fractions, bareiss_rank, clear_denominators,
-                              det, dot, kernel_basis, primitive, rank,
+import pytest
+
+from minorcones.exact import (as_fractions, bareiss, bareiss_rank,
+                              bareiss_step, clear_denominators, det,
+                              dot, kernel_basis, primitive, rank,
                               rank_by_minors, rref)
 
 
@@ -103,6 +106,47 @@ class TestExactRank:
                               Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
                   for _ in range(cols)] for _ in range(rows)]
             assert rank(m) == rank_by_minors(m)
+
+
+def seeded_square(rng, k):
+    """A k x k integer matrix: random, of lower rank (a product through
+    fewer dimensions), or sparse, so that zero pivots force row swaps and
+    skipped columns."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        inner = rng.randint(0, k - 1)
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(k)]
+        b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(inner)]
+        return [[sum(a[i][t] * b[t][j] for t in range(inner))
+                 for j in range(k)] for i in range(k)]
+    high = 9 if kind == 0 else 2
+    return [[rng.randint(-high, high) * (kind == 0 or rng.random() < 0.4)
+             for _ in range(k)] for _ in range(k)]
+
+
+class TestBareiss:
+    def test_step_divides_exactly(self):
+        # (2 * [3, 5] - 1 * [4, 2]) / 2 = [1, 4]; with prev 1, no division.
+        assert bareiss_step([3, 5], [4, 2], 2, 1, 2) == [1, 4]
+        assert bareiss_step([3, 5], [4, 2], 2, 1, 1) == [2, 8]
+        with pytest.raises(ArithmeticError, match="inexact"):
+            bareiss_step([3, 5], [4, 2], 2, 1, 3)
+
+    def test_empty(self):
+        assert bareiss([]) == (0, 1)
+        assert bareiss([[], []]) == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_determinant_and_rank_on_seeded_square_matrices(self, seed):
+        rng = random.Random(700 + seed)
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            m = seeded_square(rng, k)
+            before = [row[:] for row in m]
+            r, last = bareiss(m)
+            assert m == before
+            assert r == rank_by_minors(m)
+            assert (last if r == k else 0) == det(m)
 
 
 class TestRanks:

@@ -7,7 +7,8 @@ import pytest
 
 from minorcones import nullity
 from minorcones.cones import build_D_system, build_E_system
-from minorcones.exact import CertificateError, clear_denominators, rank, rref
+from minorcones.exact import (CertificateError, clear_denominators, combine,
+                              rank, rref)
 from minorcones.nullity import (M6, M7, NullityType, Partition, RankType,
                                 catalog_n4, d5_constraint_set,
                                 dual_nullity_type, enumerate_partitions,
@@ -252,9 +253,11 @@ class TestSubsetKernel:
             nullity_type(m)
 
     def test_residuals_are_divided_by_their_gcd(self):
-        # 1 * (3, 6, 9) - 3 * (1, 1, 0) = (0, 3, 9).
-        assert nullity._eliminate([3, 6, 9], [1, 1, 0], 0) == [0, 1, 3]
-        assert nullity._eliminate([2, 2], [1, 1], 0) is None
+        # Eliminating coordinate 0 of w = (3, 6, 9) by v = (1, 1, 0), as the
+        # subset kernel does: 1 * (3, 6, 9) - 3 * (1, 1, 0) = (0, 3, 9).
+        v, w = [1, 1, 0], [3, 6, 9]
+        assert combine(v[0], w, w[0], v) == (0, 1, 3)
+        assert combine(1, [2, 2], 2, [1, 1]) is None
 
     def test_wrong_kernel_fails_cross_check_under_O(self):
         out = certificate_error_under_O(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minorcones import polyarith
+from minorcones import exact, polyarith
 from minorcones.cli import main
 from minorcones.constants import P_for_Q
 from minorcones.exact import (CertificateError, clear_denominators,
@@ -552,7 +552,9 @@ class TestPackedKernel:
     def test_fraction_coefficients_rejected_up_front(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("elimination reached with a Fraction")
-        monkeypatch.setattr(polyarith, "_eliminate", refuse)
+        for module, name in ((exact, "bareiss_step"), (polyarith, "bareiss"),
+                             (polyarith, "bareiss_step")):
+            monkeypatch.setattr(module, name, refuse)
         rows = [[poly([1]), poly([Fraction(1, 2)])],
                 [poly([0, 1]), poly([3])]]
         with pytest.raises(ValueError, match="integer coefficients"):
@@ -726,10 +728,13 @@ class TestAsnCertificate:
     def test_inexact_division_raises(self, monkeypatch):
         # Off by one in every fraction-free numerator: the first division
         # by a pivot other than 1 (det G[{2}] = 1 + e^2 of P_for_Q) is
-        # inexact, and _divexact says so.
-        divexact = polyarith._divexact
-        monkeypatch.setattr(polyarith, "_divexact", lambda nums, den: divexact(
-            [x + 1 for x in nums], den))
+        # inexact, and the step's own division says so.
+        step = exact.bareiss_step
+
+        def off_by_one(row, pivot_row, pivot, factor, prev):
+            nums = [x + 1 for x in step(row, pivot_row, pivot, factor, 1)]
+            return step(nums, nums, 1, 0, prev)
+        monkeypatch.setattr(polyarith, "bareiss_step", off_by_one)
         with pytest.raises(ArithmeticError, match="inexact") as err:
             asn(P_for_Q())
         assert type(err.value) is ArithmeticError
