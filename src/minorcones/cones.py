@@ -18,10 +18,14 @@ B = `ratios.homogeneity_matrix(n)` or with the rays: the inequality rows
 times B^T are their coordinates on the quotient, the ray coordinates
 times B, divided by each row's gcd, are the primitive rays, and the rows
 times the rays are checked nonnegative, with zeros at each ray's tight
-rows.  Those rows must have rank dim - 1: modulo a prime for all rays in
-one numpy elimination, with the rays innermost, and by exact Bareiss
-elimination (`exact.bareiss_rank`) for any ray whose modular rank falls
-short.
+rows.  Those rows must have rank dim - 1 on the quotient.  Each ray's
+Gram matrix G = T^T T + c c^T (T its tight rows, c its quotient
+coordinates) is one exact product of the 0/1 tight selections with the
+rows' outer products, modulo a prime p, and all of them are eliminated at
+once with fixed diagonal pivots.  Nonzero pivots make G nonsingular, which
+for any c leaves T a kernel of dimension at most 1; a ray with a pivot
+that vanishes mod p is checked by exact Bareiss elimination
+(`exact.bareiss_rank`).
 """
 
 from dataclasses import dataclass
@@ -39,7 +43,8 @@ from .nullity import (catalog_n4, d5_constraint_set, family_types,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, homogeneity_basis, homogeneity_matrix,
                      homogeneity_vectors, is_homogeneous,
-                     koteljanskii_generators, koteljanskii_matrix)
+                     koteljanskii_generators, koteljanskii_matrix,
+                     quotient_masks)
 from .simplex import nonnegative_combination
 from .subsets import (format_subset, group_gathers, ordered_entries,
                       subset_order)
@@ -284,43 +289,55 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
 _CERTIFICATE_PRIME = 2_147_483_647
 
 
-def _modular_ranks(rows, tight) -> np.ndarray:
-    """For each boolean row selection in `tight` (a (rays, rows) array or
-    nested sequence: one selection per ray, one flag per row), the rank
-    modulo _CERTIFICATE_PRIME of the selected integer rows (an integer
-    array or a nested sequence of rows).
-    One int64 elimination over a (rows, cols, rays) stack with the rays
-    innermost: each ray's selected rows are packed first, in their order,
-    and padded with zero rows up to the largest selection, so that every
-    step runs along the rays over that count instead of over all rows.
-    Each step takes the first column: every matrix pivots on its first
-    row that is nonzero there, clears the column from every row by
-    cross-multiplication (the pivot row itself becomes zero), reduces mod
-    p and drops the column.  The rank is the number of steps that found a
-    pivot; modulo p it does not depend on the order of rows or of
-    elimination."""
+def _outer_residues(vecs, cols: int) -> np.ndarray:
+    """The flattened outer products v v^T mod _CERTIFICATE_PRIME of integer
+    vectors of `cols` entries (an int64 or object array, or a nested
+    sequence), one row of cols^2 entries in [0, p) each.  The vectors are
+    reduced with `%` before the int64 cast (np.fmod fails on Python ints),
+    so each product of two residues stays below 2^62."""
     p = _CERTIFICATE_PRIME
-    if not isinstance(rows, np.ndarray):
-        rows = np.array(rows, dtype=object)
-    residues = (rows % p).astype(np.int64)
-    mask = np.asarray(tight, dtype=bool).reshape(-1, len(rows))
-    counts = mask.sum(axis=1)
-    depth = max(int(counts.max(initial=0)), 1)
-    # Each ray's selected rows first, in order (a stable sort of the
-    # unselected flags), then rows zeroed past its count.
-    packed = np.argsort(~mask, axis=1, kind="stable")[:, :depth].T
-    m = np.ascontiguousarray(residues[packed].transpose(0, 2, 1)) * (
-        np.arange(depth)[:, None, None] < counts)
-    every = np.arange(len(mask))
-    leads = np.empty((residues.shape[1], len(mask)), dtype=np.int64)
-    for k in range(len(leads)):
-        col = m[:, 0]
-        pivot = m[(col != 0).argmax(axis=0), :, every].T
-        leads[k] = lead = pivot[0]
-        # A matrix with a zero column is left as it is (scale 1, col 0).
-        m = np.fmod(np.where(lead != 0, lead, 1) * m[:, 1:]
-                    - col[:, None, :] * pivot[1:], p)
-    return np.count_nonzero(leads, axis=0)
+    if not isinstance(vecs, np.ndarray):
+        vecs = np.array(vecs, dtype=object)
+    res = (vecs % p).astype(np.int64).reshape(-1, cols)
+    outer = res[:, :, None] * res[:, None, :]
+    outer %= p
+    return outer.reshape(-1, cols * cols)
+
+
+def _gram_certified(rows, tight, coords) -> np.ndarray:
+    """For each ray, whether its Gram matrix G = T^T T + c c^T is shown
+    nonsingular modulo _CERTIFICATE_PRIME, which proves that its selected
+    rows T have rank at least cols - 1 (see `extreme_rays`).  `rows` holds
+    the integer rows (cols entries each), `tight` one boolean row selection
+    per ray and `coords` one integer vector c per ray, each an array or a
+    nested sequence.
+
+    Every G mod p comes from one `exact_products` of the 0/1 selections
+    with the rows' flattened outer products mod p (so the largest
+    selection is the L1 norm), plus c c^T mod p.  The (cols, cols, rays)
+    stack is eliminated with the rays innermost: each step takes every
+    matrix's leading entry as its pivot, clears the first column by
+    cross-multiplication and reduces mod p, so the pivots are, up to
+    nonzero factors, the leading principal minors of G.  A ray is
+    certified when every pivot is nonzero mod p."""
+    p = _CERTIFICATE_PRIME
+    cols = np.shape(rows)[1]
+    outer = _outer_residues(rows, cols)
+    selection = np.asarray(tight, dtype=np.int64).reshape(-1, len(outer))
+    gram = exact_products(selection, outer.T,
+                          int(selection.sum(axis=1).max(initial=0)))
+    gram += _outer_residues(coords, cols)
+    gram %= p
+    m = np.ascontiguousarray(gram.T).reshape(cols, cols, -1)
+    del gram    # free the rays-outermost layout before the elimination
+    certified = np.ones(m.shape[2], dtype=bool)
+    for _ in range(cols):
+        lead = m[0, 0]
+        certified &= lead != 0
+        step = lead * m[1:, 1:]
+        step -= m[1:, :1] * m[:1, 1:]
+        m = np.fmod(step, p, out=step)
+    return certified
 
 
 def extreme_rays(system: ConstraintSystem) -> List[Ray]:
@@ -337,14 +354,20 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     primitive subset-indexed vectors.  Each is nonzero.
     One exact product of the inequality rows with all of them is
     nonnegative, and that of the equality rows is zero.  The zeros of the
-    first product are each ray's tight rows.  Their quotient coordinates
-    have rank dim - 1, which makes the face the checked vector lies on a
-    ray: modulo a prime p (`_modular_ranks`), or else exactly by Bareiss
-    elimination.  The modular rank is sound: it is at most the rational
-    rank, which is at most dim - 1 because the nonzero ray lies in the
-    kernel of its tight rows, so rank mod p = dim - 1 proves the rational
-    rank is dim - 1.  A failure raises CertificateError.  A pointed cone
-    equal to {0} has no extreme rays."""
+    first product are each ray's tight rows, and their quotient
+    coordinates T have rank dim - 1, which makes the face the checked
+    vector lies on a ray.  The vector's quotient coordinates c are its
+    entries at the sets of two or more members (b_S is the one basis
+    vector with an entry at such an S); c is nonzero and in the kernel of
+    T, so the rank is at most dim - 1.  It is at least dim - 1 if
+    G = T^T T + c c^T is nonsingular: were the kernel of T of dimension 2
+    or more, some x != 0 in it would be orthogonal to c, and G x = 0,
+    whatever c is.  `_gram_certified` shows G nonsingular for all rays at
+    once by nonzero fixed pivots modulo a prime p.  When the rank is
+    dim - 1, G is positive definite, so a pivot vanishes mod p only by
+    chance (about dim / p), and such a ray's tight rows are ranked exactly
+    by Bareiss elimination.  A failure raises CertificateError.  A pointed
+    cone equal to {0} has no extreme rays."""
     n = system.ground_size
     dim = len(homogeneity_matrix(n))
     rows, norm = system.integer_rows
@@ -364,9 +387,8 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     if (exact_products(system.equalities, vecs) != 0).any():
         raise CertificateError("extreme ray violates an equality")
     tight = (values == 0).T
-    for flags, rank_mod_p in zip(tight, _modular_ranks(reduced, tight)):
-        if rank_mod_p == dim - 1:
-            continue
+    coords = vecs[:, quotient_masks(n)]
+    for flags in tight[~_gram_certified(reduced, tight, coords)]:
         selected = [row for row, flag in zip(ineqs, flags) if flag]
         if bareiss_rank(selected) != dim - 1:
             raise CertificateError(

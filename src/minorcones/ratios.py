@@ -299,7 +299,7 @@ def homogeneity_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _quotient_masks(n: int) -> Tuple[int, ...]:
+def quotient_masks(n: int) -> Tuple[int, ...]:
     """The subsets with at least two members, in increasing mask order: one
     homogeneity-basis vector b_S each."""
     return tuple(s for s in range(1 << n) if s.bit_count() >= 2)
@@ -323,7 +323,7 @@ def homogeneity_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     {} and the singletons as pivots and b_S the vector that is 1 on the
     free coordinate S and 0 on the other free ones."""
     out = []
-    for s in _quotient_masks(n):
+    for s in quotient_masks(n):
         vec = [0] * (1 << n)
         _add_basis_vector(vec, s, 1)
         out.append(tuple(vec))
@@ -356,13 +356,13 @@ def h_coordinates(row: Sequence, n: int) -> Tuple:
         singles[s] = singles[s ^ low] + row[low]
     empty = row[0]
     return tuple(row[s] - singles[s] + (s.bit_count() - 1) * empty
-                 for s in _quotient_masks(n))
+                 for s in quotient_masks(n))
 
 
 def h_lift(coords: Sequence, n: int) -> List:
     """B^T * coords = sum_S coords_S * b_S for B = homogeneity_basis(n):
     the vector of log(H_n) with these coefficients on the basis."""
-    masks = _quotient_masks(n)
+    masks = quotient_masks(n)
     if len(coords) != len(masks):
         raise ValueError(f"{len(coords)} coordinates, expected {len(masks)}")
     out = [0] * (1 << n)

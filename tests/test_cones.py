@@ -17,7 +17,8 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               orbit_decompose)
 from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, combine, dot,
-                              exact_products, largest_norm, primitive, rref)
+                              exact_products, kernel_basis, largest_norm,
+                              primitive, rref)
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,
@@ -260,6 +261,32 @@ class TestExtremeRays:
         with pytest.raises(CertificateError, match="rank"):
             extreme_rays(build_E_system(3))
 
+    @pytest.mark.parametrize("build", [build_E_system, build_D_system])
+    def test_non_extreme_output_fails_certificate_at_n4(self, build,
+                                                        monkeypatch):
+        # The sum of two rays lies on a face of dimension 2 or more, so its
+        # tight rows have rank at most dim - 2.
+        found = cones._double_description
+
+        def with_sum(rows, dim):
+            lines, rays = found(rows, dim)
+            return lines, rays + [tuple(map(sum, zip(rays[0], rays[1])))]
+
+        monkeypatch.setattr(cones, "_double_description", with_sum)
+        with pytest.raises(CertificateError, match="rank"):
+            extreme_rays(build(4))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_e3_with_random_rows_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        base = build_E_system(3)
+        extra = tuple(tuple(rng.randint(-3, 3) for _ in range(8))
+                      for _ in range(rng.randint(1, 3)))
+        system = ConstraintSystem(
+            3, base.equalities, base.inequalities + extra,
+            base.labels + tuple(f"r{i}" for i in range(len(extra))))
+        assert extreme_rays(system) == brute_force_rays(system)
+
     def test_zero_output_fails_certificate(self, monkeypatch):
         found = cones._double_description
 
@@ -495,31 +522,66 @@ def fallback_calls(monkeypatch):
     return calls
 
 
+def gram_coords(rows, tight, rng):
+    """Per selection in `tight`, the exact rank of the selected rows and a
+    vector c: a kernel vector of those rows when they have one, so that
+    rank cols - 1 leaves G = T^T T + c c^T positive definite, and else a
+    random vector."""
+    cols = len(rows[0])
+    ranks, coords = [], []
+    for flags in tight:
+        selected = [row for row, t in zip(rows, flags) if t]
+        ranks.append(bareiss_rank(selected))
+        kernel = kernel_basis(selected, cols)
+        coords.append(list(kernel[0]) if kernel
+                      else [rng.randint(-5, 5) for _ in range(cols)])
+    return ranks, coords
+
+
+def certified(rows, tight, coords):
+    return cones._gram_certified(rows, tight, coords).tolist()
+
+
 class TestModularCertificate:
     @pytest.mark.parametrize("seed", range(3))
-    def test_modular_ranks_equal_bareiss(self, seed):
-        for rows, tight in seeded_stacks(seed):
-            expected = [bareiss_rank([row for row, t in zip(rows, flags)
-                                      if t]) for flags in tight]
-            assert list(cones._modular_ranks(rows, tight)) == expected
-
-    def test_modular_rank_can_only_fall_short(self):
-        p = cones._CERTIFICATE_PRIME
-        rows = [[p, 0], [0, 1]]
-        assert list(cones._modular_ranks(rows, [[True, True]])) == [1]
-        assert bareiss_rank(rows) == 2
-
-    def test_no_rays_no_ranks(self):
-        assert len(cones._modular_ranks([[1, 2]], [])) == 0
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_packed_ranks_on_unequal_selections(self, seed):
-        # Each ray's rows are packed first and padded to the largest
-        # selection: unequal counts, a ray with no row selected and one
-        # with every row selected, over full-rank and deficient rows.
+    def test_certified_selections_have_rank_cols_minus_one(self, seed):
+        # Sound for any c: a kernel vector, a random vector or zero.
         rng = random.Random(seed)
         p = cones._CERTIFICATE_PRIME
-        for nrows, ncols, inner in ((9, 5, 5), (12, 6, 3), (7, 8, 7)):
+        for rows, tight in seeded_stacks(seed):
+            cols = len(rows[0])
+            ranks, coords = gram_coords(rows, tight, rng)
+            others = [[rng.randint(-3, 3) * rng.choice((1, p))
+                       for _ in range(cols)] for _ in tight]
+            for cs in (coords, others, [[0] * cols for _ in tight]):
+                for ok, rank in zip(certified(rows, tight, cs), ranks):
+                    # So a selection of rank <= cols - 2 is never certified.
+                    assert not ok or rank >= cols - 1
+            if max(abs(x) for row in rows for x in row) <= 5:
+                # Small entries: a pivot vanishing mod p would be chance.
+                assert certified(rows, tight, coords) == [
+                    rank >= cols - 1 for rank in ranks]
+
+    def test_modular_rank_can_only_fall_short(self):
+        # Rank 1 = cols - 1 and c spans the kernel, but G = diag(p^2, 1)
+        # has a zero pivot mod p: the ray goes to the exact fallback.
+        p = cones._CERTIFICATE_PRIME
+        rows = [[p, 0]]
+        assert certified(rows, [[True]], [[0, 1]]) == [False]
+        assert bareiss_rank(rows) == 1
+
+    def test_no_rays_no_ranks(self):
+        assert len(cones._gram_certified([[1, 2]], [], [])) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_int64_and_object_rows_agree(self, seed):
+        # Unequal selections, one with no row and one with every row, over
+        # full-rank and deficient rows with entries past p, given as
+        # nested lists, int64 arrays and Python-int (object) arrays.
+        rng = random.Random(seed)
+        p = cones._CERTIFICATE_PRIME
+        for nrows, ncols, inner in ((9, 5, 5), (12, 6, 3), (7, 8, 7),
+                                    (6, 4, 3)):
             left = [[rng.randint(-4, 4) for _ in range(inner)]
                     for _ in range(nrows)]
             right = [[rng.randint(-4, 4) + rng.choice((0, p))
@@ -528,22 +590,27 @@ class TestModularCertificate:
             tight = [[i < k for i in range(nrows)] for k in range(nrows + 1)]
             tight += [rng.sample([True] * k + [False] * (nrows - k), nrows)
                       for k in (1, 2, nrows - 1)]
-            tight.append([False] * nrows)
             rng.shuffle(tight)
-            expected = [bareiss_rank([row for row, t in zip(rows, flags)
-                                      if t]) for flags in tight]
-            assert list(cones._modular_ranks(rows, tight)) == expected
-            assert list(cones._modular_ranks(np.array(rows, dtype=object),
-                                             np.array(tight))) == expected
+            ranks, coords = gram_coords(rows, tight, rng)
+            expected = certified(rows, tight, coords)
+            assert all(rank >= ncols - 1 for ok, rank in zip(expected, ranks)
+                       if ok)
+            # G mod p depends on c mod p only; the kernel vectors may not
+            # fit in int64, their residues do.
+            residues = [[x % p for x in c] for c in coords]
+            for dtype in (np.int64, object):
+                assert certified(np.array(rows, dtype=dtype),
+                                 np.array(tight),
+                                 np.array(residues, dtype=dtype)) == expected
 
     @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4)])
     def test_bareiss_fallback_certifies_short_modular_ranks(
             self, system, monkeypatch, fallback_calls):
         expected = extreme_rays(system)
         fallback_calls.clear()
-        _, dim = reduced_system(system)
-        monkeypatch.setattr(cones, "_modular_ranks",
-                            lambda rows, tight: np.full(len(tight), dim - 2))
+        monkeypatch.setattr(
+            cones, "_gram_certified",
+            lambda rows, tight, coords: np.zeros(len(tight), dtype=bool))
         assert extreme_rays(system) == expected
         assert len(fallback_calls) == len(expected)
 
@@ -557,6 +624,15 @@ class TestModularCertificate:
             system.labels)
         assert extreme_rays(scaled) == extreme_rays(system)
         assert len(fallback_calls) == 31
+
+    @pytest.mark.parametrize("build, n", [(build_E_system, 3),
+                                          (build_D_system, 3),
+                                          (build_E_system, 4),
+                                          (build_D_system, 4),
+                                          (build_E_system, 5)])
+    def test_paper_systems_need_no_fallback(self, build, n, fallback_calls):
+        assert extreme_rays(build(n))
+        assert fallback_calls == []
 
 
 # E3-E5 and D3-D4; the lift test keeps its first three, E4, D4 and E5.
