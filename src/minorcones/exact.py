@@ -21,7 +21,7 @@ a closed form (`ratios.homogeneity_basis`).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -45,13 +45,13 @@ def int64_products_fit(norm: int, top: int) -> bool:
 
 
 def largest_entry(values) -> int:
-    """max |entry| of an integer array (int64 or Python ints; 0 if it is
-    empty), or of a nonempty sequence of nonempty integer rows."""
+    """max |entry| of an integer array (int64 or Python ints), or of a
+    sequence of integer rows; 0 if there are no entries."""
     if isinstance(values, np.ndarray):
         if not values.size:
             return 0
         return max(int(values.max()), -int(values.min()))
-    return max(max(map(max, values)), -min(map(min, values)))
+    return max(map(abs, chain.from_iterable(values)), default=0)
 
 
 def largest_norm(rows) -> int:

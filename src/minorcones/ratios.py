@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -456,113 +456,13 @@ def delete_index(v: FormalLog, i: int) -> FormalLog:
     return FormalLog(n - 1, tuple(out))
 
 
-# The largest elimination level of batch_log_minors (states times kept rows
-# squared) holds at most this many n x n matrices' worth of doubles per chunk:
-# large enough to amortise numpy's per-call overhead, small enough that a
-# 1e5-matrix stack is never expanded in memory all at once.
+# Each chunk of batch_log_minors is copied once as one (n, n, count) array,
+# and each subset size gathers its submatrices from it as one
+# (masks, k, k, count) array.  A chunk holds so many matrices that neither
+# holds more doubles than LOG_MINOR_CHUNK n x n matrices: enough to amortise
+# numpy's per-call overhead, few enough that a 1e5-matrix stack is never
+# expanded in memory all at once.
 LOG_MINOR_CHUNK = 4096
-
-
-def _index(positions: List[int]):
-    """A slice over consecutive positions, which numpy serves as a view,
-    else an index array, which it serves as a gather."""
-    first = positions[0] if positions else 0
-    if positions == list(range(first, first + len(positions))):
-        return slice(first, first + len(positions))
-    return np.array(positions, dtype=np.intp)
-
-
-def _block(states: List[int], rows: List[int]):
-    """Indices into a (states, rows, rows, count) stack selecting the given
-    states' rows x rows blocks, their column 0 and their row 0 at those
-    rows: basic slices when both lists are runs."""
-    s, r = _index(states), _index(rows)
-    if isinstance(s, slice) and isinstance(r, slice):
-        return (s, r, r), (s, r, 0), (s, 0, r)
-    s = np.array(states, dtype=np.intp)[:, None]
-    r = np.array(rows, dtype=np.intp)
-    return ((s[:, :, None], r[None, :, None], r[None, None, :]),
-            (s, r[None, :], 0), (s, 0, r[None, :]))
-
-
-class _Step(NamedTuple):
-    """One level of the elimination, at index k: the states whose masks take
-    k pivot on it, the masks whose last member is k complete, and the next
-    level stacks the pivoted states, then the states whose masks skip k."""
-    pivot: object           # states pivoting on k
-    done: object            # output rows completing at k ...
-    done_from: object       # ... and the pivot each one reads
-    cont: object            # pivots whose state has masks past k
-    cont_count: int
-    sub: tuple              # their Schur blocks, column 0 and row 0 at the
-    col: tuple              # next level's rows
-    row: tuple
-    skip: Optional[tuple]   # the skipping states' blocks at those rows
-    skip_states: object
-    shape: Tuple[int, int]  # next level: (states, rows)
-
-
-class _Plan(NamedTuple):
-    masks: Tuple[int, ...]  # distinct requested masks, in the given order
-    rows: tuple             # the gather of the first level from a matrix
-    chunk: int
-    steps: Tuple[_Step, ...]
-
-
-@lru_cache(maxsize=256)
-def _log_minor_plan(n: int, masks: Tuple[int, ...]) -> _Plan:
-    """The trie of the masks' sorted member lists as stacked levels.  A state
-    is a prefix that some pending mask continues, held as the list of those
-    masks; the states of a level share one list of rows, the indices a
-    pending mask still needs."""
-    order = tuple(dict.fromkeys(masks))
-    for mask in order:
-        if not 0 <= mask < 1 << n:
-            raise ValueError(f"subset mask {mask} outside 1..{n}")
-    out_row = {mask: i for i, mask in enumerate(order)}
-
-    def needed(states, low):
-        union = 0
-        for pending in states:
-            for mask in pending:
-                union |= mask
-        return [i for i in range(low, n) if union >> i & 1]
-
-    states = [[mask for mask in order if mask]]
-    root = rows = needed(states, 0)
-    largest = max(1, len(root) ** 2)
-    steps = []
-    for k in root:
-        pivot, done, cont, skip, pivoted, skipped = [], [], [], [], [], []
-        for at, pending in enumerate(states):
-            take = [mask for mask in pending if mask >> k & 1]
-            if take:
-                done += [(out_row[mask], len(pivot))
-                         for mask in take if mask >> k == 1]
-                more = [mask for mask in take if mask >> k > 1]
-                if more:
-                    cont.append(len(pivot))
-                    pivoted.append(more)
-                pivot.append(at)
-            leave = [mask for mask in pending if not mask >> k & 1]
-            if leave:
-                skip.append(at)
-                skipped.append(leave)
-        new_states = pivoted + skipped
-        new_rows = needed(new_states, k + 1)
-        sel = [rows.index(i) for i in new_rows]
-        largest = max(largest, len(new_states) * len(new_rows) ** 2)
-        done.sort()
-        cont_states = [pivot[j] for j in cont]
-        sub, col, row = _block(cont_states, sel)
-        steps.append(_Step(
-            _index(pivot), _index([i for i, _ in done]),
-            _index([j for _, j in done]), _index(cont), len(cont),
-            sub, col, row, _block(skip, sel)[0] if skip else None,
-            _index(skip), (len(new_states), len(new_rows))))
-        states, rows = new_states, new_rows
-    return _Plan(order, _block([0], root)[0],
-                 max(1, LOG_MINOR_CHUNK * n * n // largest), tuple(steps))
 
 
 def batch_log_minors(batch: np.ndarray,
@@ -570,72 +470,64 @@ def batch_log_minors(batch: np.ndarray,
     """log det A[S] for each requested subset mask S (the empty one gives 0),
     over a stack of matrices of shape (count, n, n).
 
-    One Schur-complement elimination serves all masks: the masks' sorted
-    member lists form a trie, and a trie node P holds the Schur complement
-    of A after pivoting on P, plus the sum of the logs of its pivots.  At
-    index k a node whose masks take k pivots on it, S' = S[1:,1:] -
-    S[1:,0] * (S[0,1:] / p), and a node whose masks skip k drops that row
-    and column; log det A[S] is the sum of the log-pivots along S's path.
-    Each operation is elementwise along a path that depends on S alone, so
-    each value is bitwise independent of the other masks requested and of
-    how the stack is chunked.  For a symmetric A[S], all pivots are positive
-    iff A[S] is positive definite; a pivot that is not positive and finite
+    The masks are grouped by size, and the submatrices A[S] of one size k
+    are eliminated together as one (masks, k, k, count) stack: k - 1
+    Schur-complement steps S' = S[1:,1:] - S[1:,:1] * (S[:1,1:] / p) on the
+    pivot p = S[0,0], with log det A[S] the sum of the log-pivots in pivot
+    order.  Every operation is elementwise along the count, so each value
+    is bitwise independent of the other masks requested and of how the
+    stack is chunked.  For a symmetric A[S], all pivots are positive iff
+    A[S] is positive definite; a pivot that is not positive and finite
     makes the log-minor non-finite, and NotPositiveDefiniteError names the
     first such subset in the given order, within the first chunk that has
     one.
     """
-    plan, values = _log_minors(batch, masks)
+    order, chunk, values = _log_minors(batch, masks)
     finite = np.isfinite(values)
     if not finite.all():
-        start = int(np.argmin(finite.all(axis=0))) // plan.chunk * plan.chunk
-        first = int(np.argmin(finite[:, start:start + plan.chunk].all(axis=1)))
-        raise NotPositiveDefiniteError(members_of(plan.masks[first]))
-    return dict(zip(plan.masks, values))
+        start = int(np.argmin(finite.all(axis=0))) // chunk * chunk
+        first = int(np.argmin(finite[:, start:start + chunk].all(axis=1)))
+        raise NotPositiveDefiniteError(members_of(order[first]))
+    return dict(zip(order, values))
 
 
 def _log_minors(batch: np.ndarray, masks: Sequence[int]):
-    """The elimination of batch_log_minors without its check: the plan and
-    the values, one row per plan.masks entry and one column per matrix.  A
-    value is finite iff the matrix is numerically positive definite on
-    that subset."""
+    """The elimination of batch_log_minors without its check: the distinct
+    masks in the given order, the chunk length, and the values, one row per
+    mask and one column per matrix.  A value is finite iff the matrix is
+    numerically positive definite on that subset."""
     count, n = batch.shape[0], batch.shape[-1]
-    plan = _log_minor_plan(n, tuple(masks))
-    values = np.zeros((len(plan.masks), count))
+    order = tuple(dict.fromkeys(masks))
+    groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+    for row, mask in enumerate(order):
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"subset mask {mask} outside 1..{n}")
+        members = [i for i in range(n) if mask >> i & 1]
+        if members:
+            rows, index = groups.setdefault(len(members), ([], []))
+            rows.append(row)
+            index.append(members)
+    # Per matrix, the chunk's copy holds n^2 doubles and the stack of size k
+    # holds masks * k^2.
+    chunk = max(1, LOG_MINOR_CHUNK * n * n // max(
+        [1, n * n] + [len(rows) * k * k for k, (rows, _) in groups.items()]))
+    gathers = [(rows, np.array(index, dtype=np.intp))
+               for rows, index in groups.values()]
+    values = np.zeros((len(order), count))
     with np.errstate(all="ignore"):
-        for start in range(0, count, plan.chunk):
-            chunk = batch[start:start + plan.chunk]
-            _eliminate(chunk, plan, values[:, start:start + len(chunk)])
-    return plan, values
-
-
-def _eliminate(chunk: np.ndarray, plan: _Plan, values: np.ndarray) -> None:
-    """Run plan's steps on a chunk of shape (count, n, n), writing each
-    mask's log-minors into its row of values.  A level is stacked as
-    (states, rows, rows, count), so every operation runs along the count."""
-    level = np.ascontiguousarray(chunk.transpose(1, 2, 0)[None][plan.rows])
-    logsum = np.zeros((1, len(chunk)))
-    for step in plan.steps:
-        pivots = level[step.pivot, 0, 0]
-        logs = logsum[step.pivot] + np.log(pivots)
-        values[step.done] = logs[step.done_from]
-        if not step.shape[0]:
-            return
-        # One new array holds the next level: the pivoted states' Schur
-        # complements, computed into it, then the skipping states' blocks.
-        # Where the states form one chain, the indices are slices (views),
-        # not gathers.
-        states, rows = step.shape
-        nxt = np.empty((states, rows, rows, len(chunk)))
-        if step.cont_count:
-            pivoted = nxt[:step.cont_count]
-            scaled = level[step.row] / pivots[step.cont][:, None]
-            np.multiply(level[step.col][:, :, None], scaled[:, None],
-                        out=pivoted)
-            np.subtract(level[step.sub], pivoted, out=pivoted)
-        if step.skip is not None:
-            nxt[step.cont_count:] = level[step.skip]
-        level = nxt
-        logsum = np.concatenate((logs[step.cont], logsum[step.skip_states]))
+        for start in range(0, count, chunk):
+            # The count last, so that every operation runs along it.
+            part = np.ascontiguousarray(
+                batch[start:start + chunk].transpose(1, 2, 0))
+            for rows, index in gathers:
+                s = part[index[:, :, None], index[:, None, :]]
+                logs = np.log(s[:, 0, 0])
+                while s.shape[1] > 1:
+                    t = s[:, 1:, :1] * (s[:, :1, 1:] / s[:, :1, :1])
+                    s = np.subtract(s[:, 1:, 1:], t, out=t)
+                    logs += np.log(s[:, 0, 0])
+                values[rows, start:start + part.shape[-1]] = logs
+    return order, chunk, values
 
 
 def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray]):
@@ -667,7 +559,7 @@ def log_ratio_values(v: FormalLog, stack: np.ndarray):
     definiteness check: the log-ratios, and per matrix whether every
     minor in v.support() is finite.  Where it is not, the value means
     nothing (a minor of -inf with a negative weight gives +inf)."""
-    plan, values = _log_minors(stack, v._support)
+    order, _, values = _log_minors(stack, v._support)
     with np.errstate(invalid="ignore"):
-        total = log_ratio_from_minors(v, dict(zip(plan.masks, values)))
+        total = log_ratio_from_minors(v, dict(zip(order, values)))
     return np.zeros(len(stack)) + total, np.isfinite(values).all(axis=0)

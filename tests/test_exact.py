@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from minorcones.exact import (as_fractions, bareiss, bareiss_rank,
                               bareiss_step, clear_denominators, det,
-                              dot, kernel_basis, primitive, rank,
-                              rank_by_minors, rref)
+                              dot, kernel_basis, largest_entry, primitive,
+                              rank, rank_by_minors, rref)
 
 
 def primitive_reference(vec):
@@ -47,6 +48,29 @@ class TestPrimitive:
             assert all(type(x) is int for x in got)
         assert primitive([-6, 0, 9]) == (-2, 0, 3)
         assert primitive([4, Fraction(-6), 0]) == (2, -3, 0)
+
+
+class TestLargestEntry:
+    @pytest.mark.parametrize("rows", [
+        [[3, -4, 0], [1, 1, 1]],
+        [[-(1 << 63), 5], [0, (1 << 63) - 1]],
+        [[7]],
+        [[0, 0], [0, 0]],
+    ])
+    def test_rows_and_arrays_agree(self, rows):
+        expected = max(abs(x) for row in rows for x in row)
+        for given in (rows, [tuple(row) for row in rows],
+                      np.array(rows, dtype=np.int64),
+                      np.array(rows, dtype=object)):
+            assert largest_entry(given) == expected
+
+    def test_python_ints_past_int64(self):
+        assert largest_entry([[1 << 70], [-3]]) == 1 << 70
+        assert largest_entry([(3,), (-(1 << 70),)]) == 1 << 70
+
+    def test_no_entries_give_zero(self):
+        for empty in ([], (), [[], ()], np.zeros((0, 3), dtype=np.int64)):
+            assert largest_entry(empty) == 0
 
 
 class TestClearDenominators:

@@ -539,7 +539,47 @@ def _pd_stack(count, n, seed):
     return g @ g.transpose(0, 2, 1) + n * np.eye(n)
 
 
+def _reference_log_minor(a, mask):
+    """log det a[S] for one mask on one matrix, by a plain loop of the
+    kernel's Schur step, S' = S[1:,1:] - S[1:,0] * (S[0,1:] / p), with the
+    log-pivots added in pivot order starting from the first; 0.0 for the
+    empty mask."""
+    idx = [i - 1 for i in members_of(mask)]
+    s = [[float(a[i, j]) for j in idx] for i in idx]
+    pivots = []
+    while s:
+        p = s[0][0]
+        pivots.append(p)
+        s = [[row[j] - row[0] * (s[0][j] / p) for j in range(1, len(s))]
+             for row in s[1:]]
+    logs = np.log(np.array(pivots)).tolist()
+    total = logs[0] if logs else 0.0
+    for x in logs[1:]:
+        total = total + x
+    return total
+
+
 class TestLogMinorKernel:
+    def test_values_equal_a_single_mask_loop_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            stack = _pd_stack(6, n, seed=20 + n)
+            random_masks = [int(m) for m in rng.integers(0, full + 1, size=8)]
+            for masks in (random_masks, random_masks[:3] * 2 + [0, full]):
+                for mask, logdet in batch_log_minors(stack, masks).items():
+                    want = [_reference_log_minor(a, mask) for a in stack]
+                    assert logdet.tobytes() == np.array(want).tobytes(), (
+                        n, mask)
+        # Across a chunk boundary.
+        masks = [15, 1, 0, 6, 11, 6]
+        assert ratios._log_minors(np.eye(4)[None], masks)[1] == LOG_MINOR_CHUNK
+        stack = _pd_stack(LOG_MINOR_CHUNK + 3, 4, seed=31)
+        rows = [0, 1, LOG_MINOR_CHUNK - 1, LOG_MINOR_CHUNK, LOG_MINOR_CHUNK + 2]
+        for mask, logdet in batch_log_minors(stack, masks).items():
+            want = [_reference_log_minor(stack[k], mask) for k in rows]
+            assert logdet[rows].tobytes() == np.array(want).tobytes(), mask
+
     def test_stack_equals_single_matrices_bitwise(self):
         from minorcones.constants import R1, R2, counterexample_E4
         stack = _pd_stack(40, 4, seed=1)
@@ -586,7 +626,7 @@ class TestLogMinorKernel:
         fails_12 = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
         masks = [1, 2, 4, 3, 5, 6]
-        chunk = ratios._log_minor_plan(3, tuple(masks)).chunk
+        _, chunk, _ = ratios._log_minors(np.eye(3)[None], masks)
         stack = np.concatenate([np.broadcast_to(np.eye(3), (chunk - 1, 3, 3)),
                                 fails_13[None], fails_12[None]])
         for rows, subset in ((stack, (1, 3)), (stack[chunk:], (1, 2)),
@@ -726,12 +766,12 @@ class TestLogMinorKernel:
         assert done.stdout.strip() == "debug False raised (1, 2, 3)"
 
     def test_memory_stays_within_the_chunk_bound(self):
-        # The masks of complement_ratio_check at n = 16: the largest level
-        # (states x kept rows^2) holds several times the doubles of one
-        # full matrix, so the chunk shrinks to keep each level array
-        # within LOG_MINOR_CHUNK full matrices.  A step holds at most
-        # three such arrays (this level, the next, and one gathered block)
-        # beside the output.
+        # The masks of complement_ratio_check at n = 16: the size-15
+        # group (masks x 15^2) holds several times the doubles of one full
+        # matrix, so the chunk shrinks to keep each group's stack within
+        # LOG_MINOR_CHUNK full matrices.  A Schur step holds at most three
+        # such arrays (the chunk's copy, this stack and the next) beside
+        # the output.
         n, count = 16, 8192
         full = (1 << n) - 1
         masks = ([1 << k for k in range(n)]
