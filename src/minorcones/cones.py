@@ -441,17 +441,16 @@ def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:
     x, y = nonnegative_combination(koteljanskii_matrix(v.ground_size),
                                    v.cleared)
     if x is not None:
-        combo = tuple((gens[j][0], coeff) for j, coeff in enumerate(x)
-                      if coeff)
+        ints, d = x
+        support = [j for j, coeff in enumerate(ints) if coeff]
+        coeffs = as_fractions([ints[j] for j in support], d)
+        combo = tuple((gens[j][0], c) for j, c in zip(support, coeffs))
         return KoteljanskiiCertificate(True, combo, None)
-    # nonnegative_combination has checked y's Farkas inequalities, which
-    # for h = -y are h.v < 0 and h.col >= 0 for every column.  y shares
-    # one Fraction per distinct value, and so does h; the values are told
-    # apart by identity, since hashing a Fraction is slow.
-    distinct = {id(val): val for val in y}
-    negated = {key: -val for key, val in distinct.items()}
-    return KoteljanskiiCertificate(False, None,
-                                   tuple(negated[id(val)] for val in y))
+    # nonnegative_combination has checked the Farkas inequalities of y,
+    # which for h = -y are h.v < 0 and h.col >= 0 for every column.
+    ints, d = y
+    return KoteljanskiiCertificate(
+        False, None, tuple(as_fractions([-val for val in ints], d)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ Everything is deterministic given a SamplerConfig seed.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -39,6 +38,13 @@ SLOPE_LAW_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e-7, 9))
 # grid stops at 1e-6.
 DEFAULT_POLY_GRID = tuple(float(x) for x in np.geomspace(1e-2, 1e-6, 9))
 
+# Added to every sampled Gram matrix G^T G, so that each sample is PD.
+RIDGE = 1e-6
+# The bound-search ascent: how many congruence factors it draws, and the
+# scale of their Gaussian perturbation of the identity.
+ASCENT_STEPS = 200
+ASCENT_SCALE = 0.05
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -68,7 +74,6 @@ class SamplerConfig:
     seed: int
     count: int
     dimension: int
-    ridge: float = 1e-6
 
     def __post_init__(self):
         if self.count < 1:
@@ -188,7 +193,7 @@ def sample_pd(cfg: SamplerConfig) -> np.ndarray:
     n = cfg.dimension
     g = rng.standard_normal((cfg.count, n, n))
     a = np.einsum("bij,bik->bjk", g, g)
-    a += cfg.ridge * np.eye(n)
+    a += RIDGE * np.eye(n)
     batch_log_minors(a, [(1 << n) - 1])  # raises unless every sample is PD
     return a
 
@@ -239,9 +244,7 @@ class BoundSearchResult:
     diverging: bool
 
 
-def bound_search(v: FormalLog, cfg: SamplerConfig,
-                 ascent_steps: int = 200,
-                 ascent_scale: float = 0.05) -> BoundSearchResult:
+def bound_search(v: FormalLog, cfg: SamplerConfig) -> BoundSearchResult:
     """Empirical supremum of exp(log-ratio) over sampled PD matrices plus
     local congruence ascent E A E^T from the best sample.
 
@@ -253,35 +256,25 @@ def bound_search(v: FormalLog, cfg: SamplerConfig,
     current matrix: the same draws and a bitwise identical result to
     trying the steps one at a time.
     """
-    _check_ascent_steps(ascent_steps)
     batch = sample_pd(cfg)
-    return _bound_search_on(v, evaluate_log_ratio(v, batch), batch, cfg.seed,
-                            ascent_steps, ascent_scale)
-
-
-def _check_ascent_steps(ascent_steps) -> None:
-    if not isinstance(ascent_steps, numbers.Integral) or ascent_steps < 0:
-        raise ValueError("ascent_steps must be a nonnegative integer, "
-                         f"not {ascent_steps!r}")
+    return _bound_search_on(v, evaluate_log_ratio(v, batch), batch, cfg.seed)
 
 
 def _bound_search_on(v: FormalLog, values: np.ndarray, batch: np.ndarray,
-                     seed: int, ascent_steps: int = 200,
-                     ascent_scale: float = 0.05) -> BoundSearchResult:
+                     seed: int) -> BoundSearchResult:
     """bound_search on a batch and its log-ratio values, which several ratios
     can share; the ascent draws from a generator seeded by (seed, 1)."""
-    _check_ascent_steps(ascent_steps)
     n = v.ground_size
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
 
     rng = np.random.default_rng((seed, 1))
-    factors = np.eye(n) + ascent_scale * rng.standard_normal(
-        (ascent_steps, n, n))
+    factors = np.eye(n) + ASCENT_SCALE * rng.standard_normal(
+        (ASCENT_STEPS, n, n))
     current = batch[best_idx]
     current_val = best_val
     step = 0
-    while step < ascent_steps:
+    while step < ASCENT_STEPS:
         rest = factors[step:]
         cands = rest @ current @ rest.transpose(0, 2, 1)
         vals, finite = log_ratio_values(v, cands)

@@ -202,6 +202,30 @@ class TestMembershipPins:
         assert hashlib.sha256(out).hexdigest() == digest
 
 
+# (ratio index, exit code, sha256 of the `--format json` stdout) of
+# `membership --semigroup K`: the n = 4 member, R1, two ratios with `^p/q`
+# exponents, an n = 5 member with `^p/q` exponents and the cone(K_6)
+# member of CI.  Their text stdout is pinned above.
+KOTELJANSKII_JSON_SHA256 = (
+    (0, 0, '4e6d28b6ee0bec5fabcdafd2f6f2fa5edc02a4b1ac044bc1999e009ca443808f'),
+    (1, 1, 'bf82d82aa5190de821034f8e688844ca0543da5e4daed22b8a7a0749f16c03d4'),
+    (4, 0, '17a61dffd647818063e1b41312d05f6864214f1719eedfae6921b5980c242f69'),
+    (5, 1, '9180d62253ec4028245ce21efc71b826aa1a63eaf6e7dd84e729e415c7bc5452'),
+    (7, 0, 'bd3f508d58908f08c7c3c04f789e18a61db88a8baea4a9e3642d996b72f9dc89'),
+    (9, 0, '5062b5f595fbdf708aa5481d875252a0c7811543f3ee95feb62db52b822a4e50'),
+)
+
+
+class TestKoteljanskiiJsonPins:
+    @pytest.mark.parametrize("index,code,digest", KOTELJANSKII_JSON_SHA256)
+    def test_json_stdout_is_pinned(self, index, code, digest, capsys):
+        ratio, n = MEMBERSHIP_RATIOS[index]
+        assert main(["membership", ratio, "--semigroup", "K", "--n", str(n),
+                     "--format", "json"]) == code
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
 # sha256 of the `extreme-rays` text output, which is byte-stable.
 RAYS_TEXT_SHA256 = {
     ("E", 3): "27fcc196dfbd5fcd25aaec60aa9b2aa6f603df814dda726d8e1a546ee460167f",

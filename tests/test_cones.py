@@ -975,10 +975,11 @@ class TestLocalKoteljanskiiGenerators:
         if n == 4:
             vectors += [R1()] + [delete_index(Q(), i) for i in range(1, 6)]
         logs = all_pairs_koteljanskii(n)
+        cols = np.array([[int(x) for x in vec] for vec in logs])
         verdicts = []
         for v in vectors:
             cert = koteljanskii_cone_membership(v)
-            oracle, _ = nonnegative_combination(logs, v.exponents)
+            oracle, _ = nonnegative_combination(cols, v.cleared)
             assert cert.verdict == (oracle is not None)
             verdicts.append(cert.verdict)
             if cert.verdict:

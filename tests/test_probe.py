@@ -86,10 +86,11 @@ def seeded_poly_pairs(count, seed=31):
     return pairs
 
 
-def reference_bound_search_on(v, values, batch, seed, ascent_steps=200,
-                              ascent_scale=0.05, skipped=None):
+def reference_bound_search_on(v, values, batch, seed, skipped=None):
     """The congruence ascent one step at a time, each candidate through
-    evaluate_log_ratio; a non-PD candidate is appended to skipped."""
+    evaluate_log_ratio, with probe.ASCENT_STEPS steps of probe.ASCENT_SCALE
+    as they are at the call; a non-PD candidate is appended to skipped."""
+    ascent_steps, ascent_scale = probe.ASCENT_STEPS, probe.ASCENT_SCALE
     n = v.ground_size
     best_idx = int(np.argmax(values))
     best_val = float(values[best_idx])
@@ -322,8 +323,9 @@ class TestSampling:
         for a in batch:
             assert np.all(np.linalg.eigvalsh(a) > 0)
 
-    def test_non_pd_sample_raises(self):
-        cfg = SamplerConfig(seed=0, count=4, dimension=3, ridge=-1e3)
+    def test_non_pd_sample_raises(self, monkeypatch):
+        monkeypatch.setattr(probe, "RIDGE", -1e3)
+        cfg = SamplerConfig(seed=0, count=4, dimension=3)
         with pytest.raises(NotPositiveDefiniteError) as err:
             sample_pd(cfg)
         assert err.value.subset == (1, 2, 3)
@@ -455,30 +457,33 @@ def test_probe_uses_the_ratios_kernel():
     assert probe.batch_log_minors is ratios.batch_log_minors
 
 
+def ascent(monkeypatch, steps, scale=probe.ASCENT_SCALE):
+    """Run the bound-search ascent with `steps` factors of `scale`."""
+    monkeypatch.setattr(probe, "ASCENT_STEPS", steps)
+    monkeypatch.setattr(probe, "ASCENT_SCALE", scale)
+
+
 class TestBoundSearch:
-    def test_hadamard_bounded_by_one(self):
+    def test_hadamard_bounded_by_one(self, monkeypatch):
+        ascent(monkeypatch, 50)
         v = log_of("{1,2}{} / {1}{2}", 2)
-        res = bound_search(v, SamplerConfig(seed=5, count=500, dimension=2),
-                           ascent_steps=50)
+        res = bound_search(v, SamplerConfig(seed=5, count=500, dimension=2))
         assert res.max_ratio <= 1.0 + 1e-9
         assert not res.diverging
 
-    def test_unbounded_direction_flagged(self):
+    def test_unbounded_direction_flagged(self, monkeypatch):
+        ascent(monkeypatch, 400, 0.2)
         res = bound_search(counterexample_E4(),
-                           SamplerConfig(seed=6, count=200, dimension=4),
-                           ascent_steps=400, ascent_scale=0.2)
+                           SamplerConfig(seed=6, count=200, dimension=4))
         assert res.max_ratio > 1.0
 
     @staticmethod
-    def assert_matches_reference(v, cfg, ascent_steps=200, ascent_scale=0.05,
-                                 skipped=None):
+    def assert_matches_reference(v, cfg, skipped=None):
         batch = sample_pd(cfg)
         values = evaluate_log_ratio(v, batch)
-        want = reference_bound_search_on(v, values, batch, cfg.seed,
-                                         ascent_steps, ascent_scale, skipped)
-        for got in (probe._bound_search_on(v, values, batch, cfg.seed,
-                                           ascent_steps, ascent_scale),
-                    bound_search(v, cfg, ascent_steps, ascent_scale)):
+        want = reference_bound_search_on(v, values, batch, cfg.seed, skipped)
+        for got in (probe._bound_search_on(v, values, batch, cfg.seed),
+                    bound_search(v, cfg)):
             assert got.max_ratio == want.max_ratio
             assert np.array_equal(got.argmax, want.argmax)
             assert got.argmax.tobytes() == want.argmax.tobytes()
@@ -499,53 +504,36 @@ class TestBoundSearch:
             self.assert_matches_reference(
                 v, SamplerConfig(seed=seed, count=100, dimension=n))
 
-    def test_counterexample_ascent_matches_the_stepwise_reference(self):
+    def test_counterexample_ascent_matches_the_stepwise_reference(
+            self, monkeypatch):
+        ascent(monkeypatch, 400, 0.2)
         self.assert_matches_reference(
-            counterexample_E4(), SamplerConfig(seed=6, count=200, dimension=4),
-            ascent_steps=400, ascent_scale=0.2)
+            counterexample_E4(), SamplerConfig(seed=6, count=200, dimension=4))
 
-    def test_non_pd_candidates_are_skipped_as_stepwise(self):
+    def test_non_pd_candidates_are_skipped_as_stepwise(self, monkeypatch):
         # The ascent drives this unbounded ratio towards singular matrices,
         # where some candidates are not numerically PD; on some of those a
         # -inf minor with a negative weight gives a log-ratio of +inf, which
         # must not be accepted.
         v = log_of("{1,2}{1,3}{2,3} / {1}{2}{3}{1,2,3}", 3)
         skipped = []
+        ascent(monkeypatch, 400, 0.2)
         want = self.assert_matches_reference(
-            v, SamplerConfig(seed=7, count=200, dimension=3),
-            ascent_steps=400, ascent_scale=0.2, skipped=skipped)
+            v, SamplerConfig(seed=7, count=200, dimension=3), skipped=skipped)
         assert want.diverging and skipped
         values, finite = ratios.log_ratio_values(v, np.stack(skipped))
         assert not finite.any()
         assert np.any(values == np.inf)
 
-    @pytest.mark.parametrize("steps", [-1, 2.0, 1.5, "3", None])
-    def test_bad_ascent_steps_rejected_before_sampling(self, monkeypatch,
-                                                       steps):
-        v = named_log("R1")
-        cfg = SamplerConfig(seed=1, count=20, dimension=4)
-        batch = sample_pd(cfg)
-        values = evaluate_log_ratio(v, batch)
-
-        def no_sampling(*args):
-            raise AssertionError("sampled before checking ascent_steps")
-
-        monkeypatch.setattr(probe, "sample_pd", no_sampling)
-        monkeypatch.setattr(np.random, "default_rng", no_sampling)
-        with pytest.raises(ValueError, match="ascent_steps"):
-            bound_search(v, cfg, ascent_steps=steps)
-        with pytest.raises(ValueError, match="ascent_steps"):
-            probe._bound_search_on(v, values, batch, cfg.seed, steps)
-
-    def test_zero_ascent_steps_returns_the_best_sample(self):
+    def test_zero_ascent_steps_returns_the_best_sample(self, monkeypatch):
         v = named_log("R1")
         cfg = SamplerConfig(seed=1, count=50, dimension=4)
         batch = sample_pd(cfg)
         values = evaluate_log_ratio(v, batch)
         best = int(np.argmax(values))
-        for res in (bound_search(v, cfg, ascent_steps=0),
-                    probe._bound_search_on(v, values, batch, cfg.seed, 0),
-                    bound_search(v, cfg, ascent_steps=np.int64(0))):
+        ascent(monkeypatch, 0)
+        for res in (bound_search(v, cfg),
+                    probe._bound_search_on(v, values, batch, cfg.seed)):
             assert res.max_ratio == float(np.exp(values[best]))
             assert np.array_equal(res.argmax, batch[best])
             assert res.diverging is False
