@@ -289,15 +289,13 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
 _CERTIFICATE_PRIME = 2_147_483_647
 
 
-def _outer_residues(vecs, cols: int) -> np.ndarray:
+def _outer_residues(vecs: np.ndarray, cols: int) -> np.ndarray:
     """The flattened outer products v v^T mod _CERTIFICATE_PRIME of integer
-    vectors of `cols` entries (an int64 or object array, or a nested
-    sequence), one row of cols^2 entries in [0, p) each.  The vectors are
-    reduced with `%` before the int64 cast (np.fmod fails on Python ints),
-    so each product of two residues stays below 2^62."""
+    vectors of `cols` entries (an int64 or object array), one row of cols^2
+    entries in [0, p) each.  The vectors are reduced with `%` before the
+    int64 cast (np.fmod fails on Python ints), so each product of two
+    residues stays below 2^62."""
     p = _CERTIFICATE_PRIME
-    if not isinstance(vecs, np.ndarray):
-        vecs = np.array(vecs, dtype=object)
     res = (vecs % p).astype(np.int64).reshape(-1, cols)
     outer = res[:, :, None] * res[:, None, :]
     outer %= p
@@ -309,8 +307,7 @@ def _gram_certified(rows, tight, coords) -> np.ndarray:
     nonsingular modulo _CERTIFICATE_PRIME, which proves that its selected
     rows T have rank at least cols - 1 (see `extreme_rays`).  `rows` holds
     the integer rows (cols entries each), `tight` one boolean row selection
-    per ray and `coords` one integer vector c per ray, each an array or a
-    nested sequence.
+    per ray and `coords` one integer vector c per ray, each an array.
 
     Every G mod p comes from one `exact_products` of the 0/1 selections
     with the rows' flattened outer products mod p (so the largest
@@ -321,7 +318,7 @@ def _gram_certified(rows, tight, coords) -> np.ndarray:
     nonzero factors, the leading principal minors of G.  A ray is
     certified when every pivot is nonzero mod p."""
     p = _CERTIFICATE_PRIME
-    cols = np.shape(rows)[1]
+    cols = rows.shape[1]
     outer = _outer_residues(rows, cols)
     selection = np.asarray(tight, dtype=np.int64).reshape(-1, len(outer))
     gram = exact_products(selection, outer.T,

@@ -7,7 +7,7 @@ under swapping indices 2 and 3).
 from functools import lru_cache
 
 from . import nullity
-from .nullity import RationalMatrix, matrix
+from .nullity import RationalMatrix
 from .polyarith import PolyMatrix, poly_matrix
 from .ratios import FormalLog, RatioSpec, formal_log, parse_ratio
 
@@ -86,17 +86,6 @@ def M6() -> RationalMatrix:
 
 def M7() -> RationalMatrix:
     return nullity.M7
-
-
-def d3_matrices():
-    """The five 3-column matrices whose nullity types cut out E_3."""
-    return [
-        matrix([[1, 1, 1]]),
-        matrix([[0, 1, 1]]),
-        matrix([[1, 0, 1]]),
-        matrix([[1, 1, 0]]),
-        matrix([[1, 0, 1], [0, 1, 1]]),
-    ]
 
 
 E = (0, 1)  # the polynomial eps as a coefficient tuple

@@ -6,8 +6,8 @@ modules take.  `clear_denominators` scales a rational vector to integers
 once, and `as_fractions` turns an integer result back into reported
 Fractions.  `bareiss_step` is the one fraction-free step, and `bareiss`
 the one elimination built on it: it gives the rank (`bareiss_rank`) and,
-on Kronecker-packed polynomials, the determinant over Z[e]
-(`polyarith.poly_det_bareiss`); the `asn` subset walk takes the same
+on Kronecker-packed polynomials, a minor over Z[e]
+(`polyarith.principal_minor_poly`); the `asn` subset walk takes the same
 step.  `combine` is the one primitive combination s * u - t * v, which
 the double description (`cones`) and the nullity walk (`nullity`) take.
 `exact_products`, the one numpy kernel, takes a whole batch of inner

@@ -65,10 +65,6 @@ def parse_matrix(text: str) -> RationalMatrix:
     return tuple(rows)
 
 
-def format_matrix(m: RationalMatrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in m)
-
-
 @lru_cache(maxsize=None)
 def _cardinalities(bits: int) -> Tuple[int, ...]:
     """|T| for every mask T below 2^bits."""

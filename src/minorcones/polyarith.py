@@ -23,12 +23,12 @@ polynomial division would have been inexact.
 
 `gram_principal_minors` takes all 2^n principal minors of a Gram matrix
 from one depth-first walk over the subsets, each child opened by
-`exact.bareiss_step`, and `poly_det_bareiss`, one determinant, is
-`exact.bareiss` on the packed matrix.  Both take integer coefficients.
+`exact.bareiss_step`, and `principal_minor_poly`, one minor, is
+`exact.bareiss` on the packed submatrix.  Both take integer coefficients.
 `asn` scales P by the lcm of its coefficient denominators once and reads
 each packed minor directly: zero or not, its lowest degree as the 2-adic
 valuation // k, and the sign of its lowest digit.  Fractions stay in
-parsing, formatting, `gram` of a rational P and the cofactor oracle.
+parsing, `gram` of a rational P and the cofactor oracle.
 """
 
 import re
@@ -85,6 +85,13 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
+# The largest degree `parse_poly` accepts.  A parsed polynomial is a dense
+# list with one entry per degree, and packing it for the Z[e] kernel takes
+# time quadratic in the degree.  At n = 16, `eval_poly_matrix`'s
+# (n, n, degree + 1) array at this degree holds 2^25 doubles, the
+# `probe.MAX_SAMPLE_ENTRIES` cap on a sample batch.
+MAX_DEGREE = 2**17 - 1
+
 _TERM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>e)(?:\^(?P<deg>\d+))?)?$")
 
@@ -93,7 +100,9 @@ _TERM = re.compile(
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in the literal variable `e`, e.g. `1 + 2*e - 3/2*e^2`.
     Memoised on the text: a Poly is an immutable tuple, and matrix files
-    repeat entries.  An error is raised again on every call."""
+    repeat entries.  An error is raised again on every call.  A ValueError
+    names the term with a zero denominator, or with a degree above
+    MAX_DEGREE, before any coefficient list is built."""
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
@@ -112,12 +121,19 @@ def parse_poly(text: str) -> Poly:
             value = 1
         elif "/" in coef:
             num, den = coef.split("/")
+            if not int(den):
+                raise ValueError(f"zero denominator in polynomial term "
+                                 f"{chunk!r} in {text!r}")
             value = Fraction(int(num), int(den))
         else:
             value = int(coef)
         if sign == "-":
             value = -value
         power = (int(deg) if deg else 1) if var else 0
+        if power > MAX_DEGREE:
+            raise ValueError(f"degree {power} of polynomial term {chunk!r} "
+                             f"in {text!r} exceeds the supported maximum "
+                             f"{MAX_DEGREE}")
         coeffs[power] = coeffs.get(power, 0) + value
     top = max(coeffs)
     # Integral coefficients are ints, also where Fractions summed to one,
@@ -125,24 +141,6 @@ def parse_poly(text: str) -> Poly:
     # Fraction.__float__.
     return poly([c.numerator if c.denominator == 1 else c
                  for c in (coeffs.get(i, 0) for i in range(top + 1))])
-
-
-def format_poly(a: Poly) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for deg, c in enumerate(a):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if deg == 0:
-            body = str(mag)
-        else:
-            e = "e" if deg == 1 else f"e^{deg}"
-            body = e if mag == 1 else f"{mag}*{e}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 @dataclass(frozen=True)
@@ -185,11 +183,6 @@ def parse_poly_matrix(text: str) -> PolyMatrix:
     if any(len(r) != width for r in rows) or len(rows) != width:
         raise ValueError("polynomial matrix must be square")
     return poly_matrix(rows)
-
-
-def format_poly_matrix(p: PolyMatrix) -> str:
-    return "\n".join(", ".join(format_poly(x) for x in row)
-                     for row in p.entries)
 
 
 def _pack(a: Poly, k: int) -> int:
@@ -264,8 +257,8 @@ def gram(p: PolyMatrix) -> PolyMatrix:
 
 def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     """Determinant by cofactor expansion: the test oracle for
-    `poly_det_bareiss` and `gram_principal_minors`, never run on the `asn`
-    path."""
+    `principal_minor_poly` and `gram_principal_minors`, never run on the
+    `asn` path."""
     k = len(rows)
     if k == 0:
         return P_ONE
@@ -282,27 +275,23 @@ def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
     return total
 
 
-def poly_det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant over Z[e] of one matrix: `exact.bareiss`
-    on the entries packed at the width of the matrix's minor bound, whose
-    last pivot is the determinant when the rank is full, and zero
-    otherwise.  Every entry met is a minor of the matrix, so one packing
-    width holds them all.  Coefficients must be ints (`asn` scales P); a
-    Fraction raises ValueError."""
-    k = _minor_bits(rows)
-    rank, last = bareiss([[_pack(x, k) for x in row] for row in rows])
-    return _unpack(last, k) if rank == len(rows) else P_ZERO
-
-
 def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
     idx = [i - 1 for i in members_of(s)]
     return [[a.entries[i][j] for j in idx] for i in idx]
 
 
 def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
-    """det of the principal submatrix on the subset mask s, by fraction-free
-    elimination over Z[e]; the empty minor is the constant 1."""
-    return poly_det_bareiss(principal_submatrix(a, s))
+    """det of the principal submatrix on the subset mask s over Z[e]:
+    `exact.bareiss` on its entries packed at the width of its minor bound,
+    whose last pivot is the determinant when the rank is full, and zero
+    otherwise.  Every entry met is a minor of the submatrix, so one packing
+    width holds them all.  The empty minor is the constant 1.
+    Coefficients must be ints (`asn` scales P); a Fraction raises
+    ValueError."""
+    rows = principal_submatrix(a, s)
+    k = _minor_bits(rows)
+    rank, last = bareiss([[_pack(x, k) for x in row] for row in rows])
+    return _unpack(last, k) if rank == len(rows) else P_ZERO
 
 
 def _packed_principal_minors(upper: List[List[int]]) -> List[int]:

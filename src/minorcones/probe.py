@@ -29,6 +29,9 @@ MAX_SAMPLE_ENTRIES = 1 << 25
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
 SLOPE_LAW_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e-7, 9))
+# How many seeded cases `slope_law_suite` draws, and from which seed.
+SLOPE_LAW_COUNT = 100
+SLOPE_LAW_SEED = 20240
 # How deep a grid the SVD probe stands depends on the family.  Q on P_for_Q
 # gets more accurate below 1e-6: its slope error is 3.4e-4 on this grid,
 # 4.4e-7 on 1e-5..1e-9, 1.1e-6 on 1e-8..1e-12 and 0.057 on 1e-11..1e-15.
@@ -338,13 +341,14 @@ class SlopeCase:
     predicted_divergent: bool
 
 
-def slope_law_suite(count: int = 100, seed: int = 20240) -> List[SlopeCase]:
-    """Random (homogeneous v, rank-deficient M) pairs at n = 4 checked against
-    the boundedness criterion: fitted slope must match v . nul(M) and its
-    sign must classify bounded-versus-divergent behavior on SLOPE_LAW_GRID."""
-    rng = np.random.default_rng(seed)
+def slope_law_suite() -> List[SlopeCase]:
+    """SLOPE_LAW_COUNT random (homogeneous v, rank-deficient M) pairs at
+    n = 4, drawn from SLOPE_LAW_SEED, checked against the boundedness
+    criterion: fitted slope must match v . nul(M) and its sign must
+    classify bounded-versus-divergent behavior on SLOPE_LAW_GRID."""
+    rng = np.random.default_rng(SLOPE_LAW_SEED)
     cases = []
-    while len(cases) < count:
+    while len(cases) < SLOPE_LAW_COUNT:
         v = random_homogeneous_log(4, rng)
         m = random_rank_deficient_matrix(4, rng)
         report = eval_family_slope(v, m, SLOPE_LAW_GRID)

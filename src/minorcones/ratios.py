@@ -104,9 +104,6 @@ class FormalLog:
     def __getitem__(self, mask: int) -> Fraction:
         return self.exponents[mask]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.exponents)
-
     # The derived forms are built on first use and kept; like `cleared`,
     # they take no part in equality or repr.
     @cached_property
@@ -144,13 +141,6 @@ def _normalize_empty(n: int, acc: Dict[int, int], d: int) -> FormalLog:
             vec[mask] = x
     vec[0] = -sum(vec)
     return FormalLog._from_cleared(n, vec, d)
-
-
-def from_entries(n: int, entries: Dict[int, Fraction]) -> FormalLog:
-    """Build a FormalLog from nonempty-set entries; the empty-set entry is
-    recomputed from the sum-zero convention."""
-    ints, d = clear_denominators(list(entries.values()))
-    return _normalize_empty(n, dict(zip(entries, ints)), d)
 
 
 # The scanner's patterns.  One term: optional whitespace, `{`, members
@@ -256,20 +246,6 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
                          f"{MAX_GROUND_SIZE}")
     return RatioSpec(n, tuple((mask, exp) for mask, _, exp in numerator),
                      tuple((mask, exp) for mask, _, exp in denominator))
-
-
-def format_ratio(spec: RatioSpec) -> str:
-    def fmt_product(terms):
-        out = []
-        for mask, exp in terms:
-            s = format_subset(mask)
-            if exp != 1:
-                s += f"^{exp.numerator}" + (f"/{exp.denominator}"
-                                            if exp.denominator != 1 else "")
-            out.append(s)
-        return "".join(out)
-
-    return fmt_product(spec.numerator) + " / " + fmt_product(spec.denominator)
 
 
 def formal_log(spec: RatioSpec) -> FormalLog:
@@ -388,11 +364,10 @@ def apply_complement(v: FormalLog) -> FormalLog:
 
 
 def koteljanskii_log(s: int, t: int, n: int) -> FormalLog:
-    """log of the Hadamard-Fischer pattern (S∪T)(S∩T) / (S)(T)."""
+    """log of the Hadamard-Fischer pattern (S∪T)(S∩T) / (S)(T), zero when
+    one set holds the other: the four terms then cancel."""
     if s & ~((1 << n) - 1) or t & ~((1 << n) - 1):
         raise ValueError("subset outside ground set")
-    if s | t == s or s | t == t:
-        return from_entries(n, {})
     acc: Dict[int, int] = {}
     for mask, sign in ((s | t, 1), (s & t, 1), (s, -1), (t, -1)):
         acc[mask] = acc.get(mask, 0) + sign

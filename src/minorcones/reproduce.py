@@ -21,6 +21,11 @@ from .ratios import (FormalLog, batch_log_minors, delete_index, log_of,
                      log_ratio_from_minors)
 from .subsets import image_gather
 
+# Sample counts: per n = 3..6 for the Fiedler suite, and at n = 4 for the
+# R1-R3 bound searches.
+FIEDLER_SAMPLES = 10_000
+BOUNDS_SAMPLES = 100_000
+
 
 @dataclass
 class CheckResult:
@@ -82,13 +87,10 @@ def check_d4_generators() -> CheckResult:
         "R2": _named_primitive("R2"),
         "R3": _named_primitive("R3"),
     }
-    hits = {}
-    for name in names:
-        containing = [i for i, o in enumerate(orbits)
-                      if gens[name] in o.members
-                      or gens[name] in set(cones._vector_images(
-                          o.representative, 4))]
-        hits[name] = containing
+    # The D4 rays are closed under the group, so each orbit's members are
+    # all the images of its representative.
+    hits = {name: [i for i, o in enumerate(orbits) if gens[name] in o.members]
+            for name in names}
     passed = (len(orbits) == 5
               and sorted(sum(hits.values(), [])) == sorted(range(5))
               and all(len(h) == 1 for h in hits.values()))
@@ -140,7 +142,7 @@ def check_q_membership() -> CheckResult:
 
 
 def check_slope_law() -> CheckResult:
-    cases = probe.slope_law_suite(count=100, seed=20240)
+    cases = probe.slope_law_suite()
     slopes_ok = sum(1 for c in cases if c.report.verdict)
     classified_ok = sum(1 for c in cases
                         if c.classified_divergent == c.predicted_divergent)
@@ -150,12 +152,12 @@ def check_slope_law() -> CheckResult:
         "classification_matches": classified_ok})
 
 
-def check_fiedler_suite(samples: int = 10_000) -> CheckResult:
+def check_fiedler_suite() -> CheckResult:
     worst_residual = np.inf
     worst_complement_ratio_margin = np.inf
     for n in (3, 4, 5, 6):
         batch = probe.sample_pd(probe.SamplerConfig(
-            seed=500 + n, count=samples, dimension=n))
+            seed=500 + n, count=FIEDLER_SAMPLES, dimension=n))
         worst_residual = min(worst_residual,
                              float(probe.fiedler_check(batch).min()))
         best = probe.complement_ratio_check(batch)
@@ -163,16 +165,16 @@ def check_fiedler_suite(samples: int = 10_000) -> CheckResult:
             worst_complement_ratio_margin, float(((n - 1) ** 2 - best).min()))
     passed = worst_residual >= -1e-9 and worst_complement_ratio_margin >= -1e-9
     return CheckResult("fiedler_suite", passed, {
-        "samples_per_n": samples, "worst_residual": worst_residual,
+        "samples_per_n": FIEDLER_SAMPLES, "worst_residual": worst_residual,
         "worst_complement_ratio_margin": worst_complement_ratio_margin})
 
 
-def check_bounds(samples: int = 100_000) -> CheckResult:
+def check_bounds() -> CheckResult:
     results = {}
     ok = True
     seed = 4200
-    batch = probe.sample_pd(probe.SamplerConfig(seed=seed, count=samples,
-                                                dimension=4))
+    batch = probe.sample_pd(probe.SamplerConfig(
+        seed=seed, count=BOUNDS_SAMPLES, dimension=4))
     # The R1-R3 supports cover the 15 nonempty subsets of {1..4}.
     minors = batch_log_minors(batch, range(1, 16))
     for name in ("R1", "R2", "R3"):

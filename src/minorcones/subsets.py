@@ -61,15 +61,6 @@ def complement_mask(mask: int, n: int) -> int:
     return ((1 << n) - 1) ^ mask
 
 
-def permute_mask(mask: int, perm: Sequence[int]) -> int:
-    """Image of a subset under a permutation given as perm[i-1] = sigma(i)."""
-    out = 0
-    for i in range(len(perm)):
-        if mask >> i & 1:
-            out |= 1 << (perm[i] - 1)
-    return out
-
-
 def check_permutation(perm: Sequence[int], n: int) -> None:
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {perm!r}")

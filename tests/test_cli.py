@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,41 @@ class TestAsnAndProbes:
         assert captured.out == ""
         assert captured.err == ("error: polynomial matrix column count must "
                                 "equal the ground size\n")
+
+    @pytest.mark.parametrize("command", [["asn"], ["probe-poly", HADAMARD]])
+    def test_zero_denominator_names_its_line(self, tmp_path, command, capsys):
+        f = tmp_path / "zero.txt"
+        f.write_text("1/0*e, 1\n0, 1\n")
+        assert main(command + [str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 1: zero denominator in "
+                                "polynomial term '1/0*e' in '1/0*e'\n")
+
+    @pytest.mark.parametrize("command", [["asn"], ["probe-poly", HADAMARD]])
+    def test_huge_degree_exits_2_at_once(self, tmp_path, command):
+        # A dense coefficient list for e^99999999999 would hold 10^11
+        # entries, so the command runs in a child under a 2 GiB address
+        # space limit and a timeout.
+        f = tmp_path / "huge.txt"
+        f.write_text("1, e^99999999999\n0, 1\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from minorcones.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cones.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *command, str(f)],
+                              env=env, capture_output=True, text=True,
+                              timeout=10)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: line 1: degree 99999999999 of polynomial term "
+            "'e^99999999999' in ' e^99999999999' exceeds the supported "
+            "maximum 131071\n")
 
     def test_out_file_written(self, m6_file, tmp_path, capsys):
         dest = tmp_path / "report.json"

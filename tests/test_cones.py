@@ -24,7 +24,8 @@ from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homoge
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
 from minorcones.simplex import nonnegative_combination
-from minorcones.subsets import complement_mask, permute_mask
+from minorcones.subsets import complement_mask
+from test_ratios import permute_mask
 
 
 def relabel(vec, perm, comp, n):
@@ -539,7 +540,11 @@ def gram_coords(rows, tight, rng):
 
 
 def certified(rows, tight, coords):
-    return cones._gram_certified(rows, tight, coords).tolist()
+    """`_gram_certified` on nested lists, as Python-int (object) arrays."""
+    cols = len(rows[0])
+    return cones._gram_certified(
+        np.array(rows, dtype=object), np.array(tight, dtype=bool),
+        np.array(coords, dtype=object).reshape(-1, cols)).tolist()
 
 
 class TestModularCertificate:
@@ -571,13 +576,13 @@ class TestModularCertificate:
         assert bareiss_rank(rows) == 1
 
     def test_no_rays_no_ranks(self):
-        assert len(cones._gram_certified([[1, 2]], [], [])) == 0
+        assert certified([[1, 2]], [], []) == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_int64_and_object_rows_agree(self, seed):
         # Unequal selections, one with no row and one with every row, over
         # full-rank and deficient rows with entries past p, given as
-        # nested lists, int64 arrays and Python-int (object) arrays.
+        # int64 and Python-int (object) arrays.
         rng = random.Random(seed)
         p = cones._CERTIFICATE_PRIME
         for nrows, ncols, inner in ((9, 5, 5), (12, 6, 3), (7, 8, 7),
@@ -599,9 +604,9 @@ class TestModularCertificate:
             # fit in int64, their residues do.
             residues = [[x % p for x in c] for c in coords]
             for dtype in (np.int64, object):
-                assert certified(np.array(rows, dtype=dtype),
-                                 np.array(tight),
-                                 np.array(residues, dtype=dtype)) == expected
+                assert cones._gram_certified(
+                    np.array(rows, dtype=dtype), np.array(tight),
+                    np.array(residues, dtype=dtype)).tolist() == expected
 
     @pytest.mark.parametrize("system", [build_E_system(4), build_D_system(4)])
     def test_bareiss_fallback_certifies_short_modular_ranks(

@@ -3,14 +3,14 @@ from fractions import Fraction
 from minorcones.cones import build_D_system, extreme_rays, membership
 from minorcones.constants import (M6, M7, P_for_Q, Q, R1, R1_FACTORS,
                                   R1_TEXT, R2, R2_FACTORS, R3, R3_FACTORS,
-                                  counterexample_E4, d3_matrices,
-                                  named_log, ratio_spec)
-from minorcones.nullity import nullity_type
+                                  counterexample_E4, named_log, ratio_spec)
+from minorcones.nullity import matrix, nullity_type
 from minorcones.polyarith import asn, asn_inner_product
 from minorcones.ratios import (FormalLog, apply_complement,
-                               apply_permutation, format_ratio,
+                               apply_permutation,
                                is_homogeneous, is_koteljanskii_ray, log_of,
                                parse_ratio)
+from test_ratios import format_ratio
 
 
 class TestNamedRatios:
@@ -78,7 +78,10 @@ class TestMatrices:
 
     def test_d3_matrices_give_d3_rows(self):
         d3 = build_D_system(3)
-        types = {nullity_type(m).entries for m in d3_matrices()}
+        # The five 3-column matrices whose nullity types cut out E_3.
+        d3_matrices = ([[1, 1, 1]], [[0, 1, 1]], [[1, 0, 1]], [[1, 1, 0]],
+                       [[1, 0, 1], [0, 1, 1]])
+        types = {nullity_type(matrix(m)).entries for m in d3_matrices}
         assert types == set(d3.inequalities)
 
     def test_p_for_q_asn_pairs_with_q(self):

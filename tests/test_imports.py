@@ -1,5 +1,6 @@
-"""Every top-level import of a package module is used in that module, and
-the elimination kernels serve only the brute-force ray oracle."""
+"""Every top-level import of a package module is used in that module,
+every top-level definition is used by the package, and the elimination
+kernels serve only the brute-force ray oracle."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,51 @@ def test_elimination_serves_only_the_brute_force_oracle():
              for fn, name in callers(path.read_text(), names)}
     assert found == {("exact.py", "kernel_basis", "rref"),
                      ("cones.py", "brute_force_rays", "kernel_basis")}
+
+
+# Top-level definitions that no package module refers to, and why each
+# stays in the package.
+UNREFERENCED = {
+    ("polyarith", "principal_minor_poly"):
+        "perfbench/tracing.py wraps it by name as the polyarith.minor span",
+    ("constants", "R1"): "named data, beside Q() and counterexample_E4()",
+    ("constants", "R2"): "named data, beside Q() and counterexample_E4()",
+    ("constants", "R3"): "named data, beside Q() and counterexample_E4()",
+}
+
+
+def unreferenced(sources):
+    """(module, name) for each top-level function and class of the modules
+    in `sources` (module name -> source) that no statement outside its own
+    definition names: as a bare name, an attribute or an imported name."""
+    named = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            named.append((module, top, names))
+    return {(module, top.name) for module, top, _ in named
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and not any(top.name in names
+                        for _, other, names in named if other is not top)}
+
+
+def test_checker_finds_unreferenced_definitions():
+    sources = {"a": "def f():\n    return f()\ndef g():\n    pass\n"
+                    "class C:\n    pass\ndef h():\n    pass\n",
+               "b": "from .a import g\nimport a\nx = a.C\n"}
+    assert unreferenced(sources) == {("a", "f"), ("a", "h")}
+
+
+def test_every_definition_is_used_by_the_package():
+    # A helper only the tests call belongs in the tests.  __init__'s
+    # imports count, so an exported name is used.
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced(sources) == set(UNREFERENCED)

@@ -12,15 +12,24 @@ from minorcones.exact import (CertificateError, clear_denominators,
                               kernel_basis, rank)
 from minorcones.nullity import matrix, nullity_type
 from minorcones.polyarith import (P_ONE, P_ZERO, AsnVector, PolyMatrix,
-                                  asn, asn_inner_product, format_poly,
-                                  format_poly_matrix, gram,
+                                  asn, asn_inner_product, gram,
                                   gram_principal_minors, p_add, p_mul,
                                   p_neg, parse_poly, parse_poly_matrix, poly,
-                                  poly_det_bareiss, poly_det_cofactor,
-                                  poly_matrix, principal_minor_poly,
-                                  principal_submatrix)
-from minorcones.ratios import from_entries
+                                  poly_det_cofactor, poly_matrix,
+                                  principal_minor_poly, principal_submatrix)
 from minorcones.subsets import members_of
+from test_ratios import from_entries
+
+
+def format_poly(a):
+    """Polynomial text with every nonzero term written out as c*e^d."""
+    return " ".join(f"{'-' if c < 0 else '+'}{abs(c)}*e^{d}"
+                    for d, c in enumerate(a) if c) or "0"
+
+
+def poly_det(rows):
+    """The determinant of a square list of Polys: its full principal minor."""
+    return principal_minor_poly(poly_matrix(rows), (1 << len(rows)) - 1)
 
 
 # List arithmetic over Z[e] and on floats: the oracles for the packed
@@ -178,6 +187,25 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             parse_poly("")
 
+    def test_zero_denominator_names_its_term_and_line(self):
+        with pytest.raises(ValueError, match=r"^zero denominator in "
+                           r"polynomial term '-3/0\*e' in '1 - 3/0\*e'$"):
+            parse_poly("1 - 3/0*e")
+        with pytest.raises(ValueError, match=r"^line 2: zero denominator in "
+                           r"polynomial term '1/00' in ' 1/00'$"):
+            parse_poly_matrix("1, e\ne, 1/00\n")
+
+    def test_degree_bound(self):
+        top = polyarith.MAX_DEGREE
+        assert top == 2**17 - 1
+        assert parse_poly(f"2*e^{top} - 1") == (-1,) + (0,) * (top - 1) + (2,)
+        # Also a term with a zero coefficient, which would set the length
+        # of the dense coefficient list all the same.
+        for text in (f"e^{top + 1}", f"1 + 0*e^{10 ** 11}"):
+            with pytest.raises(ValueError, match=r"exceeds the supported "
+                               f"maximum {top}$"):
+                parse_poly(text)
+
     def test_memoised_parse_raises_again_on_a_repeated_bad_entry(self):
         # Exceptions are not cached: the same text fails, with the same
         # message, on every call, also inside a matrix file.
@@ -258,7 +286,9 @@ class TestPolyMatrix:
         text = "1, e\n0, 1 - e^2\n"
         pm = parse_poly_matrix(text)
         assert pm.size == 2
-        assert parse_poly_matrix(format_poly_matrix(pm)).entries == pm.entries
+        written = "\n".join(", ".join(map(format_poly, row))
+                            for row in pm.entries)
+        assert parse_poly_matrix(written).entries == pm.entries
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +311,7 @@ class TestDeterminants:
         rows = [[poly([1]), poly([0, 1])], [poly([0, 1]), poly([1])]]
         expect = poly([1, 0, -1])
         assert poly_det_cofactor([r[:] for r in rows]) == expect
-        assert poly_det_bareiss([r[:] for r in rows]) == expect
+        assert poly_det(rows) == expect
 
     def test_bareiss_matches_cofactor_randomly(self):
         rng = random.Random(13)
@@ -290,7 +320,7 @@ class TestDeterminants:
             rows = [[poly([rng.randint(-2, 2) for _ in range(2)])
                      for _ in range(k)] for _ in range(k)]
             a = poly_det_cofactor([r[:] for r in rows])
-            b = poly_det_bareiss([r[:] for r in rows])
+            b = poly_det(rows)
             assert a == b
 
     def test_constant_matrix_matches_scalar_det(self):
@@ -354,7 +384,7 @@ def degenerate_family(rng, n):
         p = poly_matrix([[poly([sum(u[i][k] * v[k][j] for k in range(2)),
                                 rng.randint(-1, 1), rng.randint(-1, 1)])
                           for j in range(n)] for i in range(n)])
-        if poly_det_bareiss([list(r) for r in p.entries]):
+        if principal_minor_poly(p, (1 << n) - 1):
             return p
 
 
@@ -423,7 +453,6 @@ class TestGramWalk:
             raise RuntimeError("single determinant on the asn path")
         expect = asn(P_for_Q())
         monkeypatch.setattr(polyarith, "principal_minor_poly", refuse)
-        monkeypatch.setattr(polyarith, "poly_det_bareiss", refuse)
         assert asn(P_for_Q()) == expect
 
 
@@ -479,7 +508,7 @@ class TestPackedKernel:
                 assert minors[s] == poly_det_cofactor(
                     principal_submatrix(g, s))
             rows = [list(row) for row in p.entries]
-            det = poly_det_bareiss(rows)
+            det = poly_det(rows)
             assert det == list_det_bareiss(rows)
             if n <= 5:
                 assert det == poly_det_cofactor(rows)
@@ -558,14 +587,12 @@ class TestPackedKernel:
         rows = [[poly([1]), poly([Fraction(1, 2)])],
                 [poly([0, 1]), poly([3])]]
         with pytest.raises(ValueError, match="integer coefficients"):
-            poly_det_bareiss(rows)
-        with pytest.raises(ValueError, match="integer coefficients"):
             principal_minor_poly(poly_matrix(rows), 0b11)
         with pytest.raises(ValueError, match="integer coefficients"):
             gram_principal_minors(gram(poly_matrix(rows)))
         # An integral Fraction is a Fraction all the same.
         with pytest.raises(ValueError, match="integer coefficients"):
-            poly_det_bareiss([[(Fraction(2),)]])
+            poly_det([[(Fraction(2),)]])
 
 
 def list_half_degrees(p):

@@ -556,7 +556,8 @@ class TestBoundSearch:
         sample = probe.sample_pd
         monkeypatch.setattr(probe, "sample_pd",
                             lambda cfg: calls.append(cfg) or sample(cfg))
-        check = reproduce.check_bounds(samples=500)
+        monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
+        check = reproduce.check_bounds()
         assert calls == [SamplerConfig(seed=4200, count=500, dimension=4)]
         for name in ("R1", "R2", "R3"):
             own = bound_search(named_log(name), calls[0])
@@ -572,7 +573,8 @@ class TestBoundSearch:
 
         for module in (ratios, probe, reproduce):
             monkeypatch.setattr(module, "batch_log_minors", spy)
-        reproduce.check_bounds(samples=500)
+        monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
+        reproduce.check_bounds()
         on_batch = [masks for count, masks in requested if count == 500]
         # sample_pd's positive definiteness check, then the R1-R3 union.
         assert on_batch == [[15], list(range(1, 16))]
@@ -625,8 +627,10 @@ class TestSuites:
         with pytest.raises(ValueError, match="n < 2"):
             random_homogeneous_log(1, np.random.default_rng(0))
 
-    def test_slope_suite_small(self):
-        cases = slope_law_suite(count=10, seed=42)
+    def test_slope_suite_small(self, monkeypatch):
+        monkeypatch.setattr(probe, "SLOPE_LAW_COUNT", 10)
+        monkeypatch.setattr(probe, "SLOPE_LAW_SEED", 42)
+        cases = slope_law_suite()
         assert len(cases) == 10
         for case in cases:
             assert case.report.verdict
