@@ -32,6 +32,7 @@ parsing, `gram` of a rational P and the cofactor oracle.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,13 +97,25 @@ _TERM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>e)(?:\^(?P<deg>\d+))?)?$")
 
 
+def _digit_field(digits: str, field: str, chunk: str, text: str) -> int:
+    """int(digits), or a ValueError naming the term if int() would refuse
+    the string for having more digits than Python's conversion limit."""
+    # Python before 3.10.7 has no limit, which the API writes as 0.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise ValueError(f"{field} of polynomial term {chunk!r} in {text!r} "
+                         f"has more than {limit} digits")
+    return int(digits)
+
+
 @lru_cache(maxsize=1024)
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in the literal variable `e`, e.g. `1 + 2*e - 3/2*e^2`.
     Memoised on the text: a Poly is an immutable tuple, and matrix files
     repeat entries.  An error is raised again on every call.  A ValueError
-    names the term with a zero denominator, or with a degree above
-    MAX_DEGREE, before any coefficient list is built."""
+    names the term with a zero denominator, with a degree above MAX_DEGREE
+    (an exponent with more digits is not converted) or with a digit string
+    that int() would refuse, before any coefficient list is built."""
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
@@ -121,19 +134,24 @@ def parse_poly(text: str) -> Poly:
             value = 1
         elif "/" in coef:
             num, den = coef.split("/")
-            if not int(den):
+            den = _digit_field(den, "denominator", chunk, text)
+            if not den:
                 raise ValueError(f"zero denominator in polynomial term "
                                  f"{chunk!r} in {text!r}")
-            value = Fraction(int(num), int(den))
+            value = Fraction(_digit_field(num, "numerator", chunk, text), den)
         else:
-            value = int(coef)
+            value = _digit_field(coef, "coefficient", chunk, text)
         if sign == "-":
             value = -value
-        power = (int(deg) if deg else 1) if var else 0
-        if power > MAX_DEGREE:
-            raise ValueError(f"degree {power} of polynomial term {chunk!r} "
+        # The degree's digits without leading zeros, "" for degree 0; more
+        # of them than MAX_DEGREE has exceed it without a conversion.
+        digits = (deg or "1").lstrip("0") if var else ""
+        if (len(digits) > len(str(MAX_DEGREE))
+                or int(digits or "0") > MAX_DEGREE):
+            raise ValueError(f"degree {digits} of polynomial term {chunk!r} "
                              f"in {text!r} exceeds the supported maximum "
                              f"{MAX_DEGREE}")
+        power = int(digits or "0")
         coeffs[power] = coeffs.get(power, 0) + value
     top = max(coeffs)
     # Integral coefficients are ints, also where Fractions summed to one,

@@ -8,6 +8,7 @@ Everything is deterministic given a SamplerConfig seed.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -191,31 +192,44 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
-    """Batch of PD matrices, shape (count, n, n), deterministic in the seed."""
+    """Batch of PD matrices G^T G + RIDGE * I, shape (count, n, n), for
+    standard normal G, deterministic in the seed.  The Gram products are one
+    stacked matmul, which BLAS takes as a symmetric rank-k update, so every
+    sample is exactly symmetric; the ridge goes onto the diagonal only."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.dimension
     g = rng.standard_normal((cfg.count, n, n))
-    a = np.einsum("bij,bik->bjk", g, g)
-    a += RIDGE * np.eye(n)
+    a = np.matmul(g.transpose(0, 2, 1), g)
+    a.reshape(cfg.count, n * n)[:, ::n + 1] += RIDGE
     batch_log_minors(a, [(1 << n) - 1])  # raises unless every sample is PD
     return a
+
+
+@lru_cache(maxsize=None)
+def _fiedler_weights(n: int) -> np.ndarray:
+    """J - 2I, read-only: entry i of r @ (J - 2I) is sum_j r_j - 2 r_i."""
+    w = np.ones((n, n)) - 2.0 * np.eye(n)
+    w.flags.writeable = False
+    return w
 
 
 def fiedler_check(a: np.ndarray) -> np.ndarray:
     """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
     with B = A^{-1}, for one matrix or a stack of shape (..., n, n).  The
-    inequality is a theorem, so a residual below -1e-9 means the
-    floating-point inverse broke down: FloatingPointError."""
+    residuals of the roots r_i = sqrt(a_ii b_ii) are one product
+    r @ (J - 2I) - (n - 2).  The inequality is a theorem, so a residual
+    below -1e-9 means the floating-point inverse broke down:
+    FloatingPointError."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
     n = a.shape[-1]
-    # The ufunc reductions and a float n - 2, not the np.diagonal/np.any
-    # wrappers, the array methods over them or an int scalar: a caller
+    # ndarray.diagonal, the ufuncs and a float n - 2, not the np.diagonal/
+    # np.any wrappers, the reduction methods or an int scalar: a caller
     # looping over single matrices pays their dispatch on every call.
     roots = a.diagonal(0, -2, -1) * b.diagonal(0, -2, -1)
     np.sqrt(roots, out=roots)
-    residuals = np.add.reduce(roots, -1, keepdims=True) - (
-        2.0 * roots + (n - 2.0))
+    residuals = roots @ _fiedler_weights(n)
+    residuals -= n - 2.0
     if np.minimum.reduce(residuals, None, initial=0.0) < -1e-9:
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")

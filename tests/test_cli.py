@@ -371,6 +371,19 @@ class TestAsnAndProbes:
             "'e^99999999999' in ' e^99999999999' exceeds the supported "
             "maximum 131071\n")
 
+    @pytest.mark.parametrize("command", [["asn"], ["probe-poly", HADAMARD]])
+    def test_degree_past_the_int_digit_limit_exits_2(self, tmp_path, command,
+                                                     capsys):
+        nines = "9" * 5000
+        f = tmp_path / "long.txt"
+        f.write_text(f"1, e^{nines}\n0, 1\n")
+        assert main(command + [str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 1: degree {nines} of polynomial term 'e^{nines}' "
+            f"in ' e^{nines}' exceeds the supported maximum 131071\n")
+
     def test_out_file_written(self, m6_file, tmp_path, capsys):
         dest = tmp_path / "report.json"
         assert main(["nullity", m6_file, "--format", "json",

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,41 @@ class TestPolyBasics:
             with pytest.raises(ValueError, match=r"exceeds the supported "
                                f"maximum {top}$"):
                 parse_poly(text)
+
+    def test_degree_digits_are_checked_before_conversion(self):
+        # An exponent longer than int() converts exceeds MAX_DEGREE: the
+        # error names the term, not Python's digit limit.  Leading zeros
+        # do not count.
+        top = polyarith.MAX_DEGREE
+        nines = "9" * 5000
+        with pytest.raises(ValueError) as err:
+            parse_poly(f"1 - e^{nines}")
+        assert str(err.value) == (
+            f"degree {nines} of polynomial term '-e^{nines}' in "
+            f"'1 - e^{nines}' exceeds the supported maximum {top}")
+        assert parse_poly("e^0003") == (0, 0, 0, 1)
+        assert parse_poly(f"e^{'0' * 5000}") == (1,)
+        with pytest.raises(ValueError, match=r"^degree 131072 of polynomial "
+                           r"term 'e\^0000131072' in 'e\^0000131072' "
+                           r"exceeds the supported maximum 131071$"):
+            parse_poly("e^0000131072")
+
+    @pytest.mark.parametrize("field,template", [
+        ("coefficient", "{}*e"), ("numerator", "{}/3"),
+        ("denominator", "1/{}*e^2")])
+    def test_digit_fields_past_the_int_limit_name_the_term(self, field,
+                                                           template):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts strings of any length")
+        term = template.format("7" * (limit + 1))
+        with pytest.raises(ValueError) as err:
+            parse_poly(f"1 + {term}")
+        assert str(err.value) == (
+            f"{field} of polynomial term '+{term}' in '1 + {term}' has "
+            f"more than {limit} digits")
+        # At the limit, the field converts.
+        assert parse_poly(template.format("7" * limit)) != P_ZERO
 
     def test_memoised_parse_raises_again_on_a_repeated_bad_entry(self):
         # Exceptions are not cached: the same text fails, with the same

@@ -40,14 +40,22 @@ def jacobi_check(a: np.ndarray, s: int, tolerance: float = 1e-9) -> bool:
     return abs(lhs - rhs) <= tolerance * abs(lhs)
 
 
-def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
-    """The Fiedler residuals through the np.diagonal/np.any wrappers."""
+def fiedler_roots(a: np.ndarray) -> np.ndarray:
+    """sqrt(a_ii b_ii) with B = A^{-1}, through the np.diagonal wrappers."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
-    n = a.shape[-1]
-    roots = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
-                    * np.diagonal(b, axis1=-2, axis2=-1))
-    residuals = roots.sum(axis=-1, keepdims=True) - (2.0 * roots + (n - 2))
+    return np.sqrt(np.diagonal(a, axis1=-2, axis2=-1)
+                   * np.diagonal(b, axis1=-2, axis2=-1))
+
+
+def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
+    """The Fiedler residuals (J - 2I) r - (n - 2) through the np.diagonal/
+    np.any wrappers."""
+    roots = fiedler_roots(a)
+    n = roots.shape[-1]
+    weights = np.full((n, n), 1.0)
+    np.fill_diagonal(weights, -1.0)
+    residuals = np.matmul(roots, weights) - (n - 2)
     if np.any(residuals < -1e-9):
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
@@ -318,6 +326,22 @@ class TestSampling:
         cfg = SamplerConfig(seed=9, count=8, dimension=4)
         assert np.array_equal(sample_pd(cfg), sample_pd(cfg))
 
+    @pytest.mark.parametrize("count", [1, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_symmetric_deterministic_gram(self, n, count):
+        cfg = SamplerConfig(seed=40 + n, count=count, dimension=n)
+        batch = sample_pd(cfg)
+        assert batch.shape == (count, n, n)
+        assert batch.tobytes() == sample_pd(cfg).tobytes()
+        assert np.array_equal(batch, batch.transpose(0, 2, 1))
+        # The Gram products of the same draws, summed in another order:
+        # each sample within 4 ulps of its largest entry.
+        g = np.random.default_rng(cfg.seed).standard_normal((count, n, n))
+        want = np.einsum("bij,bik->bjk", g, g) + probe.RIDGE * np.eye(n)
+        largest = np.abs(want).max(axis=(1, 2))
+        error = np.abs(batch - want).max(axis=(1, 2))
+        assert np.all(error <= 4 * np.spacing(largest))
+
     def test_samples_are_pd(self):
         batch = sample_pd(SamplerConfig(seed=1, count=32, dimension=5))
         for a in batch:
@@ -395,6 +419,25 @@ class TestInequalities:
             want = reference_fiedler_check(a)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fiedler_residuals_match_the_exact_sums(self, n):
+        # The residuals of the float roots r, summed exactly: each float
+        # one is within 2 n eps (sum r + n) of sum_j r_j - 2 r_i - (n - 2).
+        batch = sample_pd(SamplerConfig(seed=30 + n, count=200, dimension=n))
+        eps = np.finfo(float).eps
+        for a in (batch, batch[0], batch[:0], batch.reshape(
+                10, 20, n, n), np.eye(n)):
+            got = fiedler_check(a)
+            roots = fiedler_roots(a)
+            assert got.shape == roots.shape
+            for res, r in zip(got.reshape(-1, n).tolist(),
+                              roots.reshape(-1, n).tolist()):
+                total = sum(map(Fraction, r))
+                bound = 2 * n * eps * (math.fsum(r) + n)
+                for i in range(n):
+                    exact = total - 2 * Fraction(r[i]) - (n - 2)
+                    assert abs(Fraction(res[i]) - exact) <= bound
 
     def test_complement_ratio_requests_2n_minors(self, monkeypatch):
         requested = []
