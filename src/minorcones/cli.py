@@ -172,8 +172,8 @@ def cmd_bound_search(args) -> int:
 def cmd_fiedler(args) -> int:
     cfg = probe.SamplerConfig(seed=args.seed, count=args.samples,
                               dimension=args.n)
-    batch = probe.sample_pd(cfg)
-    worst = float(probe.fiedler_check(batch).min())
+    worst = min(float(probe.fiedler_check(chunk).min())
+                for chunk in probe.sample_pd_chunks(cfg))
     text = f"samples: {args.samples}\nworst_residual: {worst:.3g}"
     _emit({"samples": args.samples, "worst_residual": worst}, text, args)
     return 0

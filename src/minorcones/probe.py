@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import ratios
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, as_fractions, dot
 from .nullity import RationalMatrix, matrix, nullity_type
@@ -24,8 +25,10 @@ from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
                      log_ratio_from_minors, log_ratio_values)
 from .subsets import members_of
 
-# The largest sample batch, count * dimension^2 doubles (256 MiB): above
-# bound-search's default of 100 000 samples at n = 16, 25.6 M of them.
+# The most samples one SamplerConfig asks for, count * dimension^2 doubles
+# (256 MiB): above bound-search's default of 100 000 samples at n = 16,
+# 25.6 M of them.  It caps the batch sample_pd returns; the streamed checks
+# hold one chunk at a time, so for them it caps the run time, not memory.
 MAX_SAMPLE_ENTRIES = 1 << 25
 
 DEFAULT_GRID = tuple(10.0 ** -k for k in range(1, 8))
@@ -44,6 +47,10 @@ DEFAULT_POLY_GRID = tuple(float(x) for x in np.geomspace(1e-2, 1e-6, 9))
 
 # Added to every sampled Gram matrix G^T G, so that each sample is PD.
 RIDGE = 1e-6
+# Samples are drawn, formed and checked this many times
+# ratios.LOG_MINOR_CHUNK matrices at a time, so that the positive
+# definiteness check chunks as it does on a whole batch.
+SAMPLE_CHUNK_FACTOR = 2
 # The bound-search ascent: how many congruence factors it draws, and the
 # scale of their Gaussian perturbation of the identity.
 ASCENT_STEPS = 200
@@ -80,6 +87,8 @@ class SamplerConfig:
     dimension: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not 1 <= self.dimension <= MAX_GROUND_SIZE:
@@ -191,18 +200,48 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     return _fit_report(grid, values.tolist(), predicted)
 
 
+def fill_pd(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, a contiguous (m, n, n) array, with rng's next m samples
+    G^T G + RIDGE * I for standard normal G, and return it.  The Gram
+    products are one stacked matmul, which BLAS takes as a symmetric
+    rank-k update, so every sample is exactly symmetric; the ridge goes
+    onto the diagonal only.  NotPositiveDefiniteError unless every sample
+    is PD.  rng draws the same stream in chunks as at once, and the matmul
+    and the check work matrix by matrix, so samples filled a chunk at a
+    time are bitwise those filled at once."""
+    m, n = out.shape[0], out.shape[-1]
+    g = rng.standard_normal((m, n, n))
+    np.matmul(g.transpose(0, 2, 1), g, out=out)
+    out.reshape(m, n * n)[:, ::n + 1] += RIDGE
+    batch_log_minors(out, [(1 << n) - 1])  # raises unless every sample is PD
+    return out
+
+
+def _sample_chunk() -> int:
+    return SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
+
+
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
     """Batch of PD matrices G^T G + RIDGE * I, shape (count, n, n), for
-    standard normal G, deterministic in the seed.  The Gram products are one
-    stacked matmul, which BLAS takes as a symmetric rank-k update, so every
-    sample is exactly symmetric; the ridge goes onto the diagonal only."""
+    standard normal G, deterministic in the seed: fill_pd on one batch,
+    a chunk at a time."""
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.dimension
-    g = rng.standard_normal((cfg.count, n, n))
-    a = np.matmul(g.transpose(0, 2, 1), g)
-    a.reshape(cfg.count, n * n)[:, ::n + 1] += RIDGE
-    batch_log_minors(a, [(1 << n) - 1])  # raises unless every sample is PD
-    return a
+    n, step = cfg.dimension, _sample_chunk()
+    batch = np.empty((cfg.count, n, n))
+    for start in range(0, cfg.count, step):
+        fill_pd(rng, batch[start:start + step])
+    return batch
+
+
+def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
+    """sample_pd(cfg) one chunk at a time: fresh arrays of at most
+    SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK samples whose
+    concatenation is bitwise sample_pd(cfg), so that a check over the
+    samples holds one chunk, not the batch."""
+    rng = np.random.default_rng(cfg.seed)
+    n, step = cfg.dimension, _sample_chunk()
+    for start in range(0, cfg.count, step):
+        yield fill_pd(rng, np.empty((min(step, cfg.count - start), n, n)))
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +288,12 @@ def complement_ratio_check(a: np.ndarray) -> np.ndarray:
     minors = batch_log_minors(a.reshape(-1, n, n), masks)
     logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
                         for k in range(n)], axis=1)
-    ratios = np.exp(logvals[:, :, None] - logvals[:, None, :])
-    ratios[:, np.arange(n), np.arange(n)] = np.inf
-    return ratios.min(axis=2).reshape(a.shape[:-1])
+    # exp is monotone, so the min over j != i of exp(l_i - l_j) is
+    # exp(l_i - max_{j != i} l_j): the row's largest value, or its second
+    # largest at the largest (equal to it on a tie).
+    top2 = np.partition(logvals, n - 2, axis=1)[:, n - 2:]
+    others = np.where(logvals == top2[:, 1:], top2[:, :1], top2[:, 1:])
+    return np.exp(logvals - others).reshape(a.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -273,22 +315,43 @@ def bound_search(v: FormalLog, cfg: SamplerConfig) -> BoundSearchResult:
     current matrix: the same draws and a bitwise identical result to
     trying the steps one at a time.
     """
-    batch = sample_pd(cfg)
-    return _bound_search_on(v, evaluate_log_ratio(v, batch), batch, cfg.seed)
+    return bound_searches([v], cfg)[0]
 
 
-def _bound_search_on(v: FormalLog, values: np.ndarray, batch: np.ndarray,
-                     seed: int) -> BoundSearchResult:
-    """bound_search on a batch and its log-ratio values, which several ratios
-    can share; the ascent draws from a generator seeded by (seed, 1)."""
+def bound_searches(logs: Sequence[FormalLog], cfg: SamplerConfig
+                   ) -> List[BoundSearchResult]:
+    """bound_search of each ratio, all over one stream of cfg's samples.
+    Each chunk's log-minors on the union of the supports are factored
+    once, and each ratio keeps only its first maximal sample and value, so
+    memory does not grow with the count; each ascent then draws from a
+    generator seeded by (cfg.seed, 1)."""
+    # In subset order, as each support lists its masks.
+    masks = sorted({mask for v in logs for mask in v.support()},
+                   key=lambda mask: (mask.bit_count(), mask))
+    best: List[Optional[Tuple[float, np.ndarray]]] = [None] * len(logs)
+    for chunk in sample_pd_chunks(cfg):
+        minors = batch_log_minors(chunk, masks)
+        for k, v in enumerate(logs):
+            values = np.zeros(len(chunk)) + log_ratio_from_minors(v, minors)
+            i = int(np.argmax(values))
+            # np.argmax takes the first maximum: a later chunk's sample
+            # replaces the best one only when it is strictly greater.
+            if best[k] is None or values[i] > best[k][0]:
+                best[k] = float(values[i]), chunk[i].copy()
+    return [_ascent(v, value, start, cfg.seed)
+            for v, (value, start) in zip(logs, best)]
+
+
+def _ascent(v: FormalLog, best_val: float, start: np.ndarray,
+            seed: int) -> BoundSearchResult:
+    """The congruence ascent of bound_search from its best sample and that
+    sample's log-ratio; the factors come from a generator seeded by
+    (seed, 1)."""
     n = v.ground_size
-    best_idx = int(np.argmax(values))
-    best_val = float(values[best_idx])
-
     rng = np.random.default_rng((seed, 1))
     factors = np.eye(n) + ASCENT_SCALE * rng.standard_normal(
         (ASCENT_STEPS, n, n))
-    current = batch[best_idx]
+    current = start
     current_val = best_val
     step = 0
     while step < ASCENT_STEPS:

@@ -17,8 +17,7 @@ from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
 from .exact import dot, primitive, rank, rank_by_minors
 from .polyarith import (asn, asn_inner_product, gram, gram_principal_minors,
                         poly_det_cofactor, principal_submatrix)
-from .ratios import (FormalLog, batch_log_minors, delete_index, log_of,
-                     log_ratio_from_minors)
+from .ratios import FormalLog, delete_index, log_of
 from .subsets import image_gather
 
 # Sample counts: per n = 3..6 for the Fiedler suite, and at n = 4 for the
@@ -156,13 +155,14 @@ def check_fiedler_suite() -> CheckResult:
     worst_residual = np.inf
     worst_complement_ratio_margin = np.inf
     for n in (3, 4, 5, 6):
-        batch = probe.sample_pd(probe.SamplerConfig(
-            seed=500 + n, count=FIEDLER_SAMPLES, dimension=n))
-        worst_residual = min(worst_residual,
-                             float(probe.fiedler_check(batch).min()))
-        best = probe.complement_ratio_check(batch)
-        worst_complement_ratio_margin = min(
-            worst_complement_ratio_margin, float(((n - 1) ** 2 - best).min()))
+        for chunk in probe.sample_pd_chunks(probe.SamplerConfig(
+                seed=500 + n, count=FIEDLER_SAMPLES, dimension=n)):
+            worst_residual = min(worst_residual,
+                                 float(probe.fiedler_check(chunk).min()))
+            best = probe.complement_ratio_check(chunk)
+            worst_complement_ratio_margin = min(
+                worst_complement_ratio_margin,
+                float(((n - 1) ** 2 - best).min()))
     passed = worst_residual >= -1e-9 and worst_complement_ratio_margin >= -1e-9
     return CheckResult("fiedler_suite", passed, {
         "samples_per_n": FIEDLER_SAMPLES, "worst_residual": worst_residual,
@@ -170,19 +170,14 @@ def check_fiedler_suite() -> CheckResult:
 
 
 def check_bounds() -> CheckResult:
-    results = {}
-    ok = True
-    seed = 4200
-    batch = probe.sample_pd(probe.SamplerConfig(
-        seed=seed, count=BOUNDS_SAMPLES, dimension=4))
-    # The R1-R3 supports cover the 15 nonempty subsets of {1..4}.
-    minors = batch_log_minors(batch, range(1, 16))
-    for name in ("R1", "R2", "R3"):
-        v = named_log(name)
-        res = probe._bound_search_on(v, log_ratio_from_minors(v, minors),
-                                     batch, seed)
-        results[name] = res.max_ratio
-        ok = ok and res.max_ratio <= 4 + 1e-9
+    names = ("R1", "R2", "R3")
+    # One sample stream for the three; their supports cover the 15
+    # nonempty subsets of {1..4}, factored once per chunk.
+    searches = probe.bound_searches(
+        [named_log(name) for name in names],
+        probe.SamplerConfig(seed=4200, count=BOUNDS_SAMPLES, dimension=4))
+    results = {name: res.max_ratio for name, res in zip(names, searches)}
+    ok = all(res.max_ratio <= 4 + 1e-9 for res in searches)
     decomposition = probe.decomposition_check()
     return CheckResult("bounds", ok and decomposition, {
         "max_ratios": results,

@@ -437,6 +437,20 @@ class TestSearchCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fiedler", "--n", "4", "--seed", "-1"],
+        ["bound-search", "{1,2}{}/{1}{2}", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_2_before_sampling(self, monkeypatch, argv,
+                                                   capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled with a negative seed")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command,rows", [
         # One row of 17 columns: 2^17 rank problems.
         ("nullity", [" ".join(["1"] * 17)]),

@@ -71,6 +71,9 @@ def test_elimination_serves_only_the_brute_force_oracle():
 UNREFERENCED = {
     ("polyarith", "principal_minor_poly"):
         "perfbench/tracing.py wraps it by name as the polyarith.minor span",
+    ("probe", "sample_pd"):
+        "perfbench's fiedler job and probes warm-up draw whole batches with "
+        "it, and perfbench/tracing.py wraps it as the probe.sample span",
     ("constants", "R1"): "named data, beside Q() and counterexample_E4()",
     ("constants", "R2"): "named data, beside Q() and counterexample_E4()",
     ("constants", "R3"): "named data, beside Q() and counterexample_E4()",

@@ -1,11 +1,16 @@
+import io
+import json
 import math
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from minorcones import probe, ratios, reproduce
+from minorcones.cli import main
 from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
 from minorcones.exact import CertificateError, kernel_basis
@@ -60,6 +65,32 @@ def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
     return residuals
+
+
+def reference_complement_ratio_check(a: np.ndarray) -> np.ndarray:
+    """complement_ratio_check through the (count, n, n) tensor of ratios
+    exp(l_i - l_j), its diagonal set to inf, and the min over each row."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    full = (1 << n) - 1
+    masks = [1 << k for k in range(n)] + [full ^ (1 << k) for k in range(n)]
+    minors = ratios.batch_log_minors(a.reshape(-1, n, n), masks)
+    logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
+                        for k in range(n)], axis=1)
+    tensor = np.exp(logvals[:, :, None] - logvals[:, None, :])
+    tensor[:, np.arange(n), np.arange(n)] = np.inf
+    return tensor.min(axis=2).reshape(a.shape[:-1])
+
+
+def reference_sample_pd(cfg: SamplerConfig) -> np.ndarray:
+    """The samples drawn at once: one standard_normal((count, n, n)), the
+    Gram products through the same matmul, and the ridge on the
+    diagonal, with no positive definiteness check."""
+    n = cfg.dimension
+    g = np.random.default_rng(cfg.seed).standard_normal((cfg.count, n, n))
+    a = np.matmul(g.transpose(0, 2, 1), g)
+    a.reshape(cfg.count, n * n)[:, ::n + 1] += probe.RIDGE
+    return a
 
 
 def exact_line_fit(grid, values):
@@ -361,6 +392,13 @@ class TestSampling:
             with pytest.raises(ValueError, match="dimension"):
                 SamplerConfig(seed=0, count=1, dimension=dimension)
 
+    @pytest.mark.parametrize("seed", [-1, -(1 << 70)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError) as err:
+            SamplerConfig(seed=seed, count=1, dimension=3)
+        assert str(err.value) == f"seed must be >= 0, got {seed}"
+        SamplerConfig(seed=0, count=1, dimension=3)
+
     def test_batch_size_bounded(self):
         # bound-search's default, 100 000 samples at n = 16, is the
         # package's largest batch.
@@ -474,6 +512,39 @@ class TestInequalities:
                   for i in range(4)]
         assert complement_ratio_check(a) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("n,count", [(3, 2000), (4, 2000), (5, 2000),
+                                         (6, 2000), (16, 100)])
+    def test_complement_ratio_matches_the_ratio_tensor_bitwise(self, n,
+                                                              count):
+        batch = sample_pd(SamplerConfig(seed=70 + n, count=count,
+                                        dimension=n))
+        for a in (batch, batch[0], batch[:0], batch[:20].reshape(
+                4, 5, n, n)):
+            got = complement_ratio_check(a)
+            want = reference_complement_ratio_check(a)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_complement_ratio_ties_at_the_identity(self, n):
+        # Every log-value is 0: each row's two largest are equal.
+        got = complement_ratio_check(np.eye(n))
+        assert got.tobytes() == reference_complement_ratio_check(
+            np.eye(n)).tobytes()
+        assert got.tolist() == [1.0] * n
+
+    def test_complement_ratio_ties_between_the_two_largest(self):
+        # Swapping indices 1 and 2 fixes A, so l_1 == l_2 bitwise: both are
+        # log(2 * 1.91), above l_3 = log(1 * 3.75).
+        a = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.3], [0.3, 0.3, 1.0]])
+        got = complement_ratio_check(a)
+        assert got.tobytes() == reference_complement_ratio_check(a).tobytes()
+        assert got[0] == got[1] == 1.0
+        assert got[2] == pytest.approx(3.75 / 3.82, rel=1e-12)
+        stack = np.stack([a, a[::-1, ::-1], np.eye(3)])
+        assert complement_ratio_check(stack).tobytes() == (
+            reference_complement_ratio_check(stack).tobytes())
+
     def test_batch_matches_single_matrices(self):
         batch = sample_pd(SamplerConfig(seed=5, count=20, dimension=5))
         residuals = fiedler_check(batch)
@@ -525,7 +596,9 @@ class TestBoundSearch:
         batch = sample_pd(cfg)
         values = evaluate_log_ratio(v, batch)
         want = reference_bound_search_on(v, values, batch, cfg.seed, skipped)
-        for got in (probe._bound_search_on(v, values, batch, cfg.seed),
+        best = int(np.argmax(values))
+        for got in (probe._ascent(v, float(values[best]), batch[best],
+                                  cfg.seed),
                     bound_search(v, cfg)):
             assert got.max_ratio == want.max_ratio
             assert np.array_equal(got.argmax, want.argmax)
@@ -576,34 +649,39 @@ class TestBoundSearch:
         best = int(np.argmax(values))
         ascent(monkeypatch, 0)
         for res in (bound_search(v, cfg),
-                    probe._bound_search_on(v, values, batch, cfg.seed)):
+                    probe._ascent(v, float(values[best]), batch[best],
+                                  cfg.seed)):
             assert res.max_ratio == float(np.exp(values[best]))
             assert np.array_equal(res.argmax, batch[best])
             assert res.diverging is False
 
     def test_shared_batch_matches_own_sample(self):
         cfg = SamplerConfig(seed=11, count=300, dimension=4)
-        batch = sample_pd(cfg)
-        minors = ratios.batch_log_minors(batch, range(1, 16))
-        for name in ("R1", "R2", "R3"):
-            own = bound_search(named_log(name), cfg)
-            v = named_log(name)
-            shared = probe._bound_search_on(
-                v, ratios.log_ratio_from_minors(v, minors), batch, cfg.seed)
+        logs = [named_log(name) for name in ("R1", "R2", "R3")]
+        for v, shared in zip(logs, probe.bound_searches(logs, cfg)):
+            own = bound_search(v, cfg)
             assert shared.max_ratio == own.max_ratio
-            assert np.array_equal(shared.argmax, own.argmax)
+            assert shared.argmax.tobytes() == own.argmax.tobytes()
             assert shared.diverging == own.diverging
 
     def test_check_bounds_samples_once(self, monkeypatch):
-        calls = []
-        sample = probe.sample_pd
-        monkeypatch.setattr(probe, "sample_pd",
-                            lambda cfg: calls.append(cfg) or sample(cfg))
+        # One stream of (seed 4200, BOUNDS_SAMPLES, n = 4) over several
+        # chunks and a remainder, each sample drawn once.
+        monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 40)
         monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
+        streams, filled = [], []
+        stream, fill = probe.sample_pd_chunks, probe.fill_pd
+        monkeypatch.setattr(probe, "sample_pd_chunks",
+                            lambda cfg: streams.append(cfg) or stream(cfg))
+        monkeypatch.setattr(probe, "fill_pd",
+                            lambda rng, out: filled.append(len(out))
+                            or fill(rng, out))
         check = reproduce.check_bounds()
-        assert calls == [SamplerConfig(seed=4200, count=500, dimension=4)]
+        cfg = SamplerConfig(seed=4200, count=500, dimension=4)
+        assert streams == [cfg]
+        assert filled == [80] * 6 + [20]
         for name in ("R1", "R2", "R3"):
-            own = bound_search(named_log(name), calls[0])
+            own = bound_search(named_log(name), cfg)
             assert check.details["max_ratios"][name] == own.max_ratio
 
     def test_check_bounds_factors_the_union_once(self, monkeypatch):
@@ -614,13 +692,171 @@ class TestBoundSearch:
             requested.append((len(batch), list(masks)))
             return kernel(batch, masks)
 
-        for module in (ratios, probe, reproduce):
+        for module in (ratios, probe):
             monkeypatch.setattr(module, "batch_log_minors", spy)
+        monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 40)
         monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
         reproduce.check_bounds()
-        on_batch = [masks for count, masks in requested if count == 500]
-        # sample_pd's positive definiteness check, then the R1-R3 union.
-        assert on_batch == [[15], list(range(1, 16))]
+        # Per chunk of 80 samples and the remainder of 20: sample_pd's
+        # positive definiteness check, then the R1-R3 union in subset order.
+        union = sorted(range(1, 16), key=lambda mask: (mask.bit_count(), mask))
+        assert requested == [(80, [15]), (80, union)] * 6 + [(20, [15]),
+                                                             (20, union)]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """LOG_MINOR_CHUNK = 3, so that a seeded count spans many sample chunks
+    plus a remainder; returns the sample chunk length."""
+    monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 3)
+    return probe.SAMPLE_CHUNK_FACTOR * 3
+
+
+def cli_json(argv):
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(argv + ["--format", "json"]) == 0
+    return out.getvalue()
+
+
+def reference_search(v, cfg):
+    """bound_search on the samples drawn at once, stepwise."""
+    batch = reference_sample_pd(cfg)
+    return reference_bound_search_on(v, evaluate_log_ratio(v, batch), batch,
+                                     cfg.seed)
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("count", [
+        lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1,
+        lambda c: 3 * c + 2])
+    def test_samples_equal_the_one_draw_reference(self, small_chunks, n,
+                                                  count):
+        count = count(small_chunks)
+        cfg = SamplerConfig(seed=60 + count, count=count, dimension=n)
+        want = reference_sample_pd(cfg)
+        assert sample_pd(cfg).tobytes() == want.tobytes()
+        chunks = list(probe.sample_pd_chunks(cfg))
+        assert [len(c) for c in chunks] == [
+            min(small_chunks, count - start)
+            for start in range(0, count, small_chunks)]
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    def test_chunk_is_a_multiple_of_the_log_minor_chunk(self):
+        chunks = probe.sample_pd_chunks(SamplerConfig(
+            seed=0, count=3 * ratios.LOG_MINOR_CHUNK, dimension=2))
+        assert len(next(chunks)) == (probe.SAMPLE_CHUNK_FACTOR
+                                     * ratios.LOG_MINOR_CHUNK)
+
+    @pytest.mark.parametrize("text,n", [
+        ("{1,2,4}{1,3,4}{2,3}{1}{4} / {1,2}{1,3}{1,4}{2,4}{3,4}", 4),
+        ("{1,2}{1,3}{2,3} / {1}{2}{3}{1,2,3}", 3),
+        ("{1,2}{1,3}/{1}{1,2,3}", 3)])
+    def test_bound_search_matches_the_full_batch(self, small_chunks, text,
+                                                 n):
+        v = log_of(text, n)
+        cfg = SamplerConfig(seed=4200, count=3 * small_chunks + 2,
+                            dimension=n)
+        want = reference_search(v, cfg)
+        got = bound_search(v, cfg)
+        assert got.max_ratio == want.max_ratio
+        assert got.argmax.tobytes() == want.argmax.tobytes()
+        assert got.diverging is want.diverging
+        payload = {"max_ratio": want.max_ratio, "diverging": want.diverging,
+                   "argmax": want.argmax.tolist()}
+        assert cli_json(["bound-search", text, "--n", str(n), "--samples",
+                         str(cfg.count)]) == json.dumps(payload, indent=2) + "\n"
+
+    def test_check_bounds_matches_the_full_batch(self, small_chunks,
+                                                 monkeypatch):
+        count = 3 * small_chunks + 2
+        monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", count)
+        cfg = SamplerConfig(seed=4200, count=count, dimension=4)
+        assert reproduce.check_bounds().details["max_ratios"] == {
+            name: reference_search(named_log(name), cfg).max_ratio
+            for name in ("R1", "R2", "R3")}
+
+    def test_fiedler_suite_matches_the_full_batch(self, small_chunks,
+                                                  monkeypatch):
+        count = 3 * small_chunks + 2
+        monkeypatch.setattr(reproduce, "FIEDLER_SAMPLES", count)
+        residual = margin = np.inf
+        for n in (3, 4, 5, 6):
+            batch = reference_sample_pd(SamplerConfig(
+                seed=500 + n, count=count, dimension=n))
+            residual = min(residual, float(reference_fiedler_check(
+                batch).min()))
+            margin = min(margin, float(((n - 1) ** 2 - (
+                reference_complement_ratio_check(batch))).min()))
+        check = reproduce.check_fiedler_suite()
+        assert check.passed
+        assert check.details == {"samples_per_n": count,
+                                 "worst_residual": residual,
+                                 "worst_complement_ratio_margin": margin}
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    def test_fiedler_json_matches_the_full_batch(self, small_chunks, n):
+        count = 3 * small_chunks + 2
+        batch = reference_sample_pd(SamplerConfig(seed=0, count=count,
+                                                  dimension=n))
+        payload = {"samples": count,
+                   "worst_residual": float(reference_fiedler_check(
+                       batch).min())}
+        assert cli_json(["fiedler", "--n", str(n), "--samples",
+                         str(count)]) == json.dumps(payload, indent=2) + "\n"
+
+    def test_tie_across_chunks_keeps_the_first_sample(self, small_chunks):
+        # The zero ratio is 0.0 on every sample, so the first maximum is
+        # sample 0, and no congruence step raises it.
+        v = FormalLog(3, (Fraction(0),) * 8)
+        cfg = SamplerConfig(seed=8, count=3 * small_chunks + 2, dimension=3)
+        got = bound_search(v, cfg)
+        assert got.argmax.tobytes() == reference_sample_pd(cfg)[0].tobytes()
+        assert got.max_ratio == 1.0 and got.diverging is False
+
+    def test_non_pd_draw_in_a_later_chunk(self, small_chunks, monkeypatch):
+        # A ridge between the two smallest eigenvalues of the Gram
+        # products makes exactly one sample non-PD; the seed puts it past
+        # the first chunk.
+        n, count = 3, 3 * small_chunks + 2
+        cfg = SamplerConfig(seed=4, count=count, dimension=n)
+        monkeypatch.setattr(probe, "RIDGE", 0.0)
+        low = np.linalg.eigvalsh(reference_sample_pd(cfg))[:, 0]
+        first = int(np.argmin(low))
+        assert first >= small_chunks
+        monkeypatch.setattr(probe, "RIDGE", -np.mean(np.sort(low)[:2]))
+        with pytest.raises(NotPositiveDefiniteError) as want:
+            ratios.batch_log_minors(reference_sample_pd(cfg), [7])
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            sample_pd(cfg)
+        assert got.value.subset == want.value.subset == (1, 2, 3)
+        stream = probe.sample_pd_chunks(cfg)
+        for _ in range(first // small_chunks):
+            next(stream)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            next(stream)
+        assert got.value.subset == (1, 2, 3)
+
+    @pytest.mark.parametrize("command", ["bound_search", "fiedler"])
+    def test_memory_does_not_grow_with_the_count(self, command):
+        # The tracemalloc peak at 8 sample chunks stays within 10 % of the
+        # peak at 2; a whole batch held at once would be about 4 times it.
+        v = log_of("{1,2}{1,3}/{1}{1,2,3}", 3)
+        chunk = probe.SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
+        peaks = []
+        for chunks in (2, 8):
+            tracemalloc.start()
+            try:
+                if command == "bound_search":
+                    bound_search(v, SamplerConfig(seed=3, count=chunks * chunk,
+                                                  dimension=3))
+                else:
+                    cli_json(["fiedler", "--n", "4", "--samples",
+                              str(chunks * chunk)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestSuites:
