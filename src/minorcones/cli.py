@@ -9,14 +9,13 @@ fixed inputs and seeds; subsets print in (size, value) order.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import cones, nullity, polyarith, probe, reproduce
 from .ratios import FormalLog, is_homogeneous, log_of
-from .subsets import format_subset, subset_order
+from .subsets import format_subset, ordered_entries, subset_order
 
 
 def _emit(payload: dict, text: str, args) -> None:
@@ -107,25 +106,22 @@ def cmd_extreme_rays(args) -> int:
     orbits = cones.orbit_decompose(rays)
     koteljanskii = [probe.is_koteljanskii_ray(FormalLog(args.n, ray.vector))
                     for ray in rays]
+    ordered = [ordered_entries(ray.vector, args.n) for ray in rays]
+    representatives = [ordered_entries(o.representative, args.n)
+                       for o in orbits]
     lines = [f"{len(rays)} extreme rays of log({args.system}_{args.n})"]
-    for i, (ray, kot) in enumerate(zip(rays, koteljanskii), start=1):
+    for i, (ray, kot) in enumerate(zip(ordered, koteljanskii), start=1):
         kind = "koteljanskii" if kot else "other"
-        lines.append(f"ray {i} [{kind}]: " + " ".join(
-            str(x) for x in (ray.vector[m] for m in subset_order(args.n))))
+        lines.append(f"ray {i} [{kind}]: " + " ".join(map(str, ray)))
     lines.append(f"{len(orbits)} orbits under permutation+complementation "
                  f"(sizes {[len(o.members) for o in orbits]})")
-    for i, orbit in enumerate(orbits, start=1):
-        lines.append(f"orbit {i} representative: " + " ".join(
-            str(orbit.representative[m]) for m in subset_order(args.n)))
+    for i, rep in enumerate(representatives, start=1):
+        lines.append(f"orbit {i} representative: " + " ".join(map(str, rep)))
     payload = {
         "system": args.system, "n": args.n, "ray_count": len(rays),
-        "rays": [[ray.vector[m] for m in subset_order(args.n)]
-                 for ray in rays],
-        "koteljanskii": koteljanskii,
+        "rays": ordered, "koteljanskii": koteljanskii,
         "orbit_sizes": [len(o.members) for o in orbits],
-        "orbit_representatives": [
-            [o.representative[m] for m in subset_order(args.n)]
-            for o in orbits],
+        "orbit_representatives": representatives,
     }
     _emit(payload, "\n".join(lines), args)
     return 0
@@ -194,21 +190,9 @@ def cmd_reproduce(args) -> int:
     if args.out:
         payload = {"checks": [
             {"name": r.name, "passed": r.passed, "seconds": r.seconds,
-             "details": _jsonable(r.details)} for r in results]}
+             "details": r.details} for r in results]}
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 1 if failed else 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -132,11 +132,9 @@ def build_D_system(n: int) -> ConstraintSystem:
         labels = [f"M^{format_subset(s)}" for s in subsets] + ["M_{1,2,3}"]
         labeled = list(zip(labels, family_types(subset_matrix, subsets, 3)
                            + family_types(superset_matrix, [7], 3)))
-    elif n == 4:
-        labeled = [(label, nt.entries) for label, nt in catalog_n4()]
-    elif n == 5:
-        labeled = [(row.label, row.nullity.entries)
-                   for row in d5_constraint_set()]
+    elif n in (4, 5):
+        labeled = [(label, nt.entries) for label, nt in
+                   (catalog_n4() if n == 4 else d5_constraint_set())]
     else:
         raise ValueError("D system supported only for n in {3, 4, 5}")
     return ConstraintSystem(n, homogeneity_vectors(n),
@@ -457,12 +455,11 @@ class Orbit:
     members: Tuple[Tuple[int, ...], ...]
 
 
-def _vector_images(vec: Tuple[int, ...], n: int, complement: bool = True):
-    """Images of a mask-indexed vector under every permutation, and also
-    under every permutation followed by complementation if `complement`."""
-    for _, use_comp, gather in group_gathers(n):
-        if complement or not use_comp:
-            yield gather(vec)
+def _vector_images(vec: Tuple[int, ...], n: int):
+    """Images of a mask-indexed vector under every permutation, each
+    without and with complementation."""
+    for _, _, gather in group_gathers(n):
+        yield gather(vec)
 
 
 def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:

@@ -14,11 +14,12 @@ and the zero pattern of the columns, and validated as a matroid rank
 function.
 
 A column permutation of a matrix permutes its nullity type, so the
-catalogue eliminates each of its seven standard matrices once and takes
-the permuted types from `subsets.group_gathers`, and `family_types`
-eliminates one M_S or M^S per set size and relabels its type for the other
-sets of that size.  All computations here are exact; floating point never
-enters.
+catalogue eliminates each of its seven base matrices (`CATALOG_N4_BASES`)
+once and takes the permuted types from `subsets.group_gathers`, and
+`family_types` eliminates one M_S or M^S per set size and relabels its
+type for the other sets of that size.  The D_5 constraint set has the
+catalogue's shape, (label, NullityType) pairs.  All computations here are
+exact; floating point never enters.
 """
 
 from dataclasses import dataclass
@@ -81,20 +82,19 @@ def _ranks_of(entries: Sequence[int]) -> List[int]:
                     entries))
 
 
-def _bit_walk(n: int, x: Sequence, across: Callable, along: Callable
-              ) -> Iterator[Tuple[list, list]]:
+def _bit_walk(n: int, x: Sequence) -> Iterator[Tuple[list, list]]:
     """For each bit k = 0..n-1 of the mask index of x, yield two lists:
-    across(x[T + k], x[T]) for every T without bit k, and along(a[T + k],
-    a[T]) for every list a yielded as `across` at an earlier bit and every
-    T of its index without bit k.
+    x[T + k] - x[T] for every T without bit k, and a[T + k] - a[T] for
+    every list a yielded first at an earlier bit and every T of its index
+    without bit k.
 
     Each step moves bit k of every index to the top (the even positions,
-    then the odd ones), so the next bit is always the lowest; the `across`
+    then the odd ones), so the next bit is always the lowest; the first
     lists join a second list that is moved the same way."""
     made: list = []
     for _ in range(n):
-        crossed = list(map(across, x[1::2], x[0::2]))
-        yield crossed, list(map(along, made[1::2], made[0::2]))
+        crossed = list(map(sub, x[1::2], x[0::2]))
+        yield crossed, list(map(sub, made[1::2], made[0::2]))
         x = x[0::2] + x[1::2]
         made = made[0::2] + made[1::2] + crossed
 
@@ -114,7 +114,7 @@ def _validate_rank_function(n: int, r: Sequence[int]) -> None:
         raise ValueError("rank of the empty set must be 0")
     steps: list = []
     growth: list = []
-    for crossed, changed in _bit_walk(n, r, sub, sub):
+    for crossed, changed in _bit_walk(n, r):
         steps += crossed
         growth += changed
     if not {0, 1}.issuperset(steps) or max(growth, default=0) > 0:
@@ -122,21 +122,20 @@ def _validate_rank_function(n: int, r: Sequence[int]) -> None:
 
 
 def _first_violation(n: int, r: Sequence[int]) -> str:
-    """The message of the first violation of `_validate_rank_function`,
-    found by walking the masks T (with the bit i of each step) in lockstep
-    with the values."""
-    masks = _bit_walk(n, list(range(1 << n)),
-                      lambda high, low: (low, (high ^ low).bit_length() - 1),
-                      lambda high, low: low)
-    keys = []
-    for (crossed, changed), (at, at_changed) in zip(
-            _bit_walk(n, r, sub, sub), masks):
-        keys += [(t, i, 0) for step, (t, i) in zip(crossed, at)
-                 if step not in (0, 1)]
-        keys += [(t, i, 1) for change, (t, i) in zip(changed, at_changed)
-                 if change > 0]
-    return ("rank function violates unit increase" if min(keys)[2] == 0
-            else "rank function is not submodular")
+    """The message of the first violation of `_validate_rank_function`, by
+    a plain scan in its order; it runs only after the walk has found one."""
+    for t in range(1 << n):
+        for i in range(n):
+            if t >> i & 1:
+                continue
+            ti = t | 1 << i
+            step = r[ti] - r[t]
+            if step not in (0, 1):
+                return "rank function violates unit increase"
+            if any(r[ti | 1 << j] - r[t | 1 << j] > step
+                   for j in range(i + 1, n) if not t >> j & 1):
+                return "rank function is not submodular"
+    raise AssertionError("the walk found a violation that the scan missed")
 
 
 @dataclass(frozen=True)
@@ -284,25 +283,27 @@ def family_types(family: Callable[[int, int], RationalMatrix],
 M6 = matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
 M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
 
+# The seven labeled matrices whose column permutations give catalog_n4.
+CATALOG_N4_BASES: Tuple[Tuple[str, RationalMatrix], ...] = (
+    ("M^{}", subset_matrix(0, 4)),
+    ("M^{1}", subset_matrix(mask_of([1]), 4)),
+    ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
+    ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
+    ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
+    ("M6", M6),
+    ("M7", M7),
+)
+
 
 @lru_cache(maxsize=None)
 def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
     """The 23 labeled nullity types defining D_4: all distinct types of
-    column permutations of the seven standard matrices.  The type of the
+    column permutations of the seven CATALOG_N4_BASES.  The type of the
     matrix with column i moved to column perm[i-1] is the base type's image
     under perm, so each base matrix is eliminated once."""
-    families = [
-        ("M^{}", subset_matrix(0, 4)),
-        ("M^{1}", subset_matrix(mask_of([1]), 4)),
-        ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
-        ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
-        ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
-        ("M6", M6),
-        ("M7", M7),
-    ]
     seen = set()
     out: List[Tuple[str, NullityType]] = []
-    for name, base in families:
+    for name, base in CATALOG_N4_BASES:
         base_entries = nullity_type(base).entries
         for perm, complement, gather in group_gathers(4):
             entries = gather(base_entries)
@@ -391,33 +392,24 @@ def enumerate_partitions(n: int) -> List[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class D5Row:
-    label: str
-    nullity: NullityType
-    partition: Partition
-    is_dual: bool
-
-
 @lru_cache(maxsize=None)
-def d5_constraint_set() -> Tuple[D5Row, ...]:
-    """Nullity types sufficient to define D_5: all rank-<=2 types (every
-    partition of 5 columns into parallel classes plus loops) together with
-    their matroid duals, deduplicated up to the h-equivalence relation.
+def d5_constraint_set() -> Tuple[Tuple[str, NullityType], ...]:
+    """(label, type) pairs sufficient to define D_5: all rank-<=2 types
+    (every partition of 5 columns into parallel classes plus loops, labeled
+    by `Partition.label`) and their matroid duals (labeled "dual:" + that),
+    deduplicated up to the h-equivalence relation.
 
     Every matroid on 5 elements has rank <= 2 or corank <= 2, and both the
     rank-<=2 matroids and their duals are rational-realizable, so these rows
     impose exactly the D_5 conditions.
     """
-    out: List[D5Row] = []
-    seen: Dict[Tuple[int, ...], str] = {}
+    out: List[Tuple[str, NullityType]] = []
+    seen = set()
     for p in enumerate_partitions(5):
         nt = partition_nullity(p)
-        for is_dual, row_nt in ((False, nt), (True, dual_nullity_type(nt))):
+        for prefix, row_nt in (("", nt), ("dual:", dual_nullity_type(nt))):
             key = h_coordinates(row_nt.entries, 5)
-            if key in seen:
-                continue
-            label = ("dual:" if is_dual else "") + p.label()
-            seen[key] = label
-            out.append(D5Row(label, row_nt, p, is_dual))
+            if key not in seen:
+                seen.add(key)
+                out.append((prefix + p.label(), row_nt))
     return tuple(out)

@@ -119,8 +119,6 @@ def parse_poly(text: str) -> Poly:
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
-    if s in ("0",):
-        return P_ZERO
     chunks = re.split(r"(?=[+-])", s)
     coeffs: Dict[int, Fraction] = {}
     for chunk in chunks:

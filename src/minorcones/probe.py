@@ -2,7 +2,9 @@
 Fiedler inequality checks, bound searches, and the exact factorization
 identities for R1, R2, R3.
 
-Everything is deterministic given a SamplerConfig seed.
+Everything is deterministic given a SamplerConfig seed.  The PD samples
+come from one loop, `sample_pd_chunks`, which fills a chunk at a time with
+`fill_pd`; `sample_pd` joins its chunks into one batch.
 """
 
 import math
@@ -195,7 +197,7 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
             first = int(singular.any(axis=(1, 2)).argmax())
             raise NotPositiveDefiniteError(members_of(masks[first]))
         minors.update(zip(masks, 2.0 * np.log(sing).sum(axis=-1)))
-    values = np.zeros(len(grid)) + log_ratio_from_minors(v, minors)
+    values = log_ratio_from_minors(v, minors, len(grid))
     predicted = 2 * asn_inner_product(v, asn(p))
     return _fit_report(grid, values.tolist(), predicted)
 
@@ -217,31 +219,19 @@ def fill_pd(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_chunk() -> int:
-    return SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
+def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
+    """cfg's PD samples G^T G + RIDGE * I for standard normal G, seeded,
+    filled by fill_pd into fresh arrays of at most SAMPLE_CHUNK_FACTOR *
+    ratios.LOG_MINOR_CHUNK samples: a check holds one chunk, not all."""
+    rng = np.random.default_rng(cfg.seed)
+    n, step = cfg.dimension, SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
+    for start in range(0, cfg.count, step):
+        yield fill_pd(rng, np.empty((min(step, cfg.count - start), n, n)))
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
-    """Batch of PD matrices G^T G + RIDGE * I, shape (count, n, n), for
-    standard normal G, deterministic in the seed: fill_pd on one batch,
-    a chunk at a time."""
-    rng = np.random.default_rng(cfg.seed)
-    n, step = cfg.dimension, _sample_chunk()
-    batch = np.empty((cfg.count, n, n))
-    for start in range(0, cfg.count, step):
-        fill_pd(rng, batch[start:start + step])
-    return batch
-
-
-def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
-    """sample_pd(cfg) one chunk at a time: fresh arrays of at most
-    SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK samples whose
-    concatenation is bitwise sample_pd(cfg), so that a check over the
-    samples holds one chunk, not the batch."""
-    rng = np.random.default_rng(cfg.seed)
-    n, step = cfg.dimension, _sample_chunk()
-    for start in range(0, cfg.count, step):
-        yield fill_pd(rng, np.empty((min(step, cfg.count - start), n, n)))
+    """All of cfg's samples in one (count, n, n) batch: its chunks joined."""
+    return np.concatenate(list(sample_pd_chunks(cfg)))
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +322,7 @@ def bound_searches(logs: Sequence[FormalLog], cfg: SamplerConfig
     for chunk in sample_pd_chunks(cfg):
         minors = batch_log_minors(chunk, masks)
         for k, v in enumerate(logs):
-            values = np.zeros(len(chunk)) + log_ratio_from_minors(v, minors)
+            values = log_ratio_from_minors(v, minors, len(chunk))
             i = int(np.argmax(values))
             # np.argmax takes the first maximum: a later chunk's sample
             # replaces the best one only when it is strictly greater.

@@ -505,13 +505,15 @@ def _log_minors(batch: np.ndarray, masks: Sequence[int]):
     return order, chunk, values
 
 
-def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray]):
-    """Sum over v.support() of v_S * minors[S] (floats or arrays of one
-    shape), added in that order so that each matrix of a stack gets the
-    value it gets on its own.  The zero log gives 0.0."""
-    total = 0.0
+def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray],
+                          count: int) -> np.ndarray:
+    """The `count` log-ratios: the sum over v.support() of v_S * minors[S],
+    each minors[S] an array of `count` values, added into zeros in support
+    order so that each matrix of a stack gets the value it gets on its own.
+    The zero log gives zeros."""
+    total = np.zeros(count)
     for mask, weight in zip(v._support, v._weights):
-        total = total + weight * minors[mask]
+        total += weight * minors[mask]
     return total
 
 
@@ -525,7 +527,7 @@ def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
         raise ValueError(f"matrix must be {n}x{n}")
     stack = a.reshape(-1, n, n)
     minors = batch_log_minors(stack, v._support)
-    total = np.zeros(len(stack)) + log_ratio_from_minors(v, minors)
+    total = log_ratio_from_minors(v, minors, len(stack))
     return float(total[0]) if a.ndim == 2 else total
 
 
@@ -536,5 +538,5 @@ def log_ratio_values(v: FormalLog, stack: np.ndarray):
     nothing (a minor of -inf with a negative weight gives +inf)."""
     order, _, values = _log_minors(stack, v._support)
     with np.errstate(invalid="ignore"):
-        total = log_ratio_from_minors(v, dict(zip(order, values)))
-    return np.zeros(len(stack)) + total, np.isfinite(values).all(axis=0)
+        total = log_ratio_from_minors(v, dict(zip(order, values)), len(stack))
+    return total, np.isfinite(values).all(axis=0)

@@ -6,7 +6,6 @@ Used by the `reproduce` CLI command and mirrored by the acceptance tests.
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
@@ -14,11 +13,11 @@ import numpy as np
 
 from . import cones, nullity, probe
 from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
-from .exact import dot, primitive, rank, rank_by_minors
+from .exact import clear_denominators, dot, primitive, rank, rank_by_minors
 from .polyarith import (asn, asn_inner_product, gram, gram_principal_minors,
                         poly_det_cofactor, principal_submatrix)
 from .ratios import FormalLog, delete_index, log_of
-from .subsets import image_gather
+from .subsets import group_gathers, image_gather, members_of
 
 # Sample counts: per n = 3..6 for the Fiedler suite, and at n = 4 for the
 # R1-R3 bound searches.
@@ -61,8 +60,9 @@ def check_d4_extreme_rays() -> CheckResult:
            if probe.is_koteljanskii_ray(FormalLog(4, r.vector))]
     # R1's own orbit under permutation+complementation coincides with its
     # permutation orbit; count the pure permutation images separately.
-    perm_images = set(cones._vector_images(_named_primitive("R1"), 4,
-                                           complement=False))
+    r1 = _named_primitive("R1")
+    perm_images = {gather(r1) for _, complement, gather in group_gathers(4)
+                   if not complement}
     r1_perm_rays = [r for r in rays if r.vector in perm_images]
     rest = [r for r in rays
             if r not in kot and r.vector not in perm_images]
@@ -187,11 +187,16 @@ def check_bounds() -> CheckResult:
 
 def check_structural_identities() -> CheckResult:
     failures = []
+    # Rank-nullity on the catalogue's bases: the Bareiss rank of each column
+    # submatrix T != {} (rows cleared) plus nul(T) from the walk is |T|.
+    for name, base in nullity.CATALOG_N4_BASES:
+        nt = nullity.nullity_type(base)
+        rows = [clear_denominators(row)[0] for row in base]
+        if any(rank([[row[i - 1] for i in members_of(t)] for row in rows])
+               + nt[t] != t.bit_count() for t in range(1, 16)):
+            failures.append(f"rank-nullity: {name}")
     complement = image_gather(range(1, 5), True, 4)
     for label, nt in nullity.catalog_n4():
-        rt = nt.rank_type()
-        if any(nt[m] + rt[m] != m.bit_count() for m in range(16)):
-            failures.append(f"nul+rank cardinality: {label}")
         dual = nullity.dual_nullity_type(nt)
         if not nullity.h_equivalent(complement(nt.entries), dual.entries, 4):
             failures.append(f"dual/complement equivalence: {label}")
@@ -225,26 +230,16 @@ def check_structural_identities() -> CheckResult:
 def _direct_sum_additive(m1, m2) -> bool:
     c1, c2 = len(m1[0]), len(m2[0])
 
-    def embed(m, offset, total):
-        return tuple(tuple([Fraction(0)] * offset + list(row)
-                           + [Fraction(0)] * (total - offset - len(row)))
-                     for row in m)
+    def block(rows, offset):
+        # The rows padded with int zeros to width c1 + c2 from column offset.
+        return [[0] * offset + list(row) + [0] * (c1 + c2 - offset - len(row))
+                for row in rows]
 
-    def stack(*mats):
-        return tuple(row for m in mats for row in m)
-
-    def identity(k, offset, total):
-        return tuple(tuple(Fraction(int(j == offset + i))
-                           for j in range(total)) for i in range(k))
-
-    total = c1 + c2
-    direct = stack(embed(m1, 0, total), embed(m2, c1, total))
-    left = stack(embed(m1, 0, total), identity(c2, c1, total))
-    right = stack(identity(c1, 0, total), embed(m2, c1, total))
-    nd = nullity.nullity_type(direct)
-    nl = nullity.nullity_type(left)
-    nr = nullity.nullity_type(right)
-    return all(nd[m] == nl[m] + nr[m] for m in range(1 << total))
+    top, bottom = block(m1, 0), block(m2, c1)
+    eye = [[int(i == j) for j in range(c1 + c2)] for i in range(c1 + c2)]
+    nd, nl, nr = (nullity.nullity_type(rows) for rows in (
+        top + bottom, top + eye[c1:], eye[:c1] + bottom))
+    return all(nd[m] == nl[m] + nr[m] for m in range(1 << (c1 + c2)))
 
 
 def check_oracle_equivalence() -> CheckResult:

@@ -66,10 +66,11 @@ def check_permutation(perm: Sequence[int], n: int) -> None:
         raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
 
 
-def image_gather(perm: Sequence[int], complement: bool, n: int) -> itemgetter:
+def image_gather(perm: Sequence[int], complemented: bool,
+                 n: int) -> itemgetter:
     """The gather mapping a mask-indexed vector to its image under the
     permutation perm (perm[i-1] = sigma(i)), followed by complementation if
-    `complement`.  It picks, for every target mask, the source mask mapped
+    `complemented`.  It picks, for every target mask, the source mask mapped
     onto it."""
     # The image of every mask, one index at a time: the masks with bit i
     # are those without it, each gaining the image of bit i.
@@ -77,7 +78,7 @@ def image_gather(perm: Sequence[int], complement: bool, n: int) -> itemgetter:
     for i in range(n):
         bit = 1 << (perm[i] - 1)
         images += [t | bit for t in images]
-    if complement:
+    if complemented:
         images = [complement_mask(t, n) for t in images]
     # source[target] = mask: the masks in the order of their images.
     source = sorted(range(1 << n), key=images.__getitem__)

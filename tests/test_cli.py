@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minorcones import cones, nullity
+from minorcones import cones, nullity, reproduce
 from minorcones.cli import main
 from minorcones.subsets import subset_order
 
@@ -300,6 +300,20 @@ class TestExtremeRays:
         first = capsys.readouterr().out
         main(["extreme-rays", "--system", "D", "--n", "4"])
         assert capsys.readouterr().out == first
+
+
+class TestReproduce:
+    def test_out_report_round_trips_the_details(self, tmp_path, capsys):
+        # The report writes each check's details as they are: a value that
+        # json cannot write, or writes as something else, fails here.
+        report = tmp_path / "report.json"
+        assert main(["reproduce", "--out", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("10/10 checks passed\n")
+        checks = json.loads(report.read_text())["checks"]
+        assert len(checks) == 10 and all(c["passed"] for c in checks)
+        assert [(c["name"], c["details"]) for c in checks] == [
+            (r.name, json.loads(json.dumps(r.details)))
+            for r in reproduce.run_all()]
 
 
 class TestAsnAndProbes:

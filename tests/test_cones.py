@@ -24,7 +24,7 @@ from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homoge
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
 from minorcones.simplex import nonnegative_combination
-from minorcones.subsets import complement_mask
+from minorcones.subsets import complement_mask, group_gathers
 from test_ratios import permute_mask
 
 
@@ -828,6 +828,20 @@ def test_structural_lineality_rank_runs_on_python_ints(monkeypatch):
     assert seen and all(types == {int} for types in seen)
 
 
+def test_structural_rank_nullity_sees_a_wrong_rank(monkeypatch):
+    # The check ranks each column submatrix of the catalogue's base
+    # matrices apart from the subset walk, so a rank one too high on every
+    # two-column input fails every base.
+    from minorcones import nullity, reproduce
+    found = reproduce.rank
+    monkeypatch.setattr(reproduce, "rank",
+                        lambda rows: found(rows) + (len(rows[0]) == 2))
+    check = reproduce.check_structural_identities()
+    assert not check.passed
+    assert check.details["failures"] == [
+        f"rank-nullity: {name}" for name, _ in nullity.CATALOG_N4_BASES]
+
+
 class TestInsertionOrder:
     @pytest.mark.parametrize("build, n", [(build_E_system, 3),
                                           (build_E_system, 4),
@@ -1018,5 +1032,6 @@ class TestOrbits:
                   for perm in permutations(range(1, 5))
                   for comp in (False, True)]
         assert list(cones._vector_images(vec, 4)) == expect
-        assert (list(cones._vector_images(vec, 4, complement=False))
-                == expect[::2])
+        # The permutation-only images, which reproduce takes for R1.
+        assert [gather(vec) for _, comp, gather in group_gathers(4)
+                if not comp] == expect[::2]

@@ -227,9 +227,10 @@ class TestSubsetKernel:
         assert nullity_type(m)[0b011] == 0
 
     def test_constraint_rows_unchanged(self):
-        # Recorded from the per-subset Bareiss elimination.
+        # Recorded from the per-subset Bareiss elimination, with the D5 rows
+        # as (label, nullity type) pairs.
         assert constraint_digest() == (
-            "d99d5336973c6687b0f54e68dc8606a84b19acda4a8621bfb8163a1dc84639d0")
+            "3d63b6e2aa91b30c186d71478ecc92ceec6eceea52dd40c833ac76f53488e011")
 
     def test_one_rank_call_per_matrix(self, monkeypatch):
         calls = []
@@ -597,16 +598,19 @@ class TestHEquivalence:
 
 class TestD5ConstraintSet:
     def test_row_count_and_flags(self):
-        rows = d5_constraint_set()
-        assert len(rows) == 185
-        loop_free_primal = [r for r in rows
-                            if not r.is_dual and r.partition.loops == 0
-                            and len(r.partition.blocks) != 2]
+        labels = [label for label, _ in d5_constraint_set()]
+        assert len(labels) == 185
+        # A label lists the blocks joined by "|", then ";loops=..." if any;
+        # a dual's starts with "dual:", and no blocks at all is "all-loops".
+        loop_free_primal = [label for label in labels
+                            if not label.startswith("dual:")
+                            and "loops" not in label
+                            and label.count("|") != 1]
         assert len(loop_free_primal) == 37
 
     def test_rows_pairwise_h_inequivalent(self):
         rows = d5_constraint_set()
-        forms = {h_coordinates(r.nullity.entries, 5) for r in rows}
+        forms = {h_coordinates(nt.entries, 5) for _, nt in rows}
         assert len(forms) == len(rows)
 
 

@@ -347,7 +347,7 @@ def per_eps_poly_family_slope(v, p, grid=DEFAULT_POLY_GRID):
         if np.any(sing <= 0):
             raise NotPositiveDefiniteError(members_of(mask))
         minors[mask] = 2.0 * np.log(sing).sum(axis=-1)
-    values = np.zeros(len(grid)) + ratios.log_ratio_from_minors(v, minors)
+    values = ratios.log_ratio_from_minors(v, minors, len(grid))
     predicted = 2 * asn_inner_product(v, asn(p))
     return probe._fit_report(tuple(grid), values.tolist(), predicted)
 

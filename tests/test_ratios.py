@@ -845,7 +845,8 @@ class TestLogMinorKernel:
             if mask and v[mask]:
                 expected = expected + float(v[mask]) * minors[mask]
         for _ in range(2):   # the second call reads the kept weights
-            assert np.array_equal(log_ratio_from_minors(v, minors), expected)
+            assert np.array_equal(log_ratio_from_minors(v, minors, 50),
+                                  expected)
 
     def test_rejects_wrong_shapes(self):
         v = log_of("{1,2}{} / {1}{2}", 2)
