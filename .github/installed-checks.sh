@@ -26,6 +26,22 @@ printf '1, e^%s\n0, 1\n' "$nines" > long_degree.txt
 bad long_degree.txt "error: line 1: degree $nines of polynomial term 'e^$nines' in ' e^$nines' exceeds the supported maximum 131071"
 echo "::endgroup::"
 
+echo "::group::Bound search on a ratio that is not homogeneous"
+# Index 1 has net exponent 1, so the supremum is infinite: bound-search
+# exits 2 with its error line before it draws a sample.
+code=0
+python -O -m minorcones.cli bound-search '{1,2}{1,3} / {1}{2,3}' --samples 2000 --seed 1 2> inhomogeneous.err || code=$?
+cat inhomogeneous.err
+test "$code" -eq 2
+grep -qxF "error: bound search requires a homogeneous formal log" inhomogeneous.err
+echo "::endgroup::"
+
+echo "::group::The oracles stay out of the package import"
+# Only reproduce imports minorcones.oracles, so importing the package must
+# not load it.
+python -O -c "import sys, minorcones; sys.exit('minorcones.oracles loaded by import minorcones' if 'minorcones.oracles' in sys.modules else None)"
+echo "::endgroup::"
+
 echo "::group::Log-minor kernel above n = 6"
 # The per-size elimination on large masks and stacks.
 python -O -m minorcones.cli fiedler --n 16 --samples 5000

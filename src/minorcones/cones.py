@@ -31,14 +31,12 @@ that vanishes mod p is checked by exact Bareiss elimination
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exact import (CertificateError, as_fractions, bareiss_rank, combine,
-                    dot, exact_products, int64_products_fit, kernel_basis,
-                    largest_norm, primitive)
+                    dot, exact_products, int64_products_fit, largest_norm)
 from .nullity import (catalog_n4, d5_constraint_set, family_types,
                       subset_matrix, superset_matrix)
 from .ratios import (FormalLog, homogeneity_basis, homogeneity_matrix,
@@ -364,7 +362,7 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
     by Bareiss elimination.  A failure raises CertificateError.  A pointed
     cone equal to {0} has no extreme rays."""
     n = system.ground_size
-    dim = len(homogeneity_matrix(n))
+    dim = len(homogeneity_basis(n))
     rows, norm = system.integer_rows
     reduced = _reduce_rows(rows, n, norm)
     ineqs = reduced.tolist()
@@ -390,33 +388,6 @@ def extreme_rays(system: ConstraintSystem) -> List[Ray]:
                 "extreme ray's tight rows do not have rank dim - 1")
     return sorted((Ray(n, vec) for vec in map(tuple, vecs.tolist())),
                   key=Ray.sort_key)
-
-
-def brute_force_rays(system: ConstraintSystem) -> List[Ray]:
-    """Independent extreme-ray oracle: enumerate all subsets of inequality
-    rows whose tight space is one-dimensional.  Exponential; small n only."""
-    n = system.ground_size
-    dim = len(homogeneity_basis(n))
-    reduced = _reduce_rows(system.inequalities, n).tolist()
-    found = set()
-    for size in range(len(reduced) + 1):
-        for rows in combinations(reduced, size):
-            if bareiss_rank(rows) != dim - 1:
-                continue
-            kernel = kernel_basis(rows, dim)
-            if len(kernel) != 1:
-                continue
-            for cand in (kernel[0], tuple(-x for x in kernel[0])):
-                if all(dot(row, cand) >= 0 for row in reduced):
-                    tight = [row for row in reduced if dot(row, cand) == 0]
-                    if bareiss_rank(tight) == dim - 1:
-                        found.add(primitive(cand))
-    if not found:
-        return []
-    vecs = _ambient(list(found), n).tolist()
-    out = [Ray(n, tuple(vec)) for vec in vecs]
-    out.sort(key=Ray.sort_key)
-    return out
 
 
 def koteljanskii_cone_membership(v: FormalLog) -> KoteljanskiiCertificate:

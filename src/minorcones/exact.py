@@ -14,14 +14,13 @@ the double description (`cones`) and the nullity walk (`nullity`) take.
 products, of integer rows or arrays, as an int64 matmul when a bound
 (`int64_products_fit`) proves that no sum can overflow, and on Python ints
 otherwise: E/D membership, the ray certificate and the LP checks all call
-it.  `rref`, `kernel_basis`, `det` and `rank_by_minors` stay on
-Fractions: `rref` and `kernel_basis` serve only the brute-force ray oracle
-(`cones.brute_force_rays`) and the tests, since the homogeneity basis has
-a closed form (`ratios.homogeneity_basis`).
+it.  `rref` stays on Fractions: the homogeneity basis has a closed form
+(`ratios.homogeneity_basis`), so only the kernel oracle
+(`oracles.kernel_basis`) and the tests reduce with it.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -197,49 +196,3 @@ def bareiss_rank(rows: Matrix) -> int:
 
 
 rank = bareiss_rank
-
-
-def rank_by_minors(rows: Matrix) -> int:
-    """Rank via brute-force minor expansion; an independent test oracle."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    for k in range(min(nrows, ncols), 0, -1):
-        for rs in combinations(range(nrows), k):
-            for cs in combinations(range(ncols), k):
-                sub = [[mat[i][j] for j in cs] for i in rs]
-                if det(sub) != 0:
-                    return k
-    return 0
-
-
-def det(mat: Matrix) -> Fraction:
-    """Determinant by cofactor expansion (small matrices only)."""
-    k = len(mat)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(mat[0][0])
-    total = Fraction(0)
-    sign = 1
-    for j in range(k):
-        if mat[0][j] != 0:
-            minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
-            total += sign * Fraction(mat[0][j]) * det(minor)
-        sign = -sign
-    return total
-
-
-def kernel_basis(rows: Matrix, ncols: int) -> List[Tuple[int, ...]]:
-    """Primitive integer basis of the right kernel of `rows`."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        basis.append(primitive(vec))
-    return basis

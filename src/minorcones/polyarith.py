@@ -21,14 +21,14 @@ Z[e] is exact on the packed ints, and the integer elimination of `exact`
 serves Z[e] unchanged.  A remainder raises ArithmeticError: the
 polynomial division would have been inexact.
 
-`gram_principal_minors` takes all 2^n principal minors of a Gram matrix
-from one depth-first walk over the subsets, each child opened by
+`_packed_principal_minors` takes all 2^n principal minors of a Gram
+matrix from one depth-first walk over the subsets, each child opened by
 `exact.bareiss_step`, and `principal_minor_poly`, one minor, is
 `exact.bareiss` on the packed submatrix.  Both take integer coefficients.
 `asn` scales P by the lcm of its coefficient denominators once and reads
 each packed minor directly: zero or not, its lowest degree as the 2-adic
 valuation // k, and the sign of its lowest digit.  Fractions stay in
-parsing, `gram` of a rational P and the cofactor oracle.
+parsing and in `gram` of a rational P.
 """
 
 import re
@@ -63,27 +63,6 @@ def _trim(coeffs: List) -> Poly:
 def poly(coeffs: Sequence) -> Poly:
     """A Poly from numbers: ints are kept, anything else becomes a Fraction."""
     return _trim([c if type(c) is int else Fraction(c) for c in coeffs])
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-
-def p_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
 
 
 # The largest degree `parse_poly` accepts.  A parsed polynomial is a dense
@@ -271,26 +250,6 @@ def gram(p: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(p.size, tuple(map(tuple, g)))
 
 
-def poly_det_cofactor(rows: List[List[Poly]]) -> Poly:
-    """Determinant by cofactor expansion: the test oracle for
-    `principal_minor_poly` and `gram_principal_minors`, never run on the
-    `asn` path."""
-    k = len(rows)
-    if k == 0:
-        return P_ONE
-    if k == 1:
-        return rows[0][0]
-    total = P_ZERO
-    sign = 1
-    for j in range(k):
-        if rows[0][j]:
-            minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-            term = p_mul(rows[0][j], poly_det_cofactor(minor))
-            total = p_add(total, term if sign > 0 else p_neg(term))
-        sign = -sign
-    return total
-
-
 def principal_submatrix(a: PolyMatrix, s: int) -> List[List[Poly]]:
     idx = [i - 1 for i in members_of(s)]
     return [[a.entries[i][j] for j in idx] for i in idx]
@@ -347,13 +306,6 @@ def _principal_minors(g: Sequence[Sequence[Poly]]) -> Tuple[int, List[int]]:
     k = _minor_bits(g)
     return k, _packed_principal_minors([[_pack(x, k) for x in row[i:]]
                                         for i, row in enumerate(g)])
-
-
-def gram_principal_minors(g: PolyMatrix) -> List[Poly]:
-    """Mask-indexed principal minors det G[S] of a Gram matrix G with
-    integer coefficients, from `_packed_principal_minors`."""
-    k, minors = _principal_minors(g.entries)
-    return [_unpack(m, k) for m in minors]
 
 
 @dataclass(frozen=True)

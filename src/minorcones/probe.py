@@ -4,7 +4,7 @@ identities for R1, R2, R3.
 
 Everything is deterministic given a SamplerConfig seed.  The PD samples
 come from one loop, `sample_pd_chunks`, which fills a chunk at a time with
-`fill_pd`; `sample_pd` joins its chunks into one batch.
+`fill_pd`; `sample_pd` copies its chunks into one preallocated batch.
 """
 
 import math
@@ -230,8 +230,14 @@ def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
-    """All of cfg's samples in one (count, n, n) batch: its chunks joined."""
-    return np.concatenate(list(sample_pd_chunks(cfg)))
+    """All of cfg's samples in one (count, n, n) batch, filled one chunk at
+    a time, so that no more than the batch and one chunk are held."""
+    batch = np.empty((cfg.count, cfg.dimension, cfg.dimension))
+    start = 0
+    for chunk in sample_pd_chunks(cfg):
+        batch[start:start + len(chunk)] = chunk
+        start += len(chunk)
+    return batch
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +320,12 @@ def bound_searches(logs: Sequence[FormalLog], cfg: SamplerConfig
     Each chunk's log-minors on the union of the supports are factored
     once, and each ratio keeps only its first maximal sample and value, so
     memory does not grow with the count; each ascent then draws from a
-    generator seeded by (cfg.seed, 1)."""
+    generator seeded by (cfg.seed, 1).  A ratio that is not homogeneous
+    has no finite supremum (scaling row and column i of A by sqrt(t)
+    scales it by t to the net exponent of i), so it raises ValueError
+    before any draw."""
+    if not all(map(is_homogeneous, logs)):
+        raise ValueError("bound search requires a homogeneous formal log")
     # In subset order, as each support lists its masks.
     masks = sorted({mask for v in logs for mask in v.support()},
                    key=lambda mask: (mask.bit_count(), mask))

@@ -13,9 +13,10 @@ import numpy as np
 
 from . import cones, nullity, probe
 from .constants import M6, P_for_Q, Q, counterexample_E4, named_log
-from .exact import clear_denominators, dot, primitive, rank, rank_by_minors
-from .polyarith import (asn, asn_inner_product, gram, gram_principal_minors,
-                        poly_det_cofactor, principal_submatrix)
+from .exact import clear_denominators, dot, primitive, rank
+from .oracles import (brute_force_rays, gram_principal_minors,
+                      poly_det_cofactor, rank_by_minors)
+from .polyarith import asn, asn_inner_product, gram, principal_submatrix
 from .ratios import FormalLog, delete_index, log_of
 from .subsets import group_gathers, image_gather, members_of
 
@@ -245,7 +246,7 @@ def _direct_sum_additive(m1, m2) -> bool:
 def check_oracle_equivalence() -> CheckResult:
     e3 = cones.build_E_system(3)
     dd = {r.vector for r in cones.extreme_rays(e3)}
-    bf = {r.vector for r in cones.brute_force_rays(e3)}
+    bf = {r.vector for r in brute_force_rays(e3)}
     rays_ok = dd == bf
     rng = np.random.default_rng(321)
     rank_ok = True

@@ -413,6 +413,14 @@ class TestSearchCommands:
         out = capsys.readouterr().out
         assert "max_ratio:" in out and "diverging: False" in out
 
+    def test_non_homogeneous_bound_search_exits_2(self, capsys):
+        assert main(["bound-search", "{1,2}{1,3} / {1}{2,3}", "--samples",
+                     "2000", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bound search requires a homogeneous "
+                                "formal log\n")
+
     def test_fiedler_small(self, capsys):
         assert main(["fiedler", "--n", "4", "--samples", "100",
                      "--format", "json"]) == 0

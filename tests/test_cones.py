@@ -11,14 +11,14 @@ import pytest
 
 from minorcones import cones, ratios
 from minorcones.cones import (ConstraintSystem, build_D_system,
-                              build_E_system, brute_force_rays, extreme_rays,
+                              build_E_system, extreme_rays,
                               homogeneity_basis, koteljanskii_cone_membership,
                               koteljanskii_generators, membership,
                               orbit_decompose)
 from minorcones.constants import Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, combine, dot,
-                              exact_products, kernel_basis, largest_norm,
-                              primitive, rref)
+                              exact_products, largest_norm, primitive, rref)
+from minorcones.oracles import brute_force_rays, kernel_basis
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homogeneous,
                                is_koteljanskii_ray, koteljanskii_log, log_of,

@@ -1,8 +1,12 @@
 """Every top-level import of a package module is used in that module,
-every top-level definition is used by the package, and the elimination
-kernels serve only the brute-force ray oracle."""
+every top-level definition is used by the package, the elimination
+kernels serve only the brute-force ray oracle, and only `reproduce` loads
+the oracles."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,8 +66,55 @@ def test_elimination_serves_only_the_brute_force_oracle():
     names = {"rref", "kernel_basis"}
     found = {(path.name, fn, name) for path in MODULES
              for fn, name in callers(path.read_text(), names)}
-    assert found == {("exact.py", "kernel_basis", "rref"),
-                     ("cones.py", "brute_force_rays", "kernel_basis")}
+    assert found == {("oracles.py", "kernel_basis", "rref"),
+                     ("oracles.py", "brute_force_rays", "kernel_basis")}
+
+
+def imports_oracles(source: str) -> bool:
+    """Whether any import statement of the module, at any level, names the
+    `oracles` module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}"
+                     for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("oracles" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_checker_finds_oracle_imports():
+    for source in ("from .oracles import det\n",
+                   "from . import cones, oracles\n",
+                   "import minorcones.oracles as o\n",
+                   "def f():\n    from minorcones import oracles\n"):
+        assert imports_oracles(source), source
+    assert not imports_oracles("from .exact import rank\nimport oracle\n")
+
+
+def test_only_reproduce_imports_the_oracles():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    importers = {name for name, source in sources.items()
+                 if imports_oracles(source)}
+    assert importers == {"reproduce.py"}
+    # The same check on a package whose cones imports them fails.
+    sources["cones.py"] += "from .oracles import brute_force_rays\n"
+    assert {name for name, source in sources.items()
+            if imports_oracles(source)} != {"reproduce.py"}
+
+
+def test_importing_the_package_leaves_the_oracles_unloaded():
+    script = ("import sys, minorcones\n"
+              "print(sorted(m for m in sys.modules if 'oracles' in m))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # Top-level definitions that no package module refers to, and why each

@@ -6,18 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minorcones import exact, polyarith
+from minorcones import exact, oracles, polyarith
 from minorcones.cli import main
 from minorcones.constants import P_for_Q
-from minorcones.exact import (CertificateError, clear_denominators,
-                              kernel_basis, rank)
+from minorcones.exact import CertificateError, clear_denominators, rank
 from minorcones.nullity import matrix, nullity_type
+from minorcones.oracles import (gram_principal_minors, kernel_basis, p_add,
+                                p_mul, p_neg, poly_det_cofactor)
 from minorcones.polyarith import (P_ONE, P_ZERO, AsnVector, PolyMatrix,
                                   asn, asn_inner_product, gram,
-                                  gram_principal_minors, p_add, p_mul,
-                                  p_neg, parse_poly, parse_poly_matrix, poly,
-                                  poly_det_cofactor, poly_matrix,
-                                  principal_minor_poly, principal_submatrix)
+                                  parse_poly, parse_poly_matrix, poly,
+                                  poly_matrix, principal_minor_poly,
+                                  principal_submatrix)
 from minorcones.subsets import members_of
 from test_ratios import from_entries
 
@@ -806,5 +806,5 @@ class TestAsnCertificate:
         def refuse(rows):
             raise RuntimeError("oracle called on the asn path")
         expect = asn(P_for_Q())
-        monkeypatch.setattr(polyarith, "poly_det_cofactor", refuse)
+        monkeypatch.setattr(oracles, "poly_det_cofactor", refuse)
         assert asn(P_for_Q()) == expect

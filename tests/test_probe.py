@@ -13,8 +13,9 @@ from minorcones import probe, ratios, reproduce
 from minorcones.cli import main
 from minorcones.constants import (M6, R1_FACTORS, P_for_Q, Q,
                                   counterexample_E4, named_log)
-from minorcones.exact import CertificateError, kernel_basis
+from minorcones.exact import CertificateError
 from minorcones.nullity import matrix, nullity_type
+from minorcones.oracles import kernel_basis
 from minorcones.polyarith import (asn, asn_inner_product, eval_poly_matrix,
                                   parse_poly_matrix, poly, poly_matrix)
 from minorcones.probe import (DEFAULT_POLY_GRID, MAX_SAMPLE_ENTRIES,
@@ -585,6 +586,25 @@ class TestBoundSearch:
         assert res.max_ratio <= 1.0 + 1e-9
         assert not res.diverging
 
+    @pytest.mark.parametrize("texts", [
+        ["{1,2}{1,3} / {1}{2,3}"],
+        ["{1,2}{} / {1}{2}", "{1,2}{1,3} / {1}{2,3}"],
+    ])
+    def test_non_homogeneous_ratio_raises_before_sampling(
+            self, monkeypatch, texts):
+        # Index 1 has net exponent 1: scaling a_11 by t scales the ratio by
+        # t, so the supremum is infinite, not the largest sampled value.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled for a non-homogeneous ratio")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        logs = [log_of(text, 3) for text in texts]
+        cfg = SamplerConfig(seed=1, count=2000, dimension=3)
+        with pytest.raises(ValueError, match="^bound search requires a "
+                           "homogeneous formal log$"):
+            probe.bound_searches(logs, cfg)
+        with pytest.raises(ValueError, match="homogeneous"):
+            bound_search(logs[-1], cfg)
+
     def test_unbounded_direction_flagged(self, monkeypatch):
         ascent(monkeypatch, 400, 0.2)
         res = bound_search(counterexample_E4(),
@@ -857,6 +877,20 @@ class TestSampleStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_sample_pd_holds_the_batch_and_one_chunk(self):
+        # Joining a list of every chunk held the batch twice (2.00 times
+        # its size); the batch and one chunk stay well below 1.5 times.
+        cfg = SamplerConfig(seed=11, count=100_000, dimension=4)
+        tracemalloc.start()
+        try:
+            batch = sample_pd(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch.nbytes
+        joined = np.concatenate(list(probe.sample_pd_chunks(cfg)))
+        assert batch.tobytes() == joined.tobytes()
 
 
 class TestSuites:

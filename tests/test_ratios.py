@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorcones import cones, ratios
-from minorcones.exact import clear_denominators, dot, kernel_basis
+from minorcones.exact import clear_denominators, dot
+from minorcones.oracles import kernel_basis
 from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                NotPositiveDefiniteError, RatioSyntaxError,
                                apply_complement, apply_permutation,
