@@ -32,10 +32,14 @@ def _subset_lines(entries, n) -> str:
 
 def _grid(args):
     if args.eps_min is None and args.eps_max is None:
-        return None
-    lo = args.eps_min if args.eps_min is not None else 1e-7
-    hi = args.eps_max if args.eps_max is not None else 1e-1
+        return args.default_grid
+    lo = args.default_grid[-1] if args.eps_min is None else args.eps_min
+    hi = args.default_grid[0] if args.eps_max is None else args.eps_max
     return tuple(float(x) for x in np.geomspace(hi, lo, 9))
+
+
+def _system(name: str, n: int):
+    return (cones.build_D_system if name == "D" else cones.build_E_system)(n)
 
 
 def cmd_type(args) -> int:
@@ -78,9 +82,7 @@ def cmd_membership(args) -> int:
                        "hyperplane": [str(x) for x in cert.hyperplane]}
         _emit(payload, "\n".join(lines), args)
         return 0 if cert.verdict else 1
-    system = (cones.build_D_system(n) if args.semigroup == "D"
-              else cones.build_E_system(n))
-    cert = cones.membership(v, system)
+    cert = cones.membership(v, _system(args.semigroup, n))
     lines = [f"member of {args.semigroup}_{n}: {cert.verdict}"]
     lines += [f"  {label}: {value}" for label, value in cert.inner_products]
     if cert.witness:
@@ -100,9 +102,7 @@ def cmd_extreme_rays(args) -> int:
         print(f"error: unsupported system ({args.system}, {args.n})",
               file=sys.stderr)
         return 2
-    system = (cones.build_D_system(args.n) if args.system == "D"
-              else cones.build_E_system(args.n))
-    rays = cones.extreme_rays(system)
+    rays = cones.extreme_rays(_system(args.system, args.n))
     orbits = cones.orbit_decompose(rays)
     koteljanskii = [probe.is_koteljanskii_ray(FormalLog(args.n, ray.vector))
                     for ray in rays]
@@ -133,7 +133,7 @@ def cmd_probe(args) -> int:
     default."""
     v = log_of(args.ratio, args.n)
     family = args.parse(Path(args.matrix).read_text())
-    report = args.probe(v, family, _grid(args) or args.default_grid)
+    report = args.probe(v, family, _grid(args))
     text = "\n".join([
         "epsilons: " + " ".join(f"{e:g}" for e in report.epsilons),
         "log_ratio: " + " ".join(f"{v:.6f}" for v in report.log_ratio_values),
@@ -204,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "to j-1.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if out:
-            p.add_argument("--out", help="also write the report to this path")
+        p.add_argument("--out", help="also write the report to this path")
 
     p = sub.add_parser("nullity", help="nullity type of a rational matrix")
     p.add_argument("matrix", help="matrix file (rows of integers or p/q)")

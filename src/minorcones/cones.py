@@ -426,13 +426,6 @@ class Orbit:
     members: Tuple[Tuple[int, ...], ...]
 
 
-def _vector_images(vec: Tuple[int, ...], n: int):
-    """Images of a mask-indexed vector under every permutation, each
-    without and with complementation."""
-    for _, _, gather in group_gathers(n):
-        yield gather(vec)
-
-
 def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:
     """Partition rays into orbits under the group generated by index
     permutations and set complementation.  The canonical sort key of each
@@ -453,7 +446,7 @@ def orbit_decompose(rays: Sequence[Ray]) -> List[Orbit]:
     for vec in sorted(remaining, key=key):
         if vec not in remaining:
             continue
-        images = set(_vector_images(vec, n))
+        images = {gather(vec) for _, _, gather in group_gathers(n)}
         members = sorted(images & remaining, key=key)
         orbits.append(Orbit(min(images, key=key), tuple(members)))
         remaining -= images

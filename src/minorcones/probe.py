@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import ratios
 from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, as_fractions, dot
 from .nullity import RationalMatrix, matrix, nullity_type
@@ -49,10 +48,9 @@ DEFAULT_POLY_GRID = tuple(float(x) for x in np.geomspace(1e-2, 1e-6, 9))
 
 # Added to every sampled Gram matrix G^T G, so that each sample is PD.
 RIDGE = 1e-6
-# Samples are drawn, formed and checked this many times
-# ratios.LOG_MINOR_CHUNK matrices at a time, so that the positive
-# definiteness check chunks as it does on a whole batch.
-SAMPLE_CHUNK_FACTOR = 2
+# How many samples sample_pd_chunks draws, forms and checks at a time: a
+# streamed check holds this many matrices, whatever the count.
+SAMPLE_CHUNK = 8192
 # The bound-search ascent: how many congruence factors it draws, and the
 # scale of their Gaussian perturbation of the identity.
 ASCENT_STEPS = 200
@@ -221,12 +219,12 @@ def fill_pd(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
     """cfg's PD samples G^T G + RIDGE * I for standard normal G, seeded,
-    filled by fill_pd into fresh arrays of at most SAMPLE_CHUNK_FACTOR *
-    ratios.LOG_MINOR_CHUNK samples: a check holds one chunk, not all."""
+    filled by fill_pd into fresh arrays of at most SAMPLE_CHUNK samples: a
+    check holds one chunk, not all."""
     rng = np.random.default_rng(cfg.seed)
-    n, step = cfg.dimension, SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
-    for start in range(0, cfg.count, step):
-        yield fill_pd(rng, np.empty((min(step, cfg.count - start), n, n)))
+    for start in range(0, cfg.count, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, cfg.count - start)
+        yield fill_pd(rng, np.empty((size, cfg.dimension, cfg.dimension)))
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:

@@ -454,23 +454,21 @@ def batch_log_minors(batch: np.ndarray,
     stack is chunked.  For a symmetric A[S], all pivots are positive iff
     A[S] is positive definite; a pivot that is not positive and finite
     makes the log-minor non-finite, and NotPositiveDefiniteError names the
-    first such subset in the given order, within the first chunk that has
-    one.
+    first such subset in the given order, over the whole stack.
     """
-    order, chunk, values = _log_minors(batch, masks)
-    finite = np.isfinite(values)
+    order, values = _log_minors(batch, masks)
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        start = int(np.argmin(finite.all(axis=0))) // chunk * chunk
-        first = int(np.argmin(finite[:, start:start + chunk].all(axis=1)))
-        raise NotPositiveDefiniteError(members_of(order[first]))
+        first = order[int(np.argmin(finite))]
+        raise NotPositiveDefiniteError(members_of(first))
     return dict(zip(order, values))
 
 
 def _log_minors(batch: np.ndarray, masks: Sequence[int]):
     """The elimination of batch_log_minors without its check: the distinct
-    masks in the given order, the chunk length, and the values, one row per
-    mask and one column per matrix.  A value is finite iff the matrix is
-    numerically positive definite on that subset."""
+    masks in the given order and the values, one row per mask and one
+    column per matrix.  A value is finite iff the matrix is numerically
+    positive definite on that subset."""
     count, n = batch.shape[0], batch.shape[-1]
     order = tuple(dict.fromkeys(masks))
     groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
@@ -502,7 +500,7 @@ def _log_minors(batch: np.ndarray, masks: Sequence[int]):
                     s = np.subtract(s[:, 1:, 1:], t, out=t)
                     logs += np.log(s[:, 0, 0])
                 values[rows, start:start + part.shape[-1]] = logs
-    return order, chunk, values
+    return order, values
 
 
 def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray],
@@ -536,7 +534,7 @@ def log_ratio_values(v: FormalLog, stack: np.ndarray):
     definiteness check: the log-ratios, and per matrix whether every
     minor in v.support() is finite.  Where it is not, the value means
     nothing (a minor of -inf with a negative weight gives +inf)."""
-    order, _, values = _log_minors(stack, v._support)
+    order, values = _log_minors(stack, v._support)
     with np.errstate(invalid="ignore"):
         total = log_ratio_from_minors(v, dict(zip(order, values)), len(stack))
     return total, np.isfinite(values).all(axis=0)

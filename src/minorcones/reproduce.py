@@ -17,7 +17,8 @@ from .exact import clear_denominators, dot, primitive, rank
 from .oracles import (brute_force_rays, gram_principal_minors,
                       poly_det_cofactor, rank_by_minors)
 from .polyarith import asn, asn_inner_product, gram, principal_submatrix
-from .ratios import FormalLog, delete_index, log_of
+from .ratios import (FormalLog, delete_index, koteljanskii_generators,
+                     log_of)
 from .subsets import group_gathers, image_gather, members_of
 
 # Sample counts: per n = 3..6 for the Fiedler suite, and at n = 4 for the
@@ -67,8 +68,8 @@ def check_d4_extreme_rays() -> CheckResult:
     r1_perm_rays = [r for r in rays if r.vector in perm_images]
     rest = [r for r in rays
             if r not in kot and r.vector not in perm_images]
-    r2_r3_orbit = (set(cones._vector_images(_named_primitive("R2"), 4))
-                   | set(cones._vector_images(_named_primitive("R3"), 4)))
+    r2_r3_orbit = {gather(vec) for vec in map(_named_primitive, ("R2", "R3"))
+                   for _, _, gather in group_gathers(4)}
     rest_ok = all(r.vector in r2_r3_orbit for r in rest)
     passed = (len(rays) == 46 and len(kot) == 24 and len(r1_perm_rays) == 6
               and len(rest) == 16 and rest_ok)
@@ -210,10 +211,11 @@ def check_structural_identities() -> CheckResult:
         if not _direct_sum_additive(m1, m2):
             failures.append("direct-sum additivity")
             break
+    # The six local generators: E3's rays, from a source that the D3 and
+    # E3 systems do not share.
     d3 = {r.vector for r in cones.extreme_rays(cones.build_D_system(3))}
-    e3 = {r.vector for r in cones.extreme_rays(cones.build_E_system(3))}
-    if d3 != e3:
-        failures.append("D3 rays != E3 rays")
+    if d3 != {vec for _, vec in koteljanskii_generators(3)}:
+        failures.append("D3 rays != local Koteljanskii generators")
     e4 = cones.build_E_system(4)
     for r in _d4_rays():
         if not cones.membership(FormalLog(4, r.vector), e4).verdict:

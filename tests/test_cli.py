@@ -10,7 +10,8 @@ import pytest
 
 from minorcones import cones, nullity, reproduce
 from minorcones.cli import main
-from minorcones.subsets import subset_order
+from minorcones.probe import DEFAULT_POLY_GRID
+from minorcones.subsets import group_gathers, subset_order
 
 HADAMARD = "{1,2}{} / {1}{2}"
 COUNTEREXAMPLE = ("{1,2,3,4}{1,3,4}{1,2}{1,4}{2,3}{2,4}{3}{} / "
@@ -276,9 +277,10 @@ class TestExtremeRays:
                 vec[mask] = x
             rays.add(tuple(vec))
         assert len(rays) == 1310
-        assert len(list(cones._vector_images(next(iter(rays)), 5))) == 240
+        gathers = [gather for _, _, gather in group_gathers(5)]
+        assert len(gathers) == 240
         for vec in rays:
-            assert set(cones._vector_images(vec, 5)) <= rays
+            assert {gather(vec) for gather in gathers} <= rays
 
     def test_unsupported_pair_exits_2(self, capsys):
         assert main(["extreme-rays", "--system", "D", "--n", "5"]) == 2
@@ -342,6 +344,16 @@ class TestAsnAndProbes:
         assert main(["probe-poly", HADAMARD, poly_file,
                      "--eps-min", "1e-6", "--eps-max", "1e-2"]) == 0
         assert "verdict: matches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--eps-min", "1e-6"],
+                                      ["--eps-max", "1e-2"]])
+    def test_probe_poly_one_eps_flag_keeps_the_default_end(self, poly_file,
+                                                            flag, capsys):
+        # The end not given comes from the command's own default grid.
+        assert main(["probe-poly", HADAMARD, poly_file, *flag,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["epsilons"] == list(DEFAULT_POLY_GRID)
 
     def test_probe_poly_size_mismatch_exits_2(self, poly_file, capsys):
         assert main(["probe-poly", "{1,3}{}/{1}{3}", poly_file]) == 2

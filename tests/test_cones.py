@@ -24,7 +24,8 @@ from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homoge
                                is_koteljanskii_ray, koteljanskii_log, log_of,
                                FormalLog)
 from minorcones.simplex import nonnegative_combination
-from minorcones.subsets import complement_mask, group_gathers
+from minorcones.subsets import (complement_mask, format_subset,
+                                group_gathers, subset_order)
 from test_ratios import permute_mask
 
 
@@ -67,6 +68,25 @@ class TestSystems:
         sys4 = build_E_system(4)
         # Five superset rows (|S| >= 3) and eleven subset rows (|S| <= 2).
         assert len(sys4.inequalities) == 16
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_e_rows_have_closed_forms(self, n):
+        # nul(M_S)(T) = [S ⊆ T] for |S| >= 3 and nul(M^S)(T) = |T| - [T ⊄ S]
+        # for |S| <= n - 2, each family in subset order: 466 rows at n = 8.
+        order = subset_order(n)
+        supersets = [s for s in order if s.bit_count() >= 3]
+        subsets = [s for s in order if s.bit_count() <= n - 2]
+        rows = ([tuple(int(s & t == s) for t in range(1 << n))
+                 for s in supersets]
+                + [tuple(t.bit_count() - (t & ~s != 0) for t in range(1 << n))
+                   for s in subsets])
+        system = build_E_system(n)
+        assert system.inequalities == tuple(rows)
+        assert system.labels == tuple(
+            [f"nul(M_{format_subset(s)})" for s in supersets]
+            + [f"nul(M^{format_subset(s)})" for s in subsets])
+        if n == 8:
+            assert len(rows) == 466
 
     def test_d3_equals_e3_after_dedup(self):
         d3, e3 = build_D_system(3), build_E_system(3)
@@ -842,6 +862,25 @@ def test_structural_rank_nullity_sees_a_wrong_rank(monkeypatch):
         f"rank-nullity: {name}" for name, _ in nullity.CATALOG_N4_BASES]
 
 
+def test_structural_d3_rays_see_a_system_that_e3_shares(monkeypatch):
+    # The D3 and E3 systems come from the same rows, so one wrong row set
+    # returned by both gives equal rays; the check compares D3's rays with
+    # the six local Koteljanskii generators instead.  Without one of its
+    # five rows, the cone has other rays.
+    from minorcones import reproduce
+    right = build_D_system(3)
+    wrong = ConstraintSystem(3, right.equalities, right.inequalities[1:],
+                             right.labels[1:])
+    for name in ("build_D_system", "build_E_system"):
+        build = getattr(cones, name)
+        monkeypatch.setattr(cones, name, lambda n, build=build:
+                            wrong if n == 3 else build(n))
+    check = reproduce.check_structural_identities()
+    assert not check.passed
+    assert check.details["failures"] == [
+        "D3 rays != local Koteljanskii generators"]
+
+
 class TestInsertionOrder:
     @pytest.mark.parametrize("build, n", [(build_E_system, 3),
                                           (build_E_system, 4),
@@ -1026,12 +1065,13 @@ class TestOrbits:
         seen = [v for o in orbit_decompose(rays) for v in o.members]
         assert sorted(seen) == sorted(r.vector for r in rays)
 
-    def test_vector_images_match_relabel(self):
+    def test_group_gathers_match_relabel(self):
+        # The images that orbit_decompose takes of each ray.
         vec = tuple(range(16))
         expect = [relabel(vec, perm, comp, 4)
                   for perm in permutations(range(1, 5))
                   for comp in (False, True)]
-        assert list(cones._vector_images(vec, 4)) == expect
+        assert [gather(vec) for _, _, gather in group_gathers(4)] == expect
         # The permutation-only images, which reproduce takes for R1.
         assert [gather(vec) for _, comp, gather in group_gathers(4)
                 if not comp] == expect[::2]

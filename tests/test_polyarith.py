@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minorcones import exact, oracles, polyarith
+from minorcones import exact, polyarith
 from minorcones.cli import main
 from minorcones.constants import P_for_Q
 from minorcones.exact import CertificateError, clear_denominators, rank
@@ -801,10 +801,3 @@ class TestAsnCertificate:
         with pytest.raises(ArithmeticError, match="inexact") as err:
             asn(P_for_Q())
         assert type(err.value) is ArithmeticError
-
-    def test_cofactor_oracle_off_the_asn_path(self, monkeypatch):
-        def refuse(rows):
-            raise RuntimeError("oracle called on the asn path")
-        expect = asn(P_for_Q())
-        monkeypatch.setattr(oracles, "poly_det_cofactor", refuse)
-        assert asn(P_for_Q()) == expect

@@ -687,7 +687,7 @@ class TestBoundSearch:
     def test_check_bounds_samples_once(self, monkeypatch):
         # One stream of (seed 4200, BOUNDS_SAMPLES, n = 4) over several
         # chunks and a remainder, each sample drawn once.
-        monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 40)
+        monkeypatch.setattr(probe, "SAMPLE_CHUNK", 80)
         monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
         streams, filled = [], []
         stream, fill = probe.sample_pd_chunks, probe.fill_pd
@@ -714,7 +714,7 @@ class TestBoundSearch:
 
         for module in (ratios, probe):
             monkeypatch.setattr(module, "batch_log_minors", spy)
-        monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 40)
+        monkeypatch.setattr(probe, "SAMPLE_CHUNK", 80)
         monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
         reproduce.check_bounds()
         # Per chunk of 80 samples and the remainder of 20: sample_pd's
@@ -726,10 +726,10 @@ class TestBoundSearch:
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """LOG_MINOR_CHUNK = 3, so that a seeded count spans many sample chunks
+    """SAMPLE_CHUNK = 6, so that a seeded count spans many sample chunks
     plus a remainder; returns the sample chunk length."""
-    monkeypatch.setattr(ratios, "LOG_MINOR_CHUNK", 3)
-    return probe.SAMPLE_CHUNK_FACTOR * 3
+    monkeypatch.setattr(probe, "SAMPLE_CHUNK", 6)
+    return 6
 
 
 def cli_json(argv):
@@ -762,11 +762,12 @@ class TestSampleStream:
             for start in range(0, count, small_chunks)]
         assert np.concatenate(chunks).tobytes() == want.tobytes()
 
-    def test_chunk_is_a_multiple_of_the_log_minor_chunk(self):
-        chunks = probe.sample_pd_chunks(SamplerConfig(
-            seed=0, count=3 * ratios.LOG_MINOR_CHUNK, dimension=2))
-        assert len(next(chunks)) == (probe.SAMPLE_CHUNK_FACTOR
-                                     * ratios.LOG_MINOR_CHUNK)
+    def test_chunks_hold_sample_chunk_samples(self):
+        cfg = SamplerConfig(seed=0, count=2 * probe.SAMPLE_CHUNK + 5,
+                            dimension=2)
+        assert probe.SAMPLE_CHUNK == 8192
+        assert [len(c) for c in probe.sample_pd_chunks(cfg)] == [
+            probe.SAMPLE_CHUNK, probe.SAMPLE_CHUNK, 5]
 
     @pytest.mark.parametrize("text,n", [
         ("{1,2,4}{1,3,4}{2,3}{1}{4} / {1,2}{1,3}{1,4}{2,4}{3,4}", 4),
@@ -862,7 +863,7 @@ class TestSampleStream:
         # The tracemalloc peak at 8 sample chunks stays within 10 % of the
         # peak at 2; a whole batch held at once would be about 4 times it.
         v = log_of("{1,2}{1,3}/{1}{1,2,3}", 3)
-        chunk = probe.SAMPLE_CHUNK_FACTOR * ratios.LOG_MINOR_CHUNK
+        chunk = probe.SAMPLE_CHUNK
         peaks = []
         for chunks in (2, 8):
             tracemalloc.start()

@@ -595,9 +595,9 @@ class TestLogMinorKernel:
                     want = [_reference_log_minor(a, mask) for a in stack]
                     assert logdet.tobytes() == np.array(want).tobytes(), (
                         n, mask)
-        # Across a chunk boundary.
+        # Across a chunk boundary: with the full set of n = 4 requested,
+        # a chunk holds LOG_MINOR_CHUNK matrices.
         masks = [15, 1, 0, 6, 11, 6]
-        assert ratios._log_minors(np.eye(4)[None], masks)[1] == LOG_MINOR_CHUNK
         stack = _pd_stack(LOG_MINOR_CHUNK + 3, 4, seed=31)
         rows = [0, 1, LOG_MINOR_CHUNK - 1, LOG_MINOR_CHUNK, LOG_MINOR_CHUNK + 2]
         for mask, logdet in batch_log_minors(stack, masks).items():
@@ -641,20 +641,20 @@ class TestLogMinorKernel:
                 batch_log_minors(stack, masks)
             assert err.value.subset == (1, 3)
 
-    def test_names_the_first_failing_chunk_before_later_ones(self):
-        # The first chunk fails on {1,3} only; a later chunk fails on
-        # {1,2}, which comes first in the order.  The elimination meets
-        # the first chunk first, so {1,3} is named.
+    def test_names_the_first_failing_subset_across_chunks(self):
+        # The first matrix fails on {1,3} only; the last, more than
+        # LOG_MINOR_CHUNK matrices later and so in a later chunk, fails on
+        # {1,2}, which comes first in the order.  The whole stack is
+        # checked, so {1,2} is named.
         fails_13 = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0],
                              [2.0, 0.0, 1.0]])
         fails_12 = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
         masks = [1, 2, 4, 3, 5, 6]
-        _, chunk, _ = ratios._log_minors(np.eye(3)[None], masks)
-        stack = np.concatenate([np.broadcast_to(np.eye(3), (chunk - 1, 3, 3)),
-                                fails_13[None], fails_12[None]])
-        for rows, subset in ((stack, (1, 3)), (stack[chunk:], (1, 2)),
-                             (stack[chunk - 1:], (1, 2))):
+        eyes = np.broadcast_to(np.eye(3), (LOG_MINOR_CHUNK, 3, 3))
+        stack = np.concatenate([fails_13[None], eyes, fails_12[None]])
+        for rows, subset in ((stack, (1, 2)), (stack[:-1], (1, 3)),
+                             (stack[1:], (1, 2))):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 batch_log_minors(rows, masks)
             assert err.value.subset == subset
