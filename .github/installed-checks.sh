@@ -75,7 +75,7 @@ big=$(echo '{1,2,3,4}{1,3,4}{1,2}{1,4}{2,3}{2,4}{3}{} / {1,2,3}{1,2,4}{2,3,4}{1,
 code=0
 python -O -m minorcones.cli membership "$big" --semigroup D --n 4 > big_d4.txt || code=$?
 test "$code" -eq 1
-grep -qx 'violated: M6@1234 = -9223372036854775808' big_d4.txt
+grep -qxF 'violated: {1}|{2}|{3,4} = -9223372036854775808' big_d4.txt
 python -O -m minorcones.cli membership "$big" --semigroup E --n 4
 # cone(K_6): a seeded sum of four local generators, a member
 # (exit 0).  cone(K_7): probe.random_homogeneous_log(7,
@@ -85,6 +85,14 @@ python -O -m minorcones.cli membership '{1,2}{3,4}^2{2,5}{1,2,3,6}{1,2,4,6}^3{2,
 code=0
 python -O -m minorcones.cli membership '{3}^2{5}{7}{1,2}{2,3}{2,4}{1,5}{2,5}{1,6}{4,6}{4,7}{5,7}{6,7}{1,2,3}{1,2,4}{1,3,5}{2,4,5}{1,4,6}{2,4,6}{1,5,6}{3,4,7}{4,6,7}{1,2,3,5}{2,3,4,5}{1,2,4,6}{2,3,4,6}{1,2,5,6}{1,3,4,7}{2,3,4,7}{1,3,5,7}{2,4,5,7}{1,2,6,7}{3,4,6,7}{1,2,4,5,6}{1,3,4,5,6}{2,3,4,5,6}{1,2,4,5,7}{2,3,4,5,7}{1,2,4,6,7}{1,4,5,6,7}{1,2,3,4,5,6}{1,2,3,4,5,7}{1,3,4,5,6,7} / {1}^3{2}^5{4}^10{6}^5{3,4}{4,5}{5,6}{3,7}{1,3,4}{2,3,4}{1,2,5}{2,3,5}{2,5,6}{4,5,6}{1,4,7}{2,4,7}{2,6,7}{5,6,7}{1,2,3,4}{1,2,4,5}{1,3,4,5}{1,3,5,6}{2,3,5,6}{1,4,5,6}{1,2,3,7}{1,2,4,7}{1,2,5,7}{1,4,5,7}{3,4,5,7}{1,3,6,7}{2,3,6,7}{1,5,6,7}{1,2,3,4,5}{1,2,3,4,7}{1,2,3,5,7}{1,3,5,6,7}{2,3,5,6,7}{1,2,3,5,6,7}' --semigroup K --n 7 > /dev/null || code=$?
 test "$code" -eq 1
+echo "::endgroup::"
+
+echo "::group::D_5 membership prints its 149 rows"
+# Q is a member of D_5 (exit 0): the verdict line, then one line per row
+# of nullity.d_constraint_set(5).
+python -O -m minorcones.cli membership '{1,2,3,4,5}{1,3,4,5}{2,3,4,5}{1,2,3}{1,2,5}{3,4}{4,5}{1}{2}{} / {1,2,3,4}{1,2,3,5}{1,4,5}{2,4,5}{3,4,5}{1,2}{1,3}{2,3}{4}{5}' --semigroup D --n 5 > q_d5.txt
+lines=$(wc -l < q_d5.txt)
+test "$lines" -eq 150
 echo "::endgroup::"
 
 echo "::group::cone(K_n) certificates, text and JSON"

@@ -2,12 +2,14 @@
 
 Subcommands: nullity, membership, extreme-rays, asn, probe-family,
 probe-poly, bound-search, fiedler, reproduce.  Membership exits 0 for a
-member, 1 for a non-member, and 2 on error.  Output is byte-stable for
-fixed inputs and seeds; subsets print in (size, value) order.
+member, 1 for a non-member; any command exits 2 on error and 141 when its
+stdout is closed early.  Output is byte-stable for fixed inputs and seeds;
+subsets print in (size, value) order.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,10 +33,11 @@ def _subset_lines(entries, n) -> str:
 
 
 def _grid(args):
-    if args.eps_min is None and args.eps_max is None:
-        return args.default_grid
-    lo = args.default_grid[-1] if args.eps_min is None else args.eps_min
-    hi = args.default_grid[0] if args.eps_max is None else args.eps_max
+    grid = args.default_grid
+    lo = grid[-1] if args.eps_min is None else args.eps_min
+    hi = grid[0] if args.eps_max is None else args.eps_max
+    if (hi, lo) == (grid[0], grid[-1]):
+        return grid
     return tuple(float(x) for x in np.geomspace(hi, lo, 9))
 
 
@@ -278,7 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head -1`): exit as SIGPIPE would, 128 + 13,
+        # with stdout on devnull so that the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,18 +2,19 @@
 
 Constraint systems live in the full subset-indexed space; the E_n rows
 come from one nullity elimination per family and set size, relabelled for
-the other sets (`nullity.family_types`).  Enumeration works in exact
-integer coordinates on the homogeneity subspace (dimension 2^n - n - 1)
-via the double description method, inserting the rows in lexicographic
-order ("lexmin", as in cdd) with combinatorial adjacency on tight-row
-bitmasks and a per-row index of tight rays kept across steps; rays and
-lines are combined by `exact.combine`.  Each system keeps its rows as one
-integer array (`ConstraintSystem.integer_rows`: int64, or Python ints past
-the int64 bound), and E/D membership is one exact product with it.
-The certificate of all output rays works on integer arrays, each from one
-exact product (`exact.exact_products`: an int64 numpy matmul when
-max ||row||_1 * max |entry| < 2^63 proves that no partial sum can
-overflow, else the same matmul on Python ints) with the cached basis
+the other sets (`nullity.family_types`), and the D_n rows from rank
+functions with no elimination (`nullity.d_constraint_set`).  Enumeration
+works in exact integer coordinates on the homogeneity subspace (dimension
+2^n - n - 1) via the double description method, inserting the rows in
+lexicographic order ("lexmin", as in cdd) with combinatorial adjacency on
+tight-row bitmasks and a per-row index of tight rays kept across steps;
+rays and lines are combined by `exact.combine`.  Each system keeps its
+rows as one integer array (`ConstraintSystem.integer_rows`: int64, or
+Python ints past the int64 bound), and E/D membership is one exact product
+with it.  The certificate of all output rays works on integer arrays,
+each from one exact product (`exact.exact_products`: an int64 numpy
+matmul when max ||row||_1 * max |entry| < 2^63 proves that no partial sum
+can overflow, else the same matmul on Python ints) with the cached basis
 B = `ratios.homogeneity_matrix(n)` or with the rays: the inequality rows
 times B^T are their coordinates on the quotient, the ray coordinates
 times B, divided by each row's gcd, are the primitive rays, and the rows
@@ -37,8 +38,8 @@ import numpy as np
 
 from .exact import (CertificateError, as_fractions, bareiss_rank, combine,
                     dot, exact_products, int64_products_fit, largest_norm)
-from .nullity import (catalog_n4, d5_constraint_set, family_types,
-                      subset_matrix, superset_matrix)
+from .nullity import (d_constraint_set, family_types, subset_matrix,
+                      superset_matrix)
 from .ratios import (FormalLog, homogeneity_basis, homogeneity_matrix,
                      homogeneity_vectors, is_homogeneous,
                      koteljanskii_generators, koteljanskii_matrix,
@@ -121,23 +122,11 @@ def build_E_system(n: int) -> ConstraintSystem:
 
 
 def build_D_system(n: int) -> ConstraintSystem:
-    """Nullity-type constraint systems defining D_3, D_4, D_5: at n = 3 the
-    rows M^{}, M^{i} and M_{1,2,3} (three eliminations through
-    `nullity.family_types`), at n = 4 `catalog_n4` and at n = 5
-    `d5_constraint_set`."""
-    if n == 3:
-        subsets = [0, 1, 2, 4]
-        labels = [f"M^{format_subset(s)}" for s in subsets] + ["M_{1,2,3}"]
-        labeled = list(zip(labels, family_types(subset_matrix, subsets, 3)
-                           + family_types(superset_matrix, [7], 3)))
-    elif n in (4, 5):
-        labeled = [(label, nt.entries) for label, nt in
-                   (catalog_n4() if n == 4 else d5_constraint_set())]
-    else:
-        raise ValueError("D system supported only for n in {3, 4, 5}")
+    """Nullity-type constraint systems defining D_3, D_4 and D_5, with the
+    rows and labels of `nullity.d_constraint_set(n)`."""
+    labels, types = zip(*d_constraint_set(n))
     return ConstraintSystem(n, homogeneity_vectors(n),
-                            tuple(entries for _, entries in labeled),
-                            tuple(label for label, _ in labeled))
+                            tuple(nt.entries for nt in types), labels)
 
 
 def membership(v: FormalLog, system: ConstraintSystem) -> MembershipCertificate:

@@ -1,7 +1,7 @@
 """Nullity and rank types of rational matrices, the standard matrix
-families behind the ST1/ST2 conditions, the 23-type catalogue for n = 4,
-partition-generated rank-<=2 types, matroid duality, and the h-equivalence
-of constraint rows (equal `ratios.h_coordinates`).
+families behind the ST1/ST2 conditions, partition-generated rank-<=2
+types, matroid duality, the D_3, D_4 and D_5 rows from them, and the
+h-equivalence of constraint rows (equal `ratios.h_coordinates`).
 
 `nullity_type` takes all 2^n column-subset nullities from one depth-first
 walk over the include/exclude trie of the columns, in integers: a node
@@ -13,13 +13,12 @@ against an independent Bareiss rank (`exact.rank`) of the whole matrix
 and the zero pattern of the columns, and validated as a matroid rank
 function.
 
-A column permutation of a matrix permutes its nullity type, so the
-catalogue eliminates each of its seven base matrices (`CATALOG_N4_BASES`)
-once and takes the permuted types from `subsets.group_gathers`, and
+A column permutation of a matrix permutes its nullity type, so
 `family_types` eliminates one M_S or M^S per set size and relabels its
-type for the other sets of that size.  The D_5 constraint set has the
-catalogue's shape, (label, NullityType) pairs.  All computations here are
-exact; floating point never enters.
+type for the other sets of that size.  The D_n rows for n = 3, 4, 5 need
+no elimination: `d_constraint_set` takes them from rank functions, the
+rank-<=2 partition types and their matroid duals, as (label, NullityType)
+pairs.  All computations here are exact; floating point never enters.
 """
 
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .exact import CertificateError, clear_denominators, combine, rank
 from .ratios import MAX_GROUND_SIZE, h_coordinates
-from .subsets import (format_subset, group_gathers, mask_of, members_of,
+from .subsets import (format_subset, mask_of, members_of,
                       order_preserving_gather)
 
 RationalMatrix = Tuple[Tuple[Rational, ...], ...]
@@ -263,11 +262,12 @@ def family_types(family: Callable[[int, int], RationalMatrix],
     return out
 
 
-# The two rank-2 matrices of the n = 4 catalogue with no M_S/M^S form.
+# The two rank-2 matrices of CATALOG_N4_BASES with no M_S/M^S form.
 M6 = matrix([[1, 0, 1, 1], [0, 1, 1, 1]])
 M7 = matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
 
-# The seven labeled matrices whose column permutations give catalog_n4.
+# Seven labeled matrices whose column permutations realize every row of
+# D_4; `reproduce` checks rank-nullity on each.
 CATALOG_N4_BASES: Tuple[Tuple[str, RationalMatrix], ...] = (
     ("M^{}", subset_matrix(0, 4)),
     ("M^{1}", subset_matrix(mask_of([1]), 4)),
@@ -277,29 +277,6 @@ CATALOG_N4_BASES: Tuple[Tuple[str, RationalMatrix], ...] = (
     ("M6", M6),
     ("M7", M7),
 )
-
-
-@lru_cache(maxsize=None)
-def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
-    """The 23 labeled nullity types defining D_4: all distinct types of
-    column permutations of the seven CATALOG_N4_BASES.  The type of the
-    matrix with column i moved to column perm[i-1] is the base type's image
-    under perm, so each base matrix is eliminated once."""
-    seen = set()
-    out: List[Tuple[str, NullityType]] = []
-    for name, base in CATALOG_N4_BASES:
-        base_entries = nullity_type(base).entries
-        for perm, complement, gather in group_gathers(4):
-            entries = gather(base_entries)
-            if complement or entries in seen:
-                continue
-            seen.add(entries)
-            out.append((f"{name}@{''.join(map(str, perm))}",
-                        NullityType(4, entries)))
-    if len(out) != 23:
-        raise CertificateError(
-            f"n=4 catalogue has {len(out)} types, expected 23")
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -376,24 +353,45 @@ def enumerate_partitions(n: int) -> List[Partition]:
     return out
 
 
-@lru_cache(maxsize=None)
-def d5_constraint_set() -> Tuple[Tuple[str, NullityType], ...]:
-    """(label, type) pairs sufficient to define D_5: all rank-<=2 types
-    (every partition of 5 columns into parallel classes plus loops, labeled
-    by `Partition.label`) and their matroid duals (labeled "dual:" + that),
-    deduplicated up to the h-equivalence relation.
+# The number of rows of d_constraint_set(n) for each supported n.
+D_ROW_COUNTS = {3: 5, 4: 23, 5: 149}
 
-    Every matroid on 5 elements has rank <= 2 or corank <= 2, and both the
-    rank-<=2 matroids and their duals are rational-realizable, so these rows
-    impose exactly the D_5 conditions.
-    """
+
+@lru_cache(maxsize=None)
+def d_constraint_set(n: int) -> Tuple[Tuple[str, NullityType], ...]:
+    """(label, type) pairs defining D_n for n in `D_ROW_COUNTS`: the rank-<=2
+    type of each partition of the columns into parallel classes and loops
+    (labeled by `Partition.label`) and its matroid dual ("dual:" + label),
+    the first of each class modulo homogeneity (equal `h_coordinates`).
+    Every matroid on n <= 5 elements has rank <= 2 or corank <= 2, and all
+    of these are rational-realizable, so the rows cut out D_n.  The zero
+    class is left out, and so is a partition of exactly two blocks of two
+    or more columns: a direct sum of two rank-1 matroids, whose type and
+    dual type are sums of one-block types.  No kept row is a nonnegative
+    combination of the others."""
+    if n not in D_ROW_COUNTS:
+        raise ValueError("D system supported only for n in {3, 4, 5}")
     out: List[Tuple[str, NullityType]] = []
-    seen = set()
-    for p in enumerate_partitions(5):
+    seen = {h_coordinates((0,) * (1 << n), n)}
+    for p in enumerate_partitions(n):
+        if len(p.blocks) == 2 and min(b.bit_count() for b in p.blocks) >= 2:
+            continue
         nt = partition_nullity(p)
         for prefix, row_nt in (("", nt), ("dual:", dual_nullity_type(nt))):
-            key = h_coordinates(row_nt.entries, 5)
+            key = h_coordinates(row_nt.entries, n)
             if key not in seen:
                 seen.add(key)
                 out.append((prefix + p.label(), row_nt))
+    if len(out) != D_ROW_COUNTS[n]:
+        raise CertificateError(
+            f"D_{n} has {len(out)} rows, expected {D_ROW_COUNTS[n]}")
     return tuple(out)
+
+
+# The D_4 and D_5 rows under the names that perfbench binds and calls.
+def catalog_n4() -> Tuple[Tuple[str, NullityType], ...]:
+    return d_constraint_set(4)
+
+
+def d5_constraint_set() -> Tuple[Tuple[str, NullityType], ...]:
+    return d_constraint_set(5)

@@ -103,9 +103,11 @@ def check_d4_generators() -> CheckResult:
 def check_e4_minus_d4_witness() -> CheckResult:
     cx = counterexample_E4()
     in_e4 = cones.membership(cx, cones.build_E_system(4)).verdict
-    cert = cones.membership(cx, cones.build_D_system(4))
-    witness_ok = (not cert.verdict and cert.witness is not None
-                  and cert.witness[1] == -1 and "M6" in cert.witness[0])
+    d4 = cones.build_D_system(4)
+    cert = cones.membership(cx, d4)
+    witness_ok = (not cert.verdict and cert.witness[1] == -1
+                  and d4.inequalities[d4.labels.index(cert.witness[0])]
+                  == nullity.nullity_type(M6()).entries)
     report = probe.eval_family_slope(cx, M6())
     slope_ok = abs(report.fitted_slope - (-1.0)) <= 0.05
     blows_up = report.max_ratio() > 1e3
@@ -198,7 +200,7 @@ def check_structural_identities() -> CheckResult:
                + nt[t] != t.bit_count() for t in range(1, 16)):
             failures.append(f"rank-nullity: {name}")
     complement = image_gather(range(1, 5), True, 4)
-    for label, nt in nullity.catalog_n4():
+    for label, nt in nullity.d_constraint_set(4):
         dual = nullity.dual_nullity_type(nt)
         if not nullity.h_equivalent(complement(nt.entries), dual.entries, 4):
             failures.append(f"dual/complement equivalence: {label}")

@@ -10,7 +10,7 @@ import pytest
 
 from minorcones import cones, nullity, reproduce
 from minorcones.cli import main
-from minorcones.probe import DEFAULT_POLY_GRID
+from minorcones.probe import DEFAULT_GRID, DEFAULT_POLY_GRID
 from minorcones.subsets import group_gathers, subset_order
 
 HADAMARD = "{1,2}{} / {1}{2}"
@@ -74,7 +74,7 @@ class TestMembership:
                      "--semigroup", "D"]) == 1
         out = capsys.readouterr().out
         assert "member of D_4: False" in out
-        assert "violated: M6" in out
+        assert "violated: {1}|{2}|{3,4} = -1" in out
 
     def test_inhomogeneous_exits_2(self, capsys):
         assert main(["membership", "{1,2} / {1}", "--semigroup", "E"]) == 2
@@ -102,16 +102,15 @@ class TestMembership:
         assert len(payload["hyperplane"]) == 16
 
     def test_catalogue_count_failure_exits_2(self, monkeypatch, capsys):
-        fixed = nullity.nullity_type(nullity.M6)
-        monkeypatch.setattr(nullity, "nullity_type", lambda m: fixed)
-        nullity.catalog_n4.cache_clear()
+        monkeypatch.setitem(nullity.D_ROW_COUNTS, 4, 24)
+        nullity.d_constraint_set.cache_clear()
         try:
             assert main(["membership", COUNTEREXAMPLE,
                          "--semigroup", "D"]) == 2
         finally:
-            nullity.catalog_n4.cache_clear()
-        assert capsys.readouterr().err.startswith(
-            "error: n=4 catalogue has 6 types")
+            nullity.d_constraint_set.cache_clear()
+        assert capsys.readouterr().err == (
+            "error: D_4 has 23 rows, expected 24\n")
 
     @pytest.mark.parametrize("ratio,extra", [
         ("{1,40}{} / {1}{40}", []),
@@ -163,31 +162,31 @@ MEMBERSHIP_RATIOS = (
 # `membership`: the exact combinations, hyperplanes and inner products.
 MEMBERSHIP_STDOUT_SHA256 = (
     (0, 'K', 0, '6bfb2aa3d31556573ce61184cbcfc86f7091299de7789223340d9ed2a33a990f'),
-    (0, 'D', 0, 'bff0548e8495e2f3ac621cd512638ffb7927f167e972fb0d1a862030a0ed6589'),
+    (0, 'D', 0, '314e446015efa95ab9b1e07442d3a6d881a9b62688835a671dce86da8571ac4e'),
     (0, 'E', 0, 'ebcc805d2cbe9bac6be0559b2843b063237bd2a258d9597a46e0151f670aac7b'),
     (1, 'K', 1, '979b9a118a7ab73ee330c777af423fabecee1d3aa1b8539d38ff2bcd772a03cf'),
-    (1, 'D', 0, '2d01e97d63f4c8c6ff20c60d3fc871a89177f68d3d77b0513ef886af7d46e774'),
+    (1, 'D', 0, '45057d9763b566e7c64348df7681103295294c97af52c8583785c2c54cca6da5'),
     (1, 'E', 0, '95146d9ed76f3fdc66560a25ab6b9caa4034314fcbe5baf496cc6edead1edab9'),
     (2, 'K', 1, '4834840159317a1281205bb2827ee7ee23a72843fef837cbc72bd09258a0c09b'),
-    (2, 'D', 0, '3cd0b4ecd99e2100bc64c9d47c1fd2f864998ab7c4bcdc4e13df27d0fcb9c80c'),
+    (2, 'D', 0, 'b08a481b2891d90cd466a4ea947b6af0303f016eda9427b581bc5fa4bdfac59f'),
     (2, 'E', 0, '67d5820b546c224a98c124931b775b8a8760f0de3141baba7bca8f5ef9d5f17a'),
     (3, 'K', 1, '02bbbf60203e4a05a9b56bcae3969f7c8cd892496bb205a4b43afda627a09a05'),
-    (3, 'D', 1, '04ef9fb6b727a513002e582453c0a8943966f28f240fb6625220c03ff1328e2e'),
+    (3, 'D', 1, '27a358c65f826f038333abb4279b2f544b21052d1c9f350fe3f5715be33874a9'),
     (3, 'E', 0, '2a96c4b02f1107a1d97c47b204de479cecedb20b1e748050f2099d7df94e9709'),
     (4, 'K', 0, 'f62f666fb7664ce4a6a0fb27d6dad80f0e40cae76ce37bae9b5f426fd3a84b66'),
-    (4, 'D', 0, 'e76a414fddf90fcf87654061620d2dd95d26a5467f8972aa1e2fe703aeb03c7b'),
+    (4, 'D', 0, '55cd7e89edddcc16e4379daaede5efb70040d332b6a5df3fab5e03f49098151c'),
     (4, 'E', 0, 'c77435cb0341115b08c17d403b412e0a2804bdb101363fb127916fc9735ffc3b'),
     (5, 'K', 1, '02bbbf60203e4a05a9b56bcae3969f7c8cd892496bb205a4b43afda627a09a05'),
-    (5, 'D', 1, 'f7ec6abe780798e5ebe9277aa75fa7f8a462d6823c960b27938ef6a3314feb16'),
+    (5, 'D', 1, '7bfe3ad8e6da96dff7e270724ba510fda9abc6da4c46e267a60859f3916fb8d2'),
     (5, 'E', 0, 'c6664f097636745d5d46abac8b2d6d49f99f4e315f9d644a222ef259c8b27f84'),
     (6, 'K', 1, 'a84f346ed5f60d61114e9e5ed563acedff9d48ef781a6f63a1c046802c0d9e58'),
-    (6, 'D', 0, '33f48739a7fc81be77d63357058a89a2519a9a56e3b63714c545a6efd76ea9c9'),
+    (6, 'D', 0, 'af4c1bde84c11a19dcbe6b1531fc813093e4ee89549dfad52ca4c76ce12ff5ef'),
     (6, 'E', 0, '05d21e8f975d19cb70711dd9974d65448a272e6ea66d9ff6fc93057584ba8ec3'),
     (7, 'K', 0, 'ee9a1715ce9cea5c042beaa4ea7912ee103bcb98a7e30195a8e3e654ca730f44'),
-    (7, 'D', 0, '4410b339bf7067da069428443d5a203f65382bbfc531677b21a5b5ad183fb7b8'),
+    (7, 'D', 0, '09cb10953ccaa16458bedaa8491f8e5d6a3c195952c96f5eb4a4537373dd1a90'),
     (7, 'E', 0, '91261fd248d705c9d7c30376303ce7fdb5ac8fa5eeed1d3f357be4fe5f134583'),
     (8, 'K', 1, '2e10ade0ebec713423bc606b2bcd9de9bbfe252bd72ef29ee8e1a19d1c6c320e'),
-    (8, 'D', 1, 'ce3ba0e19a401438404c99cc5db9d01dbf9cabc968eb518ad8e6fa5414a5bc51'),
+    (8, 'D', 1, 'c6644c66855514d58fa5bb953309b85e8b8e4273ce783ddc7ce412dda3961229'),
     (8, 'E', 1, '9f12915cb473fe5a27061fb6c2f4ea0fefeb30a563e2591213975f15b71d8653'),
     (9, 'K', 0, '8efd3fd6bd746050f985362ff9e3916061ccde791365db62f947f174e85cf8fe'),
     (9, 'E', 0, 'b99d994c799ee7ab7ad54e1578f6609110306a87e646fa0e106a5b1ea342d415'),
@@ -304,6 +303,30 @@ class TestExtremeRays:
         assert capsys.readouterr().out == first
 
 
+class TestClosedStdout:
+    def test_broken_pipe_exits_141_without_an_error(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # The reader of stdout went away, as in `minorcones ... | head -1`.
+        # main points the stream's descriptor, here a file of the test's
+        # own, at devnull.
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        with open(tmp_path / "stdout", "wb") as target:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["extreme-rays", "--system", "E", "--n", "3"]) == 141
+            assert os.path.samestat(os.fstat(target.fileno()),
+                                    os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+
 class TestReproduce:
     def test_out_report_round_trips_the_details(self, tmp_path, capsys):
         # The report writes each check's details as they are: a value that
@@ -354,6 +377,18 @@ class TestAsnAndProbes:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["epsilons"] == list(DEFAULT_POLY_GRID)
+
+    @pytest.mark.parametrize("flag", [
+        ["--eps-min", "1e-7"], ["--eps-max", "0.1"],
+        ["--eps-min", "1e-7", "--eps-max", "0.1"]])
+    def test_probe_family_default_ends_keep_the_default_grid(
+            self, m6_file, flag, capsys):
+        # Ends equal to the default grid's give that grid: seven points, not
+        # nine log-spaced ones.
+        assert main(["probe-family", COUNTEREXAMPLE, m6_file, *flag,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["epsilons"] == list(DEFAULT_GRID)
 
     def test_probe_poly_size_mismatch_exits_2(self, poly_file, capsys):
         assert main(["probe-poly", "{1,3}{}/{1}{3}", poly_file]) == 2

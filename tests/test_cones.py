@@ -15,9 +15,10 @@ from minorcones.cones import (ConstraintSystem, build_D_system,
                               homogeneity_basis, koteljanskii_cone_membership,
                               koteljanskii_generators, membership,
                               orbit_decompose)
-from minorcones.constants import Q, R1, counterexample_E4
+from minorcones.constants import M6, Q, R1, counterexample_E4
 from minorcones.exact import (CertificateError, bareiss_rank, combine, dot,
                               exact_products, largest_norm, primitive, rref)
+from minorcones.nullity import nullity_type
 from minorcones.oracles import brute_force_rays, kernel_basis
 from minorcones.probe import random_homogeneous_log
 from minorcones.ratios import (FormalLog, delete_index, h_coordinates, is_homogeneous,
@@ -89,8 +90,11 @@ class TestSystems:
             assert len(rows) == 466
 
     def test_d3_equals_e3_after_dedup(self):
+        # D_3's rows come from rank functions and E_3's from eliminating
+        # M_S and M^S: the same constraints modulo homogeneity.
         d3, e3 = build_D_system(3), build_E_system(3)
-        assert set(d3.inequalities) <= set(e3.inequalities)
+        assert ({h_coordinates(row, 3) for row in d3.inequalities}
+                == {h_coordinates(row, 3) for row in e3.inequalities})
         assert extreme_rays(d3) == extreme_rays(e3)
 
     def test_d4_row_count(self):
@@ -100,7 +104,7 @@ class TestSystems:
         d5 = build_D_system(5)
         assert len(d5.inequalities) == len(set(d5.inequalities))
 
-    @pytest.mark.parametrize("n,count", [(3, 5), (4, 23), (5, 185)])
+    @pytest.mark.parametrize("n,count", [(3, 5), (4, 23), (5, 149)])
     def test_d_rows_pairwise_h_inequivalent(self, n, count):
         rows = build_D_system(n).inequalities
         assert len(rows) == count
@@ -130,7 +134,10 @@ class TestMembership:
         assert not cert.verdict
         label, value = cert.witness
         assert value == -1
-        assert label.startswith("M6")
+        assert label == "{1}|{2}|{3,4}"
+        row = cert.inner_products.index(cert.witness)
+        assert (build_D_system(4).inequalities[row]
+                == nullity_type(M6()).entries)
 
     def test_requires_homogeneous(self):
         with pytest.raises(ValueError, match="homogeneous"):
@@ -863,10 +870,10 @@ def test_structural_rank_nullity_sees_a_wrong_rank(monkeypatch):
 
 
 def test_structural_d3_rays_see_a_system_that_e3_shares(monkeypatch):
-    # The D3 and E3 systems come from the same rows, so one wrong row set
-    # returned by both gives equal rays; the check compares D3's rays with
-    # the six local Koteljanskii generators instead.  Without one of its
-    # five rows, the cone has other rays.
+    # One wrong row set returned by both the D3 and E3 builds gives equal
+    # rays; the check compares D3's rays with the six local Koteljanskii
+    # generators instead.  Without one of its five rows, the cone has other
+    # rays.
     from minorcones import reproduce
     right = build_D_system(3)
     wrong = ConstraintSystem(3, right.equalities, right.inequalities[1:],

@@ -7,7 +7,7 @@ from minorcones.constants import (M6, M7, P_for_Q, Q, R1, R1_FACTORS,
 from minorcones.nullity import matrix, nullity_type
 from minorcones.polyarith import asn, asn_inner_product
 from minorcones.ratios import (FormalLog, apply_complement,
-                               apply_permutation,
+                               apply_permutation, h_coordinates,
                                is_homogeneous, is_koteljanskii_ray, log_of,
                                parse_ratio)
 from test_ratios import format_ratio
@@ -81,8 +81,9 @@ class TestMatrices:
         # The five 3-column matrices whose nullity types cut out E_3.
         d3_matrices = ([[1, 1, 1]], [[0, 1, 1]], [[1, 0, 1]], [[1, 1, 0]],
                        [[1, 0, 1], [0, 1, 1]])
-        types = {nullity_type(matrix(m)).entries for m in d3_matrices}
-        assert types == set(d3.inequalities)
+        types = {h_coordinates(nullity_type(matrix(m)).entries, 3)
+                 for m in d3_matrices}
+        assert types == {h_coordinates(row, 3) for row in d3.inequalities}
 
     def test_p_for_q_asn_pairs_with_q(self):
         a = asn(P_for_Q())

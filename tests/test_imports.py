@@ -125,6 +125,11 @@ UNREFERENCED = {
     ("probe", "sample_pd"):
         "perfbench's fiedler job and probes warm-up draw whole batches with "
         "it, and perfbench/tracing.py wraps it as the probe.sample span",
+    ("nullity", "catalog_n4"):
+        "perfbench's rays warm-up calls it to fill the D_4 rows' cache, and "
+        "perfbench/tracing.py wraps it as the nullity.catalog span",
+    ("nullity", "d5_constraint_set"):
+        "perfbench/tracing.py wraps it as the nullity.catalog span",
     ("constants", "R1"): "named data, beside Q() and counterexample_E4()",
     ("constants", "R2"): "named data, beside Q() and counterexample_E4()",
     ("constants", "R3"): "named data, beside Q() and counterexample_E4()",

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from minorcones import nullity
@@ -11,12 +12,13 @@ from minorcones.exact import (CertificateError, clear_denominators, combine,
                               rank, rref)
 from minorcones.nullity import (M6, M7, NullityType, Partition, RankType,
                                 catalog_n4, d5_constraint_set,
-                                dual_nullity_type, enumerate_partitions,
-                                h_equivalent,
+                                d_constraint_set, dual_nullity_type,
+                                enumerate_partitions, h_equivalent,
                                 matrix, nullity_type, parse_matrix,
                                 partition_nullity, rank_type, subset_matrix,
                                 superset_matrix)
 from minorcones.ratios import h_coordinates, homogeneity_vectors
+from minorcones.simplex import nonnegative_combination
 from minorcones.subsets import (format_subset, mask_of, members_of,
                                 order_preserving_gather, subset_order)
 
@@ -128,15 +130,12 @@ def random_matrix(rng, n):
     return matrix(rows)
 
 
-def constraint_digest():
-    """sha256 of the E3..E7 systems' labels and rows, the n = 4 catalogue
-    and the D5 constraint set."""
+def constraint_digest(build, sizes):
+    """sha256 of the labels and rows of build(n) for each n in `sizes`."""
     h = hashlib.sha256()
-    for n in range(3, 8):
-        system = build_E_system(n)
+    for n in sizes:
+        system = build(n)
         h.update(repr((system.labels, system.inequalities)).encode())
-    h.update(repr(catalog_n4()).encode())
-    h.update(repr(d5_constraint_set()).encode())
     return h.hexdigest()
 
 
@@ -227,10 +226,12 @@ class TestSubsetKernel:
         assert nullity_type(m)[0b011] == 0
 
     def test_constraint_rows_unchanged(self):
-        # Recorded from the per-subset Bareiss elimination, with the D5 rows
-        # as (label, nullity type) pairs.
-        assert constraint_digest() == (
-            "3d63b6e2aa91b30c186d71478ecc92ceec6eceea52dd40c833ac76f53488e011")
+        # E3..E7 as recorded from the per-subset Bareiss elimination; D3..D5
+        # as recorded when the D rows came from rank functions.
+        assert constraint_digest(build_E_system, range(3, 8)) == (
+            "acaa84f4e6c4e22202f1122a491b36ea7e0f73739b0d59483138e9b428316460")
+        assert constraint_digest(build_D_system, range(3, 6)) == (
+            "1f67295372d49b695629e4a861a5ba2c864192e7babab421eaa53748fe5d25f0")
 
     def test_one_rank_call_per_matrix(self, monkeypatch):
         calls = []
@@ -404,13 +405,15 @@ class TestFamilyTypes:
         assert (system.inequalities, system.labels) == per_row_e_system(n)
 
     def test_d3_rows_equal_one_elimination_per_row(self):
+        # The rank-function rows of D_3 and the nullity types of M^{},
+        # M^{i} and M_{1,2,3}, modulo homogeneity.
         rows = [subset_matrix(s, 3) for s in (0, 1, 2, 4)]
         rows.append(superset_matrix(7, 3))
         system = build_D_system(3)
-        assert system.inequalities == tuple(nullity_type(m).entries
-                                            for m in rows)
-        assert system.labels == ("M^{}", "M^{1}", "M^{2}", "M^{3}",
-                                 "M_{1,2,3}")
+        assert ({h_coordinates(row, 3) for row in system.inequalities}
+                == {h_coordinates(nullity_type(m).entries, 3) for m in rows})
+        assert system.labels == ("{1,2,3}", "dual:{1,2,3}", "{1}|{2,3}",
+                                 "{1,2}|{3}", "{2}|{1,3}")
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_one_elimination_per_family_and_size(self, n,
@@ -418,12 +421,6 @@ class TestFamilyTypes:
         build_E_system(n)
         # |S| = 3..n for M_S and |S| = 0..n-2 for M^S.
         assert len(elimination_calls) == 2 * n - 3
-
-    def test_d3_takes_three_eliminations(self, elimination_calls):
-        build_D_system(3)
-        assert elimination_calls == [subset_matrix(0, 3),
-                                     subset_matrix(1, 3),
-                                     superset_matrix(7, 3)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gather_is_the_column_relabelling(self, seed):
@@ -449,58 +446,82 @@ class TestFamilyTypes:
             order_preserving_gather(0b011, 0b100, 3)
 
 
+def eliminated_catalogue():
+    """Oracle for D_4: the h-coordinates of the nullity type of every column
+    permutation of the seven base matrices, eliminated one by one, mapped
+    to the label of its base matrix."""
+    families = [
+        ("M^{}", subset_matrix(0, 4)),
+        ("M^{1}", subset_matrix(mask_of([1]), 4)),
+        ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
+        ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
+        ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
+        ("M6", M6),
+        ("M7", M7),
+    ]
+    return {h_coordinates(nullity_type(permute_columns(base, perm)).entries,
+                          4): name
+            for name, base in families for perm in permutations(range(1, 5))}
+
+
+def is_combination(cols, row):
+    """Whether the integer `row` is a nonnegative combination of `cols`."""
+    x, _ = nonnegative_combination(np.array(cols, dtype=np.int64).reshape(
+        len(cols), len(row)), (list(row), 1))
+    return x is not None
+
+
 class TestCatalog:
     def test_exactly_23_types(self):
         assert len(catalog_n4()) == 23
 
     def test_equals_eliminating_every_permuted_matrix(self):
-        families = [
-            ("M^{}", subset_matrix(0, 4)),
-            ("M^{1}", subset_matrix(mask_of([1]), 4)),
-            ("M^{1,2}", subset_matrix(mask_of([1, 2]), 4)),
-            ("M_{1,2,3}", superset_matrix(mask_of([1, 2, 3]), 4)),
-            ("M_{1,2,3,4}", superset_matrix(mask_of([1, 2, 3, 4]), 4)),
-            ("M6", M6),
-            ("M7", M7),
-        ]
-        seen = set()
-        expected = []
-        for name, base in families:
-            for perm in permutations(range(1, 5)):
-                nt = nullity_type(permute_columns(base, perm))
-                if nt.entries not in seen:
-                    seen.add(nt.entries)
-                    expected.append((f"{name}@{''.join(map(str, perm))}", nt))
-        assert list(catalog_n4()) == expected
+        assert ({h_coordinates(nt.entries, 4) for _, nt in catalog_n4()}
+                == set(eliminated_catalogue()))
 
-    def test_one_elimination_per_base_matrix(self, monkeypatch):
-        calls = []
-        real = nullity.nullity_type
-
-        def spy(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(nullity, "nullity_type", spy)
-        nullity.catalog_n4.cache_clear()
+    def test_d_builds_eliminate_nothing(self, elimination_calls):
+        nullity.d_constraint_set.cache_clear()
         try:
-            assert len(catalog_n4()) == 23
+            for n in (3, 4, 5):
+                build_D_system(n)
         finally:
-            nullity.catalog_n4.cache_clear()
-        assert len(calls) == 7
+            nullity.d_constraint_set.cache_clear()
+        assert elimination_calls == []
+
+    def test_perfbench_names_are_the_generator(self):
+        assert catalog_n4() is d_constraint_set(4)
+        assert d5_constraint_set() is d_constraint_set(5)
 
     def test_types_distinct(self):
         entries = {nt.entries for _, nt in catalog_n4()}
         assert len(entries) == 23
 
     def test_family_counts(self):
-        # M6 has one parallel pair of columns (6 placements); M7 has four
-        # pairwise independent columns (fully symmetric, 1 type).
+        # The rows per base matrix whose permutations realize them: M6 has
+        # one parallel pair of columns (6 placements); M7 has four pairwise
+        # independent columns (fully symmetric, 1 type).
+        family = eliminated_catalogue()
         counts = {}
-        for label, _ in catalog_n4():
-            counts[label.split("@")[0]] = counts.get(label.split("@")[0], 0) + 1
+        for _, nt in catalog_n4():
+            name = family[h_coordinates(nt.entries, 4)]
+            counts[name] = counts.get(name, 0) + 1
         assert counts == {"M^{}": 1, "M^{1}": 4, "M^{1,2}": 6,
                           "M_{1,2,3}": 4, "M_{1,2,3,4}": 1, "M6": 6, "M7": 1}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rows_are_irredundant(self, n):
+        # Modulo homogeneity, no row is a nonnegative combination of the
+        # others, and each left-out direct sum, and its dual, is one.
+        rows = [h_coordinates(nt.entries, n) for _, nt in d_constraint_set(n)]
+        for k, row in enumerate(rows):
+            assert not is_combination(rows[:k] + rows[k + 1:], row), k
+        skipped = [p for p in enumerate_partitions(n) if len(p.blocks) == 2
+                   and min(b.bit_count() for b in p.blocks) >= 2]
+        assert len(skipped) == {4: 3, 5: 25}[n]
+        for p in skipped:
+            nt = partition_nullity(p)
+            for row in (nt, dual_nullity_type(nt)):
+                assert is_combination(rows, h_coordinates(row.entries, n))
 
 
 class TestPartitions:
@@ -603,7 +624,7 @@ class TestHEquivalence:
 class TestD5ConstraintSet:
     def test_row_count_and_flags(self):
         labels = [label for label, _ in d5_constraint_set()]
-        assert len(labels) == 185
+        assert len(labels) == 149
         # A label lists the blocks joined by "|", then ";loops=..." if any;
         # a dual's starts with "dual:", and no blocks at all is "all-loops".
         loop_free_primal = [label for label in labels
