@@ -384,6 +384,18 @@ def per_row_e_system(n):
     return tuple(rows), tuple(labels)
 
 
+def type_orbit(entries, n):
+    """The h-coordinates of every column relabelling of the nullity type
+    `entries`, permuted as a vector over subsets, without an elimination."""
+    orbit = set()
+    for perm in permutations(range(n)):
+        image = [0] * (1 << n)
+        for t, value in enumerate(entries):
+            image[sum(1 << perm[i] for i in range(n) if t >> i & 1)] = value
+        orbit.add(h_coordinates(tuple(image), n))
+    return orbit
+
+
 @pytest.fixture
 def elimination_calls(monkeypatch):
     """The matrices handed to `nullity.nullity_type`, in call order."""
@@ -421,6 +433,22 @@ class TestFamilyTypes:
         build_E_system(n)
         # |S| = 3..n for M_S and |S| = 0..n-2 for M^S.
         assert len(elimination_calls) == 2 * n - 3
+
+    def test_d3_takes_three_eliminations(self, elimination_calls):
+        # Modulo homogeneity, the D_3 rows are the column relabellings of
+        # the types of M^{}, M^{1} and M_{1,2,3}: three eliminations, none
+        # of them by the D_3 build.
+        bases = [subset_matrix(0, 3), subset_matrix(1, 3),
+                 superset_matrix(7, 3)]
+        nullity.d_constraint_set.cache_clear()
+        try:
+            rows = build_D_system(3).inequalities
+        finally:
+            nullity.d_constraint_set.cache_clear()
+        orbits = set().union(*(type_orbit(nullity.nullity_type(m).entries, 3)
+                               for m in bases))
+        assert {h_coordinates(row, 3) for row in rows} == orbits
+        assert elimination_calls == bases
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gather_is_the_column_relabelling(self, seed):
@@ -478,6 +506,16 @@ class TestCatalog:
     def test_equals_eliminating_every_permuted_matrix(self):
         assert ({h_coordinates(nt.entries, 4) for _, nt in catalog_n4()}
                 == set(eliminated_catalogue()))
+
+    def test_one_elimination_per_base_matrix(self, elimination_calls):
+        # CATALOG_N4_BASES: one elimination per base matrix, relabelled as
+        # a type, gives every D_4 row modulo homogeneity.
+        bases = [base for _, base in nullity.CATALOG_N4_BASES]
+        orbits = set().union(*(type_orbit(nullity.nullity_type(m).entries, 4)
+                               for m in bases))
+        assert ({h_coordinates(nt.entries, 4) for _, nt in catalog_n4()}
+                == orbits)
+        assert elimination_calls == bases
 
     def test_d_builds_eliminate_nothing(self, elimination_calls):
         nullity.d_constraint_set.cache_clear()
