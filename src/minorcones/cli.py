@@ -172,7 +172,7 @@ def cmd_fiedler(args) -> int:
     cfg = probe.SamplerConfig(seed=args.seed, count=args.samples,
                               dimension=args.n)
     worst = min(float(probe.fiedler_check(chunk).min())
-                for chunk in probe.sample_pd_chunks(cfg))
+                for chunk, _ in probe.sample_pd_chunks(cfg))
     text = f"samples: {args.samples}\nworst_residual: {worst:.3g}"
     _emit({"samples": args.samples, "worst_residual": worst}, text, args)
     return 0

@@ -28,8 +28,9 @@ from numbers import Rational
 from operator import sub
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exact import CertificateError, clear_denominators, combine, rank
-from .ratios import MAX_GROUND_SIZE, h_coordinates
+from .exact import (CertificateError, clear_denominators, combine,
+                    exact_products, rank)
+from .ratios import MAX_GROUND_SIZE, h_coordinates, homogeneity_matrix
 from .subsets import (format_subset, mask_of, members_of,
                       order_preserving_gather)
 
@@ -304,24 +305,31 @@ class Partition:
         return parts or "all-loops"
 
 
+def _partition_entries(p: Partition) -> Tuple[int, ...]:
+    """The entries of `partition_nullity(p)`, not yet validated."""
+    n = p.ground_size
+    return tuple(t.bit_count() - min(2, sum(1 for b in p.blocks if b & t))
+                 for t in range(1 << n))
+
+
 def partition_nullity(p: Partition) -> NullityType:
     """Nullity type of any rank-<=2 matrix whose zero columns are the loops
     and whose nonzero columns are parallel exactly within blocks."""
-    n = p.ground_size
-    entries = []
-    for t in range(1 << n):
-        hit = sum(1 for b in p.blocks if b & t)
-        entries.append(t.bit_count() - min(2, hit))
-    return NullityType(n, tuple(entries))
+    return NullityType(p.ground_size, _partition_entries(p))
+
+
+def _dual_entries(n: int, entries: Sequence[int]) -> Tuple[int, ...]:
+    """The entries of the dual of the nullity type `entries` on n elements,
+    not yet validated."""
+    full = (1 << n) - 1
+    r = _ranks_of(entries)
+    return tuple(r[full] - r[full ^ t] for t in range(1 << n))
 
 
 def dual_nullity_type(nt: NullityType) -> NullityType:
     """Nullity type of the dual matroid: r*(T) = |T| + r(N\\T) - r(N)."""
-    n = nt.ground_size
-    full = (1 << n) - 1
-    r = _ranks_of(nt.entries)
-    entries = tuple(r[full] - r[full ^ t] for t in range(1 << n))
-    return NullityType(n, entries)
+    return NullityType(nt.ground_size,
+                       _dual_entries(nt.ground_size, nt.entries))
 
 
 def h_equivalent(v: Sequence, w: Sequence, n: int) -> bool:
@@ -371,17 +379,23 @@ def d_constraint_set(n: int) -> Tuple[Tuple[str, NullityType], ...]:
     combination of the others."""
     if n not in D_ROW_COUNTS:
         raise ValueError("D system supported only for n in {3, 4, 5}")
-    out: List[Tuple[str, NullityType]] = []
-    seen = {h_coordinates((0,) * (1 << n), n)}
+    candidates = []
     for p in enumerate_partitions(n):
         if len(p.blocks) == 2 and min(b.bit_count() for b in p.blocks) >= 2:
             continue
-        nt = partition_nullity(p)
-        for prefix, row_nt in (("", nt), ("dual:", dual_nullity_type(nt))):
-            key = h_coordinates(row_nt.entries, n)
-            if key not in seen:
-                seen.add(key)
-                out.append((prefix + p.label(), row_nt))
+        entries = _partition_entries(p)
+        candidates += [(p, "", entries),
+                       (p, "dual:", _dual_entries(n, entries))]
+    # Every candidate's h_coordinates from one exact product; only the
+    # first of each class is built, and so validated, as a NullityType.
+    keys = exact_products([entries for _, _, entries in candidates],
+                          homogeneity_matrix(n)).tolist()
+    out: List[Tuple[str, NullityType]] = []
+    seen = {(0,) * len(keys[0])}
+    for (p, prefix, entries), key in zip(candidates, map(tuple, keys)):
+        if key not in seen:
+            seen.add(key)
+            out.append((prefix + p.label(), NullityType(n, entries)))
     if len(out) != D_ROW_COUNTS[n]:
         raise CertificateError(
             f"D_{n} has {len(out)} rows, expected {D_ROW_COUNTS[n]}")

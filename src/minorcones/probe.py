@@ -5,6 +5,11 @@ identities for R1, R2, R3.
 Everything is deterministic given a SamplerConfig seed.  The PD samples
 come from one loop, `sample_pd_chunks`, which fills a chunk at a time with
 `fill_pd`; `sample_pd` copies its chunks into one preallocated batch.
+Each chunk takes one log-minor kernel call: the full set first, which is
+the positive definiteness check, then the masks its reader asks for (the
+bound search's union of supports, or none).  The Fiedler residuals and
+the complement ratios share one inverse B = A^{-1}: by Jacobi,
+det A[i^c] = b_ii det A, so {i}{i^c} / {j}{j^c} = a_ii b_ii / (a_jj b_jj).
 """
 
 import math
@@ -200,31 +205,38 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     return _fit_report(grid, values.tolist(), predicted)
 
 
-def fill_pd(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def fill_pd(rng: np.random.Generator, out: np.ndarray,
+            masks: Sequence[int] = ()) -> Dict[int, np.ndarray]:
     """Fill out, a contiguous (m, n, n) array, with rng's next m samples
-    G^T G + RIDGE * I for standard normal G, and return it.  The Gram
-    products are one stacked matmul, which BLAS takes as a symmetric
+    G^T G + RIDGE * I for standard normal G, and return their log-minors
+    on the full set and on `masks`, from one batch_log_minors call.  The
+    Gram products are one stacked matmul, which BLAS takes as a symmetric
     rank-k update, so every sample is exactly symmetric; the ridge goes
-    onto the diagonal only.  NotPositiveDefiniteError unless every sample
-    is PD.  rng draws the same stream in chunks as at once, and the matmul
-    and the check work matrix by matrix, so samples filled a chunk at a
-    time are bitwise those filled at once."""
+    onto the diagonal only.  The full set is requested first, so the call
+    is the positive definiteness check: NotPositiveDefiniteError unless
+    every sample is PD.  rng draws the same stream in chunks as at once,
+    and the matmul and the kernel work matrix by matrix, so samples and
+    log-minors filled a chunk at a time are bitwise those filled at
+    once."""
     m, n = out.shape[0], out.shape[-1]
     g = rng.standard_normal((m, n, n))
     np.matmul(g.transpose(0, 2, 1), g, out=out)
+    del g  # as large as out: not held through the kernel call
     out.reshape(m, n * n)[:, ::n + 1] += RIDGE
-    batch_log_minors(out, [(1 << n) - 1])  # raises unless every sample is PD
-    return out
+    return batch_log_minors(out, [(1 << n) - 1, *masks])
 
 
-def sample_pd_chunks(cfg: SamplerConfig) -> Iterator[np.ndarray]:
+def sample_pd_chunks(cfg: SamplerConfig, masks: Sequence[int] = ()
+                     ) -> Iterator[Tuple[np.ndarray, Dict[int, np.ndarray]]]:
     """cfg's PD samples G^T G + RIDGE * I for standard normal G, seeded,
     filled by fill_pd into fresh arrays of at most SAMPLE_CHUNK samples: a
-    check holds one chunk, not all."""
+    check holds one chunk, not all.  Yields each chunk with its fill_pd
+    log-minors on the full set and on `masks`."""
     rng = np.random.default_rng(cfg.seed)
     for start in range(0, cfg.count, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, cfg.count - start)
-        yield fill_pd(rng, np.empty((size, cfg.dimension, cfg.dimension)))
+        chunk = np.empty((size, cfg.dimension, cfg.dimension))
+        yield chunk, fill_pd(rng, chunk, masks)
 
 
 def sample_pd(cfg: SamplerConfig) -> np.ndarray:
@@ -232,7 +244,7 @@ def sample_pd(cfg: SamplerConfig) -> np.ndarray:
     a time, so that no more than the batch and one chunk are held."""
     batch = np.empty((cfg.count, cfg.dimension, cfg.dimension))
     start = 0
-    for chunk in sample_pd_chunks(cfg):
+    for chunk, _ in sample_pd_chunks(cfg):
         batch[start:start + len(chunk)] = chunk
         start += len(chunk)
     return batch
@@ -246,12 +258,12 @@ def _fiedler_weights(n: int) -> np.ndarray:
     return w
 
 
-def fiedler_check(a: np.ndarray) -> np.ndarray:
-    """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
-    with B = A^{-1}, for one matrix or a stack of shape (..., n, n).  The
-    residuals of the roots r_i = sqrt(a_ii b_ii) are one product
+def _fiedler(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The products a_ii b_ii with B = A^{-1}, from one LAPACK inverse, and
+    the Fiedler residuals of their roots r_i = sqrt(a_ii b_ii), one product
     r @ (J - 2I) - (n - 2).  The inequality is a theorem, so a residual
-    below -1e-9 means the floating-point inverse broke down:
+    below -1e-9 or not finite (a negative product, as on an indefinite A,
+    has a NaN root) means the floating-point inverse broke down:
     FloatingPointError."""
     a = np.asarray(a, dtype=float)
     b = np.linalg.inv(a)
@@ -259,35 +271,41 @@ def fiedler_check(a: np.ndarray) -> np.ndarray:
     # ndarray.diagonal, the ufuncs and a float n - 2, not the np.diagonal/
     # np.any wrappers, the reduction methods or an int scalar: a caller
     # looping over single matrices pays their dispatch on every call.
-    roots = a.diagonal(0, -2, -1) * b.diagonal(0, -2, -1)
-    np.sqrt(roots, out=roots)
-    residuals = roots @ _fiedler_weights(n)
+    products = a.diagonal(0, -2, -1) * b.diagonal(0, -2, -1)
+    residuals = np.sqrt(products) @ _fiedler_weights(n)
     residuals -= n - 2.0
-    if np.minimum.reduce(residuals, None, initial=0.0) < -1e-9:
+    # Written so that a NaN minimum fails it.
+    if not np.minimum.reduce(residuals, None, initial=0.0) >= -1e-9:
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
-    return residuals
+    return products, residuals
 
 
-def complement_ratio_check(a: np.ndarray) -> np.ndarray:
-    """For each i, min over j != i of ({i}{i}^c / {j}{j}^c)(A); each is at
-    most (n-1)^2.  Takes one matrix or a stack of shape (..., n, n) and
-    returns shape (..., n)."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
+def fiedler_check(a: np.ndarray) -> np.ndarray:
+    """Residuals RHS - LHS of 2 sqrt(a_ii b_ii) + (n-2) <= sum_j sqrt(a_jj b_jj)
+    with B = A^{-1}, for one matrix or a stack of shape (..., n, n);
+    FloatingPointError where the inverse broke down."""
+    return _fiedler(a)[1]
+
+
+def fiedler_and_complement_checks(a: np.ndarray
+                                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """fiedler_check(a) and the complement ratios, from one inverse: for
+    each i, min over j != i of ({i}{i}^c / {j}{j}^c)(A), each at most
+    (n-1)^2.  Since det A[i^c] = b_ii det A, the ratio {i}{i}^c / {j}{j}^c
+    is a_ii b_ii / (a_jj b_jj).  Takes one matrix or a stack of shape
+    (..., n, n); both results have shape (..., n)."""
+    n = np.shape(a)[-1]
     if n < 3:
         raise ValueError("complement ratio check requires n >= 3")
-    full = (1 << n) - 1
-    masks = [1 << k for k in range(n)] + [full ^ (1 << k) for k in range(n)]
-    minors = batch_log_minors(a.reshape(-1, n, n), masks)
-    logvals = np.stack([minors[1 << k] + minors[full ^ (1 << k)]
-                        for k in range(n)], axis=1)
-    # exp is monotone, so the min over j != i of exp(l_i - l_j) is
-    # exp(l_i - max_{j != i} l_j): the row's largest value, or its second
-    # largest at the largest (equal to it on a tie).
-    top2 = np.partition(logvals, n - 2, axis=1)[:, n - 2:]
-    others = np.where(logvals == top2[:, 1:], top2[:, :1], top2[:, 1:])
-    return np.exp(logvals - others).reshape(a.shape[:-1])
+    products, residuals = _fiedler(a)
+    rows = products.reshape(-1, n)
+    # The min over j != i of p_i / p_j is p_i / max_{j != i} p_j: the row's
+    # largest product, or its second largest at the largest (equal to it
+    # on a tie).
+    top2 = np.partition(rows, n - 2, axis=1)[:, n - 2:]
+    others = np.where(rows == top2[:, 1:], top2[:, :1], top2[:, 1:])
+    return residuals, (rows / others).reshape(products.shape)
 
 
 @dataclass(frozen=True)
@@ -315,21 +333,27 @@ def bound_search(v: FormalLog, cfg: SamplerConfig) -> BoundSearchResult:
 def bound_searches(logs: Sequence[FormalLog], cfg: SamplerConfig
                    ) -> List[BoundSearchResult]:
     """bound_search of each ratio, all over one stream of cfg's samples.
-    Each chunk's log-minors on the union of the supports are factored
-    once, and each ratio keeps only its first maximal sample and value, so
-    memory does not grow with the count; each ascent then draws from a
-    generator seeded by (cfg.seed, 1).  A ratio that is not homogeneous
-    has no finite supremum (scaling row and column i of A by sqrt(t)
-    scales it by t to the net exponent of i), so it raises ValueError
-    before any draw."""
+    Each chunk's log-minors on the union of the supports come from the
+    sampler's one kernel call, which factors the full set first as its
+    positive definiteness check, and each ratio keeps only its first
+    maximal sample and value, so memory does not grow with the count; each
+    ascent then draws from a generator seeded by (cfg.seed, 1).  A ratio
+    that is not homogeneous has no finite supremum (scaling row and column
+    i of A by sqrt(t) scales it by t to the net exponent of i), and one on
+    a ground set of another size than cfg.dimension has no samples to
+    read, so each raises ValueError before any draw."""
     if not all(map(is_homogeneous, logs)):
         raise ValueError("bound search requires a homogeneous formal log")
+    for v in logs:
+        if v.ground_size != cfg.dimension:
+            raise ValueError(
+                f"ratio on ground size {v.ground_size} cannot be searched "
+                f"over samples of dimension {cfg.dimension}")
     # In subset order, as each support lists its masks.
     masks = sorted({mask for v in logs for mask in v.support()},
                    key=lambda mask: (mask.bit_count(), mask))
     best: List[Optional[Tuple[float, np.ndarray]]] = [None] * len(logs)
-    for chunk in sample_pd_chunks(cfg):
-        minors = batch_log_minors(chunk, masks)
+    for chunk, minors in sample_pd_chunks(cfg, masks):
         for k, v in enumerate(logs):
             values = log_ratio_from_minors(v, minors, len(chunk))
             i = int(np.argmax(values))

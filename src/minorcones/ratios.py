@@ -464,12 +464,22 @@ def batch_log_minors(batch: np.ndarray,
     return dict(zip(order, values))
 
 
-def _log_minors(batch: np.ndarray, masks: Sequence[int]):
-    """The elimination of batch_log_minors without its check: the distinct
-    masks in the given order and the values, one row per mask and one
-    column per matrix.  A value is finite iff the matrix is numerically
-    positive definite on that subset."""
-    count, n = batch.shape[0], batch.shape[-1]
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+# A plan at n = 4 holds about 1.8 KiB.  The calls that repeat one plan (an
+# ascent's steps, a sample stream's chunks, a check's few supports) need a
+# few entries; most other callers ask for a support once.
+@lru_cache(maxsize=64)
+def _mask_plan(n: int, masks: Tuple[int, ...]):
+    """How _log_minors eliminates `masks` on n x n matrices, built once per
+    (n, masks): the distinct masks in the given order, per subset size the
+    value rows and the (masks, k) member index, both read-only, and the
+    chunk length.  A mask outside 0..2^n - 1 raises ValueError, which is
+    not cached."""
     order = tuple(dict.fromkeys(masks))
     groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
     for row, mask in enumerate(order):
@@ -484,8 +494,18 @@ def _log_minors(batch: np.ndarray, masks: Sequence[int]):
     # holds masks * k^2.
     chunk = max(1, LOG_MINOR_CHUNK * n * n // max(
         [1, n * n] + [len(rows) * k * k for k, (rows, _) in groups.items()]))
-    gathers = [(rows, np.array(index, dtype=np.intp))
-               for rows, index in groups.values()]
+    gathers = tuple((_read_only(rows), _read_only(index))
+                    for rows, index in groups.values())
+    return order, gathers, chunk
+
+
+def _log_minors(batch: np.ndarray, masks: Sequence[int]):
+    """The elimination of batch_log_minors without its check: the distinct
+    masks in the given order and the values, one row per mask and one
+    column per matrix.  A value is finite iff the matrix is numerically
+    positive definite on that subset."""
+    count, n = batch.shape[0], batch.shape[-1]
+    order, gathers, chunk = _mask_plan(n, tuple(masks))
     values = np.zeros((len(order), count))
     with np.errstate(all="ignore"):
         for start in range(0, count, chunk):

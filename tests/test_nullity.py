@@ -526,6 +526,21 @@ class TestCatalog:
             nullity.d_constraint_set.cache_clear()
         assert elimination_calls == []
 
+    def test_only_kept_rows_are_validated(self, monkeypatch):
+        # The candidates are keyed before any type is built: one rank
+        # function check per kept row, 5, 23 and 149 of 30, 98 and 356.
+        checked = []
+        check = nullity._validate_rank_function
+        monkeypatch.setattr(nullity, "_validate_rank_function",
+                            lambda n, r: checked.append(n) or check(n, r))
+        nullity.d_constraint_set.cache_clear()
+        try:
+            counts = [len(d_constraint_set(n)) for n in (3, 4, 5)]
+        finally:
+            nullity.d_constraint_set.cache_clear()
+        assert counts == [5, 23, 149]
+        assert checked == [3] * 5 + [4] * 23 + [5] * 149
+
     def test_perfbench_names_are_the_generator(self):
         assert catalog_n4() is d_constraint_set(4)
         assert d5_constraint_set() is d_constraint_set(5)

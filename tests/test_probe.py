@@ -20,10 +20,11 @@ from minorcones.polyarith import (asn, asn_inner_product, eval_poly_matrix,
                                   parse_poly_matrix, poly, poly_matrix)
 from minorcones.probe import (DEFAULT_POLY_GRID, MAX_SAMPLE_ENTRIES,
                               SamplerConfig, bound_search,
-                              complement_ratio_check, decomposition_check,
-                              eval_family_slope, eval_poly_family_slope,
-                              fiedler_check, random_homogeneous_log,
-                              sample_pd, slope_law_suite)
+                              decomposition_check, eval_family_slope,
+                              eval_poly_family_slope,
+                              fiedler_and_complement_checks, fiedler_check,
+                              random_homogeneous_log, sample_pd,
+                              slope_law_suite)
 from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
                                evaluate_log_ratio, homogeneity_vectors,
                                is_homogeneous, log_of)
@@ -56,21 +57,50 @@ def fiedler_roots(a: np.ndarray) -> np.ndarray:
 
 def reference_fiedler_check(a: np.ndarray) -> np.ndarray:
     """The Fiedler residuals (J - 2I) r - (n - 2) through the np.diagonal/
-    np.any wrappers."""
+    np.all wrappers; a NaN residual fails the tolerance too."""
     roots = fiedler_roots(a)
     n = roots.shape[-1]
     weights = np.full((n, n), 1.0)
     np.fill_diagonal(weights, -1.0)
     residuals = np.matmul(roots, weights) - (n - 2)
-    if np.any(residuals < -1e-9):
+    if not np.all(residuals >= -1e-9):
         raise FloatingPointError(
             "Fiedler inequality violated beyond tolerance")
     return residuals
 
 
+def complement_ratio_check(a: np.ndarray) -> np.ndarray:
+    """The complement ratios of fiedler_and_complement_checks."""
+    return fiedler_and_complement_checks(a)[1]
+
+
+def reference_complement_ratios(a: np.ndarray) -> np.ndarray:
+    """The complement ratios p_i / p_j of the products p_i = a_ii b_ii
+    through the np.diagonal wrappers, the (count, n, n) tensor of the
+    ratios, its diagonal set to inf, and the min over each row: bitwise
+    p_i / max_{j != i} p_j, since rounding a quotient is monotone in its
+    divisor."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    products = (np.diagonal(a, axis1=-2, axis2=-1)
+                * np.diagonal(np.linalg.inv(a), axis1=-2, axis2=-1))
+    rows = products.reshape(-1, n)
+    tensor = rows[:, :, None] / rows[:, None, :]
+    tensor[:, np.arange(n), np.arange(n)] = np.inf
+    return tensor.min(axis=2).reshape(a.shape[:-1])
+
+
+# The largest relative distance between the complement ratios and the
+# minors-based oracle below was 3.6e-11 (n = 16) on the samples of
+# test_complement_ratio_matches_the_ratio_tensor_bitwise, and 7.2e-11 on
+# the fiedler_suite check's 10 000 samples at n = 6.
+ORACLE_RTOL = 1e-10
+
+
 def reference_complement_ratio_check(a: np.ndarray) -> np.ndarray:
-    """complement_ratio_check through the (count, n, n) tensor of ratios
-    exp(l_i - l_j), its diagonal set to inf, and the min over each row."""
+    """The complement ratios from log-minors: the (count, n, n) tensor of
+    ratios exp(l_i - l_j) with l_i = log a_ii + log det A[i^c], its
+    diagonal set to inf, and the min over each row."""
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     full = (1 << n) - 1
@@ -478,18 +508,39 @@ class TestInequalities:
                     exact = total - 2 * Fraction(r[i]) - (n - 2)
                     assert abs(Fraction(res[i]) - exact) <= bound
 
-    def test_complement_ratio_requests_2n_minors(self, monkeypatch):
-        requested = []
+    def test_complement_ratios_take_one_inverse_and_no_minors(self,
+                                                             monkeypatch):
+        inverted, requested = [], []
+        inv = np.linalg.inv
 
-        def spy(batch, masks):
+        def inv_spy(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        def kernel_spy(batch, masks):
             requested.append(list(masks))
             return ratios.batch_log_minors(batch, masks)
 
-        monkeypatch.setattr(probe, "batch_log_minors", spy)
-        complement_ratio_check(np.eye(5))
-        assert len(requested) == 1 and len(requested[0]) == 10
-        assert sorted(requested[0]) == sorted(
-            [1 << k for k in range(5)] + [31 ^ (1 << k) for k in range(5)])
+        monkeypatch.setattr(np.linalg, "inv", inv_spy)
+        monkeypatch.setattr(probe, "batch_log_minors", kernel_spy)
+        batch = np.stack([np.eye(5), 2 * np.eye(5)])
+        residuals, best = fiedler_and_complement_checks(batch)
+        assert inverted == [(2, 5, 5)] and requested == []
+        assert residuals.tobytes() == reference_fiedler_check(batch).tobytes()
+        assert best.tolist() == [[1.0] * 5] * 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    @pytest.mark.parametrize("check", [
+        fiedler_check, complement_ratio_check, reference_fiedler_check])
+    def test_indefinite_input_is_a_floating_point_error(self, check):
+        # a_11 b_11 = -1/3 < 0: its root is NaN, and no NaN residual or
+        # ratio is returned.
+        a = np.array([[1.0, 2, 0], [2, 1, 0], [0, 0, 1]])
+        for x in (a, np.stack([np.eye(3), a])):
+            with pytest.raises(FloatingPointError) as err:
+                check(x)
+            assert str(err.value) == (
+                "Fiedler inequality violated beyond tolerance")
 
     def test_complement_ratio_at_identity(self):
         assert complement_ratio_check(np.eye(4)) == pytest.approx([1.0] * 4)
@@ -522,29 +573,31 @@ class TestInequalities:
         for a in (batch, batch[0], batch[:0], batch[:20].reshape(
                 4, 5, n, n)):
             got = complement_ratio_check(a)
-            want = reference_complement_ratio_check(a)
+            want = reference_complement_ratios(a)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert np.allclose(got, reference_complement_ratio_check(a),
+                               rtol=ORACLE_RTOL, atol=0)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_complement_ratio_ties_at_the_identity(self, n):
-        # Every log-value is 0: each row's two largest are equal.
+        # Every product is 1: each row's two largest are equal.
         got = complement_ratio_check(np.eye(n))
-        assert got.tobytes() == reference_complement_ratio_check(
+        assert got.tobytes() == reference_complement_ratios(
             np.eye(n)).tobytes()
         assert got.tolist() == [1.0] * n
 
     def test_complement_ratio_ties_between_the_two_largest(self):
-        # Swapping indices 1 and 2 fixes A, so l_1 == l_2 bitwise: both are
-        # log(2 * 1.91), above l_3 = log(1 * 3.75).
+        # Swapping indices 1 and 2 fixes A, and p_1 == p_2 bitwise: both
+        # are 2 * 1.91 / det A, above p_3 = 1 * 3.75 / det A.
         a = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.3], [0.3, 0.3, 1.0]])
         got = complement_ratio_check(a)
-        assert got.tobytes() == reference_complement_ratio_check(a).tobytes()
+        assert got.tobytes() == reference_complement_ratios(a).tobytes()
         assert got[0] == got[1] == 1.0
         assert got[2] == pytest.approx(3.75 / 3.82, rel=1e-12)
         stack = np.stack([a, a[::-1, ::-1], np.eye(3)])
         assert complement_ratio_check(stack).tobytes() == (
-            reference_complement_ratio_check(stack).tobytes())
+            reference_complement_ratios(stack).tobytes())
 
     def test_batch_matches_single_matrices(self):
         batch = sample_pd(SamplerConfig(seed=5, count=20, dimension=5))
@@ -604,6 +657,24 @@ class TestBoundSearch:
             probe.bound_searches(logs, cfg)
         with pytest.raises(ValueError, match="homogeneous"):
             bound_search(logs[-1], cfg)
+
+    @pytest.mark.parametrize("n,dimension", [(2, 3), (3, 2)])
+    def test_ground_size_other_than_the_dimension_raises_before_sampling(
+            self, monkeypatch, n, dimension):
+        # A 2-index ratio on 3x3 samples failed in matmul after the draw,
+        # and a 3-index one on 2x2 samples in the kernel's mask check.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled for a ratio of another size")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        v = log_of("{1,2}{} / {1}{2}", n)
+        cfg = SamplerConfig(seed=1, count=10, dimension=dimension)
+        message = (f"^ratio on ground size {n} cannot be searched over "
+                   f"samples of dimension {dimension}$")
+        with pytest.raises(ValueError, match=message):
+            bound_search(v, cfg)
+        with pytest.raises(ValueError, match=message):
+            probe.bound_searches([log_of("{1,2}{} / {1}{2}", dimension), v],
+                                 cfg)
 
     def test_unbounded_direction_flagged(self, monkeypatch):
         ascent(monkeypatch, 400, 0.2)
@@ -692,10 +763,11 @@ class TestBoundSearch:
         streams, filled = [], []
         stream, fill = probe.sample_pd_chunks, probe.fill_pd
         monkeypatch.setattr(probe, "sample_pd_chunks",
-                            lambda cfg: streams.append(cfg) or stream(cfg))
+                            lambda cfg, masks: streams.append(cfg)
+                            or stream(cfg, masks))
         monkeypatch.setattr(probe, "fill_pd",
-                            lambda rng, out: filled.append(len(out))
-                            or fill(rng, out))
+                            lambda rng, out, masks: filled.append(len(out))
+                            or fill(rng, out, masks))
         check = reproduce.check_bounds()
         cfg = SamplerConfig(seed=4200, count=500, dimension=4)
         assert streams == [cfg]
@@ -703,6 +775,32 @@ class TestBoundSearch:
         for name in ("R1", "R2", "R3"):
             own = bound_search(named_log(name), cfg)
             assert check.details["max_ratios"][name] == own.max_ratio
+
+    def test_fiedler_suite_inverts_each_chunk_once(self, monkeypatch):
+        # Per chunk of 80 samples and the remainder of 20: one inverse for
+        # both checks, and the one kernel call is the sampler's positive
+        # definiteness check on the full set.
+        inverted, requested = [], []
+        inv, kernel = np.linalg.inv, ratios.batch_log_minors
+
+        def inv_spy(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        def kernel_spy(batch, masks):
+            requested.append((len(batch), list(masks)))
+            return kernel(batch, masks)
+
+        monkeypatch.setattr(np.linalg, "inv", inv_spy)
+        for module in (ratios, probe):
+            monkeypatch.setattr(module, "batch_log_minors", kernel_spy)
+        monkeypatch.setattr(probe, "SAMPLE_CHUNK", 80)
+        monkeypatch.setattr(reproduce, "FIEDLER_SAMPLES", 500)
+        assert reproduce.check_fiedler_suite().passed
+        sizes = [80] * 6 + [20]
+        assert inverted == [(m, n, n) for n in (3, 4, 5, 6) for m in sizes]
+        assert requested == [(m, [(1 << n) - 1]) for n in (3, 4, 5, 6)
+                             for m in sizes]
 
     def test_check_bounds_factors_the_union_once(self, monkeypatch):
         requested = []
@@ -717,11 +815,11 @@ class TestBoundSearch:
         monkeypatch.setattr(probe, "SAMPLE_CHUNK", 80)
         monkeypatch.setattr(reproduce, "BOUNDS_SAMPLES", 500)
         reproduce.check_bounds()
-        # Per chunk of 80 samples and the remainder of 20: sample_pd's
-        # positive definiteness check, then the R1-R3 union in subset order.
+        # Per chunk of 80 samples and the remainder of 20, one call: the
+        # full set first, the positive definiteness check, then the R1-R3
+        # union in subset order.
         union = sorted(range(1, 16), key=lambda mask: (mask.bit_count(), mask))
-        assert requested == [(80, [15]), (80, union)] * 6 + [(20, [15]),
-                                                             (20, union)]
+        assert requested == [(80, [15] + union)] * 6 + [(20, [15] + union)]
 
 
 @pytest.fixture
@@ -756,7 +854,7 @@ class TestSampleStream:
         cfg = SamplerConfig(seed=60 + count, count=count, dimension=n)
         want = reference_sample_pd(cfg)
         assert sample_pd(cfg).tobytes() == want.tobytes()
-        chunks = list(probe.sample_pd_chunks(cfg))
+        chunks = [chunk for chunk, _ in probe.sample_pd_chunks(cfg)]
         assert [len(c) for c in chunks] == [
             min(small_chunks, count - start)
             for start in range(0, count, small_chunks)]
@@ -766,7 +864,7 @@ class TestSampleStream:
         cfg = SamplerConfig(seed=0, count=2 * probe.SAMPLE_CHUNK + 5,
                             dimension=2)
         assert probe.SAMPLE_CHUNK == 8192
-        assert [len(c) for c in probe.sample_pd_chunks(cfg)] == [
+        assert [len(c) for c, _ in probe.sample_pd_chunks(cfg)] == [
             probe.SAMPLE_CHUNK, probe.SAMPLE_CHUNK, 5]
 
     @pytest.mark.parametrize("text,n", [
@@ -808,7 +906,7 @@ class TestSampleStream:
             residual = min(residual, float(reference_fiedler_check(
                 batch).min()))
             margin = min(margin, float(((n - 1) ** 2 - (
-                reference_complement_ratio_check(batch))).min()))
+                reference_complement_ratios(batch))).min()))
         check = reproduce.check_fiedler_suite()
         assert check.passed
         assert check.details == {"samples_per_n": count,
@@ -890,7 +988,7 @@ class TestSampleStream:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * batch.nbytes
-        joined = np.concatenate(list(probe.sample_pd_chunks(cfg)))
+        joined = np.concatenate([c for c, _ in probe.sample_pd_chunks(cfg)])
         assert batch.tobytes() == joined.tobytes()
 
 

@@ -790,7 +790,7 @@ class TestLogMinorKernel:
         assert done.stdout.strip() == "debug False raised (1, 2, 3)"
 
     def test_memory_stays_within_the_chunk_bound(self):
-        # The masks of complement_ratio_check at n = 16: the size-15
+        # The singletons and their complements at n = 16: the size-15
         # group (masks x 15^2) holds several times the doubles of one full
         # matrix, so the chunk shrinks to keep each group's stack within
         # LOG_MINOR_CHUNK full matrices.  A Schur step holds at most three
@@ -815,6 +815,44 @@ class TestLogMinorKernel:
     def test_rejects_a_mask_outside_the_ground_set(self):
         with pytest.raises(ValueError, match="outside 1..3"):
             batch_log_minors(np.eye(3)[None], [1, 9])
+
+    def test_a_mask_outside_the_ground_set_raises_on_every_call(self):
+        # A plan that fails is not cached, so the second call checks again.
+        for masks in ([3, 9], (3, 9), iter([3, 9])):
+            with pytest.raises(ValueError, match="^subset mask 9 outside "
+                               "1..3$"):
+                batch_log_minors(np.eye(3)[None], masks)
+
+    def test_a_repeated_call_builds_no_new_plan(self):
+        stack = _pd_stack(20, 4, seed=12)
+        masks = (15, 3, 5, 1, 3)
+        batch_log_minors(stack, masks)
+        before = ratios._mask_plan.cache_info()
+        first = batch_log_minors(stack, masks)
+        after = ratios._mask_plan.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+        assert list(first) == [15, 3, 5, 1]
+
+    def test_masks_as_list_tuple_or_generator_give_the_same_values(self):
+        stack = _pd_stack(30, 5, seed=13)
+        masks = [31, 1, 6, 24, 7, 6, 0]
+        want = batch_log_minors(stack, masks)
+        for given in (tuple(masks), (m for m in masks), iter(masks)):
+            got = batch_log_minors(stack, given)
+            assert list(got) == list(want)
+            for mask in want:
+                assert got[mask].tobytes() == want[mask].tobytes()
+
+    def test_the_cached_plan_is_read_only(self):
+        order, gathers, chunk = ratios._mask_plan(4, (15, 1, 2, 3, 12))
+        assert order == (15, 1, 2, 3, 12) and chunk >= 1
+        assert [index.shape for _, index in gathers] == [(1, 4), (2, 1),
+                                                         (2, 2)]
+        for rows, index in gathers:
+            for array in (rows, index):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
     def test_positive_determinant_is_not_enough(self):
         a = np.diag([-1.0, -1.0, 1.0])
