@@ -26,6 +26,17 @@ printf '1, e^%s\n0, 1\n' "$nines" > long_degree.txt
 bad long_degree.txt "error: line 1: degree $nines of polynomial term 'e^$nines' in ' e^$nines' exceeds the supported maximum 131071"
 echo "::endgroup::"
 
+echo "::group::Ratio input errors"
+# An exponent of 5000 digits, more than int() converts: membership exits 2
+# with the term's position, not with int()'s own message.
+code=0
+python -O -m minorcones.cli membership "{1,2}^${nines}{} / {1}{2}" --semigroup H 2> long_exponent.err || code=$?
+cut -c1-200 long_exponent.err
+test "$code" -eq 2
+limit=$(python -O -c "import sys; print(sys.get_int_max_str_digits())")
+grep -qxF "error: exponent has more than $limit digits (at position 6)" long_exponent.err
+echo "::endgroup::"
+
 echo "::group::Bound search on a ratio that is not homogeneous"
 # Index 1 has net exponent 1, so the supremum is infinite: bound-search
 # exits 2 with its error line before it draws a sample.
@@ -154,6 +165,21 @@ echo "af76d09f09b284f80aa2b0b8eca00e139d755f9cf2d7b90a46634a956d6b1ecc  asn8_out
 printf '1 0 1/2 2 0 1 -1\n0 1 1/2 2 0 1 3\n1 1 1 4 0 2 2\n' > nullity_fixture.txt
 python -O -m minorcones.cli nullity nullity_fixture.txt > nullity_out.txt
 echo "39534f5e221344586c4b2e6e05f001f3fc55912426db4d51ed79dd4285050350  nullity_out.txt" | sha256sum --check
+# Nullity type of a seeded rank-deficient 8 x 16 matrix of small
+# integers, with a zero column (6) and a repeated one (12 = 3), at the
+# column cap: the subset walk steps over a zero pivot on most of its 2^16
+# sets.  Stdout as recorded with the column-reduction walk.
+printf '%s\n' \
+  '0 1 1 0 1 0 1 -2 1 0 -1 1 -2 0 0 0' \
+  '-1 2 0 -2 -1 0 0 -2 -1 2 -2 0 1 2 0 -1' \
+  '0 0 0 1 -2 0 1 1 2 -1 2 0 2 -2 0 -2' \
+  '-2 2 0 -1 1 0 0 0 0 1 1 0 -1 1 -2 1' \
+  '1 -2 1 -2 1 0 -2 1 -2 -1 -1 1 0 -2 2 -2' \
+  '1 2 0 1 2 0 -1 0 -2 -2 2 0 -1 -2 1 -2' \
+  '-2 -2 1 -1 0 0 -1 2 -2 -1 2 1 -2 -2 -1 0' \
+  '1 1 -2 1 1 0 1 0 -2 -2 -2 -2 1 0 2 1' > nullity16_fixture.txt
+python -O -m minorcones.cli nullity nullity16_fixture.txt > nullity16_out.txt
+echo "24734d3d55791f4202e7e4fe34f2b9fbca887aa3c26d3da20e29c76b6da90b4a  nullity16_out.txt" | sha256sum --check
 # build_E_system(8): 466 rows, and the sha256 of repr((labels,
 # inequalities)) as recorded with one elimination per row.
 python -O -c "import sys; from minorcones.cones import build_E_system; rows = len(build_E_system(8).inequalities); sys.exit(None if rows == 466 else f'build_E_system(8) has {rows} rows, expected 466')"

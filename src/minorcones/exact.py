@@ -4,12 +4,12 @@ Cone certificates must be exact, so no floating point enters any function
 in this module.  It is the one home of each integer step the other
 modules take.  `clear_denominators` scales a rational vector to integers
 once, and `as_fractions` turns an integer result back into reported
-Fractions.  `bareiss_step` is the one fraction-free step, and `bareiss`
-the one elimination built on it: it gives the rank (`bareiss_rank`) and,
-on Kronecker-packed polynomials, a minor over Z[e]
-(`polyarith.principal_minor_poly`); the `asn` subset walk takes the same
-step.  `combine` is the one primitive combination s * u - t * v, which
-the double description (`cones`) and the nullity walk (`nullity`) take.
+Fractions.  On `bareiss_step`, the one fraction-free step, run `bareiss`
+(the rank `bareiss_rank`; on Kronecker-packed polynomials a minor over
+Z[e], `polyarith.principal_minor_poly`) and `gram_subset_walk` (every
+principal minor and nullity of a Gram matrix: the types of `nullity` and
+the minors of `polyarith.asn`).  `combine`, the one primitive combination
+s * u - t * v, serves the double description (`cones`).
 `exact_products`, the one numpy kernel, takes a whole batch of inner
 products, of integer rows or arrays, as an int64 matmul when a bound
 (`int64_products_fit`) proves that no sum can overflow, and on Python ints
@@ -187,6 +187,40 @@ def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
         rank += 1
         c = 0
     return rank, sign * prev
+
+
+def gram_subset_walk(upper: Sequence[Sequence[int]]
+                     ) -> Tuple[List[int], List[int]]:
+    """(minors, nullities): det G[T] and |T| - rank G[T] for every mask T
+    of a Gram matrix G = P^T P, from its upper triangle (row i from the
+    diagonal on), by one depth-first walk in which each mask extends the
+    mask without its top index.  A node on S has pivoted on the indices B
+    of S that were independent when met.  Its row for each i after max(S)
+    holds det G[B+i, B+j] (Sylvester), and a nonzero pivot det G[B+i]
+    opens the child S+i by one `bareiss_step` per later row.  A zero pivot
+    puts i in the span of B, and then, G being a Gram matrix, its whole
+    row is zero: the child keeps the rows and the divisor, its nullity
+    grows by one, and every set below it has minor 0."""
+    nullities = [0] * (1 << len(upper))
+    minors = [1] + nullities[1:]
+
+    def visit(mask: int, nullity: int, bit: int, prev: int,
+              rows: Sequence) -> None:
+        last = len(rows)
+        for t, row in enumerate(rows, start=1):
+            child, pivot = mask | bit, row[0]
+            bit <<= 1
+            nullities[child] = grown = nullity + (not pivot)
+            if pivot and not nullity:
+                minors[child] = pivot
+            if t < last:
+                visit(child, grown, bit, pivot or prev,
+                      [bareiss_step(later, row[j:], pivot, row[j], prev)
+                       for j, later in enumerate(rows[t:], start=1)]
+                      if pivot else rows[t:])
+
+    visit(0, 0, 1, 1, upper)
+    return minors, nullities
 
 
 def bareiss_rank(rows: Matrix) -> int:

@@ -3,15 +3,13 @@ families behind the ST1/ST2 conditions, partition-generated rank-<=2
 types, matroid duality, the D_3, D_4 and D_5 rows from them, and the
 h-equivalence of constraint rows (equal `ratios.h_coordinates`).
 
-`nullity_type` takes all 2^n column-subset nullities from one depth-first
-walk over the include/exclude trie of the columns, in integers: a node
-inherits from its parent the later columns reduced against the parent's
-echelon basis, and one new column either reduces to zero (the nullity
-grows by one) or joins the basis, reducing each later column by one
-primitive combination (`exact.combine`).  The result is cross-checked
-against an independent Bareiss rank (`exact.rank`) of the whole matrix
-and the zero pattern of the columns, and validated as a matroid rank
-function.
+`nullity_type` takes all 2^n column-subset nullities, in integers, from
+the Gram matrix G = C^T C of the matrix C cleared of denominators: rank
+C[:, T] = rank G[T], and `exact.gram_subset_walk` takes every |T| -
+rank G[T] in one fraction-free walk over the subsets.  The result is
+cross-checked against an independent Bareiss rank (`exact.rank`) of the
+whole matrix and the zero pattern of the columns, and validated as a
+matroid rank function.
 
 A column permutation of a matrix permutes its nullity type, so
 `family_types` eliminates one M_S or M^S per set size and relabels its
@@ -28,8 +26,8 @@ from numbers import Rational
 from operator import sub
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exact import (CertificateError, clear_denominators, combine,
-                    exact_products, rank)
+from .exact import (CertificateError, clear_denominators, dot,
+                    exact_products, gram_subset_walk, rank)
 from .ratios import MAX_GROUND_SIZE, h_coordinates, homogeneity_matrix
 from .subsets import (format_subset, mask_of, members_of,
                       order_preserving_gather)
@@ -151,37 +149,6 @@ class NullityType:
         return RankType(self.ground_size, tuple(_ranks_of(self.entries)))
 
 
-def _subset_nullities(columns: Sequence[Sequence[int]]) -> List[int]:
-    """Mask-indexed nullity of every subset of the integer `columns`, by one
-    depth-first walk over the subsets in which each mask extends the mask
-    without its top column.  A node holds its later columns reduced against
-    its echelon basis (None once a column is in the span).  Its top column
-    adds one to the parent's nullity if it reduced to None, and otherwise
-    joins the basis: each later column is then reduced by it in one step.
-    Every later column stays zero at every pivot, so it reduces to zero
-    exactly when it lies in the span."""
-    nullities = [0] * (1 << len(columns))
-
-    def visit(mask: int, nullity: int, first: int, residuals: List) -> None:
-        for k, v in enumerate(residuals):
-            child = mask | 1 << (first + k)
-            rest = residuals[k + 1:]
-            if v is None:
-                nullities[child] = nullity + 1
-                if rest:
-                    visit(child, nullity + 1, first + k + 1, rest)
-            else:
-                nullities[child] = nullity
-                if rest:
-                    q = v.index(next(filter(None, v)))
-                    visit(child, nullity, first + k + 1,
-                          [w if w is None or not w[q]
-                           else combine(v[q], w, w[q], v) for w in rest])
-
-    visit(0, 0, 0, [list(col) if any(col) else None for col in columns])
-    return nullities
-
-
 def nullity_type(m: RationalMatrix) -> NullityType:
     n = len(m[0]) if m else 0
     # One nullity per column subset: 2^n of them.
@@ -195,7 +162,8 @@ def nullity_type(m: RationalMatrix) -> NullityType:
     # cleared of denominators once.
     rows = [clear_denominators(row)[0] for row in m]
     columns = list(zip(*rows))
-    entries = _subset_nullities(columns)
+    entries = gram_subset_walk([[dot(u, v) for v in columns[i:]]
+                                for i, u in enumerate(columns)])[1]
     # Cross-check: the whole matrix against an independent Bareiss rank, and
     # each single column against its zero pattern.
     if n - entries[-1] != rank(rows) or any(

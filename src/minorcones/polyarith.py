@@ -21,10 +21,10 @@ Z[e] is exact on the packed ints, and the integer elimination of `exact`
 serves Z[e] unchanged.  A remainder raises ArithmeticError: the
 polynomial division would have been inexact.
 
-`_packed_principal_minors` takes all 2^n principal minors of a Gram
-matrix from one depth-first walk over the subsets, each child opened by
-`exact.bareiss_step`, and `principal_minor_poly`, one minor, is
-`exact.bareiss` on the packed submatrix.  Both take integer coefficients.
+`_principal_minors` takes all 2^n principal minors of a packed Gram
+matrix from `exact.gram_subset_walk`, and `principal_minor_poly`, one
+minor, is `exact.bareiss` on the packed submatrix.  Both take integer
+coefficients.
 `asn` scales P by the lcm of its coefficient denominators once and reads
 each packed minor directly: zero or not, its lowest degree as the 2-adic
 valuation // k, and the sign of its lowest digit.  Fractions stay in
@@ -32,7 +32,6 @@ parsing and in `gram` of a rational P.
 """
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,9 +40,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import (CertificateError, bareiss, bareiss_step,
-                    clear_denominators, dot)
-from .ratios import MAX_GROUND_SIZE, FormalLog
+from .exact import (CertificateError, bareiss, clear_denominators, dot,
+                    gram_subset_walk)
+from .ratios import (MAX_GROUND_SIZE, FormalLog, read_decimal,
+                     significant_digits)
 from .subsets import members_of
 
 # Dense univariate polynomials over the rationals: coefficient tuples with
@@ -76,17 +76,6 @@ _TERM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>e)(?:\^(?P<deg>\d+))?)?$")
 
 
-def _digit_field(digits: str, field: str, chunk: str, text: str) -> int:
-    """int(digits), or a ValueError naming the term if int() would refuse
-    the string for having more digits than Python's conversion limit."""
-    # Python before 3.10.7 has no limit, which the API writes as 0.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(digits) > limit:
-        raise ValueError(f"{field} of polynomial term {chunk!r} in {text!r} "
-                         f"has more than {limit} digits")
-    return int(digits)
-
-
 @lru_cache(maxsize=1024)
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in the literal variable `e`, e.g. `1 + 2*e - 3/2*e^2`.
@@ -94,10 +83,16 @@ def parse_poly(text: str) -> Poly:
     repeat entries.  An error is raised again on every call.  A ValueError
     names the term with a zero denominator, with a degree above MAX_DEGREE
     (an exponent with more digits is not converted) or with a digit string
-    that int() would refuse, before any coefficient list is built."""
+    that int() would refuse (`ratios.read_decimal`), before any coefficient
+    list is built."""
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
+
+    def field(digits: str, name: str) -> int:
+        return read_decimal(digits, lambda tail: ValueError(
+            f"{name} of polynomial term {chunk!r} in {text!r} {tail}"))
+
     chunks = re.split(r"(?=[+-])", s)
     coeffs: Dict[int, Fraction] = {}
     for chunk in chunks:
@@ -111,18 +106,18 @@ def parse_poly(text: str) -> Poly:
             value = 1
         elif "/" in coef:
             num, den = coef.split("/")
-            den = _digit_field(den, "denominator", chunk, text)
+            den = field(den, "denominator")
             if not den:
                 raise ValueError(f"zero denominator in polynomial term "
                                  f"{chunk!r} in {text!r}")
-            value = Fraction(_digit_field(num, "numerator", chunk, text), den)
+            value = Fraction(field(num, "numerator"), den)
         else:
-            value = _digit_field(coef, "coefficient", chunk, text)
+            value = field(coef, "coefficient")
         if sign == "-":
             value = -value
         # The degree's digits without leading zeros, "" for degree 0; more
         # of them than MAX_DEGREE has exceed it without a conversion.
-        digits = (deg or "1").lstrip("0") if var else ""
+        digits = significant_digits(deg or "1") if var else ""
         if (len(digits) > len(str(MAX_DEGREE))
                 or int(digits or "0") > MAX_DEGREE):
             raise ValueError(f"degree {digits} of polynomial term {chunk!r} "
@@ -269,43 +264,12 @@ def principal_minor_poly(a: PolyMatrix, s: int) -> Poly:
     return _unpack(last, k) if rank == len(rows) else P_ZERO
 
 
-def _packed_principal_minors(upper: List[List[int]]) -> List[int]:
-    """The mask-indexed principal minors det G[S] of a Gram matrix G over
-    Z[e], from the upper triangle of G packed at a width that holds every
-    minor of G (row i from the diagonal on), by one depth-first walk over
-    the subsets in which each mask extends the mask without its top index.
-
-    A node on the subset S holds the upper triangle of its trailing block
-    after fraction-free pivots on S, one row per index after max(S): by
-    Sylvester's identity entry (i, j) is det G[S+i, S+j], so row i starts
-    with the minor of the child S+i, and one `exact.bareiss_step` per later
-    row, dividing by det G[S], opens that child.  The pivots are principal
-    minors, so no row is swapped.  A zero pivot leaves its subset and
-    every subset below it zero: with G = P^T P, the columns of P on that
-    subset are dependent, and so are those on every superset."""
-    minors = [0] * (1 << len(upper))
-    minors[0] = 1
-
-    def visit(mask: int, first: int, prev: int, rows: List) -> None:
-        for t, row in enumerate(rows):
-            pivot = row[0]
-            child = mask | 1 << (first + t)
-            minors[child] = pivot
-            if pivot and t + 1 < len(rows):
-                visit(child, first + t + 1, pivot,
-                      [bareiss_step(later, row[j:], pivot, row[j], prev)
-                       for j, later in enumerate(rows[t + 1:], start=1)])
-
-    visit(0, 0, 1, upper)
-    return minors
-
-
 def _principal_minors(g: Sequence[Sequence[Poly]]) -> Tuple[int, List[int]]:
     """(k, minors): the principal minors of the Gram matrix g with integer
     coefficients, packed at the width k of its minor bound."""
     k = _minor_bits(g)
-    return k, _packed_principal_minors([[_pack(x, k) for x in row[i:]]
-                                        for i, row in enumerate(g)])
+    return k, gram_subset_walk([[_pack(x, k) for x in row[i:]]
+                                for i, row in enumerate(g)])[0]
 
 
 @dataclass(frozen=True)

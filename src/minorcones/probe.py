@@ -25,11 +25,10 @@ from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, as_fractions, dot
 from .nullity import RationalMatrix, matrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
-from .ratios import (MAX_GROUND_SIZE, FormalLog, NotPositiveDefiniteError,
-                     batch_log_minors, evaluate_log_ratio, h_lift,
-                     is_homogeneous, is_koteljanskii_ray, log_of,
+from .ratios import (MAX_GROUND_SIZE, FormalLog, _mask_plan,
+                     batch_log_minors, evaluate_log_ratio, finite_minors,
+                     h_lift, is_homogeneous, is_koteljanskii_ray, log_of,
                      log_ratio_from_minors, log_ratio_values)
-from .subsets import members_of
 
 # The most samples one SamplerConfig asks for, count * dimension^2 doubles
 # (256 MiB): above bound-search's default of 100 000 samples at n = 16,
@@ -182,25 +181,17 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     mats = eval_poly_matrix(p, np.array(grid))
     # log det (P^T P)[S] from the singular values of P[:, S]: factoring the
     # formed P^T P squares the condition number and loses minors scaling
-    # like eps^(2 d_S).  One SVD call per subset size takes the matrices
-    # P(eps)[:, S] of every S of that size, shape (masks, grid, n, |S|),
-    # and one positivity test and one log pass take all its singular
-    # values.  The support lists the sizes in increasing order, so the
-    # first size with a zero singular value holds the first singular S.
-    by_size: Dict[int, List[int]] = {}
-    for mask in v.support():
-        by_size.setdefault(mask.bit_count(), []).append(mask)
-    minors = {}
-    for masks in by_size.values():
-        cols = np.array([[i - 1 for i in members_of(m)] for m in masks])
-        sing = np.linalg.svd(mats[:, :, cols].transpose(2, 0, 1, 3),
-                             compute_uv=False)
-        singular = sing <= 0
-        if singular.any():
-            first = int(singular.any(axis=(1, 2)).argmax())
-            raise NotPositiveDefiniteError(members_of(masks[first]))
-        minors.update(zip(masks, 2.0 * np.log(sing).sum(axis=-1)))
-    values = log_ratio_from_minors(v, minors, len(grid))
+    # like eps^(2 d_S).  One SVD call per size group of the support's mask
+    # plan takes the P(eps)[:, S] of its sets, shape (masks, grid, n, |S|);
+    # a zero singular value gives -inf, and `finite_minors` names its S.
+    order, gathers, _ = _mask_plan(p.size, tuple(v.support()))
+    logs = np.zeros((len(order), len(grid)))
+    with np.errstate(divide="ignore"):
+        for rows, index in gathers:
+            sing = np.linalg.svd(mats[:, :, index].transpose(2, 0, 1, 3),
+                                 compute_uv=False)
+            logs[rows] = 2.0 * np.log(sing).sum(axis=-1)
+    values = log_ratio_from_minors(v, finite_minors(order, logs), len(grid))
     predicted = 2 * asn_inner_product(v, asn(p))
     return _fit_report(grid, values.tolist(), predicted)
 

@@ -7,12 +7,13 @@ fixed so that all entries sum to zero.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,27 +170,58 @@ def _term_error(text: str, pos: int) -> RatioSyntaxError:
     return RatioSyntaxError("expected ',' or '}'", after.end())
 
 
+# Python before 3.10.7 has no limit, which the API writes as 0.
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def read_decimal(digits: str, error: Callable[[str], ValueError]) -> int:
+    """int(digits), or error("has more than L digits") where int() refuses
+    it for passing Python's limit L; both parsers read numbers through it."""
+    limit = _int_digit_limit()
+    if limit and len(digits) > limit:
+        raise error(f"has more than {limit} digits")
+    return int(digits)
+
+
+def significant_digits(digits: str) -> str:
+    """`digits`, in any script int() reads, without leading zeros.  A field
+    with more of them than a bound has exceeds the bound, and both parsers
+    reject it without converting it."""
+    return "".join(dropwhile(lambda c: not int(c), digits))
+
+
+def _out_of_range(value, n: Optional[int]) -> ValueError:
+    """The error of the index `value` past the ground size n, or of the
+    ground size `value` past MAX_GROUND_SIZE if n is None."""
+    return ValueError(f"index {value} exceeds ground size {n}" if n is not None
+                      else f"ground size {value} exceeds the supported "
+                      f"maximum {MAX_GROUND_SIZE}")
+
+
 @lru_cache(maxsize=1024)
-def _subset(body: Optional[str]) -> Tuple[Optional[int], int]:
+def _subset(body: Optional[str], n: Optional[int]
+            ) -> Tuple[Optional[int], int]:
     """(mask, largest index) of a term's members, listed in `body` as
     _TERM matched it (None for `{}`).  The mask is None past
     MAX_GROUND_SIZE: parse_ratio rejects such an index before it needs the
-    mask, so a huge index costs no memory."""
-    members = [int(x) for x in body.split(",")] if body else []
+    mask, so a huge index costs no memory, and one with more digits than
+    MAX_GROUND_SIZE is rejected here, for the ground size n, unconverted."""
+    fields = body.split(",") if body else []
+    for digits in (significant_digits(x.strip()) for x in fields):
+        if len(digits) > len(str(MAX_GROUND_SIZE)):
+            raise _out_of_range(digits, n)
+    members = list(map(int, fields))
     if 0 in members:
         raise ValueError("index 0 out of range (1-based)")
     top = max(members, default=0)
     return (mask_of(members) if top <= MAX_GROUND_SIZE else None), top
 
 
-@lru_cache(maxsize=1024)
-def _exponent(p: str, q: Optional[str]) -> Fraction:
-    """The exponent `^p` or `^p/q` of a term, one shared Fraction per
-    distinct text."""
-    return Fraction(int(p), int(q or 1))
+# The exponent p/q of a term, one shared Fraction per distinct pair.
+_exponent = lru_cache(maxsize=1024)(Fraction)
 
 
-def _parse_product(text: str, pos: int):
+def _parse_product(text: str, pos: int, n: Optional[int]):
     """The terms of the product at pos, as (mask, largest index,
     exponent), and the position after its last term and any whitespace."""
     terms = []
@@ -207,14 +239,19 @@ def _parse_product(text: str, pos: int):
         if p is not None:
             if not p:
                 raise RatioSyntaxError("expected an integer", match.start(2))
-            if q is not None and not int(q):
+            num = read_decimal(p, lambda tail: RatioSyntaxError(
+                f"exponent {tail}", match.start(2)))
+            den = 1 if q is None else read_decimal(q, lambda tail: (
+                RatioSyntaxError(f"exponent denominator {tail}",
+                                 match.start(3))))
+            if not den:
                 raise RatioSyntaxError("exponent denominator must be positive",
                                        match.start(3))
-            exponent = _exponent(p, q)
+            exponent = _exponent(num, den)
             if exponent <= 0:
                 raise RatioSyntaxError("exponent must be positive",
                                        match.start(2))
-        terms.append((*_subset(body), exponent))
+        terms.append((*_subset(body, n), exponent))
         pos = match.end()
 
 
@@ -228,11 +265,11 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
     fault and its position.  Indices are checked against the ground size
     before any subset mask is built, so a huge index costs no memory.
     """
-    numerator, pos = _parse_product(text, 0)
+    numerator, pos = _parse_product(text, 0, n)
     if not text.startswith("/", pos):
         raise RatioSyntaxError(
             "expected '/' between numerator and denominator", pos)
-    denominator, pos = _parse_product(text, pos + 1)
+    denominator, pos = _parse_product(text, pos + 1, n)
     if pos != len(text):
         raise RatioSyntaxError("unexpected trailing input", pos)
 
@@ -240,10 +277,9 @@ def parse_ratio(text: str, n: Optional[int] = None) -> RatioSpec:
     if n is None:
         n = max(max_index, 1)
     elif max_index > n:
-        raise ValueError(f"index {max_index} exceeds ground size {n}")
+        raise _out_of_range(max_index, n)
     if n > MAX_GROUND_SIZE:
-        raise ValueError(f"ground size {n} exceeds the supported maximum "
-                         f"{MAX_GROUND_SIZE}")
+        raise _out_of_range(n, None)
     return RatioSpec(n, tuple((mask, exp) for mask, _, exp in numerator),
                      tuple((mask, exp) for mask, _, exp in denominator))
 
@@ -456,7 +492,13 @@ def batch_log_minors(batch: np.ndarray,
     makes the log-minor non-finite, and NotPositiveDefiniteError names the
     first such subset in the given order, over the whole stack.
     """
-    order, values = _log_minors(batch, masks)
+    return finite_minors(*_log_minors(batch, masks))
+
+
+def finite_minors(order: Sequence[int], values: np.ndarray
+                  ) -> Dict[int, np.ndarray]:
+    """dict(zip(order, values)) for masks and their rows of log-minors, or
+    NotPositiveDefiniteError naming the first mask with a non-finite one."""
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         first = order[int(np.argmin(finite))]

@@ -445,6 +445,18 @@ class TestAsnAndProbes:
             f"error: line 1: degree {nines} of polynomial term 'e^{nines}' "
             f"in ' e^{nines}' exceeds the supported maximum 131071\n")
 
+    def test_ratio_exponent_past_the_int_digit_limit_exits_2(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts strings of any length")
+        nines = "9" * 5000
+        assert main(["membership", f"{{1,2}}^{nines}{{}} / {{1}}{{2}}",
+                     "--semigroup", "H"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: exponent has more than {limit} "
+                                f"digits (at position 6)\n")
+
     def test_out_file_written(self, m6_file, tmp_path, capsys):
         dest = tmp_path / "report.json"
         assert main(["nullity", m6_file, "--format", "json",

@@ -5,10 +5,15 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
+from minorcones import polyarith
+from minorcones.constants import P_for_Q
 from minorcones.exact import (as_fractions, bareiss, bareiss_rank,
                               bareiss_step, clear_denominators, dot,
-                              largest_entry, primitive, rank, rref)
-from minorcones.oracles import det, kernel_basis, rank_by_minors
+                              gram_subset_walk, largest_entry, primitive,
+                              rank, rref)
+from minorcones.oracles import (det, gram_principal_minors, kernel_basis,
+                                poly_det_cofactor, rank_by_minors)
+from minorcones.polyarith import gram, poly_matrix, principal_submatrix
 
 
 def primitive_reference(vec):
@@ -171,6 +176,81 @@ class TestBareiss:
             assert m == before
             assert r == rank_by_minors(m)
             assert (last if r == k else 0) == det(m)
+
+
+def upper_gram(columns):
+    """The upper triangle of the Gram matrix of integer columns."""
+    return [[dot(u, v) for v in columns[i:]] for i, u in enumerate(columns)]
+
+
+def with_column(rows, c, column):
+    """`rows` with column c replaced by `column`."""
+    return [row[:c] + [x] + row[c + 1:] for row, x in zip(rows, column)]
+
+
+class TestGramSubsetWalk:
+    # Gram matrices with dependent columns, so that the walk steps over a
+    # zero pivot: a zero column, a repeated column, a column that is a
+    # combination of two others, and ranks 1 and 0.
+    @staticmethod
+    def dependent_matrices():
+        rng = random.Random(4100)
+        out = [[[1, 0, 2, 1], [0, 0, 1, 0], [3, 0, -1, 3]],
+               [[1, 2, 3], [2, 4, 6]],
+               [[0, 0], [0, 0]]]
+        for trial in range(30):
+            n = rng.randint(2, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            column = {0: [0] * len(rows),
+                      1: [row[a] for row in rows],
+                      2: [row[a] - 2 * row[b] for row in rows]}[trial % 3]
+            out.append(with_column(rows, c, column))
+        return out
+
+    def test_nullities_and_minors_match_each_column_submatrix(self):
+        stepped_over = 0
+        for rows in self.dependent_matrices():
+            columns = list(zip(*rows))
+            minors, nullities = gram_subset_walk(upper_gram(columns))
+            for t in range(1 << len(columns)):
+                sub = [[row[i] for i in range(len(columns)) if t >> i & 1]
+                       for row in rows]
+                size = bin(t).count("1")
+                assert nullities[t] == size - rank(sub), (rows, t)
+                gram = [[dot(u, v) for v in zip(*sub)] for u in zip(*sub)]
+                assert minors[t] == det(gram), (rows, t)
+                stepped_over += nullities[t] > 0 and t.bit_length() < len(
+                    columns)
+        # Sets with a dependent index that have later indices below them.
+        assert stepped_over > 100
+
+    def test_minors_match_the_cofactor_oracle_on_a_rank_deficient_p(self):
+        # P_for_Q with column 5 replaced by column 2, where every set
+        # holding {2,5} has minor 0, and then also column 3 by zeros, where
+        # every set holding 3 has too.
+        base = [list(row) for row in P_for_Q().entries]
+        repeated = with_column(base, 4, [row[1] for row in base])
+        for rows in (repeated, with_column(repeated, 2, [()] * 5)):
+            g = gram(poly_matrix(rows))
+            k = polyarith._minor_bits(g.entries)
+            minors, nullities = gram_subset_walk(
+                [[polyarith._pack(x, k) for x in row[i:]]
+                 for i, row in enumerate(g.entries)])
+            # The nullities over Q(e) are those of P at e = 2^10, where no
+            # nonzero minor of P, of degree at most 5 with small integer
+            # coefficients, has a root.
+            at = [[polyarith._pack(x, 10) for x in row] for row in rows]
+            for s in range(1 << 5):
+                expect = poly_det_cofactor(principal_submatrix(g, s))
+                assert polyarith._unpack(minors[s], k) == expect, s
+                assert (minors[s] == 0) == (nullities[s] > 0), s
+                sub = [[row[i] for i in range(5) if s >> i & 1] for row in at]
+                assert nullities[s] == bin(s).count("1") - rank(sub), s
+            assert nullities[0b10010] == 1 and minors[0b11111] == 0
+            assert gram_principal_minors(g) == [
+                polyarith._unpack(m, k) for m in minors]
 
 
 class TestRanks:

@@ -249,15 +249,19 @@ class TestSubsetKernel:
     ])
     def test_wrong_kernel_fails_cross_check(self, wrong, monkeypatch):
         m = matrix([[1, 0, 0], [1, 0, 0]])
-        kernel = nullity._subset_nullities
-        monkeypatch.setattr(nullity, "_subset_nullities",
-                            lambda columns: wrong(kernel(columns)))
+        walk = nullity.gram_subset_walk
+
+        def wrong_walk(upper):
+            minors, nullities = walk(upper)
+            return minors, wrong(nullities)
+        monkeypatch.setattr(nullity, "gram_subset_walk", wrong_walk)
         with pytest.raises(CertificateError, match="zero pattern"):
             nullity_type(m)
 
     def test_residuals_are_divided_by_their_gcd(self):
         # Eliminating coordinate 0 of w = (3, 6, 9) by v = (1, 1, 0), as the
-        # subset kernel does: 1 * (3, 6, 9) - 3 * (1, 1, 0) = (0, 3, 9).
+        # double description combines two vectors: 1 * (3, 6, 9) -
+        # 3 * (1, 1, 0) = (0, 3, 9).
         v, w = [1, 1, 0], [3, 6, 9]
         assert combine(v[0], w, w[0], v) == (0, 1, 3)
         assert combine(1, [2, 2], 2, [1, 1]) is None
@@ -265,12 +269,12 @@ class TestSubsetKernel:
     def test_wrong_kernel_fails_cross_check_under_O(self):
         out = certificate_error_under_O(
             "from minorcones import nullity\n"
-            "found = nullity._subset_nullities\n"
-            "def shifted(columns):\n"
-            "    out = found(columns)\n"
+            "found = nullity.gram_subset_walk\n"
+            "def shifted(upper):\n"
+            "    minors, out = found(upper)\n"
             "    out[-1] += 1\n"
-            "    return out\n"
-            "nullity._subset_nullities = shifted\n",
+            "    return minors, out\n"
+            "nullity.gram_subset_walk = shifted\n",
             "cones.build_E_system(3)")
         assert "zero pattern" in out
 

@@ -267,6 +267,41 @@ class TestParseRatio:
             parse_ratio(f"{{1}}{{2,{huge}}} / {{1,2}}{{{huge}}}", n)
         assert all(max(members) <= MAX_GROUND_SIZE for members in built)
 
+    def test_over_long_digit_fields_name_their_term(self, monkeypatch):
+        # An exponent longer than int() converts is a syntax error at its
+        # position, not int()'s own message; an index with more digits
+        # than MAX_GROUND_SIZE is out of range and is never converted.
+        nines = "9" * 5000
+        converted = []
+        monkeypatch.setattr(ratios, "int", lambda digits: converted.append(
+            digits) or int(digits), raising=False)
+        for n, message in (
+                (None, f"ground size {nines} exceeds the supported maximum "
+                       f"{MAX_GROUND_SIZE}"),
+                (4, f"index {nines} exceeds ground size 4")):
+            with pytest.raises(ValueError) as err:
+                parse_ratio(f"{{1,{nines}}}{{}} / {{1}}{{2}}", n)
+            assert str(err.value) == message
+        assert all(len(digits) <= 2 for digits in converted)
+        # Leading zeros do not count, in any script int() reads.
+        for two in ("0002", "\u0660\u0660\u0662"):
+            assert parse_ratio(f"{{1,{two}}}{{}} / {{1}}{{2}}") == parse_ratio(
+                "{1,2}{} / {1}{2}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            return
+        for text, message in (
+                (f"{{1,2}}^{nines}{{}} / {{1}}{{2}}",
+                 f"exponent has more than {limit} digits (at position 6)"),
+                (f"{{1,2}}^1/{nines}{{}} / {{1}}{{2}}",
+                 f"exponent denominator has more than {limit} digits "
+                 f"(at position 8)")):
+            with pytest.raises(RatioSyntaxError) as err:
+                parse_ratio(text)
+            assert str(err.value) == message
+        # At the limit, the exponent converts.
+        assert parse_ratio(f"{{1}}^{'7' * limit} / {{1}}^{'7' * limit}")
+
     def test_digits_int_cannot_read_are_a_syntax_error(self):
         # U+00B2 is a digit to str.isdigit but not a decimal digit.
         with pytest.raises(RatioSyntaxError) as err:
