@@ -178,9 +178,10 @@ def _double_description(ineqs: List[Tuple[int, ...]], dim: int):
     adds its row with the slots that are zero on it, and a new ray adds its
     slot to each of its tight rows, while removed slots leave `alive`.  The
     rays come out in slot order, each step's new rays after the old ones in
-    (negative, positive) pair order.  No `combine` is zero (None): the
-    lines stay independent, and a negative and a positive ray cancel only
-    if they are opposite, which the cone beside the lines never holds."""
+    (negative, positive) pair order.  No `combine` is zero, or it would
+    raise CertificateError: the lines stay independent, and a negative and
+    a positive ray cancel only if they are opposite, which the cone beside
+    the lines never holds."""
     lines: List[Tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     vecs: List[Optional[Tuple[int, ...]]] = []

@@ -110,13 +110,15 @@ def primitive(vec: Sequence) -> Tuple[int, ...]:
 
 
 def combine(s: int, u: Sequence[int], t: int, v: Sequence[int]
-            ) -> Optional[Tuple[int, ...]]:
+            ) -> Tuple[int, ...]:
     """The primitive integer vector along s * u - t * v, for integer
-    vectors u, v and integers s, t; None if that vector is zero."""
+    vectors u, v and integers s, t.  That vector is a new ray or line of
+    the double description, which never combines to zero, so a zero one
+    raises CertificateError."""
     w = [s * x - t * y for x, y in zip(u, v)]
     g = gcd(*w)
     if g == 0:
-        return None
+        raise CertificateError("a double-description combination is zero")
     return tuple([x // g for x in w] if g > 1 else w)
 
 

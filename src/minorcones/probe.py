@@ -7,9 +7,11 @@ come from one loop, `sample_pd_chunks`, which fills a chunk at a time with
 `fill_pd`; `sample_pd` copies its chunks into one preallocated batch.
 Each chunk takes one log-minor kernel call: the full set first, which is
 the positive definiteness check, then the masks its reader asks for (the
-bound search's union of supports, or none).  The Fiedler residuals and
-the complement ratios share one inverse B = A^{-1}: by Jacobi,
-det A[i^c] = b_ii det A, so {i}{i^c} / {j}{j^c} = a_ii b_ii / (a_jj b_jj).
+bound search's union of supports, or none).  Each bound-search ascent
+builds one mask plan of its ratio's support and evaluates every step's
+candidates on it.  The Fiedler residuals and the complement ratios share
+one inverse B = A^{-1}: by Jacobi, det A[i^c] = b_ii det A, so
+{i}{i^c} / {j}{j^c} = a_ii b_ii / (a_jj b_jj).
 """
 
 import math
@@ -25,10 +27,10 @@ from .constants import (R1_FACTORS, R2_FACTORS, R3_FACTORS, named_log)
 from .exact import CertificateError, as_fractions, dot
 from .nullity import RationalMatrix, matrix, nullity_type
 from .polyarith import PolyMatrix, asn, asn_inner_product, eval_poly_matrix
-from .ratios import (MAX_GROUND_SIZE, FormalLog, _mask_plan,
+from .ratios import (MAX_GROUND_SIZE, FormalLog, _log_minors, _mask_plan,
                      batch_log_minors, evaluate_log_ratio, finite_minors,
                      h_lift, is_homogeneous, is_koteljanskii_ray, log_of,
-                     log_ratio_from_minors, log_ratio_values)
+                     log_ratio_from_minors)
 
 # The most samples one SamplerConfig asks for, count * dimension^2 doubles
 # (256 MiB): above bound-search's default of 100 000 samples at n = 16,
@@ -184,7 +186,7 @@ def eval_poly_family_slope(v: FormalLog, p: PolyMatrix,
     # like eps^(2 d_S).  One SVD call per size group of the support's mask
     # plan takes the P(eps)[:, S] of its sets, shape (masks, grid, n, |S|);
     # a zero singular value gives -inf, and `finite_minors` names its S.
-    order, gathers, _ = _mask_plan(p.size, tuple(v.support()))
+    order, gathers, _ = _mask_plan(p.size, v.support())
     logs = np.zeros((len(order), len(grid)))
     with np.errstate(divide="ignore"):
         for rows, index in gathers:
@@ -360,18 +362,27 @@ def _ascent(v: FormalLog, best_val: float, start: np.ndarray,
             seed: int) -> BoundSearchResult:
     """The congruence ascent of bound_search from its best sample and that
     sample's log-ratio; the factors come from a generator seeded by
-    (seed, 1)."""
+    (seed, 1).  Each step evaluates its candidates on one mask plan of v's
+    support, built once per ascent, without the positive definiteness
+    check: a candidate counts only if every support minor is finite, since
+    otherwise its log-ratio means nothing (a minor of -inf with a negative
+    weight gives +inf)."""
     n = v.ground_size
     rng = np.random.default_rng((seed, 1))
     factors = np.eye(n) + ASCENT_SCALE * rng.standard_normal(
         (ASCENT_STEPS, n, n))
+    plan = _mask_plan(n, v.support())
     current = start
     current_val = best_val
     step = 0
     while step < ASCENT_STEPS:
         rest = factors[step:]
         cands = rest @ current @ rest.transpose(0, 2, 1)
-        vals, finite = log_ratio_values(v, cands)
+        minors = _log_minors(cands, plan)
+        with np.errstate(invalid="ignore"):
+            vals = log_ratio_from_minors(v, dict(zip(plan[0], minors)),
+                                         len(cands))
+        finite = np.isfinite(minors).all(axis=0)
         better = np.flatnonzero(finite & (vals > current_val))
         if not len(better):
             break

@@ -4,6 +4,10 @@ A ratio is stored either as a parsed product/quotient of index sets with
 positive rational exponents (RatioSpec), or as its formal logarithm
 (FormalLog): one rational net exponent per subset, with the empty-set entry
 fixed so that all entries sum to zero.
+
+The one numeric log-minor kernel, `batch_log_minors`, builds a mask plan
+per call; a caller that evaluates one support many times, as the
+bound-search ascent does, builds its plan once and runs `_log_minors` on it.
 """
 
 import re
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, dropwhile
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,8 +221,28 @@ def _subset(body: Optional[str], n: Optional[int]
     return (mask_of(members) if top <= MAX_GROUND_SIZE else None), top
 
 
-# The exponent p/q of a term, one shared Fraction per distinct pair.
-_exponent = lru_cache(maxsize=1024)(Fraction)
+class _ExponentError(ValueError):
+    """A fault in the exponent field `group` (2 for p, 3 for q) of a _TERM
+    match, which parse_ratio raises as a RatioSyntaxError at that field."""
+    def __init__(self, message: str, group: int):
+        super().__init__(message)
+        self.group = group
+
+
+@lru_cache(maxsize=1024)
+def _exponent(p: str, q: Optional[str]) -> Fraction:
+    """The exponent p/q of a term from its digit fields (q is None without
+    `/q`), one shared Fraction per distinct pair of texts.  The fields are
+    converted only on a miss; a fault raises _ExponentError, which is not
+    cached."""
+    num = read_decimal(p, lambda tail: _ExponentError(f"exponent {tail}", 2))
+    den = 1 if q is None else read_decimal(q, lambda tail: _ExponentError(
+        f"exponent denominator {tail}", 3))
+    if not den:
+        raise _ExponentError("exponent denominator must be positive", 3)
+    if not num:
+        raise _ExponentError("exponent must be positive", 2)
+    return Fraction(num, den)
 
 
 def _parse_product(text: str, pos: int, n: Optional[int]):
@@ -239,18 +263,11 @@ def _parse_product(text: str, pos: int, n: Optional[int]):
         if p is not None:
             if not p:
                 raise RatioSyntaxError("expected an integer", match.start(2))
-            num = read_decimal(p, lambda tail: RatioSyntaxError(
-                f"exponent {tail}", match.start(2)))
-            den = 1 if q is None else read_decimal(q, lambda tail: (
-                RatioSyntaxError(f"exponent denominator {tail}",
-                                 match.start(3))))
-            if not den:
-                raise RatioSyntaxError("exponent denominator must be positive",
-                                       match.start(3))
-            exponent = _exponent(num, den)
-            if exponent <= 0:
-                raise RatioSyntaxError("exponent must be positive",
-                                       match.start(2))
+            try:
+                exponent = _exponent(p, q)
+            except _ExponentError as err:
+                raise RatioSyntaxError(str(err),
+                                       match.start(err.group)) from None
         terms.append((*_subset(body, n), exponent))
         pos = match.end()
 
@@ -492,7 +509,8 @@ def batch_log_minors(batch: np.ndarray,
     makes the log-minor non-finite, and NotPositiveDefiniteError names the
     first such subset in the given order, over the whole stack.
     """
-    return finite_minors(*_log_minors(batch, masks))
+    plan = _mask_plan(batch.shape[-1], masks)
+    return finite_minors(plan[0], _log_minors(batch, plan))
 
 
 def finite_minors(order: Sequence[int], values: np.ndarray
@@ -506,22 +524,11 @@ def finite_minors(order: Sequence[int], values: np.ndarray
     return dict(zip(order, values))
 
 
-def _read_only(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-# A plan at n = 4 holds about 1.8 KiB.  The calls that repeat one plan (an
-# ascent's steps, a sample stream's chunks, a check's few supports) need a
-# few entries; most other callers ask for a support once.
-@lru_cache(maxsize=64)
-def _mask_plan(n: int, masks: Tuple[int, ...]):
-    """How _log_minors eliminates `masks` on n x n matrices, built once per
-    (n, masks): the distinct masks in the given order, per subset size the
-    value rows and the (masks, k) member index, both read-only, and the
-    chunk length.  A mask outside 0..2^n - 1 raises ValueError, which is
-    not cached."""
+def _mask_plan(n: int, masks: Iterable[int]):
+    """How _log_minors eliminates `masks` on n x n matrices: the distinct
+    masks in the given order, per subset size the value rows and the
+    (masks, k) member index, and the chunk length.  A mask outside
+    0..2^n - 1 raises ValueError."""
     order = tuple(dict.fromkeys(masks))
     groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
     for row, mask in enumerate(order):
@@ -536,18 +543,18 @@ def _mask_plan(n: int, masks: Tuple[int, ...]):
     # holds masks * k^2.
     chunk = max(1, LOG_MINOR_CHUNK * n * n // max(
         [1, n * n] + [len(rows) * k * k for k, (rows, _) in groups.items()]))
-    gathers = tuple((_read_only(rows), _read_only(index))
+    gathers = tuple((np.array(rows), np.array(index))
                     for rows, index in groups.values())
     return order, gathers, chunk
 
 
-def _log_minors(batch: np.ndarray, masks: Sequence[int]):
-    """The elimination of batch_log_minors without its check: the distinct
-    masks in the given order and the values, one row per mask and one
-    column per matrix.  A value is finite iff the matrix is numerically
-    positive definite on that subset."""
-    count, n = batch.shape[0], batch.shape[-1]
-    order, gathers, chunk = _mask_plan(n, tuple(masks))
+def _log_minors(batch: np.ndarray, plan) -> np.ndarray:
+    """The elimination of batch_log_minors without its check, on a
+    `_mask_plan` for the batch's n: one row of values per mask of the
+    plan's order and one column per matrix.  A value is finite iff the
+    matrix is numerically positive definite on that subset."""
+    count = batch.shape[0]
+    order, gathers, chunk = plan
     values = np.zeros((len(order), count))
     with np.errstate(all="ignore"):
         for start in range(0, count, chunk):
@@ -562,7 +569,7 @@ def _log_minors(batch: np.ndarray, masks: Sequence[int]):
                     s = np.subtract(s[:, 1:, 1:], t, out=t)
                     logs += np.log(s[:, 0, 0])
                 values[rows, start:start + part.shape[-1]] = logs
-    return order, values
+    return values
 
 
 def log_ratio_from_minors(v: FormalLog, minors: Dict[int, np.ndarray],
@@ -590,13 +597,3 @@ def evaluate_log_ratio(v: FormalLog, a: np.ndarray):
     total = log_ratio_from_minors(v, minors, len(stack))
     return float(total[0]) if a.ndim == 2 else total
 
-
-def log_ratio_values(v: FormalLog, stack: np.ndarray):
-    """evaluate_log_ratio on a (count, n, n) stack without the positive
-    definiteness check: the log-ratios, and per matrix whether every
-    minor in v.support() is finite.  Where it is not, the value means
-    nothing (a minor of -inf with a negative weight gives +inf)."""
-    order, values = _log_minors(stack, v._support)
-    with np.errstate(invalid="ignore"):
-        total = log_ratio_from_minors(v, dict(zip(order, values)), len(stack))
-    return total, np.isfinite(values).all(axis=0)

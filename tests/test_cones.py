@@ -922,7 +922,13 @@ class TestInsertionOrder:
                      for _ in range(width)] for _ in range(2))
             s, t = rng.randint(-5, 5), rng.randint(-5, 5)
             w = [s * x - t * y for x, y in zip(u, v)]
-            assert combine(s, u, t, v) == (primitive(w) if any(w) else None)
+            if any(w):
+                assert combine(s, u, t, v) == primitive(w)
+            else:
+                with pytest.raises(CertificateError, match="zero"):
+                    combine(s, u, t, v)
+        with pytest.raises(CertificateError, match="zero"):
+            combine(2, [3, -6], 6, [1, -2])
 
 
 class TestHomogeneityBasis:

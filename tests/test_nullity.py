@@ -264,7 +264,8 @@ class TestSubsetKernel:
         # 3 * (1, 1, 0) = (0, 3, 9).
         v, w = [1, 1, 0], [3, 6, 9]
         assert combine(v[0], w, w[0], v) == (0, 1, 3)
-        assert combine(1, [2, 2], 2, [1, 1]) is None
+        with pytest.raises(CertificateError, match="zero"):
+            combine(1, [2, 2], 2, [1, 1])
 
     def test_wrong_kernel_fails_cross_check_under_O(self):
         out = certificate_error_under_O(

@@ -29,6 +29,7 @@ from minorcones.ratios import (FormalLog, NotPositiveDefiniteError,
                                evaluate_log_ratio, homogeneity_vectors,
                                is_homogeneous, log_of)
 from minorcones.subsets import members_of
+from test_ratios import unchecked_log_ratios
 
 
 def jacobi_check(a: np.ndarray, s: int, tolerance: float = 1e-9) -> bool:
@@ -728,9 +729,40 @@ class TestBoundSearch:
         want = self.assert_matches_reference(
             v, SamplerConfig(seed=7, count=200, dimension=3), skipped=skipped)
         assert want.diverging and skipped
-        values, finite = ratios.log_ratio_values(v, np.stack(skipped))
+        values, finite = unchecked_log_ratios(v, np.stack(skipped))
         assert not finite.any()
         assert np.any(values == np.inf)
+
+    def test_each_ascent_and_each_chunk_build_one_plan(self, monkeypatch):
+        # One mask plan per sample chunk, in the sampler's kernel call, and
+        # one per ascent, which every step of that ascent evaluates with.
+        built, steps = [], []
+        build, log_minors = ratios._mask_plan, probe._log_minors
+
+        def plan_spy(n, masks):
+            masks = list(masks)
+            built.append(masks)
+            return build(n, masks)
+
+        def step_spy(stack, plan):
+            steps.append(plan)
+            return log_minors(stack, plan)
+
+        for module in (ratios, probe):
+            monkeypatch.setattr(module, "_mask_plan", plan_spy)
+        monkeypatch.setattr(probe, "_log_minors", step_spy)
+        monkeypatch.setattr(probe, "SAMPLE_CHUNK", 80)
+        cfg = SamplerConfig(seed=3, count=200, dimension=4)
+        logs = [named_log(name) for name in ("R1", "R2")]
+        union = sorted({mask for v in logs for mask in v.support()},
+                       key=lambda mask: (mask.bit_count(), mask))
+        probe.bound_searches(logs, cfg)
+        assert built == [[15] + union] * 3 + [v.support() for v in logs]
+        built.clear()
+        steps.clear()
+        bound_search(logs[0], cfg)
+        assert built == [[15] + logs[0].support()] * 3 + [logs[0].support()]
+        assert len(steps) > 1 and all(p is steps[0] for p in steps)
 
     def test_zero_ascent_steps_returns_the_best_sample(self, monkeypatch):
         v = named_log("R1")

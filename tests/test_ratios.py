@@ -24,7 +24,7 @@ from minorcones.ratios import (LOG_MINOR_CHUNK, FormalLog,
                                homogeneity_basis, homogeneity_vectors,
                                is_homogeneous, is_koteljanskii_ray,
                                koteljanskii_log, log_of, log_ratio_from_minors,
-                               log_ratio_values, MAX_GROUND_SIZE, parse_ratio)
+                               MAX_GROUND_SIZE, parse_ratio)
 from minorcones.subsets import (complement_mask, format_subset, mask_of,
                                 members_of, ordered_entries, subset_order)
 
@@ -598,6 +598,19 @@ def _pd_stack(count, n, seed):
     return g @ g.transpose(0, 2, 1) + n * np.eye(n)
 
 
+def unchecked_log_ratios(v, stack):
+    """What the bound-search ascent evaluates a (count, n, n) stack with:
+    the log-ratios from `_log_minors` on one plan of v's support, without
+    the positive definiteness check, and per matrix whether every support
+    minor is finite."""
+    plan = ratios._mask_plan(v.ground_size, v.support())
+    minors = ratios._log_minors(stack, plan)
+    with np.errstate(invalid="ignore"):
+        values = log_ratio_from_minors(v, dict(zip(plan[0], minors)),
+                                       len(stack))
+    return values, np.isfinite(minors).all(axis=0)
+
+
 def _reference_log_minor(a, mask):
     """log det a[S] for one mask on one matrix, by a plain loop of the
     kernel's Schur step, S' = S[1:,1:] - S[1:,0] * (S[0,1:] / p), with the
@@ -694,7 +707,7 @@ class TestLogMinorKernel:
                 batch_log_minors(rows, masks)
             assert err.value.subset == subset
 
-    def test_log_ratio_values_match_the_checked_evaluation(self):
+    def test_unchecked_log_ratios_match_the_checked_evaluation(self):
         from minorcones.constants import R1, counterexample_E4
         stack = _pd_stack(30, 4, seed=4)
         bad = stack.copy()
@@ -702,10 +715,10 @@ class TestLogMinorKernel:
         bad[7, 2, 3] = bad[7, 3, 2] = 50.0   # not PD on {3,4}
         bad[9, 1, 1] = np.nan
         for v in (R1(), counterexample_E4(), log_of("{}/{}", 4)):
-            values, finite = log_ratio_values(v, stack)
+            values, finite = unchecked_log_ratios(v, stack)
             assert finite.all() and finite.shape == (30,)
             assert values.tobytes() == evaluate_log_ratio(v, stack).tobytes()
-            values, finite = log_ratio_values(v, bad)
+            values, finite = unchecked_log_ratios(v, bad)
             for k, a in enumerate(bad):
                 try:
                     want = evaluate_log_ratio(v, a)
@@ -713,7 +726,7 @@ class TestLogMinorKernel:
                     assert not finite[k]
                 else:
                     assert finite[k] and values[k] == want
-        values, finite = log_ratio_values(R1(), bad)
+        values, finite = unchecked_log_ratios(R1(), bad)
         assert np.flatnonzero(~finite).tolist() == [3, 7, 9]
 
     def test_each_mask_equals_its_own_call_bitwise(self):
@@ -852,21 +865,31 @@ class TestLogMinorKernel:
             batch_log_minors(np.eye(3)[None], [1, 9])
 
     def test_a_mask_outside_the_ground_set_raises_on_every_call(self):
-        # A plan that fails is not cached, so the second call checks again.
+        # Each call builds its plan, so each call checks the masks again.
         for masks in ([3, 9], (3, 9), iter([3, 9])):
             with pytest.raises(ValueError, match="^subset mask 9 outside "
                                "1..3$"):
                 batch_log_minors(np.eye(3)[None], masks)
 
-    def test_a_repeated_call_builds_no_new_plan(self):
+    def test_each_call_builds_its_own_plan(self, monkeypatch):
+        built = []
+        plan = ratios._mask_plan
+
+        def spy(n, masks):
+            built.append(plan(n, masks))
+            return built[-1]
+
+        monkeypatch.setattr(ratios, "_mask_plan", spy)
         stack = _pd_stack(20, 4, seed=12)
         masks = (15, 3, 5, 1, 3)
-        batch_log_minors(stack, masks)
-        before = ratios._mask_plan.cache_info()
         first = batch_log_minors(stack, masks)
-        after = ratios._mask_plan.cache_info()
-        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
-        assert list(first) == [15, 3, 5, 1]
+        second = batch_log_minors(stack, masks)
+        # Two plans, none shared between the calls.
+        assert len(built) == 2 and built[0] is not built[1]
+        assert built[0][0] == built[1][0] == (15, 3, 5, 1)
+        assert list(first) == list(second) == [15, 3, 5, 1]
+        for mask in first:
+            assert first[mask].tobytes() == second[mask].tobytes()
 
     def test_masks_as_list_tuple_or_generator_give_the_same_values(self):
         stack = _pd_stack(30, 5, seed=13)
@@ -877,17 +900,6 @@ class TestLogMinorKernel:
             assert list(got) == list(want)
             for mask in want:
                 assert got[mask].tobytes() == want[mask].tobytes()
-
-    def test_the_cached_plan_is_read_only(self):
-        order, gathers, chunk = ratios._mask_plan(4, (15, 1, 2, 3, 12))
-        assert order == (15, 1, 2, 3, 12) and chunk >= 1
-        assert [index.shape for _, index in gathers] == [(1, 4), (2, 1),
-                                                         (2, 2)]
-        for rows, index in gathers:
-            for array in (rows, index):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
 
     def test_positive_determinant_is_not_enough(self):
         a = np.diag([-1.0, -1.0, 1.0])
